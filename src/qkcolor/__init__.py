@@ -10,15 +10,15 @@ from .circuit import Circuit, Control, Gate, GateKind, QubitLayout, Role
 from .classical import is_proper, solutions
 from .graphs import (Graph, Instance, make_instance, parse_adjacency,
                      parse_edge_list, parse_graph_file)
-from .grover import (build_diffusion, build_grover, optimal_iterations,
+from .grover import (assemble, build_diffusion, make_job, optimal_iterations,
                      success_probability)
 from .lowering import decompose_mct, lower_circuit
 from .oracle import (OraclePlan, build_comparator,
                      build_invalid_color_detector, build_oracle, plan_layout)
 from .qasm import emit_qasm
-from .routing import (CouplingGraph, Mapping, RoutingResult, SabreConfig,
-                      grid_coupling, line_coupling, parse_coupling,
-                      ring_coupling, sabre_route, verify_constraints)
+from .routing import (CouplingGraph, Mapping, RoutingResult, grid_coupling,
+                      line_coupling, parse_coupling, ring_coupling,
+                      sabre_route, verify_constraints)
 from .simulator import (Statevector, phase_pattern, probabilities, run,
                         run_batch, unitary_of)
 

@@ -12,6 +12,7 @@ import io
 import json
 import os
 import sys
+from pathlib import Path
 
 import click
 
@@ -22,7 +23,8 @@ from .errors import (AncillaLeak, AsymmetricMatrix, Disconnected,
                      NoInvalidColors, NoSolutions, OverlappingOperands,
                      SelfLoop, TooFewPhysicalQubits, TooLarge,
                      TooManyQubits, UnloweredGate, WidthMismatch)
-from .graphs import Instance, make_instance, parse_graph_file
+from .graphs import (Graph, Instance, edges_from_pairs, make_instance,
+                     parse_graph_file)
 from .grover import assemble, make_job
 from .lowering import lower_circuit
 from .oracle import build_oracle, plan_layout
@@ -54,6 +56,15 @@ def _exit_codes(fn):
 
 def _load_instance(graph_file: str, k: int) -> Instance:
     return make_instance(parse_graph_file(graph_file), k)
+
+
+def _grover_job(instance: Instance, mode: str, iterations: int | None):
+    """The instance's Grover job, or None after saying it has no coloring."""
+    try:
+        return make_job(instance, mode, iterations)
+    except NoSolutions:
+        click.echo(f"graph is not {instance.k}-colorable")
+        return None
 
 
 def _stem(graph_file: str) -> str:
@@ -165,10 +176,8 @@ def synth(graph_file, k, mode, out_dir):
 def grover(graph_file, k, mode, iterations, out_dir):
     """Assemble the full Grover circuit and emit lowered QASM."""
     instance = _load_instance(graph_file, k)
-    try:
-        job = make_job(instance, mode, iterations)
-    except NoSolutions:
-        click.echo(f"graph is not {k}-colorable")
+    job = _grover_job(instance, mode, iterations)
+    if job is None:
         return
     circ = assemble(job)
     lowered = lower_circuit(circ)
@@ -207,11 +216,10 @@ def lower(graph_file, k, mode, stage, iterations, basis, out_dir):
     if stage == "oracle":
         circ = build_oracle(instance, mode)
     else:
-        try:
-            circ = assemble(make_job(instance, mode, iterations))
-        except NoSolutions:
-            click.echo(f"graph is not {k}-colorable")
+        job = _grover_job(instance, mode, iterations)
+        if job is None:
             return
+        circ = assemble(job)
     lowered = lower_circuit(circ, basis)
     stem = _stem(graph_file)
     _write(out_dir, f"{stem}.{stage}.lowered.qasm", emit_qasm(lowered))
@@ -240,25 +248,22 @@ def lower(graph_file, k, mode, stage, iterations, basis, out_dir):
 def route(graph_file, k, mode, topology, iterations, seed, basis, out_dir):
     """Lower the Grover circuit and route it onto a coupling graph."""
     instance = _load_instance(graph_file, k)
-    with open(topology) as fh:
-        coupling = parse_coupling(fh.read())
-    try:
-        circ = assemble(make_job(instance, mode, iterations))
-    except NoSolutions:
-        click.echo(f"graph is not {k}-colorable")
+    coupling = parse_coupling(Path(topology).read_text())
+    job = _grover_job(instance, mode, iterations)
+    if job is None:
         return
-    lowered = lower_circuit(circ, basis)
-    result = sabre_route(lowered, coupling, seed)
-    stem = _stem(graph_file)
+    _print_report(_route_to_file(assemble(job), coupling, seed, basis,
+                                 out_dir, _stem(graph_file)))
+
+
+def _route_to_file(circ, coupling, seed, basis, out_dir, stem) -> dict:
+    """Lower and route ``circ``, write ``<stem>.routed.qasm`` with the final
+    layout as comments, and return the route report."""
+    result = sabre_route(lower_circuit(circ, basis), coupling, seed)
     comments = [f"final_layout: logical {l} -> physical {p}"
                 for l, p in result.final.as_dict().items()]
     _write(out_dir, f"{stem}.routed.qasm",
            emit_qasm(result.routed, comment_lines=comments))
-    report = _route_report(result, coupling, seed)
-    _print_report(report)
-
-
-def _route_report(result, coupling, seed) -> dict:
     return {
         "report_type": "route",
         "swap_count": result.swap_count,
@@ -281,10 +286,16 @@ def _histogram(dist: dict[str, float], limit: int = 10) -> str:
 
 def _simulation_report(instance, mode, iterations):
     """Shared by simulate and run: build, simulate, compare to brute force."""
-    sols = classical.solutions(instance)
+    try:
+        job = make_job(instance, mode, iterations)
+    except NoSolutions:
+        job = None
+        sols = frozenset()
+    else:
+        sols = (job.solutions if job.solutions is not None
+                else classical.solutions(instance))
     M = len(sols)
-    plan = plan_layout(instance, mode)
-    m = plan.layout.num_data
+    m = instance.num_data_qubits
     N = 2 ** m
     base = {
         "report_type": "run",
@@ -295,12 +306,11 @@ def _simulation_report(instance, mode, iterations):
         "M": M,
         "colorable": M > 0,
     }
-    if M == 0 and iterations is None:
+    if job is None:
         base.update({"iterations": 0, "success_probability": None,
                      "top_states": [], "solution_match": None, "routing": None})
         return base, None, None
 
-    job = make_job(instance, mode, iterations)
     circ = assemble(job)
     state = simulate_circuit(circ)
     dist = probabilities(state, list(range(m)))
@@ -353,21 +363,15 @@ def run_cmd(graph_file, k, mode, iterations, topology, seed, basis, out_dir):
     if not report["colorable"]:
         click.echo(f"graph is not {k}-colorable")
     if circ is not None and topology is not None:
-        with open(topology) as fh:
-            coupling = parse_coupling(fh.read())
-        lowered = lower_circuit(circ, basis)
-        result = sabre_route(lowered, coupling, seed)
-        comments = [f"final_layout: logical {l} -> physical {p}"
-                    for l, p in result.final.as_dict().items()]
-        _write(out_dir, f"{stem}.routed.qasm",
-               emit_qasm(result.routed, comment_lines=comments))
-        report["routing"] = _route_report(result, coupling, seed)
+        coupling = parse_coupling(Path(topology).read_text())
+        report["routing"] = _route_to_file(circ, coupling, seed, basis,
+                                           out_dir, stem)
     _print_report(report, os.path.join(out_dir, f"{stem}.run.json"))
     if dist:
         click.echo(_histogram(dist))
 
 
-COST_LOWERING_MAX_N = 6  # lowered counts explode as O(2^n); keep cost fast
+COST_LOWERING_MAX_N = 6  # each extra control multiplies lowered gates ~3.73x
 
 
 @main.command()
@@ -388,7 +392,6 @@ def cost(vertices_range, k, out_file):
                      "ancilla_qubits", "baseline_ancilla_qubits",
                      "total_qubits", "oracle_gates", "oracle_gates_lowered"])
     for n in range(lo, hi + 1):
-        from .graphs import Graph, edges_from_pairs
         complete = Graph(n, edges_from_pairs(
             n, [(i, j) for i in range(n) for j in range(i + 1, n)]))
         instance = make_instance(complete, k)

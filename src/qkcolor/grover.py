@@ -17,7 +17,11 @@ class GroverJob:
     plan: OraclePlan
     data_width: int
     iterations: int
-    solution_count: int | None
+    solutions: frozenset[str] | None  # None when the iteration count was given
+
+    @property
+    def solution_count(self) -> int | None:
+        return None if self.solutions is None else len(self.solutions)
 
 
 def build_diffusion(data_width: int) -> Circuit:
@@ -63,8 +67,9 @@ def make_job(instance: Instance, mode: str = "strict",
              iterations: int | None = None) -> GroverJob:
     """Resolve the oracle, layout and iteration count for an instance.
 
-    M defaults to the brute-force solution count; an explicit iteration
-    override skips that lookup only if provided.
+    M defaults to the brute-force solution count, and the enumerated
+    solutions are kept on the job; an explicit iteration override skips
+    the enumeration.
     """
     if iterations is not None and iterations < 0:
         raise ValueError(f"iteration count must be >= 0, got {iterations}")
@@ -72,18 +77,12 @@ def make_job(instance: Instance, mode: str = "strict",
     oracle = build_oracle(instance, mode, plan)
     m = plan.layout.num_data
     N = 2 ** m
-    M: int | None = None
+    sols: frozenset[str] | None = None
     if iterations is None:
-        M = len(classical.solutions(instance))
-        iterations = optimal_iterations(N, M)
+        sols = frozenset(classical.solutions(instance))
+        iterations = optimal_iterations(N, len(sols))
     return GroverJob(oracle=oracle, plan=plan, data_width=m,
-                     iterations=iterations, solution_count=M)
-
-
-def build_grover(instance: Instance, mode: str = "strict",
-                 iterations: int | None = None) -> Circuit:
-    job = make_job(instance, mode, iterations)
-    return assemble(job)
+                     iterations=iterations, solutions=sols)
 
 
 def assemble(job: GroverJob) -> Circuit:

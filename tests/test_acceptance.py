@@ -18,7 +18,7 @@ from qkcolor import classical
 from qkcolor.circuit import Circuit, Control, Gate, GateKind
 from qkcolor.classical import decode_bitstring
 from qkcolor.graphs import Graph, make_instance
-from qkcolor.grover import (build_diffusion, build_grover, make_job, assemble,
+from qkcolor.grover import (build_diffusion, make_job, assemble,
                             success_probability)
 from qkcolor.lowering import decompose_mct, lower_circuit
 from qkcolor.oracle import build_oracle, plan_layout
@@ -190,9 +190,9 @@ def test_10_qasm_validity_and_roundtrip():
     for mode in ("strict", "paper"):
         artifacts.append(lower_circuit(build_oracle(k3, mode)))
     p3 = make_instance(path_graph(3), 2)
-    grover_lowered = lower_circuit(build_grover(p3))
+    grover_lowered = lower_circuit(assemble(make_job(p3)))
     artifacts.append(grover_lowered)
-    artifacts.append(lower_circuit(build_grover(p3), basis="cx"))
+    artifacts.append(lower_circuit(assemble(make_job(p3)), basis="cx"))
     routed = sabre_route(grover_lowered, line_coupling(7)).routed
     artifacts.append(routed)
 

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from qasm_ref import check_qasm
+from qkcolor import classical, cli, grover, oracle
 from qkcolor.cli import main
 from qkcolor.reports import validate_report
 
@@ -137,6 +138,34 @@ def test_run_full_pipeline(runner, p3_file, tmp_path):
     assert report["solution_match"] is True
     assert report["routing"]["constraints_satisfied"] is True
     check_qasm((out / "p3.routed.qasm").read_text())
+
+
+@pytest.mark.parametrize("command", ["simulate", "run"])
+@pytest.mark.parametrize("graph, k", [("p3", "2"), ("k3", "2")])
+def test_simulation_enumerates_and_plans_once(runner, p3_file, k3_file,
+                                              tmp_path, monkeypatch,
+                                              command, graph, k):
+    calls = {"solutions": 0, "plan_layout": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(classical, "solutions",
+                        counted("solutions", classical.solutions))
+    plan_layout = counted("plan_layout", oracle.plan_layout)
+    for module in (oracle, grover, cli):
+        monkeypatch.setattr(module, "plan_layout", plan_layout)
+    args = [command, p3_file if graph == "p3" else k3_file, "--k", k]
+    if command == "run":
+        topo = tmp_path / "line7.cpl"
+        topo.write_text(LINE7_CPL)
+        args += ["--topology", str(topo), "--out-dir", str(tmp_path / "o")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert calls == {"solutions": 1, "plan_layout": 1}
 
 
 def test_run_uncolorable(runner, k3_file, tmp_path):

@@ -8,7 +8,7 @@ from conftest import (TRIANGLE_K3_SOLUTIONS, complete_graph,
 from qkcolor import classical
 from qkcolor.errors import NoSolutions
 from qkcolor.graphs import make_instance
-from qkcolor.grover import (assemble, build_diffusion, build_grover, make_job,
+from qkcolor.grover import (assemble, build_diffusion, make_job,
                             optimal_iterations, success_probability)
 from qkcolor.simulator import probabilities, run, unitary_of
 
@@ -91,12 +91,12 @@ def test_iteration_override_skips_counting():
 
 def test_uncolorable_instance_raises():
     with pytest.raises(NoSolutions):
-        build_grover(make_instance(complete_graph(3), 2))
+        assemble(make_job(make_instance(complete_graph(3), 2)))
 
 
 def test_grover_marks_only_solutions():
     inst = make_instance(complete_graph(3), 3)
-    circ = build_grover(inst)
+    circ = assemble(make_job(inst))
     dist = probabilities(run(circ), list(range(6)))
     top = sorted(dist.items(), key=lambda kv: -kv[1])[:6]
     assert {bits for bits, _ in top} == TRIANGLE_K3_SOLUTIONS

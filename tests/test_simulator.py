@@ -119,9 +119,12 @@ def test_phase_pattern_detects_ancilla_leak(monkeypatch, force_probe):
 
 def test_phase_pattern_rejects_non_phase_action(monkeypatch):
     oracle, layout = _k2_oracle()
-    spoiled = oracle.copy()
-    spoiled.append(gH(0))  # data qubit no longer diagonal
-    for limit in (sim._EXACT_PATTERN_LIMIT, 0):
-        monkeypatch.setattr(sim, "_EXACT_PATTERN_LIMIT", limit)
-        with pytest.raises(AncillaLeak):
-            phase_pattern(spoiled, layout)
+    # gH: a data qubit is no longer diagonal; gX: data strings are permuted
+    # inside the prepared support, so only per-string weights expose it
+    for spoiler in (gH(0), gX(0)):
+        spoiled = oracle.copy()
+        spoiled.append(spoiler)
+        for limit in (sim._EXACT_PATTERN_LIMIT, 0):
+            monkeypatch.setattr(sim, "_EXACT_PATTERN_LIMIT", limit)
+            with pytest.raises(AncillaLeak):
+                phase_pattern(spoiled, layout)
