@@ -252,6 +252,7 @@ def route(graph_file, k, mode, topology, iterations, seed, basis, out_dir):
     job = _grover_job(instance, mode, iterations)
     if job is None:
         return
+    coupling.check_width(job.plan.layout.num_qubits)
     _print_report(_route_to_file(assemble(job), coupling, seed, basis,
                                  out_dir, _stem(graph_file)))
 
@@ -272,6 +273,7 @@ def _route_to_file(circ, coupling, seed, basis, out_dir, stem) -> dict:
         "final_layout": {str(l): p for l, p in result.final.as_dict().items()},
         "num_physical": coupling.num_physical,
         "seed": seed,
+        "stall_walks": result.stall_walks,
     }
 
 
@@ -284,14 +286,19 @@ def _histogram(dist: dict[str, float], limit: int = 10) -> str:
     return "\n".join(lines)
 
 
-def _simulation_report(instance, mode, iterations):
-    """Shared by simulate and run: build, simulate, compare to brute force."""
+def _simulation_report(instance, mode, iterations, coupling=None):
+    """Shared by simulate and run: build, simulate, compare to brute force.
+
+    A ``coupling`` too small for the circuit is rejected before simulating.
+    """
     try:
         job = make_job(instance, mode, iterations)
     except NoSolutions:
         job = None
         sols = frozenset()
     else:
+        if coupling is not None:
+            coupling.check_width(job.plan.layout.num_qubits)
         sols = (job.solutions if job.solutions is not None
                 else classical.solutions(instance))
     M = len(sols)
@@ -358,12 +365,14 @@ def simulate(graph_file, k, mode, iterations):
 def run_cmd(graph_file, k, mode, iterations, topology, seed, basis, out_dir):
     """Full pipeline: synthesize, lower, optionally route, simulate."""
     instance = _load_instance(graph_file, k)
-    report, circ, dist = _simulation_report(instance, mode, iterations)
+    coupling = (parse_coupling(Path(topology).read_text())
+                if topology is not None else None)
+    report, circ, dist = _simulation_report(instance, mode, iterations,
+                                            coupling)
     stem = _stem(graph_file)
     if not report["colorable"]:
         click.echo(f"graph is not {k}-colorable")
-    if circ is not None and topology is not None:
-        coupling = parse_coupling(Path(topology).read_text())
+    if circ is not None and coupling is not None:
         report["routing"] = _route_to_file(circ, coupling, seed, basis,
                                            out_dir, stem)
     _print_report(report, os.path.join(out_dir, f"{stem}.run.json"))

@@ -11,7 +11,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
-from .circuit import Circuit, Gate, Role, gSWAP
+from .circuit import Circuit, Role, gSWAP
 from .errors import (Disconnected, IndexOutOfRange, TooFewPhysicalQubits,
                      UnloweredGate)
 
@@ -21,6 +21,7 @@ class CouplingGraph:
     num_physical: int
     pairs: frozenset[tuple[int, int]]
     distance: tuple[tuple[int, ...], ...] = field(repr=False)
+    adjacency: tuple[tuple[int, ...], ...] = field(repr=False)
 
     @classmethod
     def from_pairs(cls, num_physical: int, pairs) -> "CouplingGraph":
@@ -31,21 +32,31 @@ class CouplingGraph:
             if a == b:
                 raise IndexOutOfRange(f"pair ({a}, {b}) is a self-loop")
             canon.add((min(a, b), max(a, b)))
-        dist = _all_pairs_bfs(num_physical, canon)
-        return cls(num_physical, frozenset(canon), dist)
+        canon = frozenset(canon)
+        # neighbour order follows the iteration order of ``pairs``; the
+        # stall walk's tie-breaking depends on it
+        adj = [[] for _ in range(num_physical)]
+        for a, b in canon:
+            adj[a].append(b)
+            adj[b].append(a)
+        adjacency = tuple(tuple(nbs) for nbs in adj)
+        return cls(num_physical, canon, _all_pairs_bfs(adjacency), adjacency)
 
     def coupled(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.pairs
 
-    def neighbors(self, p: int) -> list[int]:
-        return [b if a == p else a for a, b in self.pairs if p in (a, b)]
+    def neighbors(self, p: int) -> tuple[int, ...]:
+        return self.adjacency[p]
+
+    def check_width(self, num_logical: int) -> None:
+        """Raise TooFewPhysicalQubits unless ``num_logical`` qubits fit."""
+        if self.num_physical < num_logical:
+            raise TooFewPhysicalQubits(
+                f"{num_logical} logical qubits, {self.num_physical} physical")
 
 
-def _all_pairs_bfs(n: int, pairs) -> tuple[tuple[int, ...], ...]:
-    adj = [[] for _ in range(n)]
-    for a, b in pairs:
-        adj[a].append(b)
-        adj[b].append(a)
+def _all_pairs_bfs(adj) -> tuple[tuple[int, ...], ...]:
+    n = len(adj)
     rows = []
     for src in range(n):
         dist = [-1] * n
@@ -121,12 +132,15 @@ class RoutingResult:
     initial: Mapping
     final: Mapping
     swap_count: int
+    stall_walks: int  # stall fallbacks taken by the final pass
 
 
 EXTENDED_SIZE = 20           # 2-qubit gates in the lookahead window
 EXTENDED_WEIGHT = 0.5        # weight of the lookahead term in a swap's score
 DECAY_INCREMENT = 0.001      # per-swap penalty on the swapped physical qubits
 DECAY_RESET_INTERVAL = 5     # swaps between decay resets
+STALL_BASE = 10              # swaps without a committed gate before the
+STALL_PER_QUBIT = 4          # stall walk: BASE + PER_QUBIT * num_physical
 
 
 def verify_constraints(circuit: Circuit, coupling: CouplingGraph) -> bool:
@@ -138,20 +152,20 @@ def verify_constraints(circuit: Circuit, coupling: CouplingGraph) -> bool:
 
 
 class _Dag:
-    """Dependency DAG over the gate list (operand overlap ordering)."""
+    """Dependency DAG over operand tuples (operand overlap ordering)."""
 
-    def __init__(self, gates: list[Gate]):
-        self.gates = gates
-        n = len(gates)
+    def __init__(self, ops: list[tuple[int, ...]]):
+        self.ops = ops
+        n = len(ops)
         self.succ: list[list[int]] = [[] for _ in range(n)]
         self.indegree = [0] * n
         last_on: dict[int, int] = {}
-        for i, g in enumerate(gates):
-            preds = {last_on[q] for q in g.operands if q in last_on}
+        for i, g in enumerate(ops):
+            preds = {last_on[q] for q in g if q in last_on}
             for p in preds:
                 self.succ[p].append(i)
             self.indegree[i] = len(preds)
-            for q in g.operands:
+            for q in g:
                 last_on[q] = i
 
 
@@ -161,25 +175,24 @@ def sabre_route(circuit: Circuit, coupling: CouplingGraph,
 
     Reverse traversal: forward pass from the identity mapping, backward
     pass seeded with its final mapping, then a final forward pass whose
-    initial mapping is kept and reported.
+    initial mapping is kept and reported.  Only the final pass builds
+    gates; the first two move the layout.
     """
     width = circuit.num_qubits
-    if coupling.num_physical < width:
-        raise TooFewPhysicalQubits(
-            f"{width} logical qubits, {coupling.num_physical} physical")
-    for gate in circuit.gates:
-        if len(gate.operands) > 2:
+    coupling.check_width(width)
+    ops = [g.operands for g in circuit.gates]
+    for gate, gate_ops in zip(circuit.gates, ops):
+        if len(gate_ops) > 2:
             raise UnloweredGate(f"{gate.kind.value} has >2 operands; lower first")
         if any(not c.positive for c in gate.controls):
             raise UnloweredGate("negative control; lower first")
 
     rng = random.Random(seed)
-    identity = list(range(width)) + list(range(width, coupling.num_physical))
-    reverse_gates = list(reversed(circuit.gates))
-
-    _, m1 = _route_pass(circuit.gates, width, coupling, identity, rng)
-    _, m2 = _route_pass(reverse_gates, width, coupling, m1, rng)
-    out_gates, m_final = _route_pass(circuit.gates, width, coupling, m2, rng)
+    forward = _Dag(ops)
+    m1, _, _ = _route_pass(forward, coupling, range(coupling.num_physical), rng)
+    m2, _, _ = _route_pass(_Dag(ops[::-1]), coupling, m1, rng)
+    m_final, out_gates, stall_walks = _route_pass(forward, coupling, m2, rng,
+                                                  circuit.gates)
 
     initial = Mapping(tuple(m2[:width]))
     final = Mapping(tuple(m_final[:width]))
@@ -187,7 +200,7 @@ def sabre_route(circuit: Circuit, coupling: CouplingGraph,
                              initial, final)
     swap_count = len(out_gates) - len(circuit.gates)
     return RoutingResult(routed=routed, initial=initial, final=final,
-                         swap_count=swap_count)
+                         swap_count=swap_count, stall_walks=stall_walks)
 
 
 def _routed_circuit(logical: Circuit, num_physical: int, gates,
@@ -202,129 +215,143 @@ def _routed_circuit(logical: Circuit, num_physical: int, gates,
     return out
 
 
-def _route_pass(gates, width, coupling, mapping_seed, rng):
-    """One SABRE sweep.  Returns (physical gate list, full l2p mapping)."""
-    dag = _Dag(list(gates))
+def _route_pass(dag, coupling, mapping_seed, rng, gates=None):
+    """One SABRE sweep from the full l2p mapping ``mapping_seed``.
+
+    Returns (final l2p mapping, physical gate list, stall walks).  The
+    gate list is built only when ``gates``, the circuit's gates in DAG
+    order, is given; otherwise it is None.
+    """
+    ops, succ = dag.ops, dag.succ
+    dist, adj = coupling.distance, coupling.adjacency
+    n_phys = coupling.num_physical
     l2p = list(mapping_seed)
-    front = deque(i for i in range(len(dag.gates)) if dag.indegree[i] == 0)
-    remaining_indegree = list(dag.indegree)
-    out: list[Gate] = []
-    decay = [1.0] * coupling.num_physical
+    p2l = [0] * n_phys
+    for logical, phys in enumerate(l2p):
+        p2l[phys] = logical
+    indegree = list(dag.indegree)
+    front = deque(i for i in range(len(ops)) if indegree[i] == 0)
+    out = [] if gates is not None else None
+    decay = [1.0] * n_phys
     swaps_since_reset = 0
     swaps_since_commit = 0
-    stall_limit = 10 + 4 * coupling.num_physical
+    stall_walks = 0
+    stall_limit = STALL_BASE + STALL_PER_QUBIT * n_phys
+    blocked = extended = None  # operand pairs; valid until the front changes
 
-    def executable(i: int) -> bool:
-        ops = dag.gates[i].operands
-        if len(ops) < 2:
-            return True
-        return coupling.coupled(l2p[ops[0]], l2p[ops[1]])
+    def swap(p, q):
+        lp, lq = p2l[p], p2l[q]
+        p2l[p], p2l[q] = lq, lp
+        l2p[lp], l2p[lq] = q, p
+        if out is not None:
+            out.append(gSWAP(p, q))
 
     while front:
-        ready = [i for i in front if executable(i)]
+        ready = [i for i in front if len(ops[i]) < 2
+                 or dist[l2p[ops[i][0]]][l2p[ops[i][1]]] == 1]
         if ready:
             for i in ready:
                 front.remove(i)
-                out.append(dag.gates[i].remapped(l2p))
-                for s in dag.succ[i]:
-                    remaining_indegree[s] -= 1
-                    if remaining_indegree[s] == 0:
+                if out is not None:
+                    out.append(gates[i].remapped(l2p))
+                for s in succ[i]:
+                    indegree[s] -= 1
+                    if indegree[s] == 0:
                         front.append(s)
-            decay = [1.0] * coupling.num_physical
+            decay = [1.0] * n_phys
             swaps_since_reset = 0
             swaps_since_commit = 0
+            blocked = None
             continue
 
-        blocked = [i for i in front if len(dag.gates[i].operands) == 2]
+        if blocked is None:
+            # nothing is ready, so every front gate is a blocked 2q gate
+            blocked = [ops[i] for i in front]
+            extended = _extended_set(dag, front)
         if swaps_since_commit >= stall_limit:
             # heuristic is oscillating: walk the first blocked gate's
             # operands together along a shortest path
-            a, b = dag.gates[blocked[0]].operands
+            a, b = blocked[0]
             pa, pb = l2p[a], l2p[b]
-            while not coupling.coupled(pa, pb):
-                step = min(coupling.neighbors(pa),
-                           key=lambda nb: coupling.distance[nb][pb])
-                out.append(gSWAP(pa, step))
-                _apply_swap(l2p, pa, step)
+            while dist[pa][pb] != 1:
+                step = min(adj[pa], key=lambda nb: dist[nb][pb])
+                swap(pa, step)
                 pa = step
             swaps_since_commit = 0
+            stall_walks += 1
             continue
-        extended = _extended_set(dag, front, remaining_indegree)
-        candidates = _candidate_swaps(blocked, dag, l2p, coupling)
+
+        # Distance sums at the current layout; a candidate SWAP changes
+        # only the terms of gates that touch its pair.  Exact ints keep
+        # the float scores equal to a full recount.
+        ends_b = _ends(blocked, l2p, n_phys)
+        ends_e = _ends(extended, l2p, n_phys)
+        sum_b = sum(dist[l2p[a]][l2p[b]] for a, b in blocked)
+        sum_e = sum(dist[l2p[a]][l2p[b]] for a, b in extended)
+        involved = {l2p[q] for pair in blocked for q in pair}
+        candidates = sorted({(p, nb) if p < nb else (nb, p)
+                             for p in involved for nb in adj[p]})
         best_swaps, best_score = [], None
-        for swap in candidates:
-            score = _score(swap, blocked, extended, dag, l2p, coupling, decay)
+        for p, q in candidates:
+            score = (sum_b + _delta(ends_b, dist, p, q)) / len(blocked)
+            if extended:
+                se = sum_e + _delta(ends_e, dist, p, q)
+                score += EXTENDED_WEIGHT * se / len(extended)
+            score = max(decay[p], decay[q]) * score
             if best_score is None or score < best_score - 1e-12:
-                best_swaps, best_score = [swap], score
+                best_swaps, best_score = [(p, q)], score
             elif abs(score - best_score) <= 1e-12:
-                best_swaps.append(swap)
+                best_swaps.append((p, q))
         p, q = rng.choice(best_swaps)
-        out.append(gSWAP(p, q))
-        _apply_swap(l2p, p, q)
+        swap(p, q)
         decay[p] += DECAY_INCREMENT
         decay[q] += DECAY_INCREMENT
         swaps_since_reset += 1
         swaps_since_commit += 1
         if swaps_since_reset >= DECAY_RESET_INTERVAL:
-            decay = [1.0] * coupling.num_physical
+            decay = [1.0] * n_phys
             swaps_since_reset = 0
-    return out, l2p
+    return l2p, out, stall_walks
 
 
-def _apply_swap(l2p, p, q):
-    # invert, swap the physical slots, re-invert -- done directly
-    for logical, phys in enumerate(l2p):
-        if phys == p:
-            l2p[logical] = q
-        elif phys == q:
-            l2p[logical] = p
+def _ends(pairs, l2p, n_phys):
+    """For each physical qubit, the far physical end of every pair on it."""
+    ends = [[] for _ in range(n_phys)]
+    for a, b in pairs:
+        pa, pb = l2p[a], l2p[b]
+        ends[pa].append(pb)
+        ends[pb].append(pa)
+    return ends
 
 
-def _extended_set(dag, front, indegree):
-    """Lookahead window: nearest successors of the front layer (2q only)."""
+def _delta(ends, dist, p, q):
+    """Change of a distance sum when physical qubits p and q trade places."""
+    dp, dq = dist[p], dist[q]
+    d = 0
+    for o in ends[p]:
+        if o != q:
+            d += dq[o] - dp[o]
+    for o in ends[q]:
+        if o != p:
+            d += dp[o] - dq[o]
+    return d
+
+
+def _extended_set(dag, front):
+    """Lookahead window: operand pairs of the nearest 2q successors of the
+    front layer."""
+    succ, ops = dag.succ, dag.ops
     seen = set(front)
     queue = deque(front)
     out = []
-    while queue and len(out) < EXTENDED_SIZE:
-        i = queue.popleft()
-        for s in dag.succ[i]:
+    while queue:
+        for s in succ[queue.popleft()]:
             if s in seen:
                 continue
             seen.add(s)
-            if len(dag.gates[s].operands) == 2:
-                out.append(s)
+            if len(ops[s]) == 2:
+                out.append(ops[s])
                 if len(out) >= EXTENDED_SIZE:
-                    break
+                    return out
             queue.append(s)
     return out
-
-
-def _candidate_swaps(blocked, dag, l2p, coupling):
-    involved = set()
-    for i in blocked:
-        for q in dag.gates[i].operands:
-            involved.add(l2p[q])
-    swaps = set()
-    for p in involved:
-        for nb in coupling.neighbors(p):
-            swaps.add((min(p, nb), max(p, nb)))
-    return sorted(swaps)
-
-
-def _score(swap, blocked, extended, dag, l2p, coupling, decay):
-    p, q = swap
-    trial = list(l2p)
-    _apply_swap(trial, p, q)
-    dist = coupling.distance
-
-    def total(indices):
-        s = 0.0
-        for i in indices:
-            a, b = dag.gates[i].operands
-            s += dist[trial[a]][trial[b]]
-        return s
-
-    score = total(blocked) / len(blocked)
-    if extended:
-        score += EXTENDED_WEIGHT * total(extended) / len(extended)
-    return max(decay[p], decay[q]) * score

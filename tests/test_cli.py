@@ -110,6 +110,7 @@ def test_route(runner, p3_file, tmp_path):
     report = _json_head(result.output)
     assert report["constraints_satisfied"] is True
     assert report["num_physical"] == 7
+    assert report["stall_walks"] == 0
     text = (out / "p3.routed.qasm").read_text()
     check_qasm(text)
     assert "final_layout" in text
@@ -166,6 +167,30 @@ def test_simulation_enumerates_and_plans_once(runner, p3_file, k3_file,
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
     assert calls == {"solutions": 1, "plan_layout": 1}
+
+
+@pytest.mark.parametrize("command", ["run", "route"])
+def test_small_device_fails_before_the_work(runner, k3_file, tmp_path,
+                                            monkeypatch, command):
+    # K3/k=3 needs 13 qubits; the line has 7
+    calls = {"simulate": 0, "lower": 0}
+
+    def never(name):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            raise AssertionError(f"{name} called")
+        return wrapper
+
+    monkeypatch.setattr(cli, "simulate_circuit", never("simulate"))
+    monkeypatch.setattr(cli, "lower_circuit", never("lower"))
+    topo = tmp_path / "line7.cpl"
+    topo.write_text(LINE7_CPL)
+    result = runner.invoke(main, [command, k3_file, "--k", "3",
+                                  "--topology", str(topo),
+                                  "--out-dir", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert "TooFewPhysicalQubits" in result.output
+    assert calls == {"simulate": 0, "lower": 0}
 
 
 def test_run_uncolorable(runner, k3_file, tmp_path):

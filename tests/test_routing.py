@@ -1,11 +1,17 @@
+import hashlib
 import random
 
 import pytest
 
-from conftest import random_circuit, routed_max_error
-from qkcolor.circuit import Circuit, gCX, gH, gMCT
+from conftest import complete_graph, random_circuit, routed_max_error
+from qkcolor import routing
+from qkcolor.circuit import Circuit, GateKind, gCX, gH, gMCT
 from qkcolor.errors import (Disconnected, IndexOutOfRange,
                             TooFewPhysicalQubits, UnloweredGate)
+from qkcolor.graphs import make_instance
+from qkcolor.grover import assemble, make_job
+from qkcolor.lowering import lower_circuit
+from qkcolor.qasm import emit_qasm
 from qkcolor.routing import (CouplingGraph, grid_coupling, line_coupling,
                              parse_coupling, ring_coupling, sabre_route,
                              verify_constraints)
@@ -86,6 +92,16 @@ def test_rejects_unlowered_input():
 def test_rejects_small_device():
     with pytest.raises(TooFewPhysicalQubits):
         sabre_route(Circuit(4), line_coupling(3))
+    with pytest.raises(TooFewPhysicalQubits):
+        line_coupling(3).check_width(4)
+    line_coupling(3).check_width(3)
+
+
+def test_neighbors_follow_pair_order():
+    grid = grid_coupling(3, 3)
+    for p in range(grid.num_physical):
+        assert tuple(grid.neighbors(p)) == tuple(
+            b if a == p else a for a, b in grid.pairs if p in (a, b))
 
 
 def test_determinism_per_seed():
@@ -118,3 +134,51 @@ def test_random_circuits_route_correctly(seed):
         result = sabre_route(circ, coupling, seed=seed)
         assert verify_constraints(result.routed, coupling)
         assert routed_max_error(circ, result, coupling.num_physical) < 1e-9
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_stall_walk_routes_correctly(monkeypatch, seed):
+    # limits of 0 make every blocked step take the stall walk
+    monkeypatch.setattr(routing, "STALL_BASE", 0)
+    monkeypatch.setattr(routing, "STALL_PER_QUBIT", 0)
+    rng = random.Random(2000 + seed)
+    width = rng.randint(4, 6)
+    circ = random_circuit(width, 25, rng, pool=LOWERED_POOL)
+    for coupling in (line_coupling(width), grid_coupling(2, (width + 1) // 2)):
+        result = sabre_route(circ, coupling, seed=seed)
+        assert result.stall_walks > 0
+        assert verify_constraints(result.routed, coupling)
+        assert routed_max_error(circ, result, coupling.num_physical) < 1e-9
+
+
+@pytest.fixture(scope="module")
+def k3_lowered():
+    job = make_job(make_instance(complete_graph(3), 3), "strict")
+    return lower_circuit(assemble(job))
+
+
+# Measured before the incremental scorer replaced the full recount; a
+# change to any routing decision must update these deliberately.
+GOLDEN_ROUTES = {
+    "line13": (line_coupling(13), 1587,
+               (0, 1, 3, 4, 7, 8, 6, 10, 11, 2, 5, 9, 12),
+               (3, 4, 2, 5, 1, 6, 9, 11, 0, 7, 8, 10, 12),
+               "bcc3f0771927fce3911241201e075cfd58a4cc808d93fb2cfecf05eba4a6717f"),
+    "grid4x4": (grid_coupling(4, 4), 1329,
+                (6, 5, 7, 11, 9, 2, 3, 8, 0, 4, 10, 1, 14),
+                (9, 8, 5, 4, 10, 7, 14, 3, 1, 2, 6, 11, 0),
+                "c296ae8b1260ec786015efd92fb77e0660cdecfde85bf2f1642c47211843eb78"),
+}
+
+
+@pytest.mark.parametrize("device", sorted(GOLDEN_ROUTES))
+def test_golden_route_k3(k3_lowered, device):
+    coupling, swaps, initial, final, sha256 = GOLDEN_ROUTES[device]
+    assert (k3_lowered.num_qubits, len(k3_lowered.gates)) == (13, 5248)
+    result = sabre_route(k3_lowered, coupling, seed=0)
+    assert result.swap_count == swaps
+    assert sum(g.kind is GateKind.SWAP for g in result.routed.gates) == swaps
+    assert result.initial.logical_to_physical == initial
+    assert result.final.logical_to_physical == final
+    qasm = emit_qasm(result.routed)
+    assert hashlib.sha256(qasm.encode()).hexdigest() == sha256
