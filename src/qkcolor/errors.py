@@ -39,7 +39,8 @@ class UnloweredGate(QKColorError):
 
 
 class WidthMismatch(QKColorError):
-    """Comparator register widths differ."""
+    """Register widths differ: comparator operands, or a simulator input
+    and its circuit."""
 
 
 class NoInvalidColors(QKColorError):

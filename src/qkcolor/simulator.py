@@ -2,9 +2,10 @@
 
 Bit convention: qubit 0 is the most significant bit of the basis-state
 index, so ``format(index, f"0{q}b")`` reads off qubit values in register
-order.  MCT/MCZ and negative controls are applied directly from the IR --
-no lowering is required, which keeps the simulator independent of the
-lowering pass it is used to check.
+order, and qubit i is axis i of the amplitude tensor
+``amps.reshape((2,) * q)``.  MCT/MCZ and negative controls are applied
+directly from the IR -- no lowering is required, which keeps the
+simulator independent of the lowering pass it is used to check.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import os
 import numpy as np
 
 from .circuit import Circuit, Gate, GateKind, QubitLayout
-from .errors import AncillaLeak, TooManyQubits
+from .errors import AncillaLeak, TooManyQubits, WidthMismatch
 
 DEFAULT_CEILING = 24
 UNITARY_CEILING = 12
@@ -34,6 +35,12 @@ _FIXED_1Q = {
 
 def qubit_ceiling() -> int:
     return int(os.environ.get("GKC_QUBIT_CEILING", DEFAULT_CEILING))
+
+
+def _check_ceiling(num_qubits: int) -> None:
+    ceiling = qubit_ceiling()
+    if num_qubits > ceiling:
+        raise TooManyQubits(f"{num_qubits} qubits exceeds ceiling {ceiling}")
 
 
 def _rotation_matrix(kind: GateKind, angle: float) -> np.ndarray:
@@ -63,25 +70,27 @@ class Statevector:
     """Unit-norm complex amplitude array over 2**q basis states."""
 
     def __init__(self, num_qubits: int, amplitudes: np.ndarray | None = None):
-        if num_qubits > qubit_ceiling():
-            raise TooManyQubits(
-                f"{num_qubits} qubits exceeds ceiling {qubit_ceiling()}")
-        self.num_qubits = num_qubits
+        _check_ceiling(num_qubits)
         if amplitudes is None:
             amplitudes = np.zeros(2 ** num_qubits, dtype=complex)
             amplitudes[0] = 1.0
-        self.amplitudes = np.asarray(amplitudes, dtype=complex)
+        amplitudes = np.asarray(amplitudes, dtype=complex)
+        if amplitudes.shape != (2 ** num_qubits,):
+            raise WidthMismatch(f"amplitudes of shape {amplitudes.shape} "
+                                f"for {num_qubits} qubits")
+        self.num_qubits = num_qubits
+        self.amplitudes = amplitudes
 
     @classmethod
     def from_basis(cls, num_qubits: int, bits) -> "Statevector":
         """Basis state from per-qubit bit values (qubit 0 first)."""
-        index = 0
-        for q, b in enumerate(bits):
-            if b:
-                index |= 1 << (num_qubits - 1 - q)
-        amps = np.zeros(2 ** num_qubits, dtype=complex)
-        amps[index] = 1.0
-        return cls(num_qubits, amps)
+        bits = tuple(1 if b else 0 for b in bits)
+        if len(bits) != num_qubits:
+            raise WidthMismatch(f"{len(bits)} bits for {num_qubits} qubits")
+        state = cls(num_qubits)
+        state.amplitudes[0] = 0.0
+        state.amplitudes.reshape((2,) * num_qubits)[bits] = 1.0
+        return state
 
     def norm(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
@@ -90,72 +99,61 @@ class Statevector:
         return format(index, f"0{self.num_qubits}b")
 
 
-def _apply_gate(amps: np.ndarray, num_qubits: int, gate: Gate) -> None:
-    """Apply one gate in place.  ``amps`` has shape (2**q,) or (2**q, batch)."""
-    dim = 2 ** num_qubits
-    idx = np.arange(dim)
-    ok = np.ones(dim, dtype=bool)
+def _apply_gate(view: np.ndarray, gate: Gate) -> None:
+    """Apply one gate in place to the amplitude tensor ``view``: axis i is
+    qubit i, followed by the batch axis if there is one."""
+    i0 = [slice(None)] * view.ndim
     for ctl in gate.controls:
-        bit = (idx >> (num_qubits - 1 - ctl.qubit)) & 1
-        ok &= (bit == 1) if ctl.positive else (bit == 0)
-
+        i0[ctl.qubit] = int(ctl.positive)
+    # the two blocks the gate mixes: target bit 0 and 1, or |01> and |10>
+    i1 = list(i0)
+    for n, t in enumerate(gate.targets):
+        i0[t], i1[t] = n, 1 - n
+    i0, i1 = (*i0, ...), (*i1, ...)  # ``...``: 0-d views, not scalars
     if gate.kind is GateKind.SWAP:
-        a, b = gate.targets
-        mask_a = 1 << (num_qubits - 1 - a)
-        mask_b = 1 << (num_qubits - 1 - b)
-        sel = ok & ((idx & mask_a) != 0) & ((idx & mask_b) == 0)
-        i10 = idx[sel]
-        i01 = (i10 ^ mask_a) | mask_b
-        tmp = amps[i10].copy()
-        amps[i10] = amps[i01]
-        amps[i01] = tmp
+        view[i0], view[i1] = view[i1], view[i0].copy()
         return
-
     m = gate_1q_matrix(gate)
-    t = gate.targets[0]
-    mask_t = 1 << (num_qubits - 1 - t)
-    sel = ok & ((idx & mask_t) == 0)
-    i0 = idx[sel]
-    i1 = i0 | mask_t
-    a0 = amps[i0].copy()
-    a1 = amps[i1].copy()
-    amps[i0] = m[0, 0] * a0 + m[0, 1] * a1
-    amps[i1] = m[1, 0] * a0 + m[1, 1] * a1
+    a0 = view[i0].copy()  # basic slices alias: keep a0 past the first write
+    a1 = view[i1]
+    view[i0] = m[0, 0] * a0 + m[0, 1] * a1
+    view[i1] = m[1, 0] * a0 + m[1, 1] * a1
+
+
+def _run_gates(circuit: Circuit, amps: np.ndarray) -> np.ndarray:
+    """Apply every gate of the circuit in place.  ``amps`` has shape
+    (2**q,) or (2**q, batch) and must be C-contiguous, so that its
+    reshape to the (2,)*q tensor is a view."""
+    view = amps.reshape((2,) * circuit.num_qubits + amps.shape[1:])
+    for gate in circuit.gates:
+        _apply_gate(view, gate)
+    return amps
 
 
 def run(circuit: Circuit, initial=None) -> Statevector:
     """Simulate the circuit.
 
-    ``initial`` may be a basis-state index, a bit sequence, a Statevector,
-    or None (use the circuit's declared initial_state).
+    ``initial`` may be a bit sequence, a Statevector, or None (use the
+    circuit's declared initial_state); its width must match the circuit's.
     """
     q = circuit.num_qubits
-    if q > qubit_ceiling():
-        raise TooManyQubits(f"{q} qubits exceeds ceiling {qubit_ceiling()}")
-    if initial is None:
-        state = Statevector.from_basis(q, circuit.initial_state)
-    elif isinstance(initial, Statevector):
+    if isinstance(initial, Statevector):
         state = Statevector(q, initial.amplitudes.copy())
-    elif isinstance(initial, int):
-        amps = np.zeros(2 ** q, dtype=complex)
-        amps[initial] = 1.0
-        state = Statevector(q, amps)
     else:
-        state = Statevector.from_basis(q, initial)
-    for gate in circuit.gates:
-        _apply_gate(state.amplitudes, q, gate)
+        state = Statevector.from_basis(
+            q, circuit.initial_state if initial is None else initial)
+    _run_gates(circuit, state.amplitudes)
     return state
 
 
 def run_batch(circuit: Circuit, columns: np.ndarray) -> np.ndarray:
     """Simulate many initial vectors at once; columns has shape (2**q, b)."""
     q = circuit.num_qubits
-    if q > qubit_ceiling():
-        raise TooManyQubits(f"{q} qubits exceeds ceiling {qubit_ceiling()}")
-    amps = np.array(columns, dtype=complex)
-    for gate in circuit.gates:
-        _apply_gate(amps, q, gate)
-    return amps
+    _check_ceiling(q)
+    amps = np.array(columns, dtype=complex, order="C")
+    if amps.shape[:1] != (2 ** q,):
+        raise WidthMismatch(f"columns of shape {amps.shape} for {q} qubits")
+    return _run_gates(circuit, amps)
 
 
 def probabilities(state: Statevector, qubit_subset=None) -> dict[str, float]:

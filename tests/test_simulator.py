@@ -7,7 +7,7 @@ import pytest
 import qkcolor.simulator as sim
 from conftest import random_circuit, ref_unitary
 from qkcolor.circuit import Circuit, gCX, gH, gRY, gX
-from qkcolor.errors import AncillaLeak, TooManyQubits
+from qkcolor.errors import AncillaLeak, TooManyQubits, WidthMismatch
 from qkcolor.graphs import Graph, make_instance
 from qkcolor.oracle import build_oracle, plan_layout
 from qkcolor.simulator import (Statevector, phase_pattern, probabilities,
@@ -20,12 +20,20 @@ def test_basis_state_msb_convention():
     assert state.bitstring(0b100) == "100"
 
 
+_ONE_QUBIT_POOL = ("x", "h", "z", "s", "t", "sdg", "tdg", "rx", "ry", "rz",
+                   "mct", "mcz")
+
+
 def test_unitary_matches_independent_reference():
+    # widths 1, 2 and 6 put qubit 0 and qubit q-1 in every role
     rng = random.Random(11)
-    for _ in range(20):
-        circ = random_circuit(4, rng.randint(1, 15), rng)
-        u = unitary_of(circ)
-        assert np.max(np.abs(u - ref_unitary(circ))) < 1e-12
+    for width in (4, 1, 2, 6):
+        pool = {"pool": _ONE_QUBIT_POOL} if width == 1 else {}
+        for _ in range(20):
+            circ = random_circuit(width, rng.randint(1, 15), rng,
+                                  max_controls=width - 1, **pool)
+            u = unitary_of(circ)
+            assert np.max(np.abs(u - ref_unitary(circ))) < 1e-12
 
 
 def test_unitarity_and_norm_preservation():
@@ -58,6 +66,16 @@ def test_run_batch_agrees_with_run():
         single = run(circ, initial=Statevector(3, cols[:, j]))
         assert np.max(np.abs(out[:, j] - single.amplitudes)) < 1e-12
 
+    # the batch axis follows the qubit axes: check it against the reference
+    nrng = np.random.default_rng(5)
+    wide = random_circuit(6, 40, rng, max_controls=5)
+    cols = nrng.normal(size=(64, 5)) + 1j * nrng.normal(size=(64, 5))
+    out = run_batch(wide, cols)
+    assert np.max(np.abs(out - ref_unitary(wide) @ cols)) < 1e-12
+    for j in range(5):
+        single = run(wide, initial=Statevector(6, cols[:, j]))
+        assert np.array_equal(out[:, j], single.amplitudes)
+
 
 def test_probabilities_marginal_and_order():
     circ = Circuit(2)
@@ -80,7 +98,30 @@ def test_qubit_ceiling_env(monkeypatch):
         Statevector(5)
     with pytest.raises(TooManyQubits):
         run(Circuit(5))
+    with pytest.raises(TooManyQubits):
+        Statevector.from_basis(5, [0] * 5)
+    with pytest.raises(TooManyQubits):
+        run_batch(Circuit(5), np.eye(32, 2))
+    # checked before the 2**50 amplitudes would be allocated
+    with pytest.raises(TooManyQubits):
+        Statevector.from_basis(50, [0] * 50)
     run(Circuit(4))  # at the ceiling is fine
+    Statevector.from_basis(4, [1, 0, 0, 1])
+
+
+def test_run_rejects_initial_of_wrong_width():
+    circ = Circuit(2).append(gX(0))
+    with pytest.raises(WidthMismatch):
+        run(circ, initial=Statevector.from_basis(3, [0, 0, 1]))
+    with pytest.raises(WidthMismatch):
+        run(circ, initial=[1])
+    with pytest.raises(WidthMismatch):
+        run(circ, initial=[1, 0, 0])
+    with pytest.raises(WidthMismatch):
+        Statevector(2, np.ones(8) / math.sqrt(8))
+    with pytest.raises(WidthMismatch):
+        run_batch(circ, np.eye(8, 2))
+    assert run(circ, initial=[0, 1]).amplitudes[0b11] == 1.0
 
 
 def test_unitary_of_ceiling():
