@@ -380,9 +380,6 @@ def run_cmd(graph_file, k, mode, iterations, topology, seed, basis, out_dir):
         click.echo(_histogram(dist))
 
 
-COST_LOWERING_MAX_N = 6  # each extra control multiplies lowered gates ~3.73x
-
-
 @main.command()
 @click.option("--vertices-range", "vertices_range", nargs=2, type=int,
               default=(2, 10), show_default=True,
@@ -407,8 +404,7 @@ def cost(vertices_range, k, out_file):
         plan = plan_layout(instance, "paper")
         oracle = build_oracle(instance, "paper", plan)
         ancilla = plan.layout.num_qubits - plan.layout.num_data - 1
-        lowered_count = (len(lower_circuit(oracle).gates)
-                         if n <= COST_LOWERING_MAX_N else "")
+        lowered_count = len(lower_circuit(oracle).gates)
         writer.writerow([n, k, instance.num_data_qubits, n * k, ancilla,
                          (n * k) ** 2, plan.layout.num_qubits,
                          len(oracle.gates), lowered_count])

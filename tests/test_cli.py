@@ -5,9 +5,12 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from conftest import complete_graph
 from qasm_ref import check_qasm
 from qkcolor import classical, cli, grover, oracle
 from qkcolor.cli import main
+from qkcolor.graphs import make_instance
+from qkcolor.lowering import lower_circuit
 from qkcolor.reports import validate_report
 
 K3_ADJ = "0 1 1\n1 0 1\n1 1 0\n"
@@ -237,15 +240,20 @@ def test_resource_limit_exits_3(runner, p3_file):
 
 def test_cost_table(runner):
     result = runner.invoke(main, ["cost", "--k", "3",
-                                  "--vertices-range", "2", "5"])
+                                  "--vertices-range", "2", "10"])
     assert result.exit_code == 0, result.output
     rows = list(csv.DictReader(io.StringIO(result.output)))
-    assert [int(r["n"]) for r in rows] == [2, 3, 4, 5]
+    assert [int(r["n"]) for r in rows] == list(range(2, 11))
     for row in rows:
         n = int(row["n"])
         assert int(row["data_qubits"]) == 2 * n          # ceil(log2 3) = 2
         assert int(row["baseline_data_qubits"]) == 3 * n
         assert int(row["baseline_ancilla_qubits"]) == (3 * n) ** 2
+        instance = make_instance(complete_graph(n), 3)
+        circ = oracle.build_oracle(instance, "paper",
+                                   oracle.plan_layout(instance, "paper"))
+        assert row["oracle_gates_lowered"] != ""
+        assert int(row["oracle_gates_lowered"]) == len(lower_circuit(circ).gates)
     # triangle: 3 edge slots + 1 invalid ancilla
     assert int(rows[1]["ancilla_qubits"]) == 4
 

@@ -5,12 +5,12 @@ import pytest
 
 from conftest import complete_graph, random_circuit, routed_max_error
 from qkcolor import routing
-from qkcolor.circuit import Circuit, GateKind, gCX, gH, gMCT
+from qkcolor.circuit import MULTI_KINDS, Circuit, GateKind, gCX, gH, gMCT
 from qkcolor.errors import (Disconnected, IndexOutOfRange,
                             TooFewPhysicalQubits, UnloweredGate)
 from qkcolor.graphs import make_instance
 from qkcolor.grover import assemble, make_job
-from qkcolor.lowering import lower_circuit
+from qkcolor.lowering import decompose_mct, lower_circuit
 from qkcolor.qasm import emit_qasm
 from qkcolor.routing import (CouplingGraph, grid_coupling, line_coupling,
                              parse_coupling, ring_coupling, sabre_route,
@@ -152,9 +152,19 @@ def test_stall_walk_routes_correctly(monkeypatch, seed):
 
 
 @pytest.fixture(scope="module")
-def k3_lowered():
-    job = make_job(make_instance(complete_graph(3), 3), "strict")
-    return lower_circuit(assemble(job))
+def k3_grover():
+    return assemble(make_job(make_instance(complete_graph(3), 3), "strict"))
+
+
+@pytest.fixture(scope="module")
+def k3_lowered(k3_grover):
+    """K3/k=3 lowered ancilla-free, gate by gate, as the golden routes
+    below were measured."""
+    out = Circuit(k3_grover.num_qubits, roles=k3_grover.roles,
+                  initial_state=k3_grover.initial_state)
+    for gate in k3_grover.gates:
+        out.extend(decompose_mct(gate) if gate.kind in MULTI_KINDS else [gate])
+    return out
 
 
 # Measured before the incremental scorer replaced the full recount; a
@@ -182,3 +192,20 @@ def test_golden_route_k3(k3_lowered, device):
     assert result.final.logical_to_physical == final
     qasm = emit_qasm(result.routed)
     assert hashlib.sha256(qasm.encode()).hexdigest() == sha256
+
+
+# K3/k=3 as lower_circuit lowers it, on borrowed qubits: gate count and
+# seed-0 swaps per device.
+BORROWED_ROUTES = {"line13": (line_coupling(13), 488),
+                   "grid4x4": (grid_coupling(4, 4), 220)}
+
+
+@pytest.mark.parametrize("device", sorted(BORROWED_ROUTES))
+def test_borrowed_route_k3(k3_grover, device):
+    coupling, swaps = BORROWED_ROUTES[device]
+    lowered = lower_circuit(k3_grover)
+    assert (lowered.num_qubits, len(lowered.gates)) == (13, 882)
+    result = sabre_route(lowered, coupling, seed=0)
+    assert result.swap_count == swaps
+    assert verify_constraints(result.routed, coupling)
+    assert routed_max_error(lowered, result, coupling.num_physical) < 1e-9
