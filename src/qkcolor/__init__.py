@@ -12,7 +12,7 @@ from .graphs import (Graph, Instance, make_instance, parse_adjacency,
                      parse_edge_list, parse_graph_file)
 from .grover import (assemble, build_diffusion, make_job, optimal_iterations,
                      success_probability)
-from .lowering import decompose_mct, lower_circuit
+from .lowering import lower_circuit
 from .oracle import (OraclePlan, build_comparator,
                      build_invalid_color_detector, build_oracle, plan_layout)
 from .qasm import emit_qasm

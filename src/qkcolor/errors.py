@@ -34,8 +34,10 @@ class OverlappingOperands(QKColorError):
 
 
 class UnloweredGate(QKColorError):
-    """Gate not expressible in the lowered alphabet (MCT arity >= 2 or
-    negative control still present)."""
+    """Gate outside the lowered alphabet: an MCT/MCZ with more than 1
+    control or a negative control reached the emitter or the router, or
+    one with 3 or more controls leaves no idle qubit for the lowering
+    to borrow."""
 
 
 class WidthMismatch(QKColorError):

@@ -192,11 +192,10 @@ def phase_pattern(oracle: Circuit, layout: QubitLayout,
     oracle must act diagonally: any amplitude outside the prepared
     (x, ancilla, output) pair is an ancilla leak.
 
-    Lowered circuits acquire a circuit-wide global phase from the
-    Rx-based multi-controlled synthesis.  ``allow_global_phase=True``
-    divides it out, anchored so the all-zeros data string counts as
-    unflipped; use it only to compare two patterns relative to each
-    other.
+    Lowered circuits acquire a circuit-wide global phase from the RZ in
+    each lowered Toffoli.  ``allow_global_phase=True`` divides it out,
+    anchored so the all-zeros data string counts as unflipped; use it
+    only to compare two patterns relative to each other.
 
     Registers small enough for a full per-basis batch are checked
     exactly; larger ones are checked with two superposition probes

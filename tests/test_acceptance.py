@@ -17,10 +17,11 @@ from qasm_ref import check_qasm
 from qkcolor import classical
 from qkcolor.circuit import Circuit, Control, Gate, GateKind
 from qkcolor.classical import decode_bitstring
+from qkcolor.errors import UnloweredGate
 from qkcolor.graphs import Graph, make_instance
 from qkcolor.grover import (build_diffusion, make_job, assemble,
                             success_probability)
-from qkcolor.lowering import decompose_mct, lower_circuit
+from qkcolor.lowering import lower_circuit
 from qkcolor.oracle import build_oracle, plan_layout
 from qkcolor.qasm import emit_qasm
 from qkcolor.routing import (grid_coupling, line_coupling, ring_coupling,
@@ -100,17 +101,26 @@ def test_06_diffusion_matrix(m):
 
 
 def test_07_lowering_correctness():
-    """Ancilla-free MCT decomposition is exact for 0..6 controls, and the
-    lowered triangle oracle keeps its phase pattern."""
+    """MCT lowering is exact for 0..6 controls, at full width up to 2
+    controls and with one idle qubit to borrow from 3 on; with no idle
+    qubit 3 or more controls are refused; and the lowered triangle oracle
+    keeps its phase pattern."""
     for q in range(0, 7):
         gate = Gate(GateKind.MCT,
                     controls=tuple(Control(i) for i in range(q)),
                     targets=(q,))
-        circ = Circuit(q + 1)
-        circ.extend(decompose_mct(gate))
-        assert all(len(g.operands) <= 2 for g in circ.gates)
-        assert phase_aligned_distance(unitary_of(circ),
-                                      ref_gate_matrix(gate, q + 1)) < 1e-9
+        width = q + 1 if q <= 2 else q + 2
+        circ = Circuit(width)
+        circ.append(gate)
+        lowered = lower_circuit(circ)
+        assert all(len(g.operands) <= 2 for g in lowered.gates)
+        assert phase_aligned_distance(unitary_of(lowered),
+                                      ref_gate_matrix(gate, width)) < 1e-9
+        if q >= 3:
+            full = Circuit(q + 1)
+            full.append(gate)
+            with pytest.raises(UnloweredGate):
+                lower_circuit(full)
 
     inst = make_instance(complete_graph(3), 3)
     plan = plan_layout(inst, "strict")

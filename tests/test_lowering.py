@@ -1,16 +1,16 @@
 import itertools
 import random
 
-import numpy as np
 import pytest
 
-from conftest import (complete_graph, cycle_graph, phase_aligned_distance,
-                      random_circuit, ref_gate_matrix, ref_unitary)
-from qkcolor import lowering
-from qkcolor.circuit import Circuit, Control, Gate, GateKind, gMCT, gSWAP
+from conftest import (all_graphs, complete_graph, cycle_graph,
+                      phase_aligned_distance, random_circuit, ref_gate_matrix,
+                      ref_unitary)
+from qkcolor.circuit import MULTI_KINDS, Circuit, Control, Gate, GateKind, gMCT
+from qkcolor.errors import UnloweredGate
 from qkcolor.graphs import make_instance
 from qkcolor.grover import assemble, make_job
-from qkcolor.lowering import decompose_mct, lower_circuit
+from qkcolor.lowering import lower_circuit
 from qkcolor.oracle import build_oracle, plan_layout
 from qkcolor.simulator import phase_pattern, unitary_of
 
@@ -20,46 +20,52 @@ LOWERED_ALPHABET = {GateKind.X, GateKind.H, GateKind.Z, GateKind.S,
                     GateKind.CRX, GateKind.SWAP}
 
 
-def _decomposition_unitary(gate: Gate, width: int) -> np.ndarray:
+def _multi(kind, controls, target, width):
     circ = Circuit(width)
-    circ.extend(decompose_mct(gate))
-    return unitary_of(circ)
+    circ.append(Gate(kind, controls=tuple(controls), targets=(target,)))
+    return circ
 
 
 @pytest.mark.parametrize("q", range(0, 7))
 @pytest.mark.parametrize("kind", [GateKind.MCT, GateKind.MCZ])
 def test_decompose_multi_controlled(q, kind):
-    width = q + 1
-    gate = Gate(kind, controls=tuple(Control(i) for i in range(q)),
-                targets=(q,))
-    lowered = decompose_mct(gate)
-    assert all(g.kind in LOWERED_ALPHABET for g in lowered)
-    assert all(len(g.operands) <= 2 for g in lowered)
-    got = _decomposition_unitary(gate, width)
-    want = ref_gate_matrix(gate, width)
-    assert phase_aligned_distance(got, want) < 1e-9
+    # full width up to 2 controls; from 3 on, one idle qubit to borrow
+    # (the V-chain at q = 3, the split from q = 4)
+    width = q + 1 if q <= 2 else q + 2
+    circ = _multi(kind, [Control(i) for i in range(q)], q, width)
+    lowered = lower_circuit(circ)
+    assert all(g.kind in LOWERED_ALPHABET for g in lowered.gates)
+    assert all(len(g.operands) <= 2 for g in lowered.gates)
+    want = ref_gate_matrix(circ.gates[0], width)
+    assert phase_aligned_distance(unitary_of(lowered), want) < 1e-9
 
 
 @pytest.mark.parametrize("polarities", list(itertools.product([True, False],
                                                               repeat=3)))
 def test_decompose_negative_controls(polarities):
-    gate = Gate(GateKind.MCT,
-                controls=tuple(Control(i, p) for i, p in enumerate(polarities)),
-                targets=(3,))
-    got = _decomposition_unitary(gate, 4)
-    want = ref_gate_matrix(gate, 4)
+    circ = _multi(GateKind.MCT,
+                  [Control(i, p) for i, p in enumerate(polarities)], 3, 5)
+    got = unitary_of(lower_circuit(circ))
+    want = ref_gate_matrix(circ.gates[0], 5)
     assert phase_aligned_distance(got, want) < 1e-9
 
 
-def test_decompose_rejects_other_kinds():
-    with pytest.raises(ValueError):
-        decompose_mct(gSWAP(0, 1))
+@pytest.mark.parametrize("kind", [GateKind.MCT, GateKind.MCZ])
+def test_no_idle_qubit_is_refused(kind):
+    for q in range(3, 7):
+        circ = _multi(kind, [Control(i) for i in range(q)], q, q + 1)
+        message = f"{kind.value} with {q} controls on a {q + 1}-qubit"
+        with pytest.raises(UnloweredGate, match=message):
+            lower_circuit(circ)
+    for q in range(0, 3):
+        circ = _multi(kind, [Control(i) for i in range(q)], q, q + 1)
+        assert lower_circuit(circ).gates
 
 
 def test_lower_circuit_random_equivalence():
     rng = random.Random(23)
     for _ in range(10):
-        circ = random_circuit(4, 10, rng)
+        circ = random_circuit(4, 10, rng, max_controls=2)
         lowered = lower_circuit(circ)
         assert all(g.kind in LOWERED_ALPHABET for g in lowered.gates)
         assert phase_aligned_distance(unitary_of(lowered),
@@ -68,7 +74,7 @@ def test_lower_circuit_random_equivalence():
 
 def test_lowering_is_idempotent():
     rng = random.Random(31)
-    circ = random_circuit(4, 15, rng)
+    circ = random_circuit(4, 15, rng, max_controls=2)
     once = lower_circuit(circ)
     twice = lower_circuit(once)
     assert twice.gates == once.gates
@@ -84,7 +90,7 @@ def test_lowering_preserves_register_metadata():
 
 def test_cx_basis_leaves_only_cx_two_qubit_gates():
     rng = random.Random(41)
-    circ = random_circuit(4, 12, rng)
+    circ = random_circuit(4, 12, rng, max_controls=2)
     lowered = lower_circuit(circ, basis="cx")
     for g in lowered.gates:
         if len(g.operands) == 2:
@@ -108,12 +114,6 @@ def test_lowered_oracle_preserves_phase_pattern():
                          allow_global_phase=True) == pattern
 
 
-def _multi(kind, controls, target, width):
-    circ = Circuit(width)
-    circ.append(Gate(kind, controls=tuple(controls), targets=(target,)))
-    return circ
-
-
 # (width, controls): free = width - controls - 1 qubits to borrow.  Free
 # >= controls - 2 takes the V-chain, 1 to controls - 3 the split.
 BORROWED_SHAPES = [(5, 3), (6, 3), (7, 3), (7, 4), (6, 4), (7, 5)]
@@ -131,11 +131,6 @@ def test_borrowed_lowering_is_exact(width, n, kind):
         circ = _multi(kind, controls, qubits[-1], width)
         lowered = lower_circuit(circ)
         assert all(g.kind in LOWERED_ALPHABET for g in lowered.gates)
-        fallback = Circuit(width)
-        fallback.extend(decompose_mct(circ.gates[0]))
-        # fewer 2-qubit gates: the borrowed path was taken
-        assert (lowered.stats().two_qubit_count
-                < fallback.stats().two_qubit_count)
         assert phase_aligned_distance(unitary_of(lowered),
                                       ref_unitary(circ)) < 1e-9
 
@@ -153,20 +148,33 @@ def _counts(circ):
     return stats.gate_count, stats.two_qubit_count
 
 
+def _expected_counts(n, free):
+    """Gates and 2-qubit gates of a positive-control C^nX with ``free``
+    idle qubits, 1 <= free: 9 and 6 per Toffoli.  Both are at most what
+    the ancilla-free recursion this lowering replaced gave, the fallback
+    of the test name."""
+    if free >= n - 2:
+        toffolis = 4 * (n - 2)  # V-chain
+    elif n == 4:
+        toffolis = 10  # split into V-chains of 2 and 3 controls, twice
+    else:
+        toffolis = 8 * (n - 3)  # split
+    return 9 * toffolis, 6 * toffolis
+
+
 @pytest.mark.parametrize("n", range(3, 10))
 @pytest.mark.parametrize("kind", [GateKind.MCT, GateKind.MCZ])
 def test_borrowed_count_never_exceeds_fallback(n, kind):
     controls = [Control(q) for q in range(n)]
-    fallback = Circuit(n + 1)
-    fallback.extend(decompose_mct(Gate(kind, tuple(controls), (n,))))
-    limit = _counts(fallback)
     rng = random.Random(n)
-    for free in range(n):
+    with pytest.raises(UnloweredGate):
+        lower_circuit(_multi(kind, controls, n, n + 1))
+    for free in range(1, n):
         width = n + 1 + free
         got = _counts(lower_circuit(_multi(kind, controls, n, width)))
-        assert got[0] <= limit[0] and got[1] <= limit[1]
-        if free >= n - 2:
-            assert got[0] <= 36 * (n - 2) + 2
+        gates, two = _expected_counts(n, free)
+        # MCZ adds the two H on its target
+        assert got == (gates + 2 * (kind is GateKind.MCZ), two)
         # the count depends on the sizes only, not on the qubit labels
         perm = list(range(width))
         rng.shuffle(perm)
@@ -180,18 +188,27 @@ LADDER = [("K3", complete_graph(3), 3), ("C6", cycle_graph(6), 2),
           ("C10", cycle_graph(10), 2)]
 
 
-def test_ladder_never_takes_the_exponential_path(monkeypatch):
-    arities = []
-
-    def recording(gate):
-        arities.append(len(gate.controls))
-        return decompose_mct(gate)
-
-    monkeypatch.setattr(lowering, "decompose_mct", recording)
+def test_ladder_lowers_linearly():
     sizes = {}
     for label, graph, k in LADDER:
         circ = assemble(make_job(make_instance(graph, k), "strict"))
         assert max(circ.stats().mct_count_by_arity) >= 3
         sizes[label] = len(lower_circuit(circ).gates)
-    assert max(arities) <= 2
     assert sizes["C5"] <= 4000
+
+
+def test_every_wide_mct_leaves_a_qubit_idle():
+    # A gate with 3 or more controls and no idle qubit is refused, so no
+    # oracle or Grover circuit may contain one.
+    checked = 0
+    for n in range(1, 5):
+        for graph in all_graphs(n):
+            for k in range(2, 6):
+                for mode in ("strict", "paper"):
+                    job = make_job(make_instance(graph, k), mode, iterations=1)
+                    circ = assemble(job)
+                    for gate in circ.gates:
+                        if gate.kind in MULTI_KINDS and len(gate.controls) >= 3:
+                            assert len(gate.operands) < circ.num_qubits
+                    checked += 1
+    assert checked == 600

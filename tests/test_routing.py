@@ -5,12 +5,12 @@ import pytest
 
 from conftest import complete_graph, random_circuit, routed_max_error
 from qkcolor import routing
-from qkcolor.circuit import MULTI_KINDS, Circuit, GateKind, gCX, gH, gMCT
+from qkcolor.circuit import Circuit, GateKind, gCX, gH, gMCT
 from qkcolor.errors import (Disconnected, IndexOutOfRange,
                             TooFewPhysicalQubits, UnloweredGate)
 from qkcolor.graphs import make_instance
 from qkcolor.grover import assemble, make_job
-from qkcolor.lowering import decompose_mct, lower_circuit
+from qkcolor.lowering import lower_circuit
 from qkcolor.qasm import emit_qasm
 from qkcolor.routing import (CouplingGraph, grid_coupling, line_coupling,
                              parse_coupling, ring_coupling, sabre_route,
@@ -156,56 +156,32 @@ def k3_grover():
     return assemble(make_job(make_instance(complete_graph(3), 3), "strict"))
 
 
-@pytest.fixture(scope="module")
-def k3_lowered(k3_grover):
-    """K3/k=3 lowered ancilla-free, gate by gate, as the golden routes
-    below were measured."""
-    out = Circuit(k3_grover.num_qubits, roles=k3_grover.roles,
-                  initial_state=k3_grover.initial_state)
-    for gate in k3_grover.gates:
-        out.extend(decompose_mct(gate) if gate.kind in MULTI_KINDS else [gate])
-    return out
-
-
-# Measured before the incremental scorer replaced the full recount; a
-# change to any routing decision must update these deliberately.
+# K3/k=3 as lower_circuit lowers it (13 qubits, 882 gates), routed with
+# seed 0.  A change to any routing decision must update these
+# deliberately.
 GOLDEN_ROUTES = {
-    "line13": (line_coupling(13), 1587,
-               (0, 1, 3, 4, 7, 8, 6, 10, 11, 2, 5, 9, 12),
-               (3, 4, 2, 5, 1, 6, 9, 11, 0, 7, 8, 10, 12),
-               "bcc3f0771927fce3911241201e075cfd58a4cc808d93fb2cfecf05eba4a6717f"),
-    "grid4x4": (grid_coupling(4, 4), 1329,
-                (6, 5, 7, 11, 9, 2, 3, 8, 0, 4, 10, 1, 14),
-                (9, 8, 5, 4, 10, 7, 14, 3, 1, 2, 6, 11, 0),
-                "c296ae8b1260ec786015efd92fb77e0660cdecfde85bf2f1642c47211843eb78"),
+    "line13": (line_coupling(13), 488,
+               (8, 9, 4, 3, 5, 6, 1, 11, 12, 10, 2, 7, 0),
+               (5, 4, 9, 8, 3, 2, 10, 6, 7, 1, 11, 0, 12),
+               "010060e50063f2932ff668c36cbed2968c92c5e925630bc18a00bc61909e9782"),
+    "grid4x4": (grid_coupling(4, 4), 220,
+                (9, 5, 4, 1, 7, 11, 0, 2, 3, 6, 10, 14, 8),
+                (1, 0, 5, 9, 7, 3, 6, 8, 10, 2, 4, 11, 12),
+                "f5e3e95e2108d1f5373f59eac5a28006fc99d8826605520d9e019b160f3137a5"),
 }
 
 
 @pytest.mark.parametrize("device", sorted(GOLDEN_ROUTES))
-def test_golden_route_k3(k3_lowered, device):
+def test_golden_route_k3(k3_grover, device):
     coupling, swaps, initial, final, sha256 = GOLDEN_ROUTES[device]
-    assert (k3_lowered.num_qubits, len(k3_lowered.gates)) == (13, 5248)
-    result = sabre_route(k3_lowered, coupling, seed=0)
+    lowered = lower_circuit(k3_grover)
+    assert (lowered.num_qubits, len(lowered.gates)) == (13, 882)
+    result = sabre_route(lowered, coupling, seed=0)
     assert result.swap_count == swaps
     assert sum(g.kind is GateKind.SWAP for g in result.routed.gates) == swaps
     assert result.initial.logical_to_physical == initial
     assert result.final.logical_to_physical == final
     qasm = emit_qasm(result.routed)
     assert hashlib.sha256(qasm.encode()).hexdigest() == sha256
-
-
-# K3/k=3 as lower_circuit lowers it, on borrowed qubits: gate count and
-# seed-0 swaps per device.
-BORROWED_ROUTES = {"line13": (line_coupling(13), 488),
-                   "grid4x4": (grid_coupling(4, 4), 220)}
-
-
-@pytest.mark.parametrize("device", sorted(BORROWED_ROUTES))
-def test_borrowed_route_k3(k3_grover, device):
-    coupling, swaps = BORROWED_ROUTES[device]
-    lowered = lower_circuit(k3_grover)
-    assert (lowered.num_qubits, len(lowered.gates)) == (13, 882)
-    result = sabre_route(lowered, coupling, seed=0)
-    assert result.swap_count == swaps
     assert verify_constraints(result.routed, coupling)
     assert routed_max_error(lowered, result, coupling.num_physical) < 1e-9
