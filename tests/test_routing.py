@@ -183,5 +183,14 @@ def test_golden_route_k3(k3_grover, device):
     assert result.final.logical_to_physical == final
     qasm = emit_qasm(result.routed)
     assert hashlib.sha256(qasm.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("device", sorted(GOLDEN_ROUTES))
+def test_borrowed_route_k3(k3_grover, device):
+    """The golden routes are legal on the device and exact."""
+    coupling, swaps = GOLDEN_ROUTES[device][:2]
+    lowered = lower_circuit(k3_grover)
+    result = sabre_route(lowered, coupling, seed=0)
+    assert result.swap_count == swaps
     assert verify_constraints(result.routed, coupling)
     assert routed_max_error(lowered, result, coupling.num_physical) < 1e-9
