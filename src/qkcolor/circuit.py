@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .errors import IndexOutOfRange, OverlappingOperands
+from .errors import IndexOutOfRange, OverlappingOperands, UnloweredGate
 
 
 class GateKind(Enum):
@@ -43,8 +43,18 @@ ROTATION_KINDS = frozenset({GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.CRX}
 CONTROLLED_KINDS = frozenset({GateKind.CX, GateKind.CZ, GateKind.CRX})
 MULTI_KINDS = frozenset({GateKind.MCT, GateKind.MCZ})
 
-# What emit_qasm and routing accept: 1- and 2-qubit gates only.
+# The lowered alphabet, 1- and 2-qubit gates only: what lower_circuit
+# produces, and the only kinds emit_qasm and sabre_route accept.
 LOWERED_KINDS = ONE_QUBIT_KINDS | CONTROLLED_KINDS | {GateKind.SWAP}
+
+
+def check_lowered(circuit: Circuit) -> None:
+    """Raise UnloweredGate naming the first gate outside LOWERED_KINDS."""
+    for index, gate in enumerate(circuit.gates):
+        if gate.kind not in LOWERED_KINDS:
+            raise UnloweredGate(
+                f"gate {index} is {gate.kind.value} with {len(gate.controls)} "
+                f"controls; lower the circuit first")
 
 
 class Role(Enum):

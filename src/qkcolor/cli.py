@@ -18,11 +18,7 @@ import click
 
 from . import classical
 from .circuit import Gate
-from .errors import (AncillaLeak, AsymmetricMatrix, Disconnected,
-                     IndexOutOfRange, InvalidK, MalformedMatrix,
-                     NoInvalidColors, NoSolutions, OverlappingOperands,
-                     SelfLoop, TooFewPhysicalQubits, TooLarge,
-                     TooManyQubits, UnloweredGate, WidthMismatch)
+from .errors import InputError, NoSolutions, ResourceLimit
 from .graphs import (Graph, Instance, edges_from_pairs, make_instance,
                      parse_graph_file)
 from .grover import assemble, make_job
@@ -33,24 +29,15 @@ from .reports import validate_report
 from .routing import parse_coupling, sabre_route, verify_constraints
 from .simulator import probabilities, run as simulate_circuit
 
-_INPUT_ERRORS = (MalformedMatrix, AsymmetricMatrix, SelfLoop, InvalidK,
-                 IndexOutOfRange, OverlappingOperands, UnloweredGate,
-                 WidthMismatch, NoInvalidColors, Disconnected,
-                 TooFewPhysicalQubits, AncillaLeak)
-_RESOURCE_ERRORS = (TooManyQubits, TooLarge)
-
 
 def _exit_codes(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except _RESOURCE_ERRORS as exc:
+        except (InputError, ResourceLimit, OSError, ValueError) as exc:
             click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-            sys.exit(3)
-        except _INPUT_ERRORS + (OSError, ValueError) as exc:
-            click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-            sys.exit(2)
+            sys.exit(3 if isinstance(exc, ResourceLimit) else 2)
     return wrapper
 
 
@@ -259,16 +246,18 @@ def route(graph_file, k, mode, topology, iterations, seed, basis, out_dir):
 
 def _route_to_file(circ, coupling, seed, basis, out_dir, stem) -> dict:
     """Lower and route ``circ``, write ``<stem>.routed.qasm`` with the final
-    layout as comments, and return the route report."""
+    layout as comments, and return the route report.  The routed circuit
+    is lowered again, so under ``--basis cx`` each swap becomes three cx."""
     result = sabre_route(lower_circuit(circ, basis), coupling, seed)
+    routed = lower_circuit(result.routed, basis)
     comments = [f"final_layout: logical {l} -> physical {p}"
                 for l, p in result.final.as_dict().items()]
     _write(out_dir, f"{stem}.routed.qasm",
-           emit_qasm(result.routed, comment_lines=comments))
+           emit_qasm(routed, comment_lines=comments))
     return {
         "report_type": "route",
         "swap_count": result.swap_count,
-        "constraints_satisfied": verify_constraints(result.routed, coupling),
+        "constraints_satisfied": verify_constraints(routed, coupling),
         "initial_layout": {str(l): p for l, p in result.initial.as_dict().items()},
         "final_layout": {str(l): p for l, p in result.final.as_dict().items()},
         "num_physical": coupling.num_physical,

@@ -2,51 +2,63 @@
 
 
 class QKColorError(Exception):
-    """Base class for all qkcolor errors."""
+    """Base class for all qkcolor errors.  Every one but NoSolutions is
+    also exactly one of InputError and ResourceLimit."""
+
+
+class InputError(QKColorError):
+    """A graph, circuit or device the pipeline cannot use (CLI exit 2)."""
+
+
+class ResourceLimit(QKColorError):
+    """A job past a configured size bound (CLI exit 3)."""
 
 
 # --- input / graph errors ---
 
-class MalformedMatrix(QKColorError):
+class MalformedMatrix(InputError):
     """Adjacency text is not a square 0/1 matrix."""
 
 
-class AsymmetricMatrix(QKColorError):
+class AsymmetricMatrix(InputError):
     """Adjacency matrix does not describe an undirected graph."""
 
 
-class SelfLoop(QKColorError):
+class SelfLoop(InputError):
     """Nonzero diagonal entry or edge (i, i)."""
 
 
-class InvalidK(QKColorError):
+class InvalidK(InputError):
     """Color count k < 2."""
 
 
 # --- circuit IR errors ---
 
-class IndexOutOfRange(QKColorError):
+class IndexOutOfRange(InputError):
     """Gate operand outside the circuit register."""
 
 
-class OverlappingOperands(QKColorError):
+class OverlappingOperands(InputError):
     """Controls and targets of a gate are not disjoint."""
 
 
-class UnloweredGate(QKColorError):
-    """Gate outside the lowered alphabet: an MCT/MCZ with more than 1
-    control or a negative control reached the emitter or the router, or
-    one with 3 or more controls leaves no idle qubit for the lowering
-    to borrow."""
+class UnloweredGate(InputError):
+    """Gate outside ``LOWERED_KINDS`` passed to the emitter or the router,
+    or an MCT/MCZ with 3 or more controls that leaves no idle qubit for
+    the lowering to borrow."""
 
 
-class WidthMismatch(QKColorError):
-    """Register widths differ: comparator operands, or a simulator input
-    and its circuit."""
+class WidthMismatch(InputError):
+    """Register widths differ: comparator operands, a simulator input and
+    its circuit, or an oracle and its layout."""
 
 
-class NoInvalidColors(QKColorError):
+class NoInvalidColors(InputError):
     """Invalid-color fragment requested when k is a power of two."""
+
+
+class AncillaLeak(InputError):
+    """Oracle failed to return an ancilla to its initial state."""
 
 
 class NoSolutions(QKColorError):
@@ -55,23 +67,19 @@ class NoSolutions(QKColorError):
 
 # --- routing errors ---
 
-class Disconnected(QKColorError):
+class Disconnected(InputError):
     """Coupling graph is not connected."""
 
 
-class TooFewPhysicalQubits(QKColorError):
+class TooFewPhysicalQubits(InputError):
     """Coupling graph smaller than the circuit register."""
 
 
 # --- resource limits ---
 
-class TooManyQubits(QKColorError):
+class TooManyQubits(ResourceLimit):
     """Register exceeds the simulator ceiling."""
 
 
-class TooLarge(QKColorError):
+class TooLarge(ResourceLimit):
     """Brute-force enumeration space exceeds the configured bound."""
-
-
-class AncillaLeak(QKColorError):
-    """Oracle failed to return an ancilla to its initial state."""

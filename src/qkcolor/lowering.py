@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import math
 
-from .circuit import (LOWERED_KINDS, MULTI_KINDS, Circuit, Gate, GateKind,
-                      gCX, gCRX, gCZ, gH, gRZ, gX, gZ)
+from .circuit import (MULTI_KINDS, Circuit, Gate, GateKind, gCX, gCRX, gCZ,
+                      gH, gRZ, gX, gZ)
 from .errors import UnloweredGate
 
 
@@ -107,25 +107,22 @@ def _lower_multi(gate: Gate, num_qubits: int) -> list[Gate]:
 
 
 def lower_circuit(circuit: Circuit, basis: str = "default") -> Circuit:
-    """Rewrite to the 1-/2-qubit alphabet; structure-preserving elsewhere.
+    """Rewrite MCT/MCZ into ``LOWERED_KINDS``; other gates pass through.
 
     An MCT/MCZ with 3 or more controls borrows the qubits it leaves
     free, and raises ``UnloweredGate`` if it leaves none.
 
-    basis="default" keeps crx and swap as primitives; basis="cx" expands
-    both so cx is the only 2-qubit gate left.
+    basis="default" keeps crx, cz and swap; basis="cx" expands them so
+    cx is the only 2-qubit gate left.  Both are idempotent, so a routed
+    circuit can pass again to expand the router's swaps.
     """
     if basis not in ("default", "cx"):
         raise ValueError(f"unknown basis {basis!r}")
     out = Circuit(circuit.num_qubits, roles=circuit.roles,
                   initial_state=circuit.initial_state)
     for gate in circuit.gates:
-        if gate.kind in MULTI_KINDS:
-            lowered = _lower_multi(gate, circuit.num_qubits)
-        elif gate.kind in LOWERED_KINDS:
-            lowered = [gate]
-        else:
-            raise UnloweredGate(f"cannot lower {gate.kind.value}")
+        lowered = (_lower_multi(gate, circuit.num_qubits)
+                   if gate.kind in MULTI_KINDS else [gate])
         for g in lowered:
             if basis == "cx" and g.kind is GateKind.CRX:
                 out.extend(_crx_to_cx(g))

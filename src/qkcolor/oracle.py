@@ -167,9 +167,13 @@ def build_oracle(instance: Instance, mode: str = "strict",
     The circuit acts diagonally on the data qubits when the output qubit
     is held in |->: a basis state acquires phase -1 iff it encodes a
     proper, validly colored assignment (strict mode guarantee).
+
+    A ``plan`` made for another instance or mode raises ValueError.
     """
     if plan is None:
         plan = plan_layout(instance, mode)
+    else:
+        _check_plan(plan, instance, mode)
     layout = plan.layout
     circuit = Circuit(layout.num_qubits, roles=layout.roles(),
                       initial_state=layout.initial_state())
@@ -192,6 +196,20 @@ def build_oracle(instance: Instance, mode: str = "strict",
     circuit.append(kickback)
     circuit.extend(g.adjoint() for g in reversed(compute))
     return circuit
+
+
+def _check_plan(plan: OraclePlan, instance: Instance, mode: str) -> None:
+    """Raise ValueError unless ``plan`` was planned for this instance and
+    mode.  plan_layout's plan follows from the mode, n, c, the edges and
+    whether any color is invalid, so these are compared instead."""
+    layout = plan.layout
+    invalid = layout.invalid_ancilla is not None or layout.valid_flags is not None
+    edges = sorted(edge for rnd in plan.edge_schedule for edge, _ in rnd.edges)
+    if ((plan.mode, layout.n, layout.c, invalid, edges)
+            != (mode, instance.graph.n, instance.c,
+                bool(instance.invalid_colors), instance.graph.sorted_edges())):
+        raise ValueError(f"the {plan.mode}-mode plan for {layout.n} vertices "
+                         f"does not fit this {mode}-mode instance")
 
 
 def _edge_phase_gates(plan: OraclePlan, layout: QubitLayout) -> list[Gate]:

@@ -1,60 +1,35 @@
 """OpenQASM 2.0 emission.
 
-Only lowered circuits are accepted: MCT/MCZ survive solely as their 0/1
-positive-control special cases (x/cx, z/cz).  Qubits declared in |1> get
-an X preamble; data qubits are measured into the classical register.
+Only lowered circuits are accepted (``check_lowered``); each gate is
+written as its ``GateKind`` value, plus the angle of a rotation.  Qubits
+declared in |1> get an X preamble; data qubits are measured into the
+classical register.
 """
 from __future__ import annotations
 
-from .circuit import Circuit, Gate, GateKind, Role
-from .errors import UnloweredGate
-
-_SIMPLE = {
-    GateKind.X: "x", GateKind.H: "h", GateKind.Z: "z", GateKind.S: "s",
-    GateKind.T: "t", GateKind.SDG: "sdg", GateKind.TDG: "tdg",
-    GateKind.RX: "rx", GateKind.RY: "ry", GateKind.RZ: "rz",
-    GateKind.CX: "cx", GateKind.CZ: "cz", GateKind.CRX: "crx",
-    GateKind.SWAP: "swap",
-}
-
-
-def _fmt_angle(angle: float) -> str:
-    return format(angle, ".17g")
+from .circuit import Circuit, Gate, check_lowered
 
 
 def _statement(gate: Gate) -> str:
-    kind = gate.kind
-    if kind in (GateKind.MCT, GateKind.MCZ):
-        if any(not c.positive for c in gate.controls):
-            raise UnloweredGate("negative control reached the emitter")
-        if len(gate.controls) > 1:
-            raise UnloweredGate(
-                f"{kind.value} with {len(gate.controls)} controls must be lowered")
-        if kind is GateKind.MCT:
-            name = "cx" if gate.controls else "x"
-        else:
-            name = "cz" if gate.controls else "z"
-    else:
-        name = _SIMPLE[kind]
-        if gate.angle is not None:
-            name = f"{name}({_fmt_angle(gate.angle)})"
+    name = gate.kind.value
+    if gate.angle is not None:
+        name = f"{name}({format(gate.angle, '.17g')})"
     args = ", ".join(f"q[{q}]" for q in gate.operands)
     return f"{name} {args};"
 
 
 def emit_qasm(circuit: Circuit, comment_lines=()) -> str:
-    """Render the circuit as OpenQASM 2.0 text."""
-    data = [q for q, r in enumerate(circuit.roles) if r is Role.DATA]
-    creg = max(len(data), 1)
+    """Render a lowered circuit as OpenQASM 2.0 text.
+
+    Raises UnloweredGate if a gate lies outside ``LOWERED_KINDS``.
+    """
+    check_lowered(circuit)
+    data = circuit.data_qubits()
     lines = ['OPENQASM 2.0;', 'include "qelib1.inc";',
-             f"qreg q[{circuit.num_qubits}];", f"creg c[{creg}];"]
-    for q, bit in enumerate(circuit.initial_state):
-        if bit:
-            lines.append(f"x q[{q}];")
-    for gate in circuit.gates:
-        lines.append(_statement(gate))
-    for pos, q in enumerate(data):
-        lines.append(f"measure q[{q}] -> c[{pos}];")
-    for comment in comment_lines:
-        lines.append(f"// {comment}")
+             f"qreg q[{circuit.num_qubits}];", f"creg c[{max(len(data), 1)}];"]
+    lines.extend(f"x q[{q}];" for q, bit in enumerate(circuit.initial_state)
+                 if bit)
+    lines.extend(_statement(gate) for gate in circuit.gates)
+    lines.extend(f"measure q[{q}] -> c[{pos}];" for pos, q in enumerate(data))
+    lines.extend(f"// {comment}" for comment in comment_lines)
     return "\n".join(lines) + "\n"

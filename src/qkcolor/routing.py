@@ -11,9 +11,8 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
-from .circuit import Circuit, Role, gSWAP
-from .errors import (Disconnected, IndexOutOfRange, TooFewPhysicalQubits,
-                     UnloweredGate)
+from .circuit import Circuit, Role, check_lowered, gSWAP
+from .errors import Disconnected, IndexOutOfRange, TooFewPhysicalQubits
 
 
 @dataclass(frozen=True)
@@ -171,7 +170,8 @@ class _Dag:
 
 def sabre_route(circuit: Circuit, coupling: CouplingGraph,
                 seed: int = 0) -> RoutingResult:
-    """Route a lowered circuit onto the coupling graph.
+    """Route a lowered circuit onto the coupling graph; a gate outside
+    ``LOWERED_KINDS`` raises UnloweredGate.
 
     Reverse traversal: forward pass from the identity mapping, backward
     pass seeded with its final mapping, then a final forward pass whose
@@ -180,12 +180,8 @@ def sabre_route(circuit: Circuit, coupling: CouplingGraph,
     """
     width = circuit.num_qubits
     coupling.check_width(width)
+    check_lowered(circuit)
     ops = [g.operands for g in circuit.gates]
-    for gate, gate_ops in zip(circuit.gates, ops):
-        if len(gate_ops) > 2:
-            raise UnloweredGate(f"{gate.kind.value} has >2 operands; lower first")
-        if any(not c.positive for c in gate.controls):
-            raise UnloweredGate("negative control; lower first")
 
     rng = random.Random(seed)
     forward = _Dag(ops)

@@ -183,7 +183,6 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
 
 
 def phase_pattern(oracle: Circuit, layout: QubitLayout,
-                  tol: float = 1e-9,
                   allow_global_phase: bool = False) -> set[str]:
     """Data basis strings whose phase the oracle flips.
 
@@ -201,8 +200,13 @@ def phase_pattern(oracle: Circuit, layout: QubitLayout,
     exactly; larger ones are checked with two superposition probes
     (uniform plus seeded distinct weights), which reads off the same
     per-string signs with two simulations instead of 2**m.
+
+    A layout for another register width raises WidthMismatch.
     """
     q = oracle.num_qubits
+    if layout.num_qubits != q:
+        raise WidthMismatch(f"{layout.num_qubits}-qubit layout for a "
+                            f"{q}-qubit oracle")
     m = layout.num_data
     dim = 2 ** q
     n_data = 2 ** m
@@ -230,16 +234,16 @@ def phase_pattern(oracle: Circuit, layout: QubitLayout,
         w = (0.5 + rng.random(n_data)) * np.exp(2j * np.pi * rng.random(n_data))
         u = np.full(n_data, 1.0 / math.sqrt(n_data))
         weights = _INV_SQRT2 * np.stack([u, w / np.linalg.norm(w)], axis=1)
-    flipped = _flipped_strings(oracle, rows0, out_mask, weights, tol,
+    flipped = _flipped_strings(oracle, rows0, out_mask, weights,
                                allow_global_phase)
     return {format(int(x), f"0{m}b") for x in np.flatnonzero(flipped)}
 
 
 _EXACT_PATTERN_LIMIT = 2 ** 20
+_PATTERN_TOL = 1e-9  # amplitude tolerance of the sign and leak checks
 
 
-def _flipped_strings(oracle, rows0, out_mask, weights, tol,
-                     allow_global_phase):
+def _flipped_strings(oracle, rows0, out_mask, weights, allow_global_phase):
     """Run the columns sum_x weights[x, j] |x, ancillas> (|0> - |1>) and
     return, per data string x, whether the oracle flipped its phase.
 
@@ -251,6 +255,7 @@ def _flipped_strings(oracle, rows0, out_mask, weights, tol,
     cols[rows0] = weights
     cols[rows1] = -weights
     out = run_batch(oracle, cols)
+    tol = _PATTERN_TOL
 
     if allow_global_phase:
         ref = out[rows0[0], 0] / weights[0, 0]

@@ -5,9 +5,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from conftest import complete_graph
+from conftest import complete_graph, path_graph
 from qasm_ref import check_qasm
-from qkcolor import classical, cli, grover, oracle
+from qkcolor import classical, cli, errors, grover, oracle
 from qkcolor.cli import main
 from qkcolor.graphs import make_instance
 from qkcolor.lowering import lower_circuit
@@ -144,6 +144,28 @@ def test_run_full_pipeline(runner, p3_file, tmp_path):
     check_qasm((out / "p3.routed.qasm").read_text())
 
 
+@pytest.mark.parametrize("command", ["route", "run"])
+def test_basis_cx_holds_after_routing(runner, p3_file, tmp_path, command):
+    # the router's swaps are expanded too: cx is the only 2-qubit gate
+    topo = tmp_path / "line7.cpl"
+    topo.write_text(LINE7_CPL)
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, p3_file, "--k", "2",
+                                  "--topology", str(topo), "--basis", "cx",
+                                  "--out-dir", str(out)])
+    assert result.exit_code == 0, result.output
+    report = _json_head(result.output)
+    routing = report if command == "route" else report["routing"]
+    assert routing["swap_count"] > 0
+    parsed = check_qasm((out / "p3.routed.qasm").read_text())
+    two_qubit = [name for name, ops, _ in parsed.gates if len(ops) == 2]
+    assert set(two_qubit) == {"cx"}
+    job = grover.make_job(make_instance(path_graph(3), 2))
+    lowered = lower_circuit(grover.assemble(job), "cx")
+    assert len(two_qubit) == (lowered.stats().two_qubit_count
+                              + 3 * routing["swap_count"])
+
+
 @pytest.mark.parametrize("command", ["simulate", "run"])
 @pytest.mark.parametrize("graph, k", [("p3", "2"), ("k3", "2")])
 def test_simulation_enumerates_and_plans_once(runner, p3_file, k3_file,
@@ -236,6 +258,33 @@ def test_resource_limit_exits_3(runner, p3_file):
     result = runner.invoke(main, ["simulate", p3_file, "--k", "2"],
                            env={"GKC_QUBIT_CEILING": "4"})
     assert result.exit_code == 3, result.output
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_error_has_one_exit_code(runner, k3_file, tmp_path,
+                                       monkeypatch):
+    bases = {errors.InputError: 2, errors.ResourceLimit: 3}
+    leaves = set(_subclasses(errors.QKColorError)) - set(bases)
+    assert errors.AncillaLeak in leaves and errors.TooLarge in leaves
+    for cls in sorted(leaves, key=lambda c: c.__name__):
+        codes = [code for base, code in bases.items() if issubclass(cls, base)]
+        if cls is errors.NoSolutions:
+            assert codes == []
+            continue
+        assert len(codes) == 1, cls
+
+        def fail(*args, cls=cls):
+            raise cls("injected")
+        monkeypatch.setattr(cli, "_load_instance", fail)
+        result = runner.invoke(main, ["synth", k3_file, "--k", "3",
+                                      "--out-dir", str(tmp_path / "o")])
+        assert result.exit_code == codes[0], (cls, result.output)
+        assert f"error: {cls.__name__}: injected" in result.output
 
 
 def test_cost_table(runner):

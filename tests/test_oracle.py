@@ -155,3 +155,28 @@ def test_small_graph_oracles_match_brute_force(k):
         plan = plan_layout(inst, "strict")
         oracle = build_oracle(inst, "strict", plan)
         assert phase_pattern(oracle, plan.layout) == classical.solutions(inst)
+
+
+@pytest.mark.parametrize("oracle_mode, layout_mode", [("strict", "paper"),
+                                                      ("paper", "strict")])
+def test_phase_pattern_refuses_a_layout_of_another_width(oracle_mode,
+                                                         layout_mode):
+    # K3/k=3: 13 qubits strict, 11 paper
+    inst = make_instance(complete_graph(3), 3)
+    oracle = build_oracle(inst, oracle_mode)
+    layout = plan_layout(inst, layout_mode).layout
+    with pytest.raises(WidthMismatch):
+        phase_pattern(oracle, layout)
+
+
+def test_build_oracle_refuses_a_plan_of_another_mode_or_graph():
+    inst = make_instance(complete_graph(3), 3)
+    with pytest.raises(ValueError, match="paper-mode plan"):
+        build_oracle(inst, "strict", plan_layout(inst, "paper"))
+    for other in (make_instance(path_graph(3), 3),
+                  make_instance(complete_graph(3), 4)):
+        with pytest.raises(ValueError):
+            build_oracle(inst, "strict", plan_layout(other, "strict"))
+    plan = plan_layout(inst, "strict")
+    assert build_oracle(inst, "strict", plan).gates == \
+        build_oracle(inst, "strict").gates

@@ -87,6 +87,10 @@ def test_rejects_unlowered_input():
     neg.append(gMCT([(0, False)], 1))
     with pytest.raises(UnloweredGate):
         sabre_route(neg, line_coupling(2))
+    one = Circuit(2)
+    one.append(gMCT([0], 1))
+    with pytest.raises(UnloweredGate, match="gate 0 is mct with 1 controls"):
+        sabre_route(one, line_coupling(2))
 
 
 def test_rejects_small_device():
