@@ -246,9 +246,10 @@ def route(graph_file, k, mode, topology, iterations, seed, basis, out_dir):
 
 def _route_to_file(circ, coupling, seed, basis, out_dir, stem) -> dict:
     """Lower and route ``circ``, write ``<stem>.routed.qasm`` with the final
-    layout as comments, and return the route report.  The routed circuit
-    is lowered again, so under ``--basis cx`` each swap becomes three cx."""
-    result = sabre_route(lower_circuit(circ, basis), coupling, seed)
+    layout as comments, and return the route report.  The router places
+    the default-basis lowering, whose crx and swap cost no extra swaps;
+    lowering the routed circuit to ``basis`` expands them afterwards."""
+    result = sabre_route(lower_circuit(circ), coupling, seed)
     routed = lower_circuit(result.routed, basis)
     comments = [f"final_layout: logical {l} -> physical {p}"
                 for l, p in result.final.as_dict().items()]

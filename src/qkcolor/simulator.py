@@ -6,6 +6,13 @@ order, and qubit i is axis i of the amplitude tensor
 ``amps.reshape((2,) * q)``.  MCT/MCZ and negative controls are applied
 directly from the IR -- no lowering is required, which keeps the
 simulator independent of the lowering pass it is used to check.
+
+``phase_pattern`` has three paths.  An oracle of X, CX and MCT gates
+only (every IR oracle) is a classical reversible circuit: it is run on
+bit-packed basis states, with no statevector and no qubit ceiling.
+Any other oracle (a lowered one, with H/CRX/RZ) is run as a statevector
+batch, one column per data string when that fits, else as two
+superposition probes.
 """
 from __future__ import annotations
 
@@ -14,8 +21,9 @@ import os
 
 import numpy as np
 
+from . import classical
 from .circuit import Circuit, Gate, GateKind, QubitLayout
-from .errors import AncillaLeak, TooManyQubits, WidthMismatch
+from .errors import AncillaLeak, TooLarge, TooManyQubits, WidthMismatch
 
 DEFAULT_CEILING = 24
 UNITARY_CEILING = 12
@@ -196,10 +204,17 @@ def phase_pattern(oracle: Circuit, layout: QubitLayout,
     anchored so the all-zeros data string counts as unflipped; use it
     only to compare two patterns relative to each other.
 
-    Registers small enough for a full per-basis batch are checked
-    exactly; larger ones are checked with two superposition probes
-    (uniform plus seeded distinct weights), which reads off the same
-    per-string signs with two simulations instead of 2**m.
+    Three paths give the same answer:
+
+    * An oracle of X, CX and MCT gates only permutes basis states, so
+      every data string is tracked exactly as bits, with no statevector
+      and no qubit ceiling.  More data bits than
+      ``classical.ENUMERATION_CEILING`` raise TooLarge.
+    * Any other oracle is simulated under the qubit ceiling.  Registers
+      small enough for a full per-basis batch are checked exactly.
+    * Larger ones are checked with two superposition probes (uniform
+      plus seeded distinct weights), which read off the same per-string
+      signs with two simulations instead of 2**m.
 
     A layout for another register width raises WidthMismatch.
     """
@@ -207,6 +222,70 @@ def phase_pattern(oracle: Circuit, layout: QubitLayout,
     if layout.num_qubits != q:
         raise WidthMismatch(f"{layout.num_qubits}-qubit layout for a "
                             f"{q}-qubit oracle")
+    if all(gate.kind in _CLASSICAL_KINDS for gate in oracle.gates):
+        flipped = _tracked_flips(oracle, layout, allow_global_phase)
+    else:
+        flipped = _statevector_flips(oracle, layout, allow_global_phase)
+    return {format(int(x), f"0{layout.num_data}b")
+            for x in np.flatnonzero(flipped)}
+
+
+# Gates that map basis states to basis states with no phase: an oracle of
+# these alone is checked by tracking bits instead of amplitudes.
+_CLASSICAL_KINDS = frozenset({GateKind.X, GateKind.CX, GateKind.MCT})
+
+
+def _tracked_flips(oracle, layout, allow_global_phase):
+    """Per data string x, whether the X/CX/MCT oracle flips its phase.
+
+    Row i of a bit-packed array holds qubit i; column j holds the basis
+    state with data string j mod 2**m, output bit (j >> m) & 1 and the
+    declared ancilla initials.  Each gate XORs the AND of its
+    polarity-adjusted controls into its target row.  On |-> the phase
+    flips iff the output toggles for both output values and nothing else
+    changes; any other outcome is a leak.
+    """
+    m = layout.num_data
+    if m > classical.ENUMERATION_CEILING:
+        raise TooLarge(f"{m} data bits exceeds enumeration ceiling "
+                       f"{classical.ENUMERATION_CEILING}")
+    n_cols = max(2 ** (m + 1), 8)  # whole bytes; extra columns repeat
+
+    def index_bit(b):  # packed row whose column j holds bit b of j
+        return np.packbits(np.tile(np.repeat([False, True], 1 << b),
+                                   n_cols >> (b + 1)))
+
+    start = np.array([np.full(n_cols // 8, 0xFF * bit, dtype=np.uint8)
+                      for bit in layout.initial_state()])
+    for pos, qubit in enumerate(layout.data):
+        start[qubit] = index_bit(m - 1 - pos)
+    start[layout.output] = index_bit(m)
+    rows = start.copy()
+    for gate in oracle.gates:
+        hit = np.full(n_cols // 8, 0xFF, dtype=np.uint8)
+        for ctl in gate.controls:
+            hit &= rows[ctl.qubit] if ctl.positive else ~rows[ctl.qubit]
+        rows[gate.targets[0]] ^= hit
+
+    rows ^= start  # now the bits each column changed
+    toggled = np.unpackbits(rows[layout.output], count=2 ** (m + 1))
+    rows[layout.output] = 0
+    leaked = np.flatnonzero(rows.any(axis=1))
+    if leaked.size:
+        raise AncillaLeak(f"oracle leaves qubit {int(leaked[0])} changed")
+    flipped, flipped_from_one = toggled.astype(bool).reshape(2, -1)
+    if (flipped != flipped_from_one).any():
+        raise AncillaLeak("oracle toggles the output for one half of |->")
+    if allow_global_phase and flipped[0]:
+        flipped = ~flipped
+    return flipped
+
+
+def _statevector_flips(oracle, layout, allow_global_phase):
+    """Per data string x, whether the oracle flips its phase, from one
+    statevector column per string or from two superposition probes."""
+    q = oracle.num_qubits
+    _check_ceiling(q)
     m = layout.num_data
     dim = 2 ** q
     n_data = 2 ** m
@@ -234,9 +313,8 @@ def phase_pattern(oracle: Circuit, layout: QubitLayout,
         w = (0.5 + rng.random(n_data)) * np.exp(2j * np.pi * rng.random(n_data))
         u = np.full(n_data, 1.0 / math.sqrt(n_data))
         weights = _INV_SQRT2 * np.stack([u, w / np.linalg.norm(w)], axis=1)
-    flipped = _flipped_strings(oracle, rows0, out_mask, weights,
-                               allow_global_phase)
-    return {format(int(x), f"0{m}b") for x in np.flatnonzero(flipped)}
+    return _flipped_strings(oracle, rows0, out_mask, weights,
+                            allow_global_phase)
 
 
 _EXACT_PATTERN_LIMIT = 2 ** 20

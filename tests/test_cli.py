@@ -166,6 +166,22 @@ def test_basis_cx_holds_after_routing(runner, p3_file, tmp_path, command):
                               + 3 * routing["swap_count"])
 
 
+def test_basis_cx_routes_the_default_lowering(runner, k3_file, tmp_path):
+    # cx-expanded crx would cost swaps of its own: the router places the
+    # default-basis lowering, and --basis cx expands it afterwards
+    topo = tmp_path / "line13.cpl"
+    topo.write_text("13\n" + "".join(f"{i} {i + 1}\n" for i in range(12)))
+    swaps = {}
+    for basis in ("default", "cx"):
+        result = runner.invoke(main, ["route", k3_file, "--k", "3",
+                                      "--topology", str(topo), "--seed", "0",
+                                      "--basis", basis,
+                                      "--out-dir", str(tmp_path / basis)])
+        assert result.exit_code == 0, result.output
+        swaps[basis] = _json_head(result.output)["swap_count"]
+    assert swaps["cx"] == swaps["default"] > 0
+
+
 @pytest.mark.parametrize("command", ["simulate", "run"])
 @pytest.mark.parametrize("graph, k", [("p3", "2"), ("k3", "2")])
 def test_simulation_enumerates_and_plans_once(runner, p3_file, k3_file,

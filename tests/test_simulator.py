@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 import qkcolor.simulator as sim
-from conftest import random_circuit, ref_unitary
+from conftest import (all_graphs, complete_graph, cycle_graph,
+                      random_circuit, ref_unitary)
+from qkcolor import classical
 from qkcolor.circuit import Circuit, gCX, gH, gRY, gX
-from qkcolor.errors import AncillaLeak, TooManyQubits, WidthMismatch
+from qkcolor.errors import AncillaLeak, TooLarge, TooManyQubits, WidthMismatch
 from qkcolor.graphs import Graph, make_instance
+from qkcolor.lowering import lower_circuit
 from qkcolor.oracle import build_oracle, plan_layout
 from qkcolor.simulator import (Statevector, phase_pattern, probabilities,
                                run, run_batch, unitary_of)
@@ -129,10 +132,19 @@ def test_unitary_of_ceiling():
         unitary_of(Circuit(13))
 
 
-def _k2_oracle():
-    inst = make_instance(Graph(2, frozenset({(0, 1)})), 2)
+def _k2_oracle(k=2):
+    inst = make_instance(Graph(2, frozenset({(0, 1)})), k)
     plan = plan_layout(inst, "strict")
-    return build_oracle(inst, "strict"), plan.layout
+    return build_oracle(inst, "strict", plan), plan.layout
+
+
+def _k2_lowered():
+    # k = 3 lowers its Toffolis to H/CRX/RZ, which keep phase_pattern on
+    # its statevector paths (k = 2 lowers to X and CX only)
+    oracle, layout = _k2_oracle(3)
+    lowered = lower_circuit(oracle)
+    assert not all(g.kind in sim._CLASSICAL_KINDS for g in lowered.gates)
+    return lowered, layout
 
 
 def test_phase_pattern_single_edge():
@@ -141,31 +153,80 @@ def test_phase_pattern_single_edge():
 
 
 def test_phase_pattern_probed_path_agrees(monkeypatch):
-    oracle, layout = _k2_oracle()
-    expected = phase_pattern(oracle, layout)
+    lowered, layout = _k2_lowered()
+    expected = phase_pattern(lowered, layout, allow_global_phase=True)
     monkeypatch.setattr(sim, "_EXACT_PATTERN_LIMIT", 0)
-    assert phase_pattern(oracle, layout) == expected
+    assert phase_pattern(lowered, layout, allow_global_phase=True) == expected
 
 
 @pytest.mark.parametrize("force_probe", [False, True])
 def test_phase_pattern_detects_ancilla_leak(monkeypatch, force_probe):
-    oracle, layout = _k2_oracle()
+    lowered, layout = _k2_lowered()
     if force_probe:
         monkeypatch.setattr(sim, "_EXACT_PATTERN_LIMIT", 0)
-    truncated = Circuit(oracle.num_qubits, oracle.roles, oracle.initial_state)
-    truncated.extend(oracle.gates[:len(oracle.gates) // 2])
+    truncated = Circuit(lowered.num_qubits, lowered.roles, lowered.initial_state)
+    truncated.extend(lowered.gates[:len(lowered.gates) // 2])
     with pytest.raises(AncillaLeak):
-        phase_pattern(truncated, layout)
+        phase_pattern(truncated, layout, allow_global_phase=True)
 
 
 def test_phase_pattern_rejects_non_phase_action(monkeypatch):
-    oracle, layout = _k2_oracle()
+    lowered, layout = _k2_lowered()
     # gH: a data qubit is no longer diagonal; gX: data strings are permuted
     # inside the prepared support, so only per-string weights expose it
     for spoiler in (gH(0), gX(0)):
-        spoiled = oracle.copy()
+        spoiled = lowered.copy()
         spoiled.append(spoiler)
         for limit in (sim._EXACT_PATTERN_LIMIT, 0):
             monkeypatch.setattr(sim, "_EXACT_PATTERN_LIMIT", limit)
             with pytest.raises(AncillaLeak):
-                phase_pattern(spoiled, layout)
+                phase_pattern(spoiled, layout, allow_global_phase=True)
+
+
+def test_tracked_pattern_rejects_leaks(monkeypatch):
+    oracle, layout = _k2_oracle()
+    monkeypatch.setattr(sim, "_statevector_flips", None)  # tracking only
+    truncated = Circuit(oracle.num_qubits, oracle.roles, oracle.initial_state)
+    truncated.extend(oracle.gates[:len(oracle.gates) // 2])
+    permuted = oracle.copy().append(gX(layout.data[0]))
+    output_controlled = oracle.copy().append(gCX(layout.output, layout.data[0]))
+    for spoiled in (truncated, permuted, output_controlled):
+        for allow_global_phase in (False, True):
+            with pytest.raises(AncillaLeak):
+                phase_pattern(spoiled, layout, allow_global_phase)
+
+
+def test_tracked_pattern_equals_statevector_pattern(monkeypatch):
+    """Every oracle on up to 4 vertices: bit tracking and the statevector
+    batch give the same pattern, with and without the global phase."""
+    cases = []
+    for n in (2, 3, 4):
+        for graph in all_graphs(n):
+            for k in (2, 3):
+                inst = make_instance(graph, k)
+                for mode in ("strict", "paper"):
+                    plan = plan_layout(inst, mode)
+                    cases.append((build_oracle(inst, mode, plan), plan.layout))
+    assert len(cases) == (2 + 8 + 64) * 2 * 2
+    tracked = [phase_pattern(o, layout, agp)
+               for o, layout in cases for agp in (False, True)]
+    monkeypatch.setattr(sim, "_CLASSICAL_KINDS", frozenset())
+    simulated = [phase_pattern(o, layout, agp)
+                 for o, layout in cases for agp in (False, True)]
+    assert tracked == simulated
+
+
+def test_tracked_pattern_past_the_qubit_ceiling(monkeypatch):
+    # 26 and 25 qubits: past the statevector ceiling, not the data one
+    for graph, k, width in ((complete_graph(5), 5, 26), (cycle_graph(8), 4, 25)):
+        inst = make_instance(graph, k)
+        plan = plan_layout(inst, "strict")
+        oracle = build_oracle(inst, "strict", plan)
+        assert oracle.num_qubits == width > sim.qubit_ceiling()
+        assert phase_pattern(oracle, plan.layout) == classical.solutions(inst)
+        with pytest.raises(TooManyQubits):
+            phase_pattern(lower_circuit(oracle), plan.layout)
+    # more data bits than the enumeration ceiling are refused, not tracked
+    monkeypatch.setattr(classical, "ENUMERATION_CEILING", plan.layout.num_data - 1)
+    with pytest.raises(TooLarge):
+        phase_pattern(oracle, plan.layout)
