@@ -6,7 +6,7 @@ coupling graph  ->  OpenQASM 2.0, verified end to end by an embedded
 statevector simulator against brute-force coloring enumeration.
 """
 
-from .circuit import Circuit, Control, Gate, GateKind, QubitLayout, Role
+from .circuit import Circuit, Control, Gate, GateKind, QubitLayout
 from .classical import is_proper, solutions
 from .graphs import (Graph, Instance, make_instance, parse_adjacency,
                      parse_edge_list, parse_graph_file)

@@ -1,9 +1,10 @@
 """Quantum circuit intermediate representation.
 
 A Circuit is an ordered gate list over a fixed register.  Each qubit
-carries a role tag (data / edge_ancilla / invalid_ancilla / valid_flag /
-output) and a declared initial basis state.  The simulator honors
-``initial_state`` directly; the QASM emitter realizes it as an X preamble.
+has a declared initial basis state, and the circuit names the qubits it
+reads out: classical bit i is measured from ``measured[i]``.  The
+simulator honors ``initial_state`` directly; the QASM emitter realizes
+it as an X preamble.
 
 Negative-polarity controls are first-class on MCT/MCZ and are eliminated
 during lowering by X-conjugation.
@@ -55,15 +56,6 @@ def check_lowered(circuit: Circuit) -> None:
             raise UnloweredGate(
                 f"gate {index} is {gate.kind.value} with {len(gate.controls)} "
                 f"controls; lower the circuit first")
-
-
-class Role(Enum):
-    DATA = "data"
-    EDGE_ANCILLA = "edge_ancilla"
-    INVALID_ANCILLA = "invalid_ancilla"
-    VALID_FLAG = "valid_flag"
-    OUTPUT = "output"
-    IDLE = "idle"  # physical qubit never holding logical state (routing)
 
 
 @dataclass(frozen=True)
@@ -129,7 +121,6 @@ class Gate:
 def gX(t): return Gate(GateKind.X, targets=(t,))
 def gH(t): return Gate(GateKind.H, targets=(t,))
 def gZ(t): return Gate(GateKind.Z, targets=(t,))
-def gS(t): return Gate(GateKind.S, targets=(t,))
 def gT(t): return Gate(GateKind.T, targets=(t,))
 def gRX(t, angle): return Gate(GateKind.RX, targets=(t,), angle=angle)
 def gRY(t, angle): return Gate(GateKind.RY, targets=(t,), angle=angle)
@@ -189,18 +180,6 @@ class QubitLayout:
     def vertex_qubits(self, v: int) -> range:
         return range(v * self.c, (v + 1) * self.c)
 
-    def roles(self) -> list[Role]:
-        roles = [Role.DATA] * self.num_qubits
-        for q in self.edge_ancilla:
-            roles[q] = Role.EDGE_ANCILLA
-        if self.invalid_ancilla is not None:
-            roles[self.invalid_ancilla] = Role.INVALID_ANCILLA
-        if self.valid_flags is not None:
-            for q in self.valid_flags:
-                roles[q] = Role.VALID_FLAG
-        roles[self.output] = Role.OUTPUT
-        return roles
-
     def initial_state(self) -> list[int]:
         """Edge ancillas, valid flags and the output start in |1>."""
         init = [0] * self.num_qubits
@@ -222,18 +201,27 @@ class CircuitStats:
 
 
 class Circuit:
-    """Ordered gate list over a declared register."""
+    """Ordered gate list over a declared register.
 
-    def __init__(self, num_qubits: int, roles=None, initial_state=None):
+    ``measured`` is the readout: classical bit i is read from qubit
+    ``measured[i]``.  It defaults to every qubit in register order.
+    """
+
+    def __init__(self, num_qubits: int, measured=None, initial_state=None):
         if num_qubits <= 0:
             raise IndexOutOfRange(f"register width must be positive, got {num_qubits}")
         self.num_qubits = num_qubits
         self.gates: list[Gate] = []
-        self.roles: list[Role] = list(roles) if roles is not None else [Role.DATA] * num_qubits
+        self.measured: tuple[int, ...] = (tuple(measured) if measured is not None
+                                          else tuple(range(num_qubits)))
         self.initial_state: list[int] = (list(initial_state) if initial_state is not None
                                          else [0] * num_qubits)
-        if len(self.roles) != num_qubits or len(self.initial_state) != num_qubits:
-            raise IndexOutOfRange("roles/initial_state length must equal num_qubits")
+        if len(self.initial_state) != num_qubits:
+            raise IndexOutOfRange("initial_state length must equal num_qubits")
+        if (len(set(self.measured)) != len(self.measured)
+                or not all(0 <= q < num_qubits for q in self.measured)):
+            raise IndexOutOfRange(f"measured qubits {self.measured} must be "
+                                  f"distinct and inside a register of {num_qubits}")
 
     def append(self, gate: Gate) -> "Circuit":
         for q in gate.operands:
@@ -248,26 +236,9 @@ class Circuit:
         return self
 
     def copy(self) -> "Circuit":
-        out = Circuit(self.num_qubits, self.roles, self.initial_state)
+        out = Circuit(self.num_qubits, self.measured, self.initial_state)
         out.gates = list(self.gates)
         return out
-
-    def compose(self, other: "Circuit") -> "Circuit":
-        """This circuit followed by ``other`` on the same register."""
-        if other.num_qubits != self.num_qubits:
-            raise IndexOutOfRange("composed circuits must share a register width")
-        out = self.copy()
-        out.extend(other.gates)
-        return out
-
-    def inverse(self) -> "Circuit":
-        """Reversed gate order with each gate replaced by its adjoint."""
-        out = Circuit(self.num_qubits, self.roles, self.initial_state)
-        out.gates = [g.adjoint() for g in reversed(self.gates)]
-        return out
-
-    def data_qubits(self) -> list[int]:
-        return [q for q, r in enumerate(self.roles) if r is Role.DATA]
 
     def stats(self) -> CircuitStats:
         two_q = 0

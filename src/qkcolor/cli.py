@@ -310,7 +310,7 @@ def _simulation_report(instance, mode, iterations, coupling=None):
 
     circ = assemble(job)
     state = simulate_circuit(circ)
-    dist = probabilities(state, list(range(m)))
+    dist = probabilities(state, circ.measured)
     top_all = sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))
     success = sum(dist.get(s, 0.0) for s in sols)
     match = {bits for bits, _ in top_all[:M]} == sols if M else None

@@ -93,7 +93,7 @@ def assemble(job: GroverJob) -> Circuit:
     self-contained on hardware and in simulation alike.
     """
     layout = job.plan.layout
-    circ = Circuit(layout.num_qubits, roles=layout.roles(),
+    circ = Circuit(layout.num_qubits, measured=layout.data,
                    initial_state=[0] * layout.num_qubits)
     for q, bit in enumerate(layout.initial_state()):
         if bit:

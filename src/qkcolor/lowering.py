@@ -118,7 +118,7 @@ def lower_circuit(circuit: Circuit, basis: str = "default") -> Circuit:
     """
     if basis not in ("default", "cx"):
         raise ValueError(f"unknown basis {basis!r}")
-    out = Circuit(circuit.num_qubits, roles=circuit.roles,
+    out = Circuit(circuit.num_qubits, measured=circuit.measured,
                   initial_state=circuit.initial_state)
     for gate in circuit.gates:
         lowered = (_lower_multi(gate, circuit.num_qubits)

@@ -175,7 +175,7 @@ def build_oracle(instance: Instance, mode: str = "strict",
     else:
         _check_plan(plan, instance, mode)
     layout = plan.layout
-    circuit = Circuit(layout.num_qubits, roles=layout.roles(),
+    circuit = Circuit(layout.num_qubits, measured=layout.data,
                       initial_state=layout.initial_state())
 
     compute: list[Gate] = []

@@ -2,8 +2,8 @@
 
 Only lowered circuits are accepted (``check_lowered``); each gate is
 written as its ``GateKind`` value, plus the angle of a rotation.  Qubits
-declared in |1> get an X preamble; data qubits are measured into the
-classical register.
+declared in |1> get an X preamble; classical bit i is measured from
+qubit ``circuit.measured[i]``.
 """
 from __future__ import annotations
 
@@ -24,12 +24,12 @@ def emit_qasm(circuit: Circuit, comment_lines=()) -> str:
     Raises UnloweredGate if a gate lies outside ``LOWERED_KINDS``.
     """
     check_lowered(circuit)
-    data = circuit.data_qubits()
+    measured = circuit.measured
     lines = ['OPENQASM 2.0;', 'include "qelib1.inc";',
-             f"qreg q[{circuit.num_qubits}];", f"creg c[{max(len(data), 1)}];"]
+             f"qreg q[{circuit.num_qubits}];", f"creg c[{max(len(measured), 1)}];"]
     lines.extend(f"x q[{q}];" for q, bit in enumerate(circuit.initial_state)
                  if bit)
     lines.extend(_statement(gate) for gate in circuit.gates)
-    lines.extend(f"measure q[{q}] -> c[{pos}];" for pos, q in enumerate(data))
+    lines.extend(f"measure q[{q}] -> c[{pos}];" for pos, q in enumerate(measured))
     lines.extend(f"// {comment}" for comment in comment_lines)
     return "\n".join(lines) + "\n"

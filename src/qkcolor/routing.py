@@ -11,7 +11,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
-from .circuit import Circuit, Role, check_lowered, gSWAP
+from .circuit import Circuit, check_lowered, gSWAP
 from .errors import Disconnected, IndexOutOfRange, TooFewPhysicalQubits
 
 
@@ -176,7 +176,8 @@ def sabre_route(circuit: Circuit, coupling: CouplingGraph,
     Reverse traversal: forward pass from the identity mapping, backward
     pass seeded with its final mapping, then a final forward pass whose
     initial mapping is kept and reported.  Only the final pass builds
-    gates; the first two move the layout.
+    gates; the first two move the layout.  The routed circuit reads each
+    measured qubit at its final physical position, in the same order.
     """
     width = circuit.num_qubits
     coupling.check_width(width)
@@ -201,12 +202,11 @@ def sabre_route(circuit: Circuit, coupling: CouplingGraph,
 
 def _routed_circuit(logical: Circuit, num_physical: int, gates,
                     initial: Mapping, final: Mapping) -> Circuit:
-    roles = [Role.IDLE] * num_physical
     init = [0] * num_physical
     for l in range(logical.num_qubits):
-        roles[final.physical(l)] = logical.roles[l]
         init[initial.physical(l)] = logical.initial_state[l]
-    out = Circuit(num_physical, roles=roles, initial_state=init)
+    measured = [final.physical(q) for q in logical.measured]
+    out = Circuit(num_physical, measured=measured, initial_state=init)
     out.extend(gates)
     return out
 

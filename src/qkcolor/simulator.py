@@ -11,8 +11,8 @@ simulator independent of the lowering pass it is used to check.
 only (every IR oracle) is a classical reversible circuit: it is run on
 bit-packed basis states, with no statevector and no qubit ceiling.
 Any other oracle (a lowered one, with H/CRX/RZ) is run as a statevector
-batch, one column per data string when that fits, else as two
-superposition probes.
+batch, one column per data string when that fits (exact), else as two
+seeded superposition probes (a check on their span only).
 """
 from __future__ import annotations
 
@@ -204,7 +204,7 @@ def phase_pattern(oracle: Circuit, layout: QubitLayout,
     anchored so the all-zeros data string counts as unflipped; use it
     only to compare two patterns relative to each other.
 
-    Three paths give the same answer:
+    There are three paths; only the first two are exact:
 
     * An oracle of X, CX and MCT gates only permutes basis states, so
       every data string is tracked exactly as bits, with no statevector
@@ -212,9 +212,11 @@ def phase_pattern(oracle: Circuit, layout: QubitLayout,
       ``classical.ENUMERATION_CEILING`` raise TooLarge.
     * Any other oracle is simulated under the qubit ceiling.  Registers
       small enough for a full per-basis batch are checked exactly.
-    * Larger ones are checked with two superposition probes (uniform
-      plus seeded distinct weights), which read off the same per-string
-      signs with two simulations instead of 2**m.
+    * Larger ones get a seeded two-vector check: two superposition
+      probes (uniform plus seeded distinct weights) read off the
+      per-string signs with two simulations instead of 2**m.  It sees
+      the oracle only on the span of the probes, so a fault outside it,
+      such as a swap of two states the probes do not reach, can pass.
 
     A layout for another register width raises WidthMismatch.
     """

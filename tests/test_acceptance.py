@@ -212,5 +212,4 @@ def test_10_qasm_validity_and_roundtrip():
         assert parsed.num_qubits == circ.num_qubits
         preamble = sum(circ.initial_state)
         assert len(parsed.gates) == preamble + len(circ.gates)
-        data = [q for q, r in enumerate(circ.roles) if r.value == "data"]
-        assert len(parsed.measures) == len(data)
+        assert parsed.measures == [(q, i) for i, q in enumerate(circ.measured)]

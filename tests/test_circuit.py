@@ -1,13 +1,8 @@
-import random
-
-import numpy as np
 import pytest
 
-from conftest import phase_aligned_distance, random_circuit
 from qkcolor.circuit import (Circuit, Control, Gate, GateKind, QubitLayout,
-                             Role, gCX, gH, gMCT, gRX, gSWAP, gX)
+                             gCX, gH, gMCT, gRX, gSWAP, gX)
 from qkcolor.errors import IndexOutOfRange, OverlappingOperands
-from qkcolor.simulator import unitary_of
 
 
 def test_gate_operand_arity_enforced():
@@ -65,21 +60,12 @@ def test_circuit_bounds_checked():
     with pytest.raises(IndexOutOfRange):
         Circuit(0)
     with pytest.raises(IndexOutOfRange):
-        Circuit(2, roles=[Role.DATA])
-
-
-def test_compose_width_mismatch():
-    with pytest.raises(IndexOutOfRange):
-        Circuit(2).compose(Circuit(3))
-
-
-def test_compose_inverse_is_identity():
-    rng = random.Random(7)
-    eye = np.eye(16)
-    for _ in range(100):
-        circ = random_circuit(4, rng.randint(1, 12), rng)
-        u = unitary_of(circ.compose(circ.inverse()))
-        assert phase_aligned_distance(u, eye) < 1e-9
+        Circuit(2, initial_state=[0])
+    for measured in ([1, 1], [0, 2], [-1]):
+        with pytest.raises(IndexOutOfRange):
+            Circuit(2, measured=measured)
+    assert Circuit(3).measured == (0, 1, 2)
+    assert Circuit(3, measured=[2, 0]).copy().measured == (2, 0)
 
 
 def test_stats():
@@ -94,15 +80,10 @@ def test_stats():
     assert st.depth == 5
 
 
-def test_layout_roles_and_initials():
+def test_layout_data_and_initials():
     layout = QubitLayout(n=2, c=2, data=range(0, 4), edge_ancilla=range(4, 5),
                          invalid_ancilla=None, valid_flags=range(5, 7),
                          output=7)
-    roles = layout.roles()
-    assert roles[:4] == [Role.DATA] * 4
-    assert roles[4] is Role.EDGE_ANCILLA
-    assert roles[5] is Role.VALID_FLAG
-    assert roles[7] is Role.OUTPUT
     init = layout.initial_state()
     assert init == [0, 0, 0, 0, 1, 1, 1, 1]
     assert list(layout.vertex_qubits(1)) == [2, 3]

@@ -81,11 +81,12 @@ def test_lowering_is_idempotent():
 
 
 def test_lowering_preserves_register_metadata():
-    circ = Circuit(3, initial_state=[1, 0, 1])
+    circ = Circuit(3, measured=[2, 0], initial_state=[1, 0, 1])
     circ.append(gMCT([0, 1], 2))
-    lowered = lower_circuit(circ)
-    assert lowered.initial_state == [1, 0, 1]
-    assert lowered.roles == circ.roles
+    for basis in ("default", "cx"):
+        lowered = lower_circuit(circ, basis)
+        assert lowered.initial_state == [1, 0, 1]
+        assert lowered.measured == (2, 0)
 
 
 def test_cx_basis_leaves_only_cx_two_qubit_gates():

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import complete_graph, path_graph
 from qasm_ref import check_qasm
-from qkcolor.circuit import Circuit, Role, gCRX, gCX, gH, gMCT, gMCZ, gRZ
+from qkcolor.circuit import Circuit, gCRX, gCX, gH, gMCT, gMCZ, gRZ
 from qkcolor.errors import UnloweredGate
 from qkcolor.graphs import make_instance
 from qkcolor.lowering import lower_circuit
@@ -13,7 +13,7 @@ from qkcolor.qasm import emit_qasm
 
 
 def test_emit_minimal_circuit():
-    circ = Circuit(2, roles=[Role.DATA, Role.OUTPUT], initial_state=[0, 1])
+    circ = Circuit(2, measured=[0], initial_state=[0, 1])
     circ.append(gH(0))
     circ.append(gCX(0, 1))
     text = emit_qasm(circ)

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import complete_graph, random_circuit, routed_max_error
+from qasm_ref import check_qasm
 from qkcolor import routing
 from qkcolor.circuit import Circuit, GateKind, gCX, gH, gMCT
 from qkcolor.errors import (Disconnected, IndexOutOfRange,
@@ -15,6 +16,7 @@ from qkcolor.qasm import emit_qasm
 from qkcolor.routing import (CouplingGraph, grid_coupling, line_coupling,
                              parse_coupling, ring_coupling, sabre_route,
                              verify_constraints)
+from qkcolor.simulator import probabilities, run
 
 # Gate pool without MCT/MCZ/negative controls: routing input must be lowered.
 LOWERED_POOL = ("x", "h", "z", "s", "t", "sdg", "tdg", "rx", "ry", "rz",
@@ -167,11 +169,11 @@ GOLDEN_ROUTES = {
     "line13": (line_coupling(13), 488,
                (8, 9, 4, 3, 5, 6, 1, 11, 12, 10, 2, 7, 0),
                (5, 4, 9, 8, 3, 2, 10, 6, 7, 1, 11, 0, 12),
-               "010060e50063f2932ff668c36cbed2968c92c5e925630bc18a00bc61909e9782"),
+               "5edb6b3597d34a3ca25985329947967aec7b1d67a6b80752f6061602b34b971c"),
     "grid4x4": (grid_coupling(4, 4), 220,
                 (9, 5, 4, 1, 7, 11, 0, 2, 3, 6, 10, 14, 8),
                 (1, 0, 5, 9, 7, 3, 6, 8, 10, 2, 4, 11, 12),
-                "f5e3e95e2108d1f5373f59eac5a28006fc99d8826605520d9e019b160f3137a5"),
+                "9c774b1b757ecb61af3e33b0ce07d2f3ca77efae7643033b0309d1dc0df43d34"),
 }
 
 
@@ -198,3 +200,18 @@ def test_borrowed_route_k3(k3_grover, device):
     assert result.swap_count == swaps
     assert verify_constraints(result.routed, coupling)
     assert routed_max_error(lowered, result, coupling.num_physical) < 1e-9
+
+
+@pytest.mark.parametrize("device", sorted(GOLDEN_ROUTES))
+def test_routed_readout_is_the_data_distribution(k3_grover, device):
+    """Bit i of the routed QASM's classical register reads data qubit i:
+    the Born distribution of the measured physical qubits, in c order,
+    equals the IR circuit's data distribution."""
+    coupling = GOLDEN_ROUTES[device][0]
+    result = sabre_route(lower_circuit(k3_grover), coupling, seed=0)
+    measures = check_qasm(emit_qasm(result.routed)).measures
+    assert [c for _, c in measures] == list(range(len(measures)))
+    got = probabilities(run(result.routed), [q for q, _ in measures])
+    want = probabilities(run(k3_grover), range(6))  # 3 vertices, 2 bits each
+    assert got.keys() == want.keys()
+    assert max(abs(got[s] - want[s]) for s in want) < 1e-9

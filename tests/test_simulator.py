@@ -164,7 +164,7 @@ def test_phase_pattern_detects_ancilla_leak(monkeypatch, force_probe):
     lowered, layout = _k2_lowered()
     if force_probe:
         monkeypatch.setattr(sim, "_EXACT_PATTERN_LIMIT", 0)
-    truncated = Circuit(lowered.num_qubits, lowered.roles, lowered.initial_state)
+    truncated = Circuit(lowered.num_qubits, lowered.measured, lowered.initial_state)
     truncated.extend(lowered.gates[:len(lowered.gates) // 2])
     with pytest.raises(AncillaLeak):
         phase_pattern(truncated, layout, allow_global_phase=True)
@@ -186,7 +186,7 @@ def test_phase_pattern_rejects_non_phase_action(monkeypatch):
 def test_tracked_pattern_rejects_leaks(monkeypatch):
     oracle, layout = _k2_oracle()
     monkeypatch.setattr(sim, "_statevector_flips", None)  # tracking only
-    truncated = Circuit(oracle.num_qubits, oracle.roles, oracle.initial_state)
+    truncated = Circuit(oracle.num_qubits, oracle.measured, oracle.initial_state)
     truncated.extend(oracle.gates[:len(oracle.gates) // 2])
     permuted = oracle.copy().append(gX(layout.data[0]))
     output_controlled = oracle.copy().append(gCX(layout.output, layout.data[0]))
