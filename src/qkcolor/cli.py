@@ -312,7 +312,7 @@ def _simulation_report(instance, mode, iterations, coupling=None):
     state = simulate_circuit(circ)
     dist = probabilities(state, circ.measured)
     top_all = sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))
-    success = sum(dist.get(s, 0.0) for s in sols)
+    success = sum(dist.get(s, 0.0) for s in sorted(sols))
     match = {bits for bits, _ in top_all[:M]} == sols if M else None
     base.update({
         "iterations": job.iterations,

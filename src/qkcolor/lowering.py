@@ -2,9 +2,9 @@
 2-qubit gates, exactly (up to a global phase), without adding qubits.
 
 A gate with 0 or 1 control becomes X/CX (MCT) or Z/CZ (MCZ), and one
-with 2 controls becomes the 9-gate Toffoli below.  A gate with n >= 3
-controls is lowered on the qubits it leaves free, borrowed dirty: they
-may hold any state and are restored (Barenco et al. 1995,
+with 2 controls becomes the 9-gate exact Toffoli below.  A gate with
+n >= 3 controls is lowered on the qubits it leaves free, borrowed dirty:
+they may hold any state and are restored (Barenco et al. 1995,
 quant-ph/9503016):
 
 * n-2 or more free qubits: the V-chain of Lemma 7.2, 4(n-2) Toffolis;
@@ -15,16 +15,20 @@ quant-ph/9503016):
   at least one qubit out of every MCT (tested on all graphs with up to
   4 vertices), so they never reach it.
 
-So the count is linear in n: 36(n-2) gates for a positive-control MCT
-with n-2 free qubits.  An MCZ with 2 or more controls is the MCT
-conjugated by H on its target; negative controls are conjugated by X.
+In each V-chain only the two Toffolis on the target are exact; the
+sweep Toffolis are 7-gate relative-phase (Margolus) Toffolis, undone by
+their exact inverse in the mirrored sweep (Maslov 2016,
+arXiv:1508.03273).  So the count is linear in n: 28n-52 gates, 12n-18
+of them 2-qubit, for a positive-control MCT with n-2 free qubits.  An
+MCZ with 2 or more controls is the MCT conjugated by H on its target;
+negative controls are conjugated by X.
 """
 from __future__ import annotations
 
 import math
 
 from .circuit import (MULTI_KINDS, Circuit, Gate, GateKind, gCX, gCRX, gCZ,
-                      gH, gRZ, gX, gZ)
+                      gH, gRY, gRZ, gX, gZ)
 from .errors import UnloweredGate
 
 
@@ -45,6 +49,17 @@ def _flipped(gate: Gate, body: list[Gate]) -> list[Gate]:
     return flips + body + list(reversed(flips))
 
 
+def _margolus(a: int, b: int, t: int) -> list[Gate]:
+    """Toffoli up to a relative phase (Margolus): 7 gates, 3 of them CX.
+
+    It is the exact Toffoli times a -1 on a = 1, b = 0, t = 1, so it is
+    only exact when its inverse follows.
+    """
+    quarter = math.pi / 4
+    return [gRY(t, quarter), gCX(b, t), gRY(t, quarter), gCX(a, t),
+            gRY(t, -quarter), gCX(b, t), gRY(t, -quarter)]
+
+
 def _vchain(controls: list[int], target: int, dirty: list[int]) -> list[Gate]:
     """Lemma 7.2: C^nX from 4(n-2) Toffolis on n-2 dirty qubits, which
     come back in their input state.
@@ -52,16 +67,22 @@ def _vchain(controls: list[int], target: int, dirty: list[int]) -> list[Gate]:
     The sweep toggles the last dirty qubit by the AND of all controls
     but the last, whatever the dirty qubits hold; the top Toffoli is
     applied before and after it, and a second sweep undoes the first.
+    Only the two top Toffolis act on the target and must be exact.  The
+    4(n-2)-2 sweep Toffolis are Margolus, so the sweep is S = D S0 with
+    S0 the exact sweep and D diagonal off the target.  D commutes with
+    the top Toffoli, so the second sweep, the exact adjoint S^-1, cancels
+    it: top S top S^-1 = C^nX.  That is 28n-52 gates, 12n-18 of them
+    2-qubit.
     """
     n = len(controls)
     if n == 2:
         return _toffoli(*controls, target)
     a = dirty[:n - 2]
     down = [(controls[i + 2], a[i], a[i + 1]) for i in reversed(range(n - 3))]
-    sweep = down + [(controls[0], controls[1], a[0])] + down[::-1]
-    top = (controls[-1], a[-1], target)
-    return [g for c1, c2, t in [top] + sweep + [top] + sweep
-            for g in _toffoli(c1, c2, t)]
+    sweep = [g for c1, c2, t in down + [(controls[0], controls[1], a[0])]
+             + down[::-1] for g in _margolus(c1, c2, t)]
+    top = _toffoli(controls[-1], a[-1], target)
+    return top + sweep + top + [g.adjoint() for g in reversed(sweep)]
 
 
 def _split(controls: list[int], target: int, spare: int) -> list[Gate]:
@@ -145,9 +166,9 @@ def _crx_to_cx(gate: Gate) -> list[Gate]:
     theta = gate.angle
     return [
         gRZ(t, math.pi / 2),
-        Gate(GateKind.RY, targets=(t,), angle=theta / 2),
+        gRY(t, theta / 2),
         gCX(c, t),
-        Gate(GateKind.RY, targets=(t,), angle=-theta / 2),
+        gRY(t, -theta / 2),
         gCX(c, t),
         gRZ(t, -math.pi / 2),
     ]

@@ -199,10 +199,11 @@ def phase_pattern(oracle: Circuit, layout: QubitLayout,
     oracle must act diagonally: any amplitude outside the prepared
     (x, ancilla, output) pair is an ancilla leak.
 
-    Lowered circuits acquire a circuit-wide global phase from the RZ in
-    each lowered Toffoli.  ``allow_global_phase=True`` divides it out,
-    anchored so the all-zeros data string counts as unflipped; use it
-    only to compare two patterns relative to each other.
+    Lowered circuits acquire a circuit-wide global phase, only from the
+    RZ in each exact lowered Toffoli: the relative phases of the Margolus
+    sweep Toffolis cancel inside each V-chain.  ``allow_global_phase=True``
+    divides it out, anchored so the all-zeros data string counts as
+    unflipped; use it only to compare two patterns relative to each other.
 
     There are three paths; only the first two are exact:
 

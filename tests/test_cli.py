@@ -1,12 +1,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
 from conftest import complete_graph, path_graph
 from qasm_ref import check_qasm
+import qkcolor
 from qkcolor import classical, cli, errors, grover, oracle
 from qkcolor.cli import main
 from qkcolor.graphs import make_instance
@@ -180,6 +184,27 @@ def test_basis_cx_routes_the_default_lowering(runner, k3_file, tmp_path):
         assert result.exit_code == 0, result.output
         swaps[basis] = _json_head(result.output)["swap_count"]
     assert swaps["cx"] == swaps["default"] > 0
+
+
+def test_report_does_not_follow_the_hash_seed(tmp_path):
+    # C4 with k = 3 has 18 colorings; summed in set order, the last digit
+    # of success_probability changed between hash seeds 1 and 2.
+    graph = tmp_path / "c4.adj"
+    graph.write_text("0 1 0 1\n1 0 1 0\n0 1 0 1\n1 0 1 0\n")
+    src = os.path.dirname(os.path.dirname(qkcolor.__file__))
+    reports = []
+    for seed in ("1", "2"):
+        out = tmp_path / seed
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run(
+            [sys.executable, "-c", "from qkcolor.cli import main; main()",
+             "run", str(graph), "--k", "3", "--out-dir", str(out)],
+            env=env, capture_output=True, check=True)
+        reports.append((out / "c4.run.json").read_bytes())
+    assert json.loads(reports[0])["M"] == 18
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("command", ["simulate", "run"])

@@ -117,7 +117,8 @@ def test_lowered_oracle_preserves_phase_pattern():
 
 # (width, controls): free = width - controls - 1 qubits to borrow.  Free
 # >= controls - 2 takes the V-chain, 1 to controls - 3 the split.
-BORROWED_SHAPES = [(5, 3), (6, 3), (7, 3), (7, 4), (6, 4), (7, 5)]
+BORROWED_SHAPES = [(5, 3), (6, 3), (7, 3), (7, 4), (6, 4), (7, 5),
+                   (8, 4), (8, 5), (8, 6), (9, 5)]
 
 
 @pytest.mark.parametrize("width,n", BORROWED_SHAPES)
@@ -151,16 +152,21 @@ def _counts(circ):
 
 def _expected_counts(n, free):
     """Gates and 2-qubit gates of a positive-control C^nX with ``free``
-    idle qubits, 1 <= free: 9 and 6 per Toffoli.  Both are at most what
-    the ancilla-free recursion this lowering replaced gave, the fallback
-    of the test name."""
+    idle qubits, 1 <= free.  A V-chain on m >= 3 controls has 2 exact
+    Toffolis (9 gates, 6 of them 2-qubit) and 4(m-2)-2 Margolus sweep
+    Toffolis (7 gates, 3 of them 2-qubit); on 2 controls it is one exact
+    Toffoli.  The split is two V-chains, on the first half of the
+    controls and on the rest plus the borrowed qubit, twice.  Both counts
+    are below what the ancilla-free recursion this lowering replaced
+    gave, the fallback of the test name."""
+    def vchain(m):
+        exact, margolus = (1, 0) if m == 2 else (2, 4 * (m - 2) - 2)
+        return 9 * exact + 7 * margolus, 6 * exact + 3 * margolus
     if free >= n - 2:
-        toffolis = 4 * (n - 2)  # V-chain
-    elif n == 4:
-        toffolis = 10  # split into V-chains of 2 and 3 controls, twice
-    else:
-        toffolis = 8 * (n - 3)  # split
-    return 9 * toffolis, 6 * toffolis
+        return vchain(n)
+    half = (n + 1) // 2
+    chains = (vchain(half), vchain(n - half + 1))
+    return 2 * sum(c[0] for c in chains), 2 * sum(c[1] for c in chains)
 
 
 @pytest.mark.parametrize("n", range(3, 10))
@@ -196,6 +202,23 @@ def test_ladder_lowers_linearly():
         assert max(circ.stats().mct_count_by_arity) >= 3
         sizes[label] = len(lower_circuit(circ).gates)
     assert sizes["C5"] <= 4000
+
+
+# (gates, 2-qubit gates) lowered in the default basis, and the CX count
+# under basis="cx".  A lowering change must re-pin them deliberately.
+LADDER_COUNTS = {"K3": ((786, 384), 512), "C6": ((1174, 528), None),
+                 "K4": ((1234, 624), None), "C5": ((2942, 1408), 1792)}
+
+
+@pytest.mark.parametrize("label", sorted(LADDER_COUNTS))
+def test_ladder_lowered_counts(label):
+    graph, k = next((g, k) for name, g, k in LADDER if name == label)
+    circ = assemble(make_job(make_instance(graph, k), "strict"))
+    counts, cx = LADDER_COUNTS[label]
+    assert _counts(lower_circuit(circ)) == counts
+    if cx is not None:
+        assert sum(g.kind is GateKind.CX
+                   for g in lower_circuit(circ, "cx").gates) == cx
 
 
 def test_every_wide_mct_leaves_a_qubit_idle():

@@ -139,8 +139,9 @@ def _k2_oracle(k=2):
 
 
 def _k2_lowered():
-    # k = 3 lowers its Toffolis to H/CRX/RZ, which keep phase_pattern on
-    # its statevector paths (k = 2 lowers to X and CX only)
+    # k = 3 lowers its Toffolis to H/CRX/RZ and, in V-chain sweeps, RY,
+    # which keep phase_pattern on its statevector paths (k = 2 lowers to
+    # X and CX only)
     oracle, layout = _k2_oracle(3)
     lowered = lower_circuit(oracle)
     assert not all(g.kind in sim._CLASSICAL_KINDS for g in lowered.gates)
