@@ -281,10 +281,8 @@ def _simulation_report(instance, mode, iterations, coupling=None):
 
     A ``coupling`` too small for the circuit is rejected before simulating.
     """
-    try:
-        job = make_job(instance, mode, iterations)
-    except NoSolutions:
-        job = None
+    job = _grover_job(instance, mode, iterations)
+    if job is None:
         sols = frozenset()
     else:
         if coupling is not None:
@@ -335,8 +333,6 @@ def simulate(graph_file, k, mode, iterations):
     """Build the Grover circuit and report its measurement distribution."""
     instance = _load_instance(graph_file, k)
     report, _, dist = _simulation_report(instance, mode, iterations)
-    if not report["colorable"]:
-        click.echo(f"graph is not {k}-colorable")
     _print_report(report)
     if dist:
         click.echo(_histogram(dist))
@@ -360,8 +356,6 @@ def run_cmd(graph_file, k, mode, iterations, topology, seed, basis, out_dir):
     report, circ, dist = _simulation_report(instance, mode, iterations,
                                             coupling)
     stem = _stem(graph_file)
-    if not report["colorable"]:
-        click.echo(f"graph is not {k}-colorable")
     if circ is not None and coupling is not None:
         report["routing"] = _route_to_file(circ, coupling, seed, basis,
                                            out_dir, stem)

@@ -129,7 +129,11 @@ def parse_edge_list(text: str) -> Graph:
             continue
         parts = line.split()
         if parts[0] == "n" and len(parts) == 2 and declared_n is None and not pairs:
-            declared_n = int(parts[1])
+            try:
+                declared_n = int(parts[1])
+            except ValueError:
+                raise MalformedMatrix(
+                    f"line {lineno}: non-integer vertex count in {line!r}")
             continue
         if len(parts) != 2:
             raise MalformedMatrix(f"line {lineno}: expected 'i j', got {line!r}")

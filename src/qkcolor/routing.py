@@ -82,12 +82,16 @@ def parse_coupling(text: str) -> CouplingGraph:
             tokens.append(line.split())
     if not tokens or len(tokens[0]) != 1:
         raise IndexOutOfRange("expected a leading physical-qubit count line")
-    num_physical = int(tokens[0][0])
-    pairs = []
     for parts in tokens[1:]:
         if len(parts) != 2:
             raise IndexOutOfRange(f"expected 'a b' pair, got {' '.join(parts)!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
+    try:
+        num_physical = int(tokens[0][0])
+        pairs = [(int(a), int(b)) for a, b in tokens[1:]]
+    except ValueError as exc:
+        raise IndexOutOfRange(f"non-integer token: {exc}")
+    if num_physical < 1:
+        raise IndexOutOfRange(f"physical-qubit count {num_physical} is below 1")
     return CouplingGraph.from_pairs(num_physical, pairs)
 
 

@@ -7,12 +7,12 @@ order, and qubit i is axis i of the amplitude tensor
 directly from the IR -- no lowering is required, which keeps the
 simulator independent of the lowering pass it is used to check.
 
-``phase_pattern`` has three paths.  An oracle of X, CX and MCT gates
-only (every IR oracle) is a classical reversible circuit: it is run on
-bit-packed basis states, with no statevector and no qubit ceiling.
-Any other oracle (a lowered one, with H/CRX/RZ) is run as a statevector
-batch, one column per data string when that fits (exact), else as two
-seeded superposition probes (a check on their span only).
+``phase_pattern`` has two paths, both exact.  An oracle of X, CX and
+MCT gates only (every IR oracle) is a classical reversible circuit: it
+is run on bit-packed basis states, with no statevector and no qubit
+ceiling.  Any other oracle (a lowered one, with H/CRX/RZ/RY) is run as
+one statevector batch with a column per data string; a batch of more
+than ``_EXACT_PATTERN_LIMIT`` amplitudes raises TooLarge.
 """
 from __future__ import annotations
 
@@ -205,19 +205,16 @@ def phase_pattern(oracle: Circuit, layout: QubitLayout,
     divides it out, anchored so the all-zeros data string counts as
     unflipped; use it only to compare two patterns relative to each other.
 
-    There are three paths; only the first two are exact:
+    There are two paths, both exact:
 
     * An oracle of X, CX and MCT gates only permutes basis states, so
       every data string is tracked exactly as bits, with no statevector
       and no qubit ceiling.  More data bits than
       ``classical.ENUMERATION_CEILING`` raise TooLarge.
-    * Any other oracle is simulated under the qubit ceiling.  Registers
-      small enough for a full per-basis batch are checked exactly.
-    * Larger ones get a seeded two-vector check: two superposition
-      probes (uniform plus seeded distinct weights) read off the
-      per-string signs with two simulations instead of 2**m.  It sees
-      the oracle only on the span of the probes, so a fault outside it,
-      such as a swap of two states the probes do not reach, can pass.
+    * Any other oracle is simulated under the qubit ceiling, one basis
+      column per data string.  A batch of more than
+      ``_EXACT_PATTERN_LIMIT`` amplitudes (2**q per column) raises
+      TooLarge.
 
     A layout for another register width raises WidthMismatch.
     """
@@ -285,77 +282,57 @@ def _tracked_flips(oracle, layout, allow_global_phase):
 
 
 def _statevector_flips(oracle, layout, allow_global_phase):
-    """Per data string x, whether the oracle flips its phase, from one
-    statevector column per string or from two superposition probes."""
+    """Per data string x, whether the oracle flips its phase.
+
+    Column x of one batch is |x, ancillas> (|0> - |1>)/sqrt(2), and it
+    must come back as itself times +1 or -1: any other amplitude on its
+    two prepared rows, or any amplitude elsewhere, is a leak.
+    """
     q = oracle.num_qubits
     _check_ceiling(q)
     m = layout.num_data
-    dim = 2 ** q
     n_data = 2 ** m
+    if 2 ** q * n_data > _EXACT_PATTERN_LIMIT:
+        raise TooLarge(f"{n_data} columns of {q} qubits exceed the "
+                       f"{_EXACT_PATTERN_LIMIT}-amplitude pattern batch")
 
-    anc_bits = layout.initial_state()
     base = 0
-    for qubit, bit in enumerate(anc_bits):
+    for qubit, bit in enumerate(layout.initial_state()):
         if bit and qubit not in layout.data and qubit != layout.output:
             base |= 1 << (q - 1 - qubit)
-    out_mask = 1 << (q - 1 - layout.output)
-
     xs = np.arange(n_data, dtype=np.int64)
     rows0 = np.full(n_data, base, dtype=np.int64)
     for pos, dq in enumerate(layout.data):
         rows0 |= ((xs >> (m - 1 - pos)) & 1) << (q - 1 - dq)
+    rows1 = rows0 | (1 << (q - 1 - layout.output))
 
-    # weights[x, j]: amplitude of data string x in column j, times the
-    # 1/sqrt(2) of the output qubit's |0> component of |->
-    if dim * n_data <= _EXACT_PATTERN_LIMIT:
-        weights = _INV_SQRT2 * np.eye(n_data, dtype=complex)  # one per string
-    else:
-        # uniform weights, plus seeded pairwise-distinct ones so a hidden
-        # data permutation cannot mimic a diagonal phase action
-        rng = np.random.default_rng(0x6b636f6c)
-        w = (0.5 + rng.random(n_data)) * np.exp(2j * np.pi * rng.random(n_data))
-        u = np.full(n_data, 1.0 / math.sqrt(n_data))
-        weights = _INV_SQRT2 * np.stack([u, w / np.linalg.norm(w)], axis=1)
-    return _flipped_strings(oracle, rows0, out_mask, weights,
-                            allow_global_phase)
-
-
-_EXACT_PATTERN_LIMIT = 2 ** 20
-_PATTERN_TOL = 1e-9  # amplitude tolerance of the sign and leak checks
-
-
-def _flipped_strings(oracle, rows0, out_mask, weights, allow_global_phase):
-    """Run the columns sum_x weights[x, j] |x, ancillas> (|0> - |1>) and
-    return, per data string x, whether the oracle flipped its phase.
-
-    Every column must come back with the same per-string amplitudes up to
-    one sign per string, and with nothing outside the prepared rows.
-    """
-    rows1 = rows0 | out_mask
-    cols = np.zeros((2 ** oracle.num_qubits, weights.shape[1]), dtype=complex)
-    cols[rows0] = weights
-    cols[rows1] = -weights
+    cols = np.zeros((2 ** q, n_data), dtype=complex)
+    cols[rows0, xs] = _INV_SQRT2
+    cols[rows1, xs] = -_INV_SQRT2
     out = run_batch(oracle, cols)
     tol = _PATTERN_TOL
 
     if allow_global_phase:
-        ref = out[rows0[0], 0] / weights[0, 0]
+        ref = out[rows0[0], 0] / _INV_SQRT2
         if abs(abs(ref) - 1.0) > tol:
             raise AncillaLeak("oracle output is not a pure phase on x=0")
-        out = out / ref
+        out /= ref
 
-    got0, got1 = out[rows0], out[rows1]
-    out[rows0] = 0.0          # what remains lies outside the prepared rows
-    out[rows1] = 0.0
-    if np.abs(out).max() > tol:
-        raise AncillaLeak("oracle leaves support outside the prepared subspace")
-
-    kept = ((np.abs(got0 - weights) < tol)
-            & (np.abs(got1 + weights) < tol)).all(axis=1)
-    flipped = ((np.abs(got0 + weights) < tol)
-               & (np.abs(got1 - weights) < tol)).all(axis=1)
-    bad = np.flatnonzero(~(kept | flipped))
+    got0, got1 = out[rows0, xs], out[rows1, xs]
+    flipped = got0.real < 0
+    expected = np.where(flipped, -_INV_SQRT2, _INV_SQRT2)
+    bad = np.flatnonzero((np.abs(got0 - expected) > tol)
+                         | (np.abs(got1 + expected) > tol))
     if bad.size:
         raise AncillaLeak(
             f"oracle is not a +/-1 phase on data string x={int(bad[0])}")
+    out[rows0, xs] = 0.0  # what remains lies outside the prepared rows
+    out[rows1, xs] = 0.0
+    if np.abs(out).max() > tol:
+        raise AncillaLeak("oracle leaves support outside the prepared subspace")
     return flipped
+
+
+# most amplitudes in one pattern batch, 2**q per data string
+_EXACT_PATTERN_LIMIT = 2 ** 20
+_PATTERN_TOL = 1e-9  # amplitude tolerance of the sign and leak checks

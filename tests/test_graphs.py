@@ -53,7 +53,8 @@ def test_parse_edge_list_duplicates_collapse():
     assert g.num_edges == 1
 
 
-@pytest.mark.parametrize("text", ["0 1 2\n", "a b\n", "0 -1\n", ""])
+@pytest.mark.parametrize("text", ["0 1 2\n", "a b\n", "0 -1\n", "",
+                                  "n x\n0 1\n"])
 def test_parse_edge_list_rejects(text):
     with pytest.raises(MalformedMatrix):
         parse_edge_list(text)

@@ -180,3 +180,31 @@ def test_build_oracle_refuses_a_plan_of_another_mode_or_graph():
     plan = plan_layout(inst, "strict")
     assert build_oracle(inst, "strict", plan).gates == \
         build_oracle(inst, "strict").gates
+
+
+def _paper_model_pattern(graph, k):
+    """The strings a paper-mode oracle marks, from its definition alone:
+    every edge joins two different bit patterns, and an even number of
+    vertices carry a pattern >= k."""
+    c = (k - 1).bit_length()
+    marked = set()
+    for bits in itertools.product("01", repeat=graph.n * c):
+        s = "".join(bits)
+        colors = [int(s[v * c:(v + 1) * c], 2) for v in range(graph.n)]
+        if (all(colors[i] != colors[j] for i, j in graph.edges)
+                and sum(color >= k for color in colors) % 2 == 0):
+            marked.add(s)
+    return marked
+
+
+def test_paper_oracle_matches_its_model():
+    cases = [(graph, 3) for n in (2, 3, 4) for graph in all_graphs(n)]
+    cases += [(graph, k) for k in (5, 6) for n in (2, 3)
+              for graph in all_graphs(n)]
+    assert len(cases) == 94
+    for graph, k in cases:
+        inst = make_instance(graph, k)
+        plan = plan_layout(inst, "paper")
+        oracle = build_oracle(inst, "paper", plan)
+        assert phase_pattern(oracle, plan.layout) == \
+            _paper_model_pattern(graph, k), (sorted(graph.edges), k)

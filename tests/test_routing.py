@@ -53,6 +53,9 @@ def test_parse_coupling():
     assert cg.pairs == frozenset({(0, 1), (1, 2)})
     with pytest.raises(IndexOutOfRange):
         parse_coupling("0 1\n1 2\n")  # missing count line
+    for text in ("x\n", "3\n0 a\n", "-2\n", "0\n"):
+        with pytest.raises(IndexOutOfRange):
+            parse_coupling(text)
 
 
 def test_verify_constraints():

@@ -153,35 +153,34 @@ def test_phase_pattern_single_edge():
     assert phase_pattern(oracle, layout) == {"01", "10"}
 
 
-def test_phase_pattern_probed_path_agrees(monkeypatch):
+def test_phase_pattern_detects_ancilla_leak():
     lowered, layout = _k2_lowered()
-    expected = phase_pattern(lowered, layout, allow_global_phase=True)
-    monkeypatch.setattr(sim, "_EXACT_PATTERN_LIMIT", 0)
-    assert phase_pattern(lowered, layout, allow_global_phase=True) == expected
-
-
-@pytest.mark.parametrize("force_probe", [False, True])
-def test_phase_pattern_detects_ancilla_leak(monkeypatch, force_probe):
-    lowered, layout = _k2_lowered()
-    if force_probe:
-        monkeypatch.setattr(sim, "_EXACT_PATTERN_LIMIT", 0)
     truncated = Circuit(lowered.num_qubits, lowered.measured, lowered.initial_state)
     truncated.extend(lowered.gates[:len(lowered.gates) // 2])
     with pytest.raises(AncillaLeak):
         phase_pattern(truncated, layout, allow_global_phase=True)
 
 
-def test_phase_pattern_rejects_non_phase_action(monkeypatch):
+def test_phase_pattern_rejects_non_phase_action():
     lowered, layout = _k2_lowered()
-    # gH: a data qubit is no longer diagonal; gX: data strings are permuted
-    # inside the prepared support, so only per-string weights expose it
+    # gH: a data qubit is no longer diagonal; gX: data strings are permuted,
+    # so each column comes back on the rows of another string
     for spoiler in (gH(0), gX(0)):
         spoiled = lowered.copy()
         spoiled.append(spoiler)
-        for limit in (sim._EXACT_PATTERN_LIMIT, 0):
-            monkeypatch.setattr(sim, "_EXACT_PATTERN_LIMIT", limit)
-            with pytest.raises(AncillaLeak):
-                phase_pattern(spoiled, layout, allow_global_phase=True)
+        with pytest.raises(AncillaLeak):
+            phase_pattern(spoiled, layout, allow_global_phase=True)
+
+
+def test_phase_pattern_refuses_a_batch_past_the_limit():
+    # lowered K4/k=4 strict: 13 qubits, 8 data bits, 2**21 amplitudes
+    inst = make_instance(complete_graph(4), 4)
+    plan = plan_layout(inst, "strict")
+    lowered = lower_circuit(build_oracle(inst, "strict", plan))
+    assert (lowered.num_qubits, plan.layout.num_data) == (13, 8)
+    assert 2 ** 21 > sim._EXACT_PATTERN_LIMIT
+    with pytest.raises(TooLarge):
+        phase_pattern(lowered, plan.layout, allow_global_phase=True)
 
 
 def test_tracked_pattern_rejects_leaks(monkeypatch):
@@ -198,8 +197,9 @@ def test_tracked_pattern_rejects_leaks(monkeypatch):
 
 
 def test_tracked_pattern_equals_statevector_pattern(monkeypatch):
-    """Every oracle on up to 4 vertices: bit tracking and the statevector
-    batch give the same pattern, with and without the global phase."""
+    """Every oracle on up to 4 vertices at k = 2, 3 whose statevector batch
+    fits the limit: bit tracking and the batch give the same pattern,
+    with and without the global phase."""
     cases = []
     for n in (2, 3, 4):
         for graph in all_graphs(n):
@@ -207,8 +207,13 @@ def test_tracked_pattern_equals_statevector_pattern(monkeypatch):
                 inst = make_instance(graph, k)
                 for mode in ("strict", "paper"):
                     plan = plan_layout(inst, mode)
-                    cases.append((build_oracle(inst, mode, plan), plan.layout))
-    assert len(cases) == (2 + 8 + 64) * 2 * 2
+                    layout = plan.layout
+                    if (2 ** (layout.num_qubits + layout.num_data)
+                            <= sim._EXACT_PATTERN_LIMIT):
+                        cases.append((build_oracle(inst, mode, plan), layout))
+    # n = 2, 3 at k = 2, 3 and n = 4 at k = 2, both modes; n = 4 at k = 3
+    # only in paper mode with at most 2 edges
+    assert len(cases) == (2 + 8) * 2 * 2 + 64 * 2 + 22
     tracked = [phase_pattern(o, layout, agp)
                for o, layout in cases for agp in (False, True)]
     monkeypatch.setattr(sim, "_CLASSICAL_KINDS", frozenset())
