@@ -24,6 +24,9 @@ class CouplingGraph:
 
     @classmethod
     def from_pairs(cls, num_physical: int, pairs) -> "CouplingGraph":
+        if num_physical < 1:
+            raise IndexOutOfRange(
+                f"physical-qubit count {num_physical} is below 1")
         canon = set()
         for a, b in pairs:
             if not (0 <= a < num_physical and 0 <= b < num_physical):
@@ -90,8 +93,6 @@ def parse_coupling(text: str) -> CouplingGraph:
         pairs = [(int(a), int(b)) for a, b in tokens[1:]]
     except ValueError as exc:
         raise IndexOutOfRange(f"non-integer token: {exc}")
-    if num_physical < 1:
-        raise IndexOutOfRange(f"physical-qubit count {num_physical} is below 1")
     return CouplingGraph.from_pairs(num_physical, pairs)
 
 

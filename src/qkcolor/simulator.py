@@ -201,7 +201,9 @@ def phase_pattern(oracle: Circuit, layout: QubitLayout,
 
     Lowered circuits acquire a circuit-wide global phase, only from the
     RZ in each exact lowered Toffoli: the relative phases of the Margolus
-    sweep Toffolis cancel inside each V-chain.  ``allow_global_phase=True``
+    Toffolis cancel inside each V-chain, and across each mirrored window
+    (an oracle's compute and uncompute around its kickback) for the
+    Margolus Toffolis of the compute section.  ``allow_global_phase=True``
     divides it out, anchored so the all-zeros data string counts as
     unflipped; use it only to compare two patterns relative to each other.
 

@@ -6,13 +6,14 @@ import pytest
 from conftest import (all_graphs, complete_graph, cycle_graph,
                       phase_aligned_distance, random_circuit, ref_gate_matrix,
                       ref_unitary)
-from qkcolor.circuit import MULTI_KINDS, Circuit, Control, Gate, GateKind, gMCT
+from qkcolor.circuit import (MULTI_KINDS, Circuit, Control, Gate, GateKind,
+                             gCX, gMCT, gX)
 from qkcolor.errors import UnloweredGate
 from qkcolor.graphs import make_instance
 from qkcolor.grover import assemble, make_job
 from qkcolor.lowering import lower_circuit
 from qkcolor.oracle import build_oracle, plan_layout
-from qkcolor.simulator import phase_pattern, unitary_of
+from qkcolor.simulator import phase_pattern, probabilities, run, unitary_of
 
 LOWERED_ALPHABET = {GateKind.X, GateKind.H, GateKind.Z, GateKind.S,
                     GateKind.T, GateKind.SDG, GateKind.TDG, GateKind.RX,
@@ -206,8 +207,9 @@ def test_ladder_lowers_linearly():
 
 # (gates, 2-qubit gates) lowered in the default basis, and the CX count
 # under basis="cx".  A lowering change must re-pin them deliberately.
-LADDER_COUNTS = {"K3": ((786, 384), 512), "C6": ((1174, 528), None),
-                 "K4": ((1234, 624), None), "C5": ((2942, 1408), 1792)}
+LADDER_COUNTS = {"K3": ((738, 312), 344), "C6": ((1174, 528), None),
+                 "K4": ((1146, 492), 524), "C5": ((2782, 1168), 1232),
+                 "C10": ((9712, 4284), 4556)}
 
 
 @pytest.mark.parametrize("label", sorted(LADDER_COUNTS))
@@ -236,3 +238,120 @@ def test_every_wide_mct_leaves_a_qubit_idle():
                             assert len(gate.operands) < circ.num_qubits
                     checked += 1
     assert checked == 600
+
+
+def _gate_by_gate(circ):
+    """Each gate lowered on its own: no mirror window spans two gates."""
+    width = circ.num_qubits
+    return [low for gate in circ.gates
+            for low in lower_circuit(Circuit(width).append(gate)).gates]
+
+
+def _window(w, k, width):
+    circ = Circuit(width)
+    circ.extend(w + [k] + [g.adjoint() for g in reversed(w)])
+    return circ
+
+
+def _random_window(rng, width, kind):
+    """W K W^-1 with W of X, CX and MCTs on 2-4 controls, none of them
+    on K's target."""
+    tau = rng.randrange(width)
+    others = [q for q in range(width) if q != tau]
+    w = []
+    for _ in range(rng.randint(2, 5)):
+        pick = rng.random()
+        if pick < 0.2:
+            w.append(gX(rng.choice(others)))
+        elif pick < 0.4:
+            w.append(gCX(*rng.sample(others, 2)))
+        else:
+            n = rng.randint(2, min(4, len(others) - 1))
+            qubits = rng.sample(others, n + 1)
+            w.append(gMCT([(q, rng.random() < 0.7) for q in qubits[:-1]],
+                          qubits[-1]))
+    # at most width - 2 controls, so a wide K has a qubit to borrow
+    controls = rng.sample(others, rng.randint(0, width - 2))
+    k = Gate(kind, controls=tuple(Control(q, rng.random() < 0.7)
+                                  for q in controls), targets=(tau,))
+    return _window(w, k, width)
+
+
+@pytest.mark.parametrize("width", [5, 6, 7])
+@pytest.mark.parametrize("kind", [GateKind.MCT, GateKind.MCZ])
+def test_mirror_windows_are_exact(width, kind):
+    # W's gates may leave K's target as their only free qubit (3 controls
+    # on 5 qubits, 4 on 6), and the wider ones take the V-chain or split.
+    rng = random.Random(f"window:{width}:{kind.value}")
+    saved = 0
+    for _ in range(4):
+        circ = _random_window(rng, width, kind)
+        lowered = lower_circuit(circ)
+        assert all(g.kind in LOWERED_ALPHABET for g in lowered.gates)
+        assert phase_aligned_distance(unitary_of(lowered),
+                                      ref_unitary(circ)) < 1e-9
+        fewer = (sum(len(g.operands) == 2 for g in _gate_by_gate(circ))
+                 - _counts(lowered)[1])
+        assert fewer >= 0
+        saved += fewer
+    assert saved > 0
+
+
+def test_near_mirrors_lower_gate_by_gate():
+    k = gMCT([0, 2], 5)
+    w = [gMCT([0, 1], 2), gMCT([1, 2, 3], 4)]
+    # the W gate next to K has K's target as an operand
+    touching = _window(w + [gCX(4, 5)], k, 6)
+    # the gate after K is not the adjoint of the one before it
+    near = Circuit(6)
+    near.extend(w + [gCX(1, 3), k, gCX(3, 1)] + w[::-1])
+    for circ in (touching, near):
+        lowered = lower_circuit(circ)
+        assert lowered.gates == _gate_by_gate(circ)
+        assert phase_aligned_distance(unitary_of(lowered),
+                                      ref_unitary(circ)) < 1e-9
+    # the same W with an exact mirror does take the rule
+    assert len(lower_circuit(_window(w, k, 6)).gates) < len(
+        _gate_by_gate(_window(w, k, 6)))
+
+
+def test_window_gate_with_only_the_target_free():
+    # the MCT in W leaves only qubit 4, K's target, to borrow, so it is
+    # lowered exactly on it instead of raising UnloweredGate
+    w = [gMCT([0, 1, 2], 3), gMCT([0, 1], 2)]
+    circ = _window(w, gMCT([1, 3], 4), 5)
+    lowered = lower_circuit(circ)
+    exact = lower_circuit(Circuit(5).append(w[0])).gates
+    assert lowered.gates[:len(exact)] == exact
+    assert phase_aligned_distance(unitary_of(lowered),
+                                  ref_unitary(circ)) < 1e-9
+
+
+def test_lowered_oracles_keep_the_ir_pattern():
+    # The mirror cancels the compute section's relative phases; a leak or
+    # a wrong sign on any data string would show here.
+    checked = 0
+    for n in (2, 3):
+        for graph in all_graphs(n):
+            for k in (2, 3, 4):
+                inst = make_instance(graph, k)
+                for mode in ("strict", "paper"):
+                    plan = plan_layout(inst, mode)
+                    oracle = build_oracle(inst, mode, plan)
+                    assert (phase_pattern(lower_circuit(oracle), plan.layout,
+                                          allow_global_phase=True)
+                            == phase_pattern(oracle, plan.layout,
+                                             allow_global_phase=True))
+                    checked += 1
+    assert checked == 60
+
+
+@pytest.mark.parametrize("label", ["K3", "C6", "K4"])
+def test_lowered_grover_keeps_the_data_distribution(label):
+    graph, k = next((g, k) for name, g, k in LADDER if name == label)
+    circ = assemble(make_job(make_instance(graph, k), "strict"))
+    data = circ.measured
+    got = probabilities(run(lower_circuit(circ)), data)
+    want = probabilities(run(circ), data)
+    assert got.keys() == want.keys()
+    assert max(abs(got[s] - want[s]) for s in want) < 1e-9
