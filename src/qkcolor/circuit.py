@@ -43,6 +43,9 @@ ONE_QUBIT_KINDS = frozenset({
 ROTATION_KINDS = frozenset({GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.CRX})
 CONTROLLED_KINDS = frozenset({GateKind.CX, GateKind.CZ, GateKind.CRX})
 MULTI_KINDS = frozenset({GateKind.MCT, GateKind.MCZ})
+# Gates that map basis states to basis states with no phase: what the W
+# of a mirror window may hold, and the oracles phase_pattern tracks as bits.
+PERMUTATION_KINDS = frozenset({GateKind.X, GateKind.CX, GateKind.MCT})
 
 # The lowered alphabet, 1- and 2-qubit gates only: what lower_circuit
 # produces, and the only kinds emit_qasm and sabre_route accept.

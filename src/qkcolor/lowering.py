@@ -1,10 +1,11 @@
 """Lowering pass: rewrite MCT/MCZ and negative controls into 1- and
 2-qubit gates, exactly (up to a global phase), without adding qubits.
 
-A gate with 0 or 1 control becomes X/CX (MCT) or Z/CZ (MCZ), and one
-with 2 controls becomes the 9-gate exact Toffoli below.  A gate with
-n >= 3 controls is lowered on the qubits it leaves free, borrowed dirty:
-they may hold any state and are restored (Barenco et al. 1995,
+A gate with 0 or 1 control becomes X/CX (MCT) or Z/CZ (MCZ).  An MCZ
+with 2 or more controls is the MCT conjugated by H on its target, and
+negative controls are conjugated by X.  A gate with n >= 3 controls is a
+network of Toffolis on the qubits it leaves free, borrowed dirty: they
+may hold any state and are restored (Barenco et al. 1995,
 quant-ph/9503016):
 
 * n-2 or more free qubits: the V-chain of Lemma 7.2, 4(n-2) Toffolis;
@@ -15,28 +16,24 @@ quant-ph/9503016):
   at least one qubit out of every MCT (tested on all graphs with up to
   4 vertices), so they never reach it.
 
-In each V-chain only the two Toffolis on the target are exact; the
-sweep Toffolis are 7-gate relative-phase (Margolus) Toffolis, undone by
-their exact inverse in the mirrored sweep (Maslov 2016,
-arXiv:1508.03273).  So the count is linear in n: 28n-52 gates, 12n-18
-of them 2-qubit, for a positive-control MCT with n-2 free qubits.  An
-MCZ with 2 or more controls is the MCT conjugated by H on its target;
-negative controls are conjugated by X.
-
-The same cancellation is lifted to whole mirror windows W K W^-1, such
-as an oracle's compute, kickback and uncompute: K is an MCT/MCZ on
-target t and W a run of X/CX/MCT gates off t.  Every Toffoli in W is
-Margolus (a 2-control MCT is 7 gates, 3 of them CX; a V-chain 28n-56,
-12n-24 of them 2-qubit), t is never borrowed, K is exact, and the right
+One rule then picks each Toffoli (Maslov 2016, arXiv:1508.03273).  In a
+mirror window W K W^-1, with K an MCT/MCZ on target t and W a run of
+X/CX/MCT gates off t, every Toffoli of W is a 7-gate relative-phase
+(Margolus) Toffoli, 3 of them CX, t is never borrowed, and the right
 side is the exact adjoint of the lowered W, so the phases cancel across
-the window.
+the window.  Any other Toffoli is the 9-gate exact one below.  An
+oracle's compute, kickback and uncompute is such a window, and so is
+the sweep, top and mirrored sweep of every V-chain: a positive-control
+MCT with n-2 free qubits is 28n-52 gates, 12n-18 of them 2-qubit, with
+only its two tops exact, and 28n-56 gates, 12n-24 of them 2-qubit, on
+the compute side of a window, where its tops are Margolus too.
 """
 from __future__ import annotations
 
 import math
 
-from .circuit import (MULTI_KINDS, Circuit, Gate, GateKind, gCX, gCRX, gCZ,
-                      gH, gRY, gRZ, gX, gZ)
+from .circuit import (MULTI_KINDS, PERMUTATION_KINDS, Circuit, Gate, GateKind,
+                      gCX, gCRX, gCZ, gH, gMCT, gRY, gRZ, gX, gZ)
 from .errors import UnloweredGate
 
 
@@ -68,43 +65,38 @@ def _margolus(a: int, b: int, t: int) -> list[Gate]:
             gRY(t, -quarter), gCX(b, t), gRY(t, -quarter)]
 
 
-def _vchain(controls: list[int], target: int, dirty: list[int],
-            relative: bool = False) -> list[Gate]:
-    """Lemma 7.2: C^nX from 4(n-2) Toffolis on n-2 dirty qubits, which
+def _vchain(controls: list[int], target: int,
+            dirty: list[int]) -> list[Gate]:
+    """Lemma 7.2: C^nX as 4(n-2) Toffolis on n-2 dirty qubits, which
     come back in their input state.
 
-    The sweep toggles the last dirty qubit by the AND of all controls
+    The sweep S toggles the last dirty qubit by the AND of all controls
     but the last, whatever the dirty qubits hold; the top Toffoli is
-    applied before and after it, and a second sweep undoes the first.
-    Only the two top Toffolis act on the target and must be exact.  The
-    4(n-2)-2 sweep Toffolis are Margolus, so the sweep is S = D S0 with
-    S0 the exact sweep and D diagonal off the target.  D commutes with
-    the top Toffoli, so the second sweep, the exact adjoint S^-1, cancels
-    it: top S top S^-1 = C^nX.  That is 28n-52 gates, 12n-18 of them
-    2-qubit.  ``relative`` makes the tops Margolus too: C^nX up to a
-    diagonal, 28n-56 gates and 12n-24 2-qubit, for a mirrored window.
+    applied before and after it, and a second sweep undoes the first:
+    top S top S^-1.  S is a palindrome of Toffolis, so S^-1 is S, and
+    S top S^-1 is a mirror window: ``_lowered_gates`` makes its sweep
+    Toffolis Margolus, so the chain lowers to 28n-52 gates, 12n-18 of
+    them 2-qubit.
     """
     n = len(controls)
-    toffoli = _margolus if relative else _toffoli
     if n == 2:
-        return toffoli(*controls, target)
+        return [gMCT(controls, target)]
     a = dirty[:n - 2]
-    down = [(controls[i + 2], a[i], a[i + 1]) for i in reversed(range(n - 3))]
-    sweep = [g for c1, c2, t in down + [(controls[0], controls[1], a[0])]
-             + down[::-1] for g in _margolus(c1, c2, t)]
-    top = toffoli(controls[-1], a[-1], target)
-    return top + sweep + top + [g.adjoint() for g in reversed(sweep)]
+    down = [gMCT([controls[i + 2], a[i]], a[i + 1])
+            for i in reversed(range(n - 3))]
+    sweep = down + [gMCT(controls[:2], a[0])] + down[::-1]
+    top = gMCT([controls[-1], a[-1]], target)
+    return [top] + sweep + [top] + sweep
 
 
-def _split(controls: list[int], target: int, spare: int,
-           relative: bool = False) -> list[Gate]:
+def _split(controls: list[int], target: int, spare: int) -> list[Gate]:
     """Lemma 7.3: C^nX on one dirty qubit ``spare``.  The first half of
     the controls toggles ``spare``, then ``spare`` and the second half
     toggle the target; doing both twice restores ``spare``."""
     half = (len(controls) + 1) // 2
     first, second = controls[:half], controls[half:]
-    step = (_vchain(first, spare, second + [target], relative)
-            + _vchain(second + [spare], target, first, relative))
+    step = (_vchain(first, spare, second + [target])
+            + _vchain(second + [spare], target, first))
     return step + step
 
 
@@ -113,22 +105,23 @@ def _lower_multi(gate: Gate, num_qubits: int,
     """One MCT/MCZ lowered by its number of controls; 3 or more borrow
     the qubits it leaves free, and none free raises ``UnloweredGate``.
 
-    Given ``avoid``, the MCT is lowered only up to a diagonal that does
-    not act on ``avoid``: every Toffoli is Margolus, and ``avoid`` is
-    never borrowed.  Where ``avoid`` is the only free qubit, the gate is
-    lowered exactly instead.
+    A 2-control MCT is the exact Toffoli, or the Margolus one given
+    ``avoid``.  A wider one is a V-chain or split of 2-control MCTs,
+    lowered in turn by ``_lowered_gates``, so given ``avoid`` it is
+    lowered only up to a diagonal that does not act on ``avoid``, and
+    ``avoid`` is never borrowed.  Where ``avoid`` is the only free
+    qubit, the gate is lowered exactly instead.
     """
     n = len(gate.controls)
     mcz = gate.kind is GateKind.MCZ
     target = gate.targets[0]
     controls = [c.qubit for c in gate.controls]
-    relative = avoid is not None
     if n == 0:
         return [gZ(target) if mcz else gX(target)]
     if n == 1:
         return _flipped(gate, [(gCZ if mcz else gCX)(controls[0], target)])
     if n == 2:
-        body = (_margolus if relative else _toffoli)(*controls, target)
+        body = (_toffoli if avoid is None else _margolus)(*controls, target)
     else:
         busy = set(gate.operands)
         free = [q for q in range(num_qubits) if q not in busy]
@@ -136,26 +129,19 @@ def _lower_multi(gate: Gate, num_qubits: int,
             raise UnloweredGate(
                 f"{gate.kind.value} with {n} controls on a {num_qubits}-qubit "
                 f"register leaves no idle qubit to borrow")
-        if relative:
-            kept = [q for q in free if q != avoid]
-            relative = bool(kept)
-            free = kept or free
+        if free == [avoid]:  # borrowed after all, so lowered exactly
+            avoid = None
+        free = [q for q in free if q != avoid]
         # Nearest indices first: the oracle keeps related qubits adjacent,
         # so routing tends to place these near the gate (6 % fewer swaps
         # than index order on K3/k=3, C6/k=2 and K4/k=4).
         free.sort(key=lambda q: min(abs(q - o) for o in busy))
-        body = (_vchain(controls, target, free, relative)
-                if len(free) >= n - 2
-                else _split(controls, target, free[0], relative))
+        chain = (_vchain(controls, target, free) if len(free) >= n - 2
+                 else _split(controls, target, free[0]))
+        body = list(_lowered_gates(chain, num_qubits, avoid))
     if mcz:
         body = [gH(target)] + body + [gH(target)]
     return _flipped(gate, body)
-
-
-# What the W of a window W K W^-1 may hold: gates that permute basis
-# states, so that their relative-phase lowering is diagonal times that
-# permutation.
-_COMPUTE_KINDS = frozenset({GateKind.X, GateKind.CX, GateKind.MCT})
 
 
 def _mirror_windows(gates: list[Gate]) -> dict[int, int]:
@@ -173,7 +159,7 @@ def _mirror_windows(gates: list[Gate]) -> dict[int, int]:
         w = 0
         while w < centre and centre + w + 1 < len(gates):
             g = gates[centre - w - 1]
-            if (g.kind not in _COMPUTE_KINDS or tau in g.operands
+            if (g.kind not in PERMUTATION_KINDS or tau in g.operands
                     or gates[centre + w + 1] != g.adjoint()):
                 break
             w += 1
@@ -183,20 +169,20 @@ def _mirror_windows(gates: list[Gate]) -> dict[int, int]:
     return windows
 
 
-def _lowered_gates(circuit: Circuit):
-    """The circuit's gates with every MCT/MCZ lowered; the outermost
-    mirror window wins, and the windows nested in it are part of its W.
+def _lowered_gates(gates: list[Gate], width: int, avoid: int | None = None):
+    """The gates with every MCT/MCZ lowered, each given ``avoid``; the
+    outermost mirror window wins, and the windows nested in it are part
+    of its W.
 
     In a window W K W^-1 the W is lowered with ``avoid`` set to K's
     target, so it is D P with P the exact W and D diagonal off that
-    target; K is lowered exactly, and the right side is the exact
-    adjoint of the lowered W.  D commutes with K, so the window is
-    (D P)^-1 K (D P) = P^-1 K P exactly.
+    target; W's gates only permute basis states, so their relative-phase
+    lowering is a diagonal times that permutation.  K is lowered as any
+    other gate, and the right side is the exact adjoint of the lowered
+    W.  D commutes with K, so the window is (D P)^-1 K (D P) = P^-1 K P.
     """
-    gates, width = circuit.gates, circuit.num_qubits
-
-    def lowered(gate, avoid=None):
-        return (_lower_multi(gate, width, avoid)
+    def lowered(gate, off):
+        return (_lower_multi(gate, width, off)
                 if gate.kind in MULTI_KINDS else [gate])
 
     windows = _mirror_windows(gates)
@@ -204,13 +190,13 @@ def _lowered_gates(circuit: Circuit):
     while i < len(gates):
         centre = windows.get(i)
         if centre is None:
-            yield from lowered(gates[i])
+            yield from lowered(gates[i], avoid)
             i += 1
             continue
         tau = gates[centre].targets[0]
         compute = [low for g in gates[i:centre] for low in lowered(g, tau)]
         yield from compute
-        yield from lowered(gates[centre])
+        yield from lowered(gates[centre], avoid)
         yield from (g.adjoint() for g in reversed(compute))
         i = 2 * centre - i + 1
 
@@ -231,7 +217,7 @@ def lower_circuit(circuit: Circuit, basis: str = "default") -> Circuit:
         raise ValueError(f"unknown basis {basis!r}")
     out = Circuit(circuit.num_qubits, measured=circuit.measured,
                   initial_state=circuit.initial_state)
-    for g in _lowered_gates(circuit):
+    for g in _lowered_gates(circuit.gates, circuit.num_qubits):
         if basis == "cx" and g.kind is GateKind.CRX:
             out.extend(_crx_to_cx(g))
         elif basis == "cx" and g.kind is GateKind.SWAP:

@@ -101,11 +101,16 @@ def line_coupling(n: int) -> CouplingGraph:
 
 
 def ring_coupling(n: int) -> CouplingGraph:
+    if n < 2:
+        raise IndexOutOfRange(f"ring size {n} is below 2")
     pairs = [(i, (i + 1) % n) for i in range(n)]
     return CouplingGraph.from_pairs(n, pairs)
 
 
 def grid_coupling(rows: int, cols: int) -> CouplingGraph:
+    for name, size in (("rows", rows), ("cols", cols)):
+        if size < 1:
+            raise IndexOutOfRange(f"grid {name} {size} is below 1")
     pairs = []
     for r in range(rows):
         for c in range(cols):

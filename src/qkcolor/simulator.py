@@ -22,7 +22,7 @@ import os
 import numpy as np
 
 from . import classical
-from .circuit import Circuit, Gate, GateKind, QubitLayout
+from .circuit import PERMUTATION_KINDS, Circuit, Gate, GateKind, QubitLayout
 from .errors import AncillaLeak, TooLarge, TooManyQubits, WidthMismatch
 
 DEFAULT_CEILING = 24
@@ -200,10 +200,10 @@ def phase_pattern(oracle: Circuit, layout: QubitLayout,
     (x, ancilla, output) pair is an ancilla leak.
 
     Lowered circuits acquire a circuit-wide global phase, only from the
-    RZ in each exact lowered Toffoli: the relative phases of the Margolus
-    Toffolis cancel inside each V-chain, and across each mirrored window
-    (an oracle's compute and uncompute around its kickback) for the
-    Margolus Toffolis of the compute section.  ``allow_global_phase=True``
+    RZ in each exact lowered Toffoli: every Margolus Toffoli is on the
+    compute side of a mirrored window (an oracle's compute around its
+    kickback, or a V-chain's sweep around its top), and its relative
+    phase cancels across that window.  ``allow_global_phase=True``
     divides it out, anchored so the all-zeros data string counts as
     unflipped; use it only to compare two patterns relative to each other.
 
@@ -224,17 +224,12 @@ def phase_pattern(oracle: Circuit, layout: QubitLayout,
     if layout.num_qubits != q:
         raise WidthMismatch(f"{layout.num_qubits}-qubit layout for a "
                             f"{q}-qubit oracle")
-    if all(gate.kind in _CLASSICAL_KINDS for gate in oracle.gates):
+    if all(gate.kind in PERMUTATION_KINDS for gate in oracle.gates):
         flipped = _tracked_flips(oracle, layout, allow_global_phase)
     else:
         flipped = _statevector_flips(oracle, layout, allow_global_phase)
     return {format(int(x), f"0{layout.num_data}b")
             for x in np.flatnonzero(flipped)}
-
-
-# Gates that map basis states to basis states with no phase: an oracle of
-# these alone is checked by tracking bits instead of amplitudes.
-_CLASSICAL_KINDS = frozenset({GateKind.X, GateKind.CX, GateKind.MCT})
 
 
 def _tracked_flips(oracle, layout, allow_global_phase):

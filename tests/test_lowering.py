@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -13,6 +14,7 @@ from qkcolor.graphs import make_instance
 from qkcolor.grover import assemble, make_job
 from qkcolor.lowering import lower_circuit
 from qkcolor.oracle import build_oracle, plan_layout
+from qkcolor.qasm import emit_qasm
 from qkcolor.simulator import phase_pattern, probabilities, run, unitary_of
 
 LOWERED_ALPHABET = {GateKind.X, GateKind.H, GateKind.Z, GateKind.S,
@@ -205,22 +207,41 @@ def test_ladder_lowers_linearly():
     assert sizes["C5"] <= 4000
 
 
-# (gates, 2-qubit gates) lowered in the default basis, and the CX count
-# under basis="cx".  A lowering change must re-pin them deliberately.
-LADDER_COUNTS = {"K3": ((738, 312), 344), "C6": ((1174, 528), None),
-                 "K4": ((1146, 492), 524), "C5": ((2782, 1168), 1232),
-                 "C10": ((9712, 4284), 4556)}
+# (gates, 2-qubit gates) lowered in the default basis, the CX count
+# under basis="cx", and the sha256 of the emitted QASM in the default
+# and the cx basis, so the lowered output is pinned byte for byte.  A
+# lowering change must re-pin them deliberately.
+LADDER_COUNTS = {
+    "K3": ((738, 312), 344,
+           ("55c4106f66b1fdaa06c85701e41121bbbc9cd7831adfcd2f4cf0d8a921254e0a",
+            "055811d6de66e80d62b3d70234c89eb6bed7ae07673799ce11b32000693bcef0")),
+    "C6": ((1174, 528), None,
+           ("58208234280148b04442dc59eb9846e9c596ac073f998919d97fc022d7a737a5",
+            "1d624ccc71048ee72df3a418f14fb3a11e3417e386ef150f0edd4eb9b8862ee1")),
+    "K4": ((1146, 492), 524,
+           ("30257e37342372e84c9fe23f15b54e52d0cc60d3236359aa7807c430686caf7f",
+            "728f566c56b1eac6d2f751bb1190374e8e683451fc6e0bcb0ec9251101b16de4")),
+    "C5": ((2782, 1168), 1232,
+           ("841ca693aed3075b19039ffe98e62f279471db688fbd546cdf76ac3781d21514",
+            "8e083d8cd0648f005128e6c24157ab5abf1fcc4031100ffdeff7064c05f72fc1")),
+    "C10": ((9712, 4284), 4556,
+            ("95272bc1e02a777c5f4eef2ca459007380d5a18f0cfaf50934259aaf4d494688",
+             "e2594ff6a7bad04b5120a93767385b742bf846e97db8d1372f131d7cf02dbdd8")),
+}
 
 
 @pytest.mark.parametrize("label", sorted(LADDER_COUNTS))
 def test_ladder_lowered_counts(label):
     graph, k = next((g, k) for name, g, k in LADDER if name == label)
     circ = assemble(make_job(make_instance(graph, k), "strict"))
-    counts, cx = LADDER_COUNTS[label]
+    counts, cx, digests = LADDER_COUNTS[label]
     assert _counts(lower_circuit(circ)) == counts
     if cx is not None:
         assert sum(g.kind is GateKind.CX
                    for g in lower_circuit(circ, "cx").gates) == cx
+    assert tuple(hashlib.sha256(emit_qasm(lower_circuit(circ, basis))
+                                .encode()).hexdigest()
+                 for basis in ("default", "cx")) == digests
 
 
 def test_every_wide_mct_leaves_a_qubit_idle():
@@ -325,6 +346,17 @@ def test_window_gate_with_only_the_target_free():
     assert lowered.gates[:len(exact)] == exact
     assert phase_aligned_distance(unitary_of(lowered),
                                   ref_unitary(circ)) < 1e-9
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_relative_vchain_count(n):
+    # W has n controls and n-2 free qubits besides K's target 2n-1, so
+    # each side is a V-chain of Margolus Toffolis only, 28n-56 gates and
+    # 12n-24 of them 2-qubit; K is one exact Toffoli, 9 gates and 6
+    w = gMCT(list(range(n)), n)
+    circ = _window([w], gMCT([0, n], 2 * n - 1), 2 * n)
+    assert _counts(lower_circuit(circ)) == (2 * (28 * n - 56) + 9,
+                                            2 * (12 * n - 24) + 6)
 
 
 def test_lowered_oracles_keep_the_ir_pattern():

@@ -50,6 +50,14 @@ def test_coupling_validation():
                   lambda: CouplingGraph.from_pairs(-2, [])):
         with pytest.raises(IndexOutOfRange, match="below 1"):
             build()
+    # each grid dimension on its own, and a ring of at least two qubits
+    for build, message in ((lambda: grid_coupling(-1, -1), "grid rows -1 "),
+                           (lambda: grid_coupling(3, -2), "grid cols -2 "),
+                           (lambda: ring_coupling(1), "ring size 1 "),
+                           (lambda: ring_coupling(0), "ring size 0 ")):
+        with pytest.raises(IndexOutOfRange, match=message):
+            build()
+    assert ring_coupling(2).pairs == frozenset({(0, 1)})
 
 
 def test_parse_coupling():

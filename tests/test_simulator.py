@@ -144,7 +144,7 @@ def _k2_lowered():
     # X and CX only)
     oracle, layout = _k2_oracle(3)
     lowered = lower_circuit(oracle)
-    assert not all(g.kind in sim._CLASSICAL_KINDS for g in lowered.gates)
+    assert not all(g.kind in sim.PERMUTATION_KINDS for g in lowered.gates)
     return lowered, layout
 
 
@@ -216,7 +216,7 @@ def test_tracked_pattern_equals_statevector_pattern(monkeypatch):
     assert len(cases) == (2 + 8) * 2 * 2 + 64 * 2 + 22
     tracked = [phase_pattern(o, layout, agp)
                for o, layout in cases for agp in (False, True)]
-    monkeypatch.setattr(sim, "_CLASSICAL_KINDS", frozenset())
+    monkeypatch.setattr(sim, "PERMUTATION_KINDS", frozenset())
     simulated = [phase_pattern(o, layout, agp)
                  for o, layout in cases for agp in (False, True)]
     assert tracked == simulated
