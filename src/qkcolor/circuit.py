@@ -61,6 +61,16 @@ def check_lowered(circuit: Circuit) -> None:
                 f"controls; lower the circuit first")
 
 
+def check_qubit_subset(qubits: tuple[int, ...], num_qubits: int,
+                       what: str) -> None:
+    """Raise IndexOutOfRange unless ``qubits`` are distinct and inside a
+    register of ``num_qubits``; ``what`` names them in the message."""
+    if (len(set(qubits)) != len(qubits)
+            or not all(0 <= q < num_qubits for q in qubits)):
+        raise IndexOutOfRange(f"{what} {qubits} must be distinct and inside "
+                              f"a register of {num_qubits}")
+
+
 @dataclass(frozen=True)
 class Control:
     qubit: int
@@ -221,10 +231,7 @@ class Circuit:
                                          else [0] * num_qubits)
         if len(self.initial_state) != num_qubits:
             raise IndexOutOfRange("initial_state length must equal num_qubits")
-        if (len(set(self.measured)) != len(self.measured)
-                or not all(0 <= q < num_qubits for q in self.measured)):
-            raise IndexOutOfRange(f"measured qubits {self.measured} must be "
-                                  f"distinct and inside a register of {num_qubits}")
+        check_qubit_subset(self.measured, num_qubits, "measured qubits")
 
     def append(self, gate: Gate) -> "Circuit":
         for q in gate.operands:

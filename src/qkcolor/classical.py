@@ -6,12 +6,14 @@ each color first.
 """
 from __future__ import annotations
 
-from itertools import product
+import numpy as np
 
 from .errors import TooLarge
 from .graphs import Graph, Instance
 
 ENUMERATION_CEILING = 24  # data qubits
+# data strings checked per step; bounds solutions' memory at the ceiling
+_CHUNK = 2 ** 16
 
 
 def is_proper(graph: Graph, assignment, k: int) -> bool:
@@ -32,12 +34,24 @@ def decode_bitstring(bits: str, n: int, c: int) -> list[int]:
 
 
 def solutions(instance: Instance) -> set[str]:
-    """All data bitstrings encoding proper k-colorings; M = len(result)."""
-    n, c = instance.graph.n, instance.c
-    if n * c > ENUMERATION_CEILING:
-        raise TooLarge(f"{n * c} data qubits exceeds enumeration ceiling")
+    """All data bitstrings encoding proper k-colorings; M = len(result).
+
+    The 2**(n*c) data strings are checked as integer arrays, ``_CHUNK``
+    at a time: vertex v's color is ``(x >> c*(n-1-v)) & (2**c - 1)``.
+    """
+    n, c, k = instance.graph.n, instance.c, instance.k
+    width = n * c
+    if width > ENUMERATION_CEILING:
+        raise TooLarge(f"{width} data qubits exceeds enumeration ceiling")
     out = set()
-    for assignment in product(range(2 ** c), repeat=n):
-        if is_proper(instance.graph, assignment, instance.k):
-            out.add(encode_assignment(assignment, c))
+    for start in range(0, 2 ** width, _CHUNK):
+        x = np.arange(start, min(start + _CHUNK, 2 ** width), dtype=np.int64)
+        colors = [(x >> c * (n - 1 - v)) & (2 ** c - 1) for v in range(n)]
+        proper = np.ones(x.size, dtype=bool)
+        if k < 2 ** c:
+            for color in colors:
+                proper &= color < k
+        for i, j in instance.graph.edges:
+            proper &= colors[i] != colors[j]
+        out.update(format(s, f"0{width}b") for s in x[proper].tolist())
     return out

@@ -7,6 +7,15 @@ order, and qubit i is axis i of the amplitude tensor
 directly from the IR -- no lowering is required, which keeps the
 simulator independent of the lowering pass it is used to check.
 
+Each gate updates the two blocks of the amplitude tensor it mixes, found
+by basic slicing: controls fix their axes, and the target axis splits
+into its 0 and 1 halves.  There are three update paths, chosen by gate
+kind.  Permutation gates (X, CX, MCT, SWAP) swap the blocks with one
+block copy and no arithmetic.  Diagonal gates (Z, S, SDG, T, TDG, RZ,
+CZ, MCZ) scale each block in place, skipping a factor of exactly 1.
+The rest (H, RX, RY, CRX) take the dense 2x2 update, in place but for
+one copy of the 0-block.
+
 ``phase_pattern`` has two paths, both exact.  An oracle of X, CX and
 MCT gates only (every IR oracle) is a classical reversible circuit: it
 is run on bit-packed basis states, with no statevector and no qubit
@@ -22,13 +31,22 @@ import os
 import numpy as np
 
 from . import classical
-from .circuit import PERMUTATION_KINDS, Circuit, Gate, GateKind, QubitLayout
+from .circuit import (PERMUTATION_KINDS, Circuit, Gate, GateKind, QubitLayout,
+                      check_qubit_subset)
 from .errors import AncillaLeak, TooLarge, TooManyQubits, WidthMismatch
 
 DEFAULT_CEILING = 24
 UNITARY_CEILING = 12
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+# How _apply_gate updates the two blocks a gate mixes: swapped with no
+# arithmetic, scaled in place, or mixed by the dense 2x2 update (the rest).
+_SWAPPED_KINDS = PERMUTATION_KINDS | {GateKind.SWAP}
+_DIAGONAL_KINDS = frozenset({
+    GateKind.Z, GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG,
+    GateKind.RZ, GateKind.CZ, GateKind.MCZ,
+})
 
 _FIXED_1Q = {
     GateKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
@@ -117,15 +135,26 @@ def _apply_gate(view: np.ndarray, gate: Gate) -> None:
     i1 = list(i0)
     for n, t in enumerate(gate.targets):
         i0[t], i1[t] = n, 1 - n
-    i0, i1 = (*i0, ...), (*i1, ...)  # ``...``: 0-d views, not scalars
-    if gate.kind is GateKind.SWAP:
-        view[i0], view[i1] = view[i1], view[i0].copy()
+    # ``...`` makes a fully indexed block a 0-d view, not a scalar copy;
+    # the updates below write through these views, never by ``view[i] =``
+    b0, b1 = view[(*i0, ...)], view[(*i1, ...)]
+    if gate.kind in _SWAPPED_KINDS:
+        a0 = b0.copy()  # basic slices alias: keep a0 past the first write
+        b0[...] = b1
+        b1[...] = a0
         return
     m = gate_1q_matrix(gate)
-    a0 = view[i0].copy()  # basic slices alias: keep a0 past the first write
-    a1 = view[i1]
-    view[i0] = m[0, 0] * a0 + m[0, 1] * a1
-    view[i1] = m[1, 0] * a0 + m[1, 1] * a1
+    if gate.kind in _DIAGONAL_KINDS:
+        if m[0, 0] != 1:
+            b0 *= m[0, 0]
+        if m[1, 1] != 1:
+            b1 *= m[1, 1]
+        return
+    a0 = b0 * m[1, 0]  # the 0-block's share of the new 1-block
+    b0 *= m[0, 0]
+    b0 += m[0, 1] * b1
+    b1 *= m[1, 1]
+    b1 += a0
 
 
 def _run_gates(circuit: Circuit, amps: np.ndarray) -> np.ndarray:
@@ -166,11 +195,11 @@ def run_batch(circuit: Circuit, columns: np.ndarray) -> np.ndarray:
 
 def probabilities(state: Statevector, qubit_subset=None) -> dict[str, float]:
     """Marginal Born-rule distribution over the given qubits (register
-    order preserved)."""
+    order preserved).  A repeated qubit, or one outside the register,
+    raises IndexOutOfRange."""
     q = state.num_qubits
-    if qubit_subset is None:
-        qubit_subset = list(range(q))
-    subset = list(qubit_subset)
+    subset = tuple(range(q) if qubit_subset is None else qubit_subset)
+    check_qubit_subset(subset, q, "qubit subset")
     probs = np.abs(state.amplitudes.reshape([2] * q)) ** 2
     drop = tuple(ax for ax in range(q) if ax not in subset)
     marginal = probs.sum(axis=drop) if drop else probs

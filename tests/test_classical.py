@@ -1,6 +1,9 @@
+from itertools import product
+
 import pytest
 
 from conftest import TRIANGLE_K3_SOLUTIONS, all_graphs, complete_graph
+from qkcolor import classical
 from qkcolor.classical import (ENUMERATION_CEILING, decode_bitstring,
                                encode_assignment, is_proper, solutions)
 from qkcolor.errors import TooLarge
@@ -28,6 +31,31 @@ def test_triangle_solutions():
 
 def test_uncolorable_graph_has_no_solutions():
     assert solutions(make_instance(complete_graph(3), 2)) == set()
+
+
+def _filtered_product(inst):
+    """Every assignment of 2**c patterns to the n vertices, filtered by
+    ``is_proper``: the loop ``solutions`` replaced, kept as its reference."""
+    return {encode_assignment(a, inst.c)
+            for a in product(range(2 ** inst.c), repeat=inst.graph.n)
+            if is_proper(inst.graph, a, inst.k)}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_solutions_equal_the_filtered_product(k):
+    for n in (2, 3, 4):
+        for graph in all_graphs(n):
+            inst = make_instance(graph, k)
+            assert solutions(inst) == _filtered_product(inst), (n, graph.edges)
+
+
+def test_solutions_across_chunks(monkeypatch):
+    # 7 strings per chunk: 37 chunks over the 2**8 data strings, the last
+    # one short
+    monkeypatch.setattr(classical, "_CHUNK", 7)
+    for graph in all_graphs(4):
+        inst = make_instance(graph, 3)
+        assert solutions(inst) == _filtered_product(inst), graph.edges
 
 
 def test_enumeration_ceiling():

@@ -6,10 +6,13 @@ import pytest
 
 import qkcolor.simulator as sim
 from conftest import (all_graphs, complete_graph, cycle_graph,
-                      random_circuit, ref_unitary)
+                      random_circuit, ref_gate_matrix, ref_unitary)
 from qkcolor import classical
-from qkcolor.circuit import Circuit, gCX, gH, gRY, gX
-from qkcolor.errors import AncillaLeak, TooLarge, TooManyQubits, WidthMismatch
+from qkcolor.circuit import (MULTI_KINDS, ONE_QUBIT_KINDS, ROTATION_KINDS,
+                             Circuit, Control, Gate, GateKind, gCX, gH, gRY,
+                             gX)
+from qkcolor.errors import (AncillaLeak, IndexOutOfRange, TooLarge,
+                            TooManyQubits, WidthMismatch)
 from qkcolor.graphs import Graph, make_instance
 from qkcolor.lowering import lower_circuit
 from qkcolor.oracle import build_oracle, plan_layout
@@ -93,6 +96,77 @@ def test_probabilities_marginal_and_order():
     # subset order is respected, not sorted
     swapped = probabilities(state, [1, 0])
     assert swapped["10"] == pytest.approx(0.75)
+
+
+def test_probabilities_refuses_a_bad_subset():
+    state = run(Circuit(3))
+    for subset in ([0, 0], [5], [-1]):
+        with pytest.raises(IndexOutOfRange, match="must be distinct and inside"):
+            probabilities(state, subset)
+
+
+# Each gate kind with its target and every control at qubit 0, a middle
+# qubit and qubit q-1, with mixed polarities on multi-controlled gates
+# (and a third control at qubit 3 on 5 qubits).  On 1 to 3 qubits some
+# gates act on every qubit, so their blocks are 0-d without a batch axis.
+def _placed_gates(q):
+    edges = sorted({0, q // 2, q - 1})
+    for kind in GateKind:
+        angles = (0.0, 0.7, -2.1) if kind in ROTATION_KINDS else (None,)
+        if kind is GateKind.SWAP:
+            placements = [((), (a, b)) for a in edges for b in edges if a != b]
+        elif kind in MULTI_KINDS:
+            placements = [
+                (tuple(Control(c, p) for c, p in
+                       zip([e for e in edges if e != t] + [3] * (q == 5),
+                           polarity)), (t,))
+                for t in edges
+                for polarity in ((True, False, True), (False, True, False))]
+        elif kind in (GateKind.CX, GateKind.CZ, GateKind.CRX):
+            placements = [((Control(c),), (t,))
+                          for c in edges for t in edges if c != t]
+        else:
+            placements = [((), (t,)) for t in edges]
+        for controls, targets in placements:
+            for angle in angles:
+                yield Gate(kind, controls, targets, angle)
+
+
+def _permuted(gate, amps, q):
+    """``amps`` with the basis states moved as the permutation gate moves
+    them, by bit arithmetic on the basis index."""
+    out = np.empty_like(amps)
+    for i in range(2 ** q):
+        bits = [(i >> (q - 1 - b)) & 1 for b in range(q)]
+        if all(bits[c.qubit] == c.positive for c in gate.controls):
+            if gate.kind is GateKind.SWAP:
+                a, b = gate.targets
+                bits[a], bits[b] = bits[b], bits[a]
+            else:
+                bits[gate.targets[0]] ^= 1
+        out[int("".join(map(str, bits)), 2)] = amps[i]
+    return out
+
+
+@pytest.mark.parametrize("q", [5, 3, 2, 1])
+def test_every_gate_kind_at_every_position(q):
+    nrng = np.random.default_rng(q)
+    cols = nrng.normal(size=(2 ** q, 3)) + 1j * nrng.normal(size=(2 ** q, 3))
+    cols /= np.linalg.norm(cols, axis=0)
+    kinds = set()
+    for gate in _placed_gates(q):
+        kinds.add(gate.kind)
+        circ = Circuit(q).append(gate)
+        single = run(circ, initial=Statevector(q, cols[:, 0])).amplitudes
+        batch = run_batch(circ, cols)
+        want = ref_gate_matrix(gate, q) @ cols
+        assert np.max(np.abs(single - want[:, 0])) < 1e-12, gate
+        assert np.max(np.abs(batch - want)) < 1e-12, gate
+        if gate.kind in (GateKind.X, GateKind.CX, GateKind.MCT, GateKind.SWAP):
+            assert np.array_equal(single, _permuted(gate, cols[:, 0], q)), gate
+            assert np.array_equal(batch, _permuted(gate, cols, q)), gate
+    assert kinds == (set(GateKind) if q > 1 else
+                     ONE_QUBIT_KINDS | MULTI_KINDS)
 
 
 def test_qubit_ceiling_env(monkeypatch):
