@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -352,3 +353,216 @@ def test_cost_rejects_bad_range(runner):
     result = runner.invoke(main, ["cost", "--k", "3",
                                   "--vertices-range", "5", "2"])
     assert result.exit_code == 2, result.output
+
+
+# Golden outputs: every subcommand over four inputs, with the written
+# files and the integer-only stdout pinned by sha256.  simulate and run
+# print floats that may differ in the last digits between numpy builds,
+# so their reports are pinned with the probabilities and bitstrings
+# blanked, and those are compared with GOLDEN_RUNS within 1e-12.
+GOLDEN_INPUTS = {
+    "k3-3-strict": ("k3", "3", "strict"),
+    "k3-3-paper": ("k3", "3", "paper"),
+    "p3-2": ("p3", "2", "strict"),
+    "k3-2": ("k3", "2", "strict"),
+}
+GOLDEN_COMMANDS = {
+    "synth": ["synth"],
+    "grover": ["grover"],
+    "lower-oracle-default": ["lower", "--stage", "oracle"],
+    "lower-oracle-cx": ["lower", "--stage", "oracle", "--basis", "cx"],
+    "lower-grover-default": ["lower", "--stage", "grover"],
+    "lower-grover-cx": ["lower", "--stage", "grover", "--basis", "cx"],
+    "route-default": ["route", "--topology", "line13.cpl"],
+    "route-cx": ["route", "--topology", "line13.cpl", "--basis", "cx"],
+    "simulate": ["simulate"],
+    "run": ["run"],
+    "run-line13": ["run", "--topology", "line13.cpl"],
+}
+# routing is most of the test's time; paper mode routes like strict mode
+GOLDEN_UNROUTED = {"k3-3-paper"}
+# success probability, top-state bitstrings, top-state probabilities
+_K3_RUN = (0.9997787475585884,
+           "000110 001001 010010 011000 100001 100100 "
+           "100110 100101 101011 101001",
+           [0.16662979125976474] * 6 + [3.814697265625e-06] * 4)
+GOLDEN_RUNS = {
+    "k3-3-strict": _K3_RUN,
+    "k3-3-paper": _K3_RUN,
+    "p3-2": (1.0, "010 101 000 001 011 100 110 111", [0.5] * 2 + [0.0] * 6),
+    "k3-2": (None, "", []),
+}
+GOLDEN_SHA256 = """
+k3-3-strict synth k3.oracle.qasm f943e52bffc27361a96e7734d8a88e450238ac6c3970204d64a10c3921eebe2e
+k3-3-strict synth k3.oracle.txt 177043e24ab207d8747b92a8d5fc4afe722812515f2d1c067bedd2530df1e4bf
+k3-3-strict synth k3.synth.json 71c98f2b2bc7716ff0349e321d15af1467e9f92d719d380b75c5cc6e74935974
+k3-3-strict synth stdout 71c98f2b2bc7716ff0349e321d15af1467e9f92d719d380b75c5cc6e74935974
+k3-3-strict grover k3.grover.json b2bc5ede97e5b0c2643ccc7597f97c3f20078925d8655f526f2ff4ac067dd2f1
+k3-3-strict grover k3.grover.qasm 55c4106f66b1fdaa06c85701e41121bbbc9cd7831adfcd2f4cf0d8a921254e0a
+k3-3-strict grover stdout b2bc5ede97e5b0c2643ccc7597f97c3f20078925d8655f526f2ff4ac067dd2f1
+k3-3-strict lower-oracle-default k3.oracle.lowered.qasm f943e52bffc27361a96e7734d8a88e450238ac6c3970204d64a10c3921eebe2e
+k3-3-strict lower-oracle-default stdout fb5722fa6456a33b4a166da64a9a0c866e6ff9089776c545c492249df4b43b1b
+k3-3-strict lower-oracle-cx k3.oracle.lowered.qasm b13f7343f643683f83becef6655e2d3dd17c5ec88560e8a387f7bd35358846a5
+k3-3-strict lower-oracle-cx stdout 7d545f0f0416b6f7a8371e3827f32da2e166a521fa611a0316a3f35e4256034b
+k3-3-strict lower-grover-default k3.grover.lowered.qasm 55c4106f66b1fdaa06c85701e41121bbbc9cd7831adfcd2f4cf0d8a921254e0a
+k3-3-strict lower-grover-default stdout 8b1a6bb4286f7f63928a569c520bc2b6246aa784993a787a091fef6270156dba
+k3-3-strict lower-grover-cx k3.grover.lowered.qasm 055811d6de66e80d62b3d70234c89eb6bed7ae07673799ce11b32000693bcef0
+k3-3-strict lower-grover-cx stdout cfdca9525f0249f2211c83e6e896cbee85ba1079df035e527ae95e0cccf4ace6
+k3-3-strict route-default k3.routed.qasm 29206a43930bd8cb7fa9780671a3f06bdf8f2a4f9ead6b1bd7b624fbf7d5da69
+k3-3-strict route-default stdout 6003aa237f77c36c588c6b537a39c5bd2c6b6790c9a3d08bf9216bf6bc89bd85
+k3-3-strict route-cx k3.routed.qasm 8ebc3bb3e9701a8fbc520cac5861a59f66793f8e76315ed3b235951b2c51211b
+k3-3-strict route-cx stdout 6003aa237f77c36c588c6b537a39c5bd2c6b6790c9a3d08bf9216bf6bc89bd85
+k3-3-strict simulate stdout 42be0b5b17eac86479b30edc25e7be925f887417aed896f4a5e4d3ec955fa671
+k3-3-strict run stdout 42be0b5b17eac86479b30edc25e7be925f887417aed896f4a5e4d3ec955fa671
+k3-3-strict run-line13 k3.routed.qasm 29206a43930bd8cb7fa9780671a3f06bdf8f2a4f9ead6b1bd7b624fbf7d5da69
+k3-3-strict run-line13 stdout b7e423e24f9dff3e0947438d9ad98c99de2cf542ca24637c1c2b19315df9ea2d
+k3-3-paper synth k3.oracle.qasm f3175101795afccd23245ead18498aa4ac03db7a5f3a6d051a788a10799814a6
+k3-3-paper synth k3.oracle.txt 802d44e612e5ca4511d4520ff21924e8451116363dfb2fa1f29013a7378fb053
+k3-3-paper synth k3.synth.json 7aed4db58f58004eb0f4bbeb7b85640f039d8c8aac7f0d7c2001049faeaca379
+k3-3-paper synth stdout 7aed4db58f58004eb0f4bbeb7b85640f039d8c8aac7f0d7c2001049faeaca379
+k3-3-paper grover k3.grover.json 6ba0034f744dfcc3459a6daf9657bb025ce4cd5c23a368d6fb1624b5df81b7e4
+k3-3-paper grover k3.grover.qasm 815da4cb4cf6dcc058ea7724adeed412605bcd35bfed97f951e0d7e60e88861c
+k3-3-paper grover stdout 6ba0034f744dfcc3459a6daf9657bb025ce4cd5c23a368d6fb1624b5df81b7e4
+k3-3-paper lower-oracle-default k3.oracle.lowered.qasm f3175101795afccd23245ead18498aa4ac03db7a5f3a6d051a788a10799814a6
+k3-3-paper lower-oracle-default stdout 46d651125e0801fe412995b51750c07339492379057eee2f26057f337ad168ec
+k3-3-paper lower-oracle-cx k3.oracle.lowered.qasm 81d2a43548ad0739956d7cf643ad665875b1f89f05e69173e5acab92060b0b8a
+k3-3-paper lower-oracle-cx stdout 86de982622eaa9e35751080be9e40518ddeccb8fbfe3a665b389c60da2e3331d
+k3-3-paper lower-grover-default k3.grover.lowered.qasm 815da4cb4cf6dcc058ea7724adeed412605bcd35bfed97f951e0d7e60e88861c
+k3-3-paper lower-grover-default stdout a788ecae3877f10c02da47f5dc686ac3daca9e08781c52ed4c030b4baf439846
+k3-3-paper lower-grover-cx k3.grover.lowered.qasm 7363d8a28c8c263c72230d30b4ed668a93edd0e902534150f29da684c5ef7d4e
+k3-3-paper lower-grover-cx stdout 077d6434c4e47fb97b9aa6159d7d3d3e4acc89ce10b1a46f28407c2d8fbbe333
+k3-3-paper simulate stdout 67c5b9ab6b70fab0f2dbcb79d040a3bc9e9ff14a5d313ab2bb402d60f7a97df0
+k3-3-paper run stdout 67c5b9ab6b70fab0f2dbcb79d040a3bc9e9ff14a5d313ab2bb402d60f7a97df0
+p3-2 synth p3.oracle.qasm 9014d5a11e7c7784c48be24b6f9cbdca32c1fdb2005aaadbfb33bca26f66647d
+p3-2 synth p3.oracle.txt cca7d588054bdd1290449ac5b89ccbb5db6cdf31321291579c5c7159a8b9620a
+p3-2 synth p3.synth.json 5a71c8195ec0d098f9b4a98ba20e21f8454b78a3336ba7f25ab81cfe6fb6c1d8
+p3-2 synth stdout 5a71c8195ec0d098f9b4a98ba20e21f8454b78a3336ba7f25ab81cfe6fb6c1d8
+p3-2 grover p3.grover.json 8a78185a457d729a1735a7783d0657048483ca3aa5ede7565d3ef1b4486d5260
+p3-2 grover p3.grover.qasm 21f7723332f9f84152f3e0dcc86d539743c7e121eb7b99d2d2adce9c412218e7
+p3-2 grover stdout 8a78185a457d729a1735a7783d0657048483ca3aa5ede7565d3ef1b4486d5260
+p3-2 lower-oracle-default p3.oracle.lowered.qasm 9014d5a11e7c7784c48be24b6f9cbdca32c1fdb2005aaadbfb33bca26f66647d
+p3-2 lower-oracle-default stdout 2edf716e70db51ea3b442983de47da90e9ebc642279c2489781c2d5736902354
+p3-2 lower-oracle-cx p3.oracle.lowered.qasm 49f483ad29ce033259964db2022c3362e6fcdc00b4ebdf81eb61ddcf14c15306
+p3-2 lower-oracle-cx stdout 80ad432bef21d42e31d3a129c1367e51e77d382d04c9a75ebee6c2e292b04cb6
+p3-2 lower-grover-default p3.grover.lowered.qasm 21f7723332f9f84152f3e0dcc86d539743c7e121eb7b99d2d2adce9c412218e7
+p3-2 lower-grover-default stdout af02c077c459b2469fa91d29c76d5afef169a21a5373b296e1ca02f4927bc34f
+p3-2 lower-grover-cx p3.grover.lowered.qasm ddb41f8c0efc07cad4f5ff694468d95193b2e4d891a3b16d1019e2301ae5f863
+p3-2 lower-grover-cx stdout f158e82e6363fe52f376089c9cababef32c3b3f97e8e8b9016f0f12001c67ce3
+p3-2 route-default p3.routed.qasm 166f4ac90b199d2997da3680671ec724ab6f9eb6ebf1739a4ede15fcae358d15
+p3-2 route-default stdout fd6937dbc3e52cd7245022e4193f9be76647dc16c0f6c8c0f48253ad0529e898
+p3-2 route-cx p3.routed.qasm 97bb87f0494139e587aac2591045fcc9f142eca7421c228d2c80380148643c71
+p3-2 route-cx stdout fd6937dbc3e52cd7245022e4193f9be76647dc16c0f6c8c0f48253ad0529e898
+p3-2 simulate stdout 8fc046293d3d6579e82cb799a1a7e218077afa20735dc8099e49790e8b07e661
+p3-2 run stdout 8fc046293d3d6579e82cb799a1a7e218077afa20735dc8099e49790e8b07e661
+p3-2 run-line13 p3.routed.qasm 166f4ac90b199d2997da3680671ec724ab6f9eb6ebf1739a4ede15fcae358d15
+p3-2 run-line13 stdout 3435be45e34e38e34999f2ccb2d22615cbeedff9d1985432399c878788225251
+k3-2 synth k3.oracle.qasm 723322246f448aacce0559cdc2c8e4fff037b2c0265047ed4f07c63582dab580
+k3-2 synth k3.oracle.txt a981535de7b477d1f9882b617f816ed73c2a6146be0fbf476ab9e0c9663d93de
+k3-2 synth k3.synth.json 8e02c8f9910175783767161f43c3b611bcc6f4750158a1f1849c1f1f43dc3af4
+k3-2 synth stdout 8e02c8f9910175783767161f43c3b611bcc6f4750158a1f1849c1f1f43dc3af4
+k3-2 grover stdout f3488c3ee8eed62f8e2f28944eb1ec793db9f7e13c5a05b2ef994934e211fe51
+k3-2 lower-oracle-default k3.oracle.lowered.qasm 723322246f448aacce0559cdc2c8e4fff037b2c0265047ed4f07c63582dab580
+k3-2 lower-oracle-default stdout a4b6816a8704c55fe6b82b69fcb20eb5825b064835298621f36ef8c55a1ee83f
+k3-2 lower-oracle-cx k3.oracle.lowered.qasm e070648fc329cc8c4d07f0b7dd3beb678f8c174e37739058d9afbf851d5974b0
+k3-2 lower-oracle-cx stdout 86b34b11f02308bf1b405083b06e1a1b7b8a36f2be99b6633b21857e316876aa
+k3-2 lower-grover-default stdout f3488c3ee8eed62f8e2f28944eb1ec793db9f7e13c5a05b2ef994934e211fe51
+k3-2 lower-grover-cx stdout f3488c3ee8eed62f8e2f28944eb1ec793db9f7e13c5a05b2ef994934e211fe51
+k3-2 route-default stdout f3488c3ee8eed62f8e2f28944eb1ec793db9f7e13c5a05b2ef994934e211fe51
+k3-2 route-cx stdout f3488c3ee8eed62f8e2f28944eb1ec793db9f7e13c5a05b2ef994934e211fe51
+k3-2 simulate stdout c5a8e95dd0692c244f662bdb0cd368e62d020d8a81ee0379b7a25a7d943b7fb4
+k3-2 run stdout c5a8e95dd0692c244f662bdb0cd368e62d020d8a81ee0379b7a25a7d943b7fb4
+k3-2 run-line13 stdout c5a8e95dd0692c244f662bdb0cd368e62d020d8a81ee0379b7a25a7d943b7fb4
+cost --k 3 stdout 1883f792dffd151279d62a40c3b79a1abb6266b8d04dc9ba4e2b41ebad5862d8
+"""
+
+
+def _sha(data: str) -> str:
+    return hashlib.sha256(data.encode()).hexdigest()
+
+
+def _same_top_states(got, bitstrings, probabilities):
+    """Top states equal the expected ones up to the order of tied
+    probabilities; a tie group cut off by the top-10 limit is compared
+    by probability only."""
+    assert len(got) == len(probabilities)
+    for state, p in zip(got, probabilities):
+        assert state["probability"] == pytest.approx(p, rel=0, abs=1e-12)
+    start = 0
+    for end in range(1, len(got) + 1):
+        if end < len(got) and probabilities[end] >= probabilities[start] - 1e-12:
+            continue
+        if end < len(got) or len(got) < 10:
+            assert ({s["bitstring"] for s in got[start:end]}
+                    == set(bitstrings[start:end]))
+        start = end
+
+
+def _simulated_stdout(output: str, run_json: str | None) -> str:
+    """Check the histogram and run.json against the report on stdout,
+    and return stdout with the report's floats and bitstrings blanked."""
+    head = output[:output.index("{")]
+    report, end = json.JSONDecoder().raw_decode(output, len(head))
+    rows = [f"|{s['bitstring']}>  {s['probability']:8.4f}  "
+            f"{'#' * max(1, int(round(s['probability'] * 50)))}\n"
+            for s in report["top_states"]]
+    assert output[end:] == "\n" + "".join(rows)
+    if run_json is not None:
+        assert run_json == output[len(head):end] + "\n"
+    blank = dict(report, success_probability=None, top_states=None)
+    return head + json.dumps(blank, indent=2)
+
+
+def _golden_outputs(tmp_path, invoke) -> tuple[dict, dict]:
+    """Run every golden invocation in ``tmp_path``; return the sha256 of
+    each written file and stdout, and the simulated reports."""
+    (tmp_path / "k3.adj").write_text(K3_ADJ)
+    (tmp_path / "p3.adj").write_text(P3_ADJ)
+    (tmp_path / "line13.cpl").write_text(
+        "13\n" + "".join(f"{i} {i + 1}\n" for i in range(12)))
+    digests, runs = {}, {}
+    for label, (stem, k, mode) in GOLDEN_INPUTS.items():
+        for name, command in GOLDEN_COMMANDS.items():
+            if "route" in name or "line13" in name:
+                if label in GOLDEN_UNROUTED:
+                    continue
+            out = tmp_path / "out" / label / name
+            args = [command[0], f"{stem}.adj", "--k", k, "--mode", mode,
+                    *command[1:]]
+            if name != "simulate":
+                args += ["--out-dir", str(out)]
+            result = invoke(args)
+            assert result.exit_code == 0, (label, name, result.output)
+            files = ({p.name: p.read_text() for p in out.iterdir()}
+                     if out.exists() else {})
+            stdout = result.output
+            if name in ("simulate", "run", "run-line13"):
+                report = _json_head(stdout)
+                runs[label, name] = report
+                stdout = _simulated_stdout(stdout, files.pop(f"{stem}.run.json",
+                                                             None))
+            for file_name, text in [*sorted(files.items()),
+                                    ("stdout", stdout)]:
+                digests[f"{label} {name} {file_name}"] = _sha(text)
+    result = invoke(["cost", "--k", "3"])
+    assert result.exit_code == 0, result.output
+    digests["cost --k 3 stdout"] = _sha(result.output)
+    return digests, runs
+
+
+def test_golden_outputs(runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    digests, runs = _golden_outputs(tmp_path,
+                                    lambda args: runner.invoke(main, args))
+    expected = dict(line.rsplit(" ", 1)
+                    for line in GOLDEN_SHA256.strip().splitlines())
+    assert sorted(digests) == sorted(expected)
+    assert [key for key in expected if digests[key] != expected[key]] == []
+    for (label, _), report in runs.items():
+        success, bitstrings, probabilities = GOLDEN_RUNS[label]
+        if success is None:
+            assert report["success_probability"] is None
+        else:
+            assert report["success_probability"] == pytest.approx(
+                success, rel=0, abs=1e-12)
+        _same_top_states(report["top_states"], bitstrings.split(),
+                         probabilities)
