@@ -1,13 +1,17 @@
 """End-to-end command line driver.
 
-Subcommands: synth, grover, lower, route, simulate, run, cost.
-Exit codes: 0 success (including "not k-colorable"), 2 input error,
-3 resource limit.
+Subcommands: synth, grover, lower, route, simulate, run, cost.  Each is
+a selection over one chain of shared steps: load the instance, make the
+Grover job (refusing a device too small for it), lower and write QASM,
+route, simulate, and validate, write and print the JSON report.
+
+Exit codes: 0 success (including "not k-colorable"), 2 input or usage
+error (an option the command would ignore is a usage error), 3 resource
+limit.  The group maps errors to these codes for every subcommand.
 """
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import os
@@ -15,9 +19,10 @@ import sys
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from . import classical
-from .circuit import Gate
+from .circuit import Circuit, Gate
 from .errors import InputError, NoSolutions, ResourceLimit
 from .graphs import (Graph, Instance, edges_from_pairs, make_instance,
                      parse_graph_file)
@@ -30,50 +35,88 @@ from .routing import parse_coupling, sabre_route, verify_constraints
 from .simulator import probabilities, run as simulate_circuit
 
 
-def _exit_codes(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class _Main(click.Group):
+    """Maps qkcolor's errors to exit codes once, for every subcommand."""
+
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except (InputError, ResourceLimit, OSError, ValueError) as exc:
             click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
             sys.exit(3 if isinstance(exc, ResourceLimit) else 2)
-    return wrapper
 
 
 def _load_instance(graph_file: str, k: int) -> Instance:
     return make_instance(parse_graph_file(graph_file), k)
 
 
-def _grover_job(instance: Instance, mode: str, iterations: int | None):
-    """The instance's Grover job, or None after saying it has no coloring."""
+def _grover_job(instance: Instance, mode: str, iterations: int | None,
+                coupling=None):
+    """The instance's Grover job, or None after saying it has no coloring.
+
+    A ``coupling`` too small for the job's circuit is refused here,
+    before anything is assembled, lowered or simulated.
+    """
     try:
-        return make_job(instance, mode, iterations)
+        job = make_job(instance, mode, iterations)
     except NoSolutions:
         click.echo(f"graph is not {instance.k}-colorable")
         return None
+    if coupling is not None:
+        coupling.check_width(job.plan.layout.num_qubits)
+    return job
+
+
+def _refuse_ignored(names: list[str], requirement: str) -> None:
+    """Usage error for options given that take effect only with
+    ``requirement``, which the command line lacks."""
+    ctx = click.get_current_context()
+    given = [f"--{name}" for name in names
+             if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT]
+    if given:
+        raise click.UsageError(
+            f"{', '.join(given)}: no effect without {requirement}", ctx)
 
 
 def _stem(graph_file: str) -> str:
     return os.path.splitext(os.path.basename(graph_file))[0]
 
 
-def _write(out_dir: str, name: str, text: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
+def _write(out_dir: str, name: str, text: str) -> None:
+    os.makedirs(out_dir or ".", exist_ok=True)
+    with open(os.path.join(out_dir, name), "w") as fh:
         fh.write(text)
-    return path
 
 
-def _print_report(report: dict, out_path: str | None = None) -> None:
+def _lowered_qasm(out_dir: str, name: str, circ: Circuit,
+                  basis: str = "default") -> dict:
+    """Lower ``circ`` to ``basis``, write it as QASM to ``out_dir/name``,
+    and return the report's pre- and post-lowering gate counts."""
+    lowered = lower_circuit(circ, basis)
+    _write(out_dir, name, emit_qasm(lowered))
+    return {"pre_lowering": len(circ.gates),
+            "post_lowering": len(lowered.gates)}
+
+
+def _header(report_type: str, instance: Instance, mode: str,
+            **fields) -> dict:
+    return {"report_type": report_type, "n": instance.graph.n,
+            "k": instance.k, "mode": mode, **fields}
+
+
+def _print_report(report: dict, out_dir: str | None = None,
+                  name: str | None = None) -> None:
+    """Validate and print ``report``, write it to ``out_dir/name`` when a
+    name is given, and print a histogram of its top states if it has any."""
     validate_report(report)
     text = json.dumps(report, indent=2)
-    if out_path:
-        os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+    if name:
+        _write(out_dir, name, text + "\n")
     click.echo(text)
+    for state in report.get("top_states") or ():
+        p = state["probability"]
+        bar = "#" * max(1, int(round(p * 50)))
+        click.echo(f"|{state['bitstring']}>  {p:8.4f}  {bar}")
 
 
 def _gate_text(gate: Gate) -> str:
@@ -109,57 +152,48 @@ out_dir_option = click.option("--out-dir", default=".", show_default=True,
                               help="Directory for emitted files.")
 basis_option = click.option("--basis", type=click.Choice(["default", "cx"]),
                             default="default", show_default=True)
+iterations_option = click.option(
+    "--iterations", type=int, default=None,
+    help="Override the floor((pi/4) sqrt(N/M)) iteration count.")
+seed_option = click.option("--seed", type=int, default=0, show_default=True)
 
 
-@click.group()
+def graph_args(fn):
+    """The graph file argument with --k and --mode."""
+    return click.argument("graph_file")(k_option(mode_option(fn)))
+
+
+@click.group(cls=_Main)
 def main():
     """Grover-search circuit synthesis for graph k-coloring."""
 
 
 @main.command()
-@click.argument("graph_file")
-@k_option
-@mode_option
+@graph_args
 @out_dir_option
-@_exit_codes
 def synth(graph_file, k, mode, out_dir):
     """Synthesize the k-coloring oracle and emit lowered QASM."""
     instance = _load_instance(graph_file, k)
     plan = plan_layout(instance, mode)
     oracle = build_oracle(instance, mode, plan)
-    lowered = lower_circuit(oracle)
     stem = _stem(graph_file)
-
     _write(out_dir, f"{stem}.oracle.txt",
            "\n".join(_gate_text(g) for g in oracle.gates) + "\n")
-    _write(out_dir, f"{stem}.oracle.qasm", emit_qasm(lowered))
-
-    stats = oracle.stats()
-    report = {
-        "report_type": "synth",
-        "n": instance.graph.n,
-        "k": k,
-        "mode": mode,
-        "invalid_colors": sorted(instance.invalid_colors),
-        "qubits": _layout_counts(plan.layout),
-        "gate_counts": {
-            "pre_lowering": stats.gate_count,
-            "post_lowering": lowered.stats().gate_count,
-            "mct_count_by_arity": {str(a): c for a, c
-                                   in sorted(stats.mct_count_by_arity.items())},
-        },
-    }
-    _print_report(report, os.path.join(out_dir, f"{stem}.synth.json"))
+    counts = _lowered_qasm(out_dir, f"{stem}.oracle.qasm", oracle)
+    by_arity = oracle.stats().mct_count_by_arity
+    report = _header(
+        "synth", instance, mode,
+        invalid_colors=sorted(instance.invalid_colors),
+        qubits=_layout_counts(plan.layout),
+        gate_counts={**counts, "mct_count_by_arity": {
+            str(a): c for a, c in sorted(by_arity.items())}})
+    _print_report(report, out_dir, f"{stem}.synth.json")
 
 
 @main.command()
-@click.argument("graph_file")
-@k_option
-@mode_option
-@click.option("--iterations", type=int, default=None,
-              help="Override the floor((pi/4) sqrt(N/M)) iteration count.")
+@graph_args
+@iterations_option
 @out_dir_option
-@_exit_codes
 def grover(graph_file, k, mode, iterations, out_dir):
     """Assemble the full Grover circuit and emit lowered QASM."""
     instance = _load_instance(graph_file, k)
@@ -167,81 +201,53 @@ def grover(graph_file, k, mode, iterations, out_dir):
     if job is None:
         return
     circ = assemble(job)
-    lowered = lower_circuit(circ)
     stem = _stem(graph_file)
-    _write(out_dir, f"{stem}.grover.qasm", emit_qasm(lowered))
-    report = {
-        "report_type": "grover",
-        "n": instance.graph.n,
-        "k": k,
-        "mode": mode,
-        "N": 2 ** job.data_width,
-        "M": job.solution_count,
-        "iterations": job.iterations,
-        "total_qubits": circ.num_qubits,
-        "gate_counts": {
-            "pre_lowering": len(circ.gates),
-            "post_lowering": len(lowered.gates),
-        },
-    }
-    _print_report(report, os.path.join(out_dir, f"{stem}.grover.json"))
+    counts = _lowered_qasm(out_dir, f"{stem}.grover.qasm", circ)
+    report = _header("grover", instance, mode, N=2 ** job.data_width,
+                     M=job.solution_count, iterations=job.iterations,
+                     total_qubits=circ.num_qubits, gate_counts=counts)
+    _print_report(report, out_dir, f"{stem}.grover.json")
 
 
 @main.command()
-@click.argument("graph_file")
-@k_option
-@mode_option
+@graph_args
 @click.option("--stage", type=click.Choice(["oracle", "grover"]),
               default="oracle", show_default=True)
-@click.option("--iterations", type=int, default=None)
+@iterations_option
 @basis_option
 @out_dir_option
-@_exit_codes
 def lower(graph_file, k, mode, stage, iterations, basis, out_dir):
     """Lower the oracle or the full Grover circuit to the basis alphabet."""
     instance = _load_instance(graph_file, k)
     if stage == "oracle":
+        _refuse_ignored(["iterations"], "--stage grover")
         circ = build_oracle(instance, mode)
     else:
         job = _grover_job(instance, mode, iterations)
         if job is None:
             return
         circ = assemble(job)
-    lowered = lower_circuit(circ, basis)
-    stem = _stem(graph_file)
-    _write(out_dir, f"{stem}.{stage}.lowered.qasm", emit_qasm(lowered))
-    report = {
-        "report_type": "lower",
-        "stage": stage,
-        "basis": basis,
-        "gate_counts": {
-            "pre_lowering": len(circ.gates),
-            "post_lowering": len(lowered.gates),
-        },
-    }
-    _print_report(report)
+    name = f"{_stem(graph_file)}.{stage}.lowered.qasm"
+    counts = _lowered_qasm(out_dir, name, circ, basis)
+    _print_report({"report_type": "lower", "stage": stage, "basis": basis,
+                   "gate_counts": counts})
 
 
 @main.command()
-@click.argument("graph_file")
-@k_option
-@mode_option
+@graph_args
 @click.option("--topology", required=True, help="Coupling-graph file (.cpl).")
-@click.option("--iterations", type=int, default=None)
-@click.option("--seed", type=int, default=0, show_default=True)
+@iterations_option
+@seed_option
 @basis_option
 @out_dir_option
-@_exit_codes
 def route(graph_file, k, mode, topology, iterations, seed, basis, out_dir):
     """Lower the Grover circuit and route it onto a coupling graph."""
     instance = _load_instance(graph_file, k)
     coupling = parse_coupling(Path(topology).read_text())
-    job = _grover_job(instance, mode, iterations)
-    if job is None:
-        return
-    coupling.check_width(job.plan.layout.num_qubits)
-    _print_report(_route_to_file(assemble(job), coupling, seed, basis,
-                                 out_dir, _stem(graph_file)))
+    job = _grover_job(instance, mode, iterations, coupling)
+    if job is not None:
+        _print_report(_route_to_file(assemble(job), coupling, seed, basis,
+                                     out_dir, _stem(graph_file)))
 
 
 def _route_to_file(circ, coupling, seed, basis, out_dir, stem) -> dict:
@@ -267,101 +273,61 @@ def _route_to_file(circ, coupling, seed, basis, out_dir, stem) -> dict:
     }
 
 
-def _histogram(dist: dict[str, float], limit: int = 10) -> str:
-    top = sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))[:limit]
-    lines = []
-    for bits, p in top:
-        bar = "#" * max(1, int(round(p * 50)))
-        lines.append(f"|{bits}>  {p:8.4f}  {bar}")
-    return "\n".join(lines)
-
-
 def _simulation_report(instance, mode, iterations, coupling=None):
     """Shared by simulate and run: build, simulate, compare to brute force.
 
-    A ``coupling`` too small for the circuit is rejected before simulating.
+    Returns the run report and the circuit; the circuit is None when the
+    graph has no coloring and no iteration count was given.
     """
-    job = _grover_job(instance, mode, iterations)
-    if job is None:
-        sols = frozenset()
-    else:
-        if coupling is not None:
-            coupling.check_width(job.plan.layout.num_qubits)
+    job = _grover_job(instance, mode, iterations, coupling)
+    circ, sols, top, success, match = None, frozenset(), [], None, None
+    if job is not None:
         sols = (job.solutions if job.solutions is not None
                 else classical.solutions(instance))
-    M = len(sols)
-    m = instance.num_data_qubits
-    N = 2 ** m
-    base = {
-        "report_type": "run",
-        "n": instance.graph.n,
-        "k": instance.k,
-        "mode": mode,
-        "N": N,
-        "M": M,
-        "colorable": M > 0,
-    }
-    if job is None:
-        base.update({"iterations": 0, "success_probability": None,
-                     "top_states": [], "solution_match": None, "routing": None})
-        return base, None, None
-
-    circ = assemble(job)
-    state = simulate_circuit(circ)
-    dist = probabilities(state, circ.measured)
-    top_all = sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))
-    success = sum(dist.get(s, 0.0) for s in sorted(sols))
-    match = {bits for bits, _ in top_all[:M]} == sols if M else None
-    base.update({
-        "iterations": job.iterations,
-        "success_probability": success,
-        "top_states": [{"bitstring": b, "probability": p}
-                       for b, p in top_all[:10]],
-        "solution_match": match,
-        "routing": None,
-    })
-    return base, circ, dist
+        circ = assemble(job)
+        dist = probabilities(simulate_circuit(circ), circ.measured)
+        top = sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))
+        success = sum(dist.get(s, 0.0) for s in sorted(sols))
+        match = {bits for bits, _ in top[:len(sols)]} == sols if sols else None
+    report = _header(
+        "run", instance, mode, N=2 ** instance.num_data_qubits, M=len(sols),
+        colorable=bool(sols), iterations=job.iterations if job else 0,
+        success_probability=success,
+        top_states=[{"bitstring": b, "probability": p} for b, p in top[:10]],
+        solution_match=match, routing=None)
+    return report, circ
 
 
 @main.command()
-@click.argument("graph_file")
-@k_option
-@mode_option
-@click.option("--iterations", type=int, default=None)
-@_exit_codes
+@graph_args
+@iterations_option
 def simulate(graph_file, k, mode, iterations):
     """Build the Grover circuit and report its measurement distribution."""
     instance = _load_instance(graph_file, k)
-    report, _, dist = _simulation_report(instance, mode, iterations)
-    _print_report(report)
-    if dist:
-        click.echo(_histogram(dist))
+    _print_report(_simulation_report(instance, mode, iterations)[0])
 
 
 @main.command(name="run")
-@click.argument("graph_file")
-@k_option
-@mode_option
-@click.option("--iterations", type=int, default=None)
+@graph_args
+@iterations_option
 @click.option("--topology", default=None, help="Optional coupling-graph file.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@seed_option
 @basis_option
 @out_dir_option
-@_exit_codes
 def run_cmd(graph_file, k, mode, iterations, topology, seed, basis, out_dir):
     """Full pipeline: synthesize, lower, optionally route, simulate."""
     instance = _load_instance(graph_file, k)
-    coupling = (parse_coupling(Path(topology).read_text())
-                if topology is not None else None)
-    report, circ, dist = _simulation_report(instance, mode, iterations,
-                                            coupling)
+    coupling = None
+    if topology is None:
+        _refuse_ignored(["basis", "seed"], "--topology")
+    else:
+        coupling = parse_coupling(Path(topology).read_text())
+    report, circ = _simulation_report(instance, mode, iterations, coupling)
     stem = _stem(graph_file)
     if circ is not None and coupling is not None:
         report["routing"] = _route_to_file(circ, coupling, seed, basis,
                                            out_dir, stem)
-    _print_report(report, os.path.join(out_dir, f"{stem}.run.json"))
-    if dist:
-        click.echo(_histogram(dist))
+    _print_report(report, out_dir, f"{stem}.run.json")
 
 
 @main.command()
@@ -370,7 +336,6 @@ def run_cmd(graph_file, k, mode, iterations, topology, seed, basis, out_dir):
               help="Inclusive n range for complete-graph oracles.")
 @k_option
 @click.option("--out", "out_file", default=None, help="CSV output path.")
-@_exit_codes
 def cost(vertices_range, k, out_file):
     """Qubit- and gate-cost table vs the SAT-reduction baseline."""
     lo, hi = vertices_range
@@ -394,8 +359,7 @@ def cost(vertices_range, k, out_file):
                          len(oracle.gates), lowered_count])
     text = buf.getvalue()
     if out_file:
-        with open(out_file, "w") as fh:
-            fh.write(text)
+        _write(os.path.dirname(out_file), os.path.basename(out_file), text)
     click.echo(text, nl=False)
 
 

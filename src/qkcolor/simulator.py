@@ -49,7 +49,6 @@ _DIAGONAL_KINDS = frozenset({
 })
 
 _FIXED_1Q = {
-    GateKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
     GateKind.H: np.array([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]], dtype=complex),
     GateKind.Z: np.array([[1, 0], [0, -1]], dtype=complex),
     GateKind.S: np.array([[1, 0], [0, 1j]], dtype=complex),
@@ -80,13 +79,12 @@ def _rotation_matrix(kind: GateKind, angle: float) -> np.ndarray:
 
 
 def gate_1q_matrix(gate: Gate) -> np.ndarray:
-    """2x2 matrix applied to the target (controls handled separately)."""
+    """2x2 matrix applied to the target (controls handled separately).
+    X, CX, MCT and SWAP have none: ``_apply_gate`` swaps their blocks."""
     if gate.kind in _FIXED_1Q:
         return _FIXED_1Q[gate.kind]
     if gate.kind in (GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.CRX):
         return _rotation_matrix(gate.kind, gate.angle)
-    if gate.kind is GateKind.CX or gate.kind is GateKind.MCT:
-        return _FIXED_1Q[GateKind.X]
     if gate.kind is GateKind.CZ or gate.kind is GateKind.MCZ:
         return _FIXED_1Q[GateKind.Z]
     raise ValueError(f"no 1q matrix for {gate.kind}")

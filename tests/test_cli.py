@@ -329,6 +329,23 @@ def test_every_error_has_one_exit_code(runner, k3_file, tmp_path,
         assert f"error: {cls.__name__}: injected" in result.output
 
 
+@pytest.mark.parametrize("args, named", [
+    (["lower", "--stage", "oracle", "--iterations", "7"], ["--iterations"]),
+    (["run", "--basis", "cx", "--seed", "5"], ["--basis", "--seed"]),
+    (["run", "--seed", "0"], ["--seed"]),
+])
+def test_ignored_option_is_a_usage_error(runner, p3_file, tmp_path, args,
+                                         named):
+    out = tmp_path / "o"
+    result = runner.invoke(main, [args[0], p3_file, "--k", "2", *args[1:],
+                                  "--out-dir", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "Usage:" in result.output
+    for option in named:
+        assert option in result.output
+    assert not out.exists()
+
+
 def test_cost_table(runner):
     result = runner.invoke(main, ["cost", "--k", "3",
                                   "--vertices-range", "2", "10"])
@@ -347,6 +364,17 @@ def test_cost_table(runner):
         assert int(row["oracle_gates_lowered"]) == len(lower_circuit(circ).gates)
     # triangle: 3 edge slots + 1 invalid ancilla
     assert int(rows[1]["ancilla_qubits"]) == 4
+
+
+def test_cost_out_creates_its_directory(runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, ["cost", "--k", "3", "--vertices-range",
+                                  "2", "3", "--out", "newdir/t.csv"])
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "newdir" / "t.csv").read_text() == result.output
+    result = runner.invoke(main, ["cost", "--k", "3", "--vertices-range",
+                                  "2", "3", "--out", "t.csv"])
+    assert (tmp_path / "t.csv").read_text() == result.output
 
 
 def test_cost_rejects_bad_range(runner):
