@@ -21,11 +21,6 @@ class GateKind(Enum):
     X = "x"
     H = "h"
     Z = "z"
-    S = "s"
-    T = "t"
-    SDG = "sdg"
-    TDG = "tdg"
-    RX = "rx"
     RY = "ry"
     RZ = "rz"
     CX = "cx"
@@ -37,10 +32,8 @@ class GateKind(Enum):
 
 
 ONE_QUBIT_KINDS = frozenset({
-    GateKind.X, GateKind.H, GateKind.Z, GateKind.S, GateKind.T,
-    GateKind.SDG, GateKind.TDG, GateKind.RX, GateKind.RY, GateKind.RZ,
-})
-ROTATION_KINDS = frozenset({GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.CRX})
+    GateKind.X, GateKind.H, GateKind.Z, GateKind.RY, GateKind.RZ})
+ROTATION_KINDS = frozenset({GateKind.RY, GateKind.RZ, GateKind.CRX})
 CONTROLLED_KINDS = frozenset({GateKind.CX, GateKind.CZ, GateKind.CRX})
 MULTI_KINDS = frozenset({GateKind.MCT, GateKind.MCZ})
 # Gates that map basis states to basis states with no phase: what the W
@@ -108,15 +101,8 @@ class Gate:
         return tuple(c.qubit for c in self.controls) + self.targets
 
     def adjoint(self) -> "Gate":
-        """Inverse gate.  Self-inverse kinds are unchanged."""
-        if self.kind is GateKind.S:
-            return replace(self, kind=GateKind.SDG)
-        if self.kind is GateKind.SDG:
-            return replace(self, kind=GateKind.S)
-        if self.kind is GateKind.T:
-            return replace(self, kind=GateKind.TDG)
-        if self.kind is GateKind.TDG:
-            return replace(self, kind=GateKind.T)
+        """Inverse gate: a rotation by the negated angle; every other kind
+        is self-inverse."""
         if self.kind in ROTATION_KINDS:
             return replace(self, angle=-self.angle)
         return self
@@ -134,8 +120,6 @@ class Gate:
 def gX(t): return Gate(GateKind.X, targets=(t,))
 def gH(t): return Gate(GateKind.H, targets=(t,))
 def gZ(t): return Gate(GateKind.Z, targets=(t,))
-def gT(t): return Gate(GateKind.T, targets=(t,))
-def gRX(t, angle): return Gate(GateKind.RX, targets=(t,), angle=angle)
 def gRY(t, angle): return Gate(GateKind.RY, targets=(t,), angle=angle)
 def gRZ(t, angle): return Gate(GateKind.RZ, targets=(t,), angle=angle)
 def gCX(c, t): return Gate(GateKind.CX, controls=(Control(c),), targets=(t,))

@@ -287,7 +287,7 @@ def _simulation_report(instance, mode, iterations, coupling=None):
         circ = assemble(job)
         dist = probabilities(simulate_circuit(circ), circ.measured)
         top = sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))
-        success = sum(dist.get(s, 0.0) for s in sorted(sols))
+        success = sum((dist.get(s, 0.0) for s in sorted(sols)), 0.0)
         match = {bits for bits, _ in top[:len(sols)]} == sols if sols else None
     report = _header(
         "run", instance, mode, N=2 ** instance.num_data_qubits, M=len(sols),

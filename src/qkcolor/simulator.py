@@ -11,10 +11,10 @@ Each gate updates the two blocks of the amplitude tensor it mixes, found
 by basic slicing: controls fix their axes, and the target axis splits
 into its 0 and 1 halves.  There are three update paths, chosen by gate
 kind.  Permutation gates (X, CX, MCT, SWAP) swap the blocks with one
-block copy and no arithmetic.  Diagonal gates (Z, S, SDG, T, TDG, RZ,
-CZ, MCZ) scale each block in place, skipping a factor of exactly 1.
-The rest (H, RX, RY, CRX) take the dense 2x2 update, in place but for
-one copy of the 0-block.
+block copy and no arithmetic.  Diagonal gates (Z, RZ, CZ, MCZ) scale
+each block in place, skipping a factor of exactly 1.  The rest (H, RY,
+CRX) take the dense 2x2 update, in place but for one copy of the
+0-block.
 
 ``phase_pattern`` has two paths, both exact.  An oracle of X, CX and
 MCT gates only (every IR oracle) is a classical reversible circuit: it
@@ -31,8 +31,8 @@ import os
 import numpy as np
 
 from . import classical
-from .circuit import (PERMUTATION_KINDS, Circuit, Gate, GateKind, QubitLayout,
-                      check_qubit_subset)
+from .circuit import (PERMUTATION_KINDS, ROTATION_KINDS, Circuit, Gate,
+                      GateKind, QubitLayout, check_qubit_subset)
 from .errors import AncillaLeak, TooLarge, TooManyQubits, WidthMismatch
 
 DEFAULT_CEILING = 24
@@ -43,18 +43,11 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # How _apply_gate updates the two blocks a gate mixes: swapped with no
 # arithmetic, scaled in place, or mixed by the dense 2x2 update (the rest).
 _SWAPPED_KINDS = PERMUTATION_KINDS | {GateKind.SWAP}
-_DIAGONAL_KINDS = frozenset({
-    GateKind.Z, GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG,
-    GateKind.RZ, GateKind.CZ, GateKind.MCZ,
-})
+_DIAGONAL_KINDS = frozenset({GateKind.Z, GateKind.RZ, GateKind.CZ, GateKind.MCZ})
 
 _FIXED_1Q = {
     GateKind.H: np.array([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]], dtype=complex),
     GateKind.Z: np.array([[1, 0], [0, -1]], dtype=complex),
-    GateKind.S: np.array([[1, 0], [0, 1j]], dtype=complex),
-    GateKind.SDG: np.array([[1, 0], [0, -1j]], dtype=complex),
-    GateKind.T: np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex),
-    GateKind.TDG: np.array([[1, 0], [0, np.exp(-1j * math.pi / 4)]], dtype=complex),
 }
 
 
@@ -71,7 +64,7 @@ def _check_ceiling(num_qubits: int) -> None:
 def _rotation_matrix(kind: GateKind, angle: float) -> np.ndarray:
     half = angle / 2.0
     c, s = math.cos(half), math.sin(half)
-    if kind in (GateKind.RX, GateKind.CRX):
+    if kind is GateKind.CRX:
         return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
     if kind is GateKind.RY:
         return np.array([[c, -s], [s, c]], dtype=complex)
@@ -83,7 +76,7 @@ def gate_1q_matrix(gate: Gate) -> np.ndarray:
     X, CX, MCT and SWAP have none: ``_apply_gate`` swaps their blocks."""
     if gate.kind in _FIXED_1Q:
         return _FIXED_1Q[gate.kind]
-    if gate.kind in (GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.CRX):
+    if gate.kind in ROTATION_KINDS:
         return _rotation_matrix(gate.kind, gate.angle)
     if gate.kind is GateKind.CZ or gate.kind is GateKind.MCZ:
         return _FIXED_1Q[GateKind.Z]

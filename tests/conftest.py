@@ -13,7 +13,8 @@ import random
 import numpy as np
 import pytest
 
-from qkcolor.circuit import Circuit, Gate, GateKind
+from qkcolor.circuit import (LOWERED_KINDS, MULTI_KINDS, ONE_QUBIT_KINDS,
+                             Circuit, Gate, GateKind)
 from qkcolor.graphs import Graph, Instance, edges_from_pairs, make_instance
 
 # Reference gate semantics (independent of qkcolor.simulator)
@@ -24,10 +25,6 @@ _REF_1Q = {
     "x": [[0, 1], [1, 0]],
     "h": [[_SQ2, _SQ2], [_SQ2, -_SQ2]],
     "z": [[1, 0], [0, -1]],
-    "s": [[1, 0], [0, 1j]],
-    "sdg": [[1, 0], [0, -1j]],
-    "t": [[1, 0], [0, cmath.exp(1j * math.pi / 4)]],
-    "tdg": [[1, 0], [0, cmath.exp(-1j * math.pi / 4)]],
 }
 
 
@@ -41,7 +38,7 @@ def _ref_target_matrix(gate: Gate) -> np.ndarray:
         return np.array(_REF_1Q["z"], dtype=complex)
     half = gate.angle / 2.0
     c, s = math.cos(half), math.sin(half)
-    if name in ("rx", "crx"):
+    if name == "crx":
         return np.array([[c, -1j * s], [-1j * s, c]])
     if name == "ry":
         return np.array([[c, -s], [s, c]], dtype=complex)
@@ -102,12 +99,17 @@ def phase_aligned_distance(u: np.ndarray, v: np.ndarray) -> float:
 
 # Random circuit generation for property tests
 
-_RANDOM_POOL = ("x", "h", "z", "s", "t", "sdg", "tdg", "rx", "ry", "rz",
-                "cx", "cz", "crx", "swap", "mct", "mcz")
+# Gate-name pools, in GateKind order so that a seed draws the same
+# circuit on every run: every kind; the lowered alphabet, which is what
+# the router accepts; and the kinds that fit a 1-qubit register.
+RANDOM_POOL = tuple(kind.value for kind in GateKind)
+LOWERED_POOL = tuple(kind.value for kind in GateKind if kind in LOWERED_KINDS)
+ONE_QUBIT_POOL = tuple(kind.value for kind in GateKind
+                       if kind in ONE_QUBIT_KINDS | MULTI_KINDS)
 
 
 def random_circuit(num_qubits: int, num_gates: int, rng: random.Random,
-                   pool=_RANDOM_POOL, max_controls: int = 3) -> Circuit:
+                   pool=RANDOM_POOL, max_controls: int = 3) -> Circuit:
     from qkcolor.circuit import Control
     circ = Circuit(num_qubits)
     for _ in range(num_gates):
@@ -130,7 +132,7 @@ def random_circuit(num_qubits: int, num_gates: int, rng: random.Random,
         else:
             t = rng.randrange(num_qubits)
             angle = (rng.uniform(-math.pi, math.pi)
-                     if name in ("rx", "ry", "rz") else None)
+                     if name in ("ry", "rz") else None)
             circ.append(Gate(kind, targets=(t,), angle=angle))
     return circ
 

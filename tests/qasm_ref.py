@@ -22,9 +22,7 @@ _FLOAT = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 # name -> (operand count, parameter count)
 KNOWN_GATES = {
-    "x": (1, 0), "y": (1, 0), "z": (1, 0), "h": (1, 0),
-    "s": (1, 0), "sdg": (1, 0), "t": (1, 0), "tdg": (1, 0),
-    "rx": (1, 1), "ry": (1, 1), "rz": (1, 1),
+    "x": (1, 0), "h": (1, 0), "z": (1, 0), "ry": (1, 1), "rz": (1, 1),
     "cx": (2, 0), "cz": (2, 0), "crx": (2, 1), "swap": (2, 0),
 }
 

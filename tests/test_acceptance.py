@@ -10,9 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (TRIANGLE_K3_SOLUTIONS, all_graphs, complete_graph,
-                      path_graph, phase_aligned_distance, random_circuit,
-                      ref_gate_matrix, routed_max_error)
+from conftest import (LOWERED_POOL, TRIANGLE_K3_SOLUTIONS, all_graphs,
+                      complete_graph, path_graph, phase_aligned_distance,
+                      random_circuit, ref_gate_matrix, routed_max_error)
 from qasm_ref import check_qasm
 from qkcolor import classical
 from qkcolor.circuit import Circuit, Control, Gate, GateKind
@@ -135,12 +135,11 @@ def test_08_routing_correctness():
     """50 seeded random lowered circuits on line/ring/grid devices route
     to constraint-satisfying, simulation-equivalent circuits,
     deterministically per seed."""
-    pool = ("x", "h", "z", "s", "t", "sdg", "tdg", "rx", "ry", "rz",
-            "cx", "cz", "crx", "swap")
     for case in range(50):
         rng = random.Random(5000 + case)
         width = rng.randint(4, 10)
-        circ = random_circuit(width, rng.randint(10, 40), rng, pool=pool)
+        circ = random_circuit(width, rng.randint(10, 40), rng,
+                              pool=LOWERED_POOL)
         coupling = (line_coupling(width), ring_coupling(width),
                     grid_coupling(2, (width + 1) // 2))[case % 3]
         result = sabre_route(circ, coupling, seed=case)

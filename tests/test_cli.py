@@ -269,6 +269,17 @@ def test_run_uncolorable(runner, k3_file, tmp_path):
     assert report["colorable"] is False and report["M"] == 0
 
 
+def test_uncolorable_success_probability_is_a_float(runner, k3_file):
+    # with --iterations the circuit is simulated though no coloring exists
+    result = runner.invoke(main, ["simulate", k3_file, "--k", "2",
+                                  "--iterations", "1"])
+    assert result.exit_code == 0, result.output
+    assert '"success_probability": 0.0,' in result.output
+    report = _json_head(result.output)
+    assert report["colorable"] is False
+    assert isinstance(report["success_probability"], float)
+
+
 def test_missing_file_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["synth", "missing.adj", "--k", "3",
                                   "--out-dir", str(tmp_path / "o")])

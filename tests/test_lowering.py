@@ -4,23 +4,24 @@ import random
 
 import pytest
 
-from conftest import (all_graphs, complete_graph, cycle_graph,
+from conftest import (all_graphs, complete_graph, cycle_graph, path_graph,
                       phase_aligned_distance, random_circuit, ref_gate_matrix,
                       ref_unitary)
-from qkcolor.circuit import (MULTI_KINDS, Circuit, Control, Gate, GateKind,
-                             gCX, gMCT, gX)
+from qkcolor.circuit import (LOWERED_KINDS, MULTI_KINDS, Circuit, Control,
+                             Gate, GateKind, gCX, gMCT, gX)
 from qkcolor.errors import UnloweredGate
-from qkcolor.graphs import make_instance
+from qkcolor.graphs import Graph, make_instance
 from qkcolor.grover import assemble, make_job
 from qkcolor.lowering import lower_circuit
 from qkcolor.oracle import build_oracle, plan_layout
 from qkcolor.qasm import emit_qasm
+from qkcolor.routing import line_coupling, sabre_route
 from qkcolor.simulator import phase_pattern, probabilities, run, unitary_of
 
-LOWERED_ALPHABET = {GateKind.X, GateKind.H, GateKind.Z, GateKind.S,
-                    GateKind.T, GateKind.SDG, GateKind.TDG, GateKind.RX,
-                    GateKind.RY, GateKind.RZ, GateKind.CX, GateKind.CZ,
-                    GateKind.CRX, GateKind.SWAP}
+# The lowered alphabet, written out once: what lower_circuit emits, and
+# all that LOWERED_KINDS admits (test_pipeline_emits_the_whole_alphabet).
+LOWERED_ALPHABET = {GateKind(name) for name in
+                    ("x", "h", "z", "ry", "rz", "cx", "cz", "crx", "swap")}
 
 
 def _multi(kind, controls, target, width):
@@ -242,6 +243,22 @@ def test_ladder_lowered_counts(label):
     assert tuple(hashlib.sha256(emit_qasm(lower_circuit(circ, basis))
                                 .encode()).hexdigest()
                  for basis in ("default", "cx")) == digests
+
+
+def test_pipeline_emits_the_whole_alphabet():
+    # The ladder in both modes, the routed K3/k=3 circuit for swap, a
+    # Grover circuit on 2 data qubits, whose diffusion MCZ has 1 control,
+    # for cz, and one on 1 data qubit, where it has none, for z.
+    circuits = [assemble(make_job(make_instance(graph, k), mode))
+                for _, graph, k in LADDER for mode in ("strict", "paper")]
+    circuits.append(sabre_route(lower_circuit(circuits[0]), line_coupling(13),
+                                seed=0).routed)
+    circuits.append(assemble(make_job(make_instance(path_graph(2), 2))))
+    circuits.append(assemble(make_job(make_instance(Graph(1, frozenset()), 2),
+                                      iterations=1)))
+    emitted = {gate.kind for circ in circuits for basis in ("default", "cx")
+               for gate in lower_circuit(circ, basis).gates}
+    assert emitted == LOWERED_KINDS == LOWERED_ALPHABET
 
 
 def test_every_wide_mct_leaves_a_qubit_idle():

@@ -1,9 +1,10 @@
 """The README's "Library use" block runs as written, and the lowered
-counts it quotes are the ones ``lower_circuit`` gives."""
+counts and gate alphabet it quotes are the ones ``lower_circuit`` gives."""
 import re
 from pathlib import Path
 
 from conftest import complete_graph, cycle_graph
+from qkcolor.circuit import LOWERED_KINDS
 from qkcolor.graphs import make_instance
 from qkcolor.grover import assemble, make_job
 from qkcolor.lowering import lower_circuit
@@ -33,3 +34,12 @@ def test_quoted_lowered_counts():
         stats = lower_circuit(assemble(job)).stats()
         got += [stats.gate_count, stats.two_qubit_count]
     assert numbers == got
+
+
+def test_quoted_lowered_alphabet():
+    text = " ".join(README.read_text().split())
+    quoted = re.search(r"rewritten exactly \(up to a global phase\) into "
+                       r"\{([a-z, ]+)\}", text)
+    assert quoted, "README no longer quotes the lowered alphabet"
+    assert sorted(quoted.group(1).split(", ")) == sorted(
+        kind.value for kind in LOWERED_KINDS)

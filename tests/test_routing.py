@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from conftest import complete_graph, random_circuit, routed_max_error
+from conftest import (LOWERED_POOL, complete_graph, random_circuit,
+                      routed_max_error)
 from qasm_ref import check_qasm
 from qkcolor import routing
 from qkcolor.circuit import Circuit, GateKind, gCX, gH, gMCT
@@ -17,10 +18,6 @@ from qkcolor.routing import (CouplingGraph, grid_coupling, line_coupling,
                              parse_coupling, ring_coupling, sabre_route,
                              verify_constraints)
 from qkcolor.simulator import probabilities, run
-
-# Gate pool without MCT/MCZ/negative controls: routing input must be lowered.
-LOWERED_POOL = ("x", "h", "z", "s", "t", "sdg", "tdg", "rx", "ry", "rz",
-                "cx", "cz", "crx", "swap")
 
 
 def test_coupling_constructors():

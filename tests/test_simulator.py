@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import qkcolor.simulator as sim
-from conftest import (all_graphs, complete_graph, cycle_graph,
-                      random_circuit, ref_gate_matrix, ref_unitary)
+from conftest import (ONE_QUBIT_POOL, all_graphs, complete_graph,
+                      cycle_graph, random_circuit, ref_gate_matrix,
+                      ref_unitary)
 from qkcolor import classical
 from qkcolor.circuit import (MULTI_KINDS, ONE_QUBIT_KINDS, ROTATION_KINDS,
                              Circuit, Control, Gate, GateKind, gCX, gH, gRY,
@@ -26,15 +27,11 @@ def test_basis_state_msb_convention():
     assert state.bitstring(0b100) == "100"
 
 
-_ONE_QUBIT_POOL = ("x", "h", "z", "s", "t", "sdg", "tdg", "rx", "ry", "rz",
-                   "mct", "mcz")
-
-
 def test_unitary_matches_independent_reference():
     # widths 1, 2 and 6 put qubit 0 and qubit q-1 in every role
     rng = random.Random(11)
     for width in (4, 1, 2, 6):
-        pool = {"pool": _ONE_QUBIT_POOL} if width == 1 else {}
+        pool = {"pool": ONE_QUBIT_POOL} if width == 1 else {}
         for _ in range(20):
             circ = random_circuit(width, rng.randint(1, 15), rng,
                                   max_controls=width - 1, **pool)
