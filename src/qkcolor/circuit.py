@@ -141,9 +141,7 @@ def gMCZ(controls, target) -> Gate:
 def _as_controls(controls) -> tuple[Control, ...]:
     out = []
     for c in controls:
-        if isinstance(c, Control):
-            out.append(c)
-        elif isinstance(c, tuple):
+        if isinstance(c, tuple):
             out.append(Control(c[0], bool(c[1])))
         else:
             out.append(Control(int(c)))
@@ -251,9 +249,6 @@ class Circuit:
                 frontier[q] = level
             depth = max(depth, level)
         return CircuitStats(len(self.gates), two_q, by_arity, depth)
-
-    def __len__(self):
-        return len(self.gates)
 
     def __repr__(self):
         return f"Circuit(num_qubits={self.num_qubits}, gates={len(self.gates)})"

@@ -121,8 +121,6 @@ def _print_report(report: dict, out_dir: str | None = None,
 
 def _gate_text(gate: Gate) -> str:
     parts = [gate.kind.value]
-    if gate.angle is not None:
-        parts[0] += f"({gate.angle:.6g})"
     for c in gate.controls:
         parts.append(f"{'+' if c.positive else '-'}q{c.qubit}")
     parts.append("->")

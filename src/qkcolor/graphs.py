@@ -41,17 +41,6 @@ class Graph:
         """Edges in lexicographic (i, j) order; fixes the comparator schedule."""
         return sorted(self.edges)
 
-    def neighbors(self, v: int) -> set[int]:
-        return {j if i == v else i for i, j in self.edges if v in (i, j)}
-
-    def to_adjacency_text(self) -> str:
-        rows = []
-        for i in range(self.n):
-            row = ["1" if (min(i, j), max(i, j)) in self.edges and i != j else "0"
-                   for j in range(self.n)]
-            rows.append(" ".join(row))
-        return "\n".join(rows) + "\n"
-
 
 @dataclass(frozen=True)
 class Instance:

@@ -5,7 +5,7 @@ import math
 from dataclasses import dataclass
 
 from . import classical
-from .circuit import Circuit, Gate, GateKind, Control, gH, gX
+from .circuit import Circuit, gH, gMCZ, gX
 from .errors import NoSolutions
 from .graphs import Instance
 from .oracle import OraclePlan, build_oracle, plan_layout
@@ -38,9 +38,7 @@ def build_diffusion(data_width: int) -> Circuit:
         circ.append(gH(q))
     for q in range(m):
         circ.append(gX(q))
-    circ.append(Gate(GateKind.MCZ,
-                     controls=tuple(Control(q) for q in range(m - 1)),
-                     targets=(m - 1,)))
+    circ.append(gMCZ(range(m - 1), m - 1))
     for q in range(m):
         circ.append(gX(q))
     for q in range(m):

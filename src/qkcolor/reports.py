@@ -1,21 +1,17 @@
 """Report validation against the shipped JSON schema."""
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
 
 import jsonschema
 
-_SCHEMA = None
 
-
+@functools.cache
 def report_schema() -> dict:
-    global _SCHEMA
-    if _SCHEMA is None:
-        text = resources.files("qkcolor.schemas").joinpath(
-            "report.schema.json").read_text()
-        _SCHEMA = json.loads(text)
-    return _SCHEMA
+    return json.loads(resources.files("qkcolor.schemas").joinpath(
+        "report.schema.json").read_text())
 
 
 def validate_report(report: dict) -> dict:

@@ -47,9 +47,6 @@ class CouplingGraph:
     def coupled(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.pairs
 
-    def neighbors(self, p: int) -> tuple[int, ...]:
-        return self.adjacency[p]
-
     def check_width(self, num_logical: int) -> None:
         """Raise TooFewPhysicalQubits unless ``num_logical`` qubits fit."""
         if self.num_physical < num_logical:

@@ -198,8 +198,9 @@ def probabilities(state: Statevector, qubit_subset=None) -> dict[str, float]:
     kept_sorted = sorted(subset)
     order = [kept_sorted.index(s) for s in subset]
     marginal = np.transpose(marginal, order).reshape(-1)
-    width = len(subset)
-    return {format(i, f"0{width}b"): float(p) for i, p in enumerate(marginal)}
+    # format(0, "00b") is "0", but the one outcome over no qubits is ""
+    return {format(i, f"0{len(subset)}b") if subset else "": float(p)
+            for i, p in enumerate(marginal)}
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:

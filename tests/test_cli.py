@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import jsonschema
 import pytest
 from click.testing import CliRunner
 
@@ -147,6 +148,22 @@ def test_run_full_pipeline(runner, p3_file, tmp_path):
     assert report["solution_match"] is True
     assert report["routing"]["constraints_satisfied"] is True
     check_qasm((out / "p3.routed.qasm").read_text())
+
+
+def test_run_schema_routing_is_null_or_a_route_report(runner, p3_file,
+                                                      tmp_path):
+    topo = tmp_path / "line7.cpl"
+    topo.write_text(LINE7_CPL)
+    result = runner.invoke(main, ["run", p3_file, "--k", "2",
+                                  "--topology", str(topo),
+                                  "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    report = _json_head(result.output)
+    validate_report(report)
+    validate_report({**report, "routing": None})
+    for bad in ({}, {"report_type": "route", "swap_count": 1}, "x"):
+        with pytest.raises(jsonschema.ValidationError):
+            validate_report({**report, "routing": bad})
 
 
 @pytest.mark.parametrize("command", ["route", "run"])

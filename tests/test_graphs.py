@@ -80,8 +80,6 @@ def test_graph_validation():
 def test_graph_helpers():
     g = Graph(4, edges_from_pairs(4, [(2, 0), (1, 2)]))
     assert g.sorted_edges() == [(0, 2), (1, 2)]
-    assert g.neighbors(2) == {0, 1}
-    assert parse_adjacency(g.to_adjacency_text()).edges == g.edges
 
 
 def test_edges_from_pairs_rejects_self_loop():

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import all_graphs, complete_graph, path_graph
 from qkcolor import classical
-from qkcolor.circuit import Circuit, GateKind
+from qkcolor.circuit import PERMUTATION_KINDS, Circuit, GateKind
 from qkcolor.errors import NoInvalidColors, WidthMismatch
 from qkcolor.graphs import Graph, make_instance
 from qkcolor.oracle import (MODES, build_comparator,
@@ -155,6 +155,20 @@ def test_small_graph_oracles_match_brute_force(k):
         plan = plan_layout(inst, "strict")
         oracle = build_oracle(inst, "strict", plan)
         assert phase_pattern(oracle, plan.layout) == classical.solutions(inst)
+
+
+def test_every_oracle_is_a_permutation_circuit():
+    # phase_pattern tracks oracles made only of X, CX and MCT as bits, and
+    # cli's oracle listing prints no angles
+    checked = 0
+    for n in range(1, 5):
+        for graph in all_graphs(n):
+            for k in range(2, 6):
+                for mode in MODES:
+                    oracle = build_oracle(make_instance(graph, k), mode)
+                    assert {g.kind for g in oracle.gates} <= PERMUTATION_KINDS
+                    checked += 1
+    assert checked == 600
 
 
 @pytest.mark.parametrize("oracle_mode, layout_mode", [("strict", "paper"),

@@ -68,6 +68,12 @@ def test_parse_coupling():
             parse_coupling(text)
 
 
+def test_parse_coupling_refuses_a_pair_line_of_the_wrong_width():
+    for pair_line in ("1", "0 1 2"):
+        with pytest.raises(IndexOutOfRange, match="expected 'a b' pair"):
+            parse_coupling(f"3\n0 1\n{pair_line}\n")
+
+
 def test_verify_constraints():
     circ = Circuit(3)
     circ.append(gCX(0, 2))
@@ -119,7 +125,7 @@ def test_rejects_small_device():
 def test_neighbors_follow_pair_order():
     grid = grid_coupling(3, 3)
     for p in range(grid.num_physical):
-        assert tuple(grid.neighbors(p)) == tuple(
+        assert grid.adjacency[p] == tuple(
             b if a == p else a for a, b in grid.pairs if p in (a, b))
 
 

@@ -10,8 +10,8 @@ from conftest import (ONE_QUBIT_POOL, all_graphs, complete_graph,
                       ref_unitary)
 from qkcolor import classical
 from qkcolor.circuit import (MULTI_KINDS, ONE_QUBIT_KINDS, ROTATION_KINDS,
-                             Circuit, Control, Gate, GateKind, gCX, gH, gRY,
-                             gX)
+                             Circuit, Control, Gate, GateKind, gCRX, gCX, gH,
+                             gMCT, gRY, gX)
 from qkcolor.errors import (AncillaLeak, IndexOutOfRange, TooLarge,
                             TooManyQubits, WidthMismatch)
 from qkcolor.graphs import Graph, make_instance
@@ -93,6 +93,11 @@ def test_probabilities_marginal_and_order():
     # subset order is respected, not sorted
     swapped = probabilities(state, [1, 0])
     assert swapped["10"] == pytest.approx(0.75)
+
+
+def test_probabilities_over_no_qubits():
+    state = run(Circuit(2).append(gH(0)))
+    assert probabilities(state, []) == {"": pytest.approx(1.0)}
 
 
 def test_probabilities_refuses_a_bad_subset():
@@ -240,6 +245,22 @@ def test_phase_pattern_rejects_non_phase_action():
         spoiled = lowered.copy()
         spoiled.append(spoiler)
         with pytest.raises(AncillaLeak):
+            phase_pattern(spoiled, layout, allow_global_phase=True)
+
+
+def test_phase_pattern_rejects_a_leak_past_x0():
+    # Both spoilers act only where data bit 0 is set (x >= 8), so the x=0
+    # anchor passes.  The MCT moves those columns off their prepared rows;
+    # the small CRX keeps their signs within tolerance but puts some
+    # amplitude outside the prepared rows.
+    lowered, layout = _k2_lowered()
+    data, ancilla = layout.data[0], layout.edge_ancilla[0]
+    for spoiler, message in (
+            (gMCT([data], ancilla), "not a \\+/-1 phase on data string x=8"),
+            (gCRX(data, ancilla, 1e-4),
+             "leaves support outside the prepared subspace")):
+        spoiled = lowered.copy().append(spoiler)
+        with pytest.raises(AncillaLeak, match=message):
             phase_pattern(spoiled, layout, allow_global_phase=True)
 
 
