@@ -20,8 +20,15 @@ CRX) take the dense 2x2 update, in place but for one copy of the
 MCT gates only (every IR oracle) is a classical reversible circuit: it
 is run on bit-packed basis states, with no statevector and no qubit
 ceiling.  Any other oracle (a lowered one, with H/CRX/RZ/RY) is run as
-one statevector batch with a column per data string; a batch of more
-than ``_EXACT_PATTERN_LIMIT`` amplitudes raises TooLarge.
+one sparse statevector batch with a column per data string: it holds
+only the amplitudes that are not exactly 0, each under an integer key
+(column index above the row bits).  Controls select entries by bit
+tests, permutation gates XOR the keys, diagonal gates scale the held
+amplitudes, and H/RY/CRX pair each entry with its target-flipped
+partner (0 when not held) and drop results that are exactly 0.  Both
+kernels update amplitudes through one helper, so the sparse batch is
+bit-identical to ``run_batch`` on the same columns.  A batch that could
+grow past ``_EXACT_PATTERN_LIMIT`` amplitudes raises TooLarge.
 """
 from __future__ import annotations
 
@@ -134,6 +141,13 @@ def _apply_gate(view: np.ndarray, gate: Gate) -> None:
         b0[...] = b1
         b1[...] = a0
         return
+    _update_blocks(b0, b1, gate)
+
+
+def _update_blocks(b0, b1, gate: Gate) -> None:
+    """Update in place the two blocks a non-permutation gate mixes, the
+    target-bit-0 and target-bit-1 amplitudes in matching order.  Both
+    kernels call this, so their amplitudes agree bit for bit."""
     m = gate_1q_matrix(gate)
     if gate.kind in _DIAGONAL_KINDS:
         if m[0, 0] != 1:
@@ -146,6 +160,62 @@ def _apply_gate(view: np.ndarray, gate: Gate) -> None:
     b0 += m[0, 1] * b1
     b1 *= m[1, 1]
     b1 += a0
+
+
+def _sparse_gate(keys: np.ndarray, amps: np.ndarray, gate: Gate,
+                 num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Apply one gate to a sparse batch and return the new batch.
+
+    ``keys`` holds the column index above the ``num_qubits`` row bits of
+    each held amplitude, no key twice; an amplitude not held is exactly
+    0.  Permutation gates XOR the keys and diagonal gates scale the held
+    amplitudes.  H, RY and CRX pair each held entry with its
+    target-flipped partner, taken as 0 when not held, and drop the
+    results that are exactly 0.
+    """
+    def bit(qubit):
+        return 1 << (num_qubits - 1 - qubit)
+
+    care = want = 0
+    for ctl in gate.controls:
+        care |= bit(ctl.qubit)
+        want |= bit(ctl.qubit) if ctl.positive else 0
+    hit = (keys & care) == want
+    if gate.kind is GateKind.SWAP:
+        a, b = (bit(t) for t in gate.targets)
+        hit &= ((keys & a) == 0) != ((keys & b) == 0)
+        keys[hit] ^= a | b
+        return keys, amps
+    t = bit(gate.targets[0])
+    if gate.kind in _SWAPPED_KINDS:
+        keys[hit] ^= t
+        return keys, amps
+    one = (keys & t) != 0
+    if gate.kind in _DIAGONAL_KINDS:
+        i0, i1 = np.flatnonzero(hit & ~one), np.flatnonzero(hit & one)
+        b0, b1 = amps[i0], amps[i1]
+        _update_blocks(b0, b1, gate)
+        amps[i0], amps[i1] = b0, b1
+        return keys, amps
+    pairs, slot = np.unique(keys[hit] & ~t, return_inverse=True)
+    b0 = np.zeros(pairs.size, dtype=complex)
+    b1 = np.zeros(pairs.size, dtype=complex)
+    held, held_one = amps[hit], one[hit]
+    b0[slot[~held_one]] = held[~held_one]
+    b1[slot[held_one]] = held[held_one]
+    _update_blocks(b0, b1, gate)
+    kept0, kept1 = b0 != 0, b1 != 0
+    return (np.concatenate((keys[~hit], pairs[kept0], pairs[kept1] | t)),
+            np.concatenate((amps[~hit], b0[kept0], b1[kept1])))
+
+
+def _run_sparse(circuit: Circuit, keys: np.ndarray,
+                amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Apply every gate of the circuit to a sparse batch (see
+    ``_sparse_gate``); the inputs may be overwritten."""
+    for gate in circuit.gates:
+        keys, amps = _sparse_gate(keys, amps, gate, circuit.num_qubits)
+    return keys, amps
 
 
 def _run_gates(circuit: Circuit, amps: np.ndarray) -> np.ndarray:
@@ -234,10 +304,12 @@ def phase_pattern(oracle: Circuit, layout: QubitLayout,
       every data string is tracked exactly as bits, with no statevector
       and no qubit ceiling.  More data bits than
       ``classical.ENUMERATION_CEILING`` raise TooLarge.
-    * Any other oracle is simulated under the qubit ceiling, one basis
-      column per data string.  A batch of more than
-      ``_EXACT_PATTERN_LIMIT`` amplitudes (2**q per column) raises
-      TooLarge.
+    * Any other oracle is simulated under the qubit ceiling as one
+      sparse batch, one basis column per data string, holding only the
+      amplitudes that are not exactly 0.  It matches ``run_batch`` bit
+      for bit.  A column can hold all of its 2**q rows, so a batch of
+      more than ``_EXACT_PATTERN_LIMIT`` amplitudes (2**q per column)
+      raises TooLarge.
 
     A layout for another register width raises WidthMismatch.
     """
@@ -302,9 +374,9 @@ def _tracked_flips(oracle, layout, allow_global_phase):
 def _statevector_flips(oracle, layout, allow_global_phase):
     """Per data string x, whether the oracle flips its phase.
 
-    Column x of one batch is |x, ancillas> (|0> - |1>)/sqrt(2), and it
-    must come back as itself times +1 or -1: any other amplitude on its
-    two prepared rows, or any amplitude elsewhere, is a leak.
+    Column x of one sparse batch is |x, ancillas> (|0> - |1>)/sqrt(2),
+    and it must come back as itself times +1 or -1: any other amplitude
+    on its two prepared rows, or any amplitude elsewhere, is a leak.
     """
     q = oracle.num_qubits
     _check_ceiling(q)
@@ -314,29 +386,23 @@ def _statevector_flips(oracle, layout, allow_global_phase):
         raise TooLarge(f"{n_data} columns of {q} qubits exceed the "
                        f"{_EXACT_PATTERN_LIMIT}-amplitude pattern batch")
 
-    base = 0
-    for qubit, bit in enumerate(layout.initial_state()):
-        if bit and qubit not in layout.data and qubit != layout.output:
-            base |= 1 << (q - 1 - qubit)
-    xs = np.arange(n_data, dtype=np.int64)
-    rows0 = np.full(n_data, base, dtype=np.int64)
-    for pos, dq in enumerate(layout.data):
-        rows0 |= ((xs >> (m - 1 - pos)) & 1) << (q - 1 - dq)
-    rows1 = rows0 | (1 << (q - 1 - layout.output))
-
-    cols = np.zeros((2 ** q, n_data), dtype=complex)
-    cols[rows0, xs] = _INV_SQRT2
-    cols[rows1, xs] = -_INV_SQRT2
-    out = run_batch(oracle, cols)
+    rows0, rows1, keys, amps = _prepared_batch(layout)
+    keys, amps = _run_sparse(oracle, keys, amps)
     tol = _PATTERN_TOL
 
+    cols, rows = keys >> q, keys & ((1 << q) - 1)
+    on0, on1 = rows == rows0[cols], rows == rows1[cols]
+    got0 = np.zeros(n_data, dtype=complex)
+    got1 = np.zeros(n_data, dtype=complex)
+    got0[cols[on0]], got1[cols[on1]] = amps[on0], amps[on1]
     if allow_global_phase:
-        ref = out[rows0[0], 0] / _INV_SQRT2
+        ref = got0[0] / _INV_SQRT2
         if abs(abs(ref) - 1.0) > tol:
             raise AncillaLeak("oracle output is not a pure phase on x=0")
-        out /= ref
+        got0 /= ref
+        got1 /= ref
+        amps /= ref
 
-    got0, got1 = out[rows0, xs], out[rows1, xs]
     flipped = got0.real < 0
     expected = np.where(flipped, -_INV_SQRT2, _INV_SQRT2)
     bad = np.flatnonzero((np.abs(got0 - expected) > tol)
@@ -344,13 +410,32 @@ def _statevector_flips(oracle, layout, allow_global_phase):
     if bad.size:
         raise AncillaLeak(
             f"oracle is not a +/-1 phase on data string x={int(bad[0])}")
-    out[rows0, xs] = 0.0  # what remains lies outside the prepared rows
-    out[rows1, xs] = 0.0
-    if np.abs(out).max() > tol:
+    # what remains lies outside the prepared rows
+    if (np.abs(amps[~(on0 | on1)]) > tol).any():
         raise AncillaLeak("oracle leaves support outside the prepared subspace")
     return flipped
 
 
-# most amplitudes in one pattern batch, 2**q per data string
+def _prepared_batch(layout):
+    """Rows of |x, ancillas, 0> and |x, ancillas, 1> per data string x,
+    and the sparse batch whose column x is their difference over sqrt(2)."""
+    q, m = layout.num_qubits, layout.num_data
+    base = 0
+    for qubit, bit in enumerate(layout.initial_state()):
+        if bit and qubit not in layout.data and qubit != layout.output:
+            base |= 1 << (q - 1 - qubit)
+    xs = np.arange(2 ** m, dtype=np.int64)
+    rows0 = np.full(2 ** m, base, dtype=np.int64)
+    for pos, dq in enumerate(layout.data):
+        rows0 |= ((xs >> (m - 1 - pos)) & 1) << (q - 1 - dq)
+    rows1 = rows0 | (1 << (q - 1 - layout.output))
+    keys = np.concatenate(((xs << q) | rows0, (xs << q) | rows1))
+    amps = np.repeat(np.array([_INV_SQRT2, -_INV_SQRT2], dtype=complex),
+                     2 ** m)
+    return rows0, rows1, keys, amps
+
+
+# most amplitudes one pattern batch may hold: 2**q per data string, the
+# sparse batch's worst case, where every row of every column is held
 _EXACT_PATTERN_LIMIT = 2 ** 20
 _PATTERN_TOL = 1e-9  # amplitude tolerance of the sign and leak checks

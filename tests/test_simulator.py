@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,6 +276,74 @@ def test_phase_pattern_refuses_a_batch_past_the_limit():
         phase_pattern(lowered, plan.layout, allow_global_phase=True)
 
 
+def _dense(keys, amps, num_qubits, num_columns):
+    """Scatter a sparse batch into its (2**q, columns) array."""
+    out = np.zeros((2 ** num_qubits, num_columns), dtype=complex)
+    out[keys & (2 ** num_qubits - 1), keys >> num_qubits] = amps
+    return out
+
+
+def _assert_sparse_equals_run_batch(circuit, keys, amps, num_columns):
+    q = circuit.num_qubits
+    want = run_batch(circuit, _dense(keys, amps, q, num_columns))
+    keys, amps = sim._run_sparse(circuit, keys, amps)
+    assert np.unique(keys).size == keys.size
+    assert np.array_equal(_dense(keys, amps, q, num_columns), want)
+
+
+def test_sparse_batch_is_bit_identical_to_run_batch():
+    # every lowered oracle on 1-3 vertices, k = 2..4, from its prepared
+    # pattern batch
+    cases = 0
+    for n in (1, 2, 3):
+        for graph in all_graphs(n):
+            for k in (2, 3, 4):
+                inst = make_instance(graph, k)
+                for mode in ("strict", "paper"):
+                    plan = plan_layout(inst, mode)
+                    lowered = lower_circuit(build_oracle(inst, mode, plan))
+                    rows0, _, keys, amps = sim._prepared_batch(plan.layout)
+                    _assert_sparse_equals_run_batch(lowered, keys, amps,
+                                                    rows0.size)
+                    cases += 1
+    assert cases == 66
+    # random circuits of every kind, mixed-polarity MCT/MCZ and SWAP, run
+    # on every basis column and on random columns about half of whose
+    # amplitudes are not held
+    rng = random.Random(18)
+    values = np.random.default_rng(18)
+    for width in range(3, 8):
+        dim = 2 ** width
+        for _ in range(12):
+            circ = random_circuit(width, rng.randint(1, 40), rng,
+                                  max_controls=width - 1)
+            basis = np.arange(dim, dtype=np.int64)
+            _assert_sparse_equals_run_batch(
+                circ, basis << width | basis, np.ones(dim, dtype=complex), dim)
+            held = np.flatnonzero(values.random(4 * dim) < 0.5)
+            amps = [1, 1j] @ values.normal(size=(2, held.size))
+            _assert_sparse_equals_run_batch(circ, held.astype(np.int64),
+                                            amps, 4)
+
+
+@pytest.mark.parametrize("mode", ["strict", "paper"])
+def test_lowered_pattern_check_holds_less_than_a_dense_batch(mode):
+    # lowered K3/k=3: a dense batch of 2**q rows per data string would be
+    # 8 MB in strict mode (13 qubits) and 2 MB in paper mode (11 qubits)
+    inst = make_instance(complete_graph(3), 3)
+    plan = plan_layout(inst, mode)
+    lowered = lower_circuit(build_oracle(inst, mode, plan))
+    dense_bytes = 16 * 2 ** (lowered.num_qubits + plan.layout.num_data)
+    assert dense_bytes == {"strict": 8, "paper": 2}[mode] * 2 ** 20
+    tracemalloc.start()
+    try:
+        phase_pattern(lowered, plan.layout, allow_global_phase=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes
+
+
 def test_tracked_pattern_rejects_leaks(monkeypatch):
     oracle, layout = _k2_oracle()
     monkeypatch.setattr(sim, "_statevector_flips", None)  # tracking only
@@ -289,13 +358,13 @@ def test_tracked_pattern_rejects_leaks(monkeypatch):
 
 
 def test_tracked_pattern_equals_statevector_pattern(monkeypatch):
-    """Every oracle on up to 4 vertices at k = 2, 3 whose statevector batch
+    """Every oracle on up to 4 vertices at k = 2..4 whose statevector batch
     fits the limit: bit tracking and the batch give the same pattern,
     with and without the global phase."""
     cases = []
     for n in (2, 3, 4):
         for graph in all_graphs(n):
-            for k in (2, 3):
+            for k in (2, 3, 4):
                 inst = make_instance(graph, k)
                 for mode in ("strict", "paper"):
                     plan = plan_layout(inst, mode)
@@ -303,9 +372,10 @@ def test_tracked_pattern_equals_statevector_pattern(monkeypatch):
                     if (2 ** (layout.num_qubits + layout.num_data)
                             <= sim._EXACT_PATTERN_LIMIT):
                         cases.append((build_oracle(inst, mode, plan), layout))
-    # n = 2, 3 at k = 2, 3 and n = 4 at k = 2, both modes; n = 4 at k = 3
-    # only in paper mode with at most 2 edges
-    assert len(cases) == (2 + 8) * 2 * 2 + 64 * 2 + 22
+    # n = 2, 3 at k = 2..4 and n = 4 at k = 2, both modes; n = 4 at k = 3
+    # only in paper mode with at most 2 edges, and at k = 4 in both modes
+    # with at most 3 edges
+    assert len(cases) == (2 + 8) * 3 * 2 + 64 * 2 + 22 + 42 * 2
     tracked = [phase_pattern(o, layout, agp)
                for o, layout in cases for agp in (False, True)]
     monkeypatch.setattr(sim, "PERMUTATION_KINDS", frozenset())
