@@ -1,8 +1,10 @@
 """End-to-end command line driver.
 
-Subcommands: synth, grover, lower, route, simulate, run, cost.  Each is
-a selection over one chain of shared steps: load the instance, make the
-Grover job (refusing a device too small for it), lower and write QASM,
+Subcommands: synth (the oracle), grover (the Grover circuit), route
+(the routed circuit), run (the simulated run, routed too with
+--topology) and cost.  Each is a selection over one chain of shared
+steps: load the instance, make the Grover job (refusing a device too
+small for it), lower to the default or the cx basis and write QASM,
 route, simulate, and validate, write and print the JSON report.
 
 Exit codes: 0 success (including "not k-colorable"), 2 input or usage
@@ -88,8 +90,7 @@ def _write(out_dir: str, name: str, text: str) -> None:
         fh.write(text)
 
 
-def _lowered_qasm(out_dir: str, name: str, circ: Circuit,
-                  basis: str = "default") -> dict:
+def _lowered_qasm(out_dir: str, name: str, circ: Circuit, basis: str) -> dict:
     """Lower ``circ`` to ``basis``, write it as QASM to ``out_dir/name``,
     and return the report's pre- and post-lowering gate counts."""
     lowered = lower_circuit(circ, basis)
@@ -168,8 +169,9 @@ def main():
 
 @main.command()
 @graph_args
+@basis_option
 @out_dir_option
-def synth(graph_file, k, mode, out_dir):
+def synth(graph_file, k, mode, basis, out_dir):
     """Synthesize the k-coloring oracle and emit lowered QASM."""
     instance = _load_instance(graph_file, k)
     plan = plan_layout(instance, mode)
@@ -177,7 +179,7 @@ def synth(graph_file, k, mode, out_dir):
     stem = _stem(graph_file)
     _write(out_dir, f"{stem}.oracle.txt",
            "\n".join(_gate_text(g) for g in oracle.gates) + "\n")
-    counts = _lowered_qasm(out_dir, f"{stem}.oracle.qasm", oracle)
+    counts = _lowered_qasm(out_dir, f"{stem}.oracle.qasm", oracle, basis)
     by_arity = oracle.stats().mct_count_by_arity
     report = _header(
         "synth", instance, mode,
@@ -191,8 +193,9 @@ def synth(graph_file, k, mode, out_dir):
 @main.command()
 @graph_args
 @iterations_option
+@basis_option
 @out_dir_option
-def grover(graph_file, k, mode, iterations, out_dir):
+def grover(graph_file, k, mode, iterations, basis, out_dir):
     """Assemble the full Grover circuit and emit lowered QASM."""
     instance = _load_instance(graph_file, k)
     job = _grover_job(instance, mode, iterations)
@@ -200,35 +203,11 @@ def grover(graph_file, k, mode, iterations, out_dir):
         return
     circ = assemble(job)
     stem = _stem(graph_file)
-    counts = _lowered_qasm(out_dir, f"{stem}.grover.qasm", circ)
+    counts = _lowered_qasm(out_dir, f"{stem}.grover.qasm", circ, basis)
     report = _header("grover", instance, mode, N=2 ** job.data_width,
                      M=job.solution_count, iterations=job.iterations,
                      total_qubits=circ.num_qubits, gate_counts=counts)
     _print_report(report, out_dir, f"{stem}.grover.json")
-
-
-@main.command()
-@graph_args
-@click.option("--stage", type=click.Choice(["oracle", "grover"]),
-              default="oracle", show_default=True)
-@iterations_option
-@basis_option
-@out_dir_option
-def lower(graph_file, k, mode, stage, iterations, basis, out_dir):
-    """Lower the oracle or the full Grover circuit to the basis alphabet."""
-    instance = _load_instance(graph_file, k)
-    if stage == "oracle":
-        _refuse_ignored(["iterations"], "--stage grover")
-        circ = build_oracle(instance, mode)
-    else:
-        job = _grover_job(instance, mode, iterations)
-        if job is None:
-            return
-        circ = assemble(job)
-    name = f"{_stem(graph_file)}.{stage}.lowered.qasm"
-    counts = _lowered_qasm(out_dir, name, circ, basis)
-    _print_report({"report_type": "lower", "stage": stage, "basis": basis,
-                   "gate_counts": counts})
 
 
 @main.command()
@@ -271,40 +250,6 @@ def _route_to_file(circ, coupling, seed, basis, out_dir, stem) -> dict:
     }
 
 
-def _simulation_report(instance, mode, iterations, coupling=None):
-    """Shared by simulate and run: build, simulate, compare to brute force.
-
-    Returns the run report and the circuit; the circuit is None when the
-    graph has no coloring and no iteration count was given.
-    """
-    job = _grover_job(instance, mode, iterations, coupling)
-    circ, sols, top, success, match = None, frozenset(), [], None, None
-    if job is not None:
-        sols = (job.solutions if job.solutions is not None
-                else classical.solutions(instance))
-        circ = assemble(job)
-        dist = probabilities(simulate_circuit(circ), circ.measured)
-        top = sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))
-        success = sum((dist.get(s, 0.0) for s in sorted(sols)), 0.0)
-        match = {bits for bits, _ in top[:len(sols)]} == sols if sols else None
-    report = _header(
-        "run", instance, mode, N=2 ** instance.num_data_qubits, M=len(sols),
-        colorable=bool(sols), iterations=job.iterations if job else 0,
-        success_probability=success,
-        top_states=[{"bitstring": b, "probability": p} for b, p in top[:10]],
-        solution_match=match, routing=None)
-    return report, circ
-
-
-@main.command()
-@graph_args
-@iterations_option
-def simulate(graph_file, k, mode, iterations):
-    """Build the Grover circuit and report its measurement distribution."""
-    instance = _load_instance(graph_file, k)
-    _print_report(_simulation_report(instance, mode, iterations)[0])
-
-
 @main.command(name="run")
 @graph_args
 @iterations_option
@@ -313,19 +258,35 @@ def simulate(graph_file, k, mode, iterations):
 @basis_option
 @out_dir_option
 def run_cmd(graph_file, k, mode, iterations, topology, seed, basis, out_dir):
-    """Full pipeline: synthesize, lower, optionally route, simulate."""
+    """Simulate the Grover circuit and check it against brute force.
+
+    With --topology, also lower and route it as route does."""
     instance = _load_instance(graph_file, k)
     coupling = None
     if topology is None:
         _refuse_ignored(["basis", "seed"], "--topology")
     else:
         coupling = parse_coupling(Path(topology).read_text())
-    report, circ = _simulation_report(instance, mode, iterations, coupling)
-    stem = _stem(graph_file)
-    if circ is not None and coupling is not None:
-        report["routing"] = _route_to_file(circ, coupling, seed, basis,
-                                           out_dir, stem)
-    _print_report(report, out_dir, f"{stem}.run.json")
+    job = _grover_job(instance, mode, iterations, coupling)
+    sols, top, success, match, routing = frozenset(), [], None, None, None
+    if job is not None:
+        sols = (job.solutions if job.solutions is not None
+                else classical.solutions(instance))
+        circ = assemble(job)
+        dist = probabilities(simulate_circuit(circ), circ.measured)
+        top = sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))
+        success = sum((dist.get(s, 0.0) for s in sorted(sols)), 0.0)
+        match = {bits for bits, _ in top[:len(sols)]} == sols if sols else None
+        if coupling is not None:
+            routing = _route_to_file(circ, coupling, seed, basis, out_dir,
+                                     _stem(graph_file))
+    report = _header(
+        "run", instance, mode, N=2 ** instance.num_data_qubits, M=len(sols),
+        colorable=bool(sols), iterations=job.iterations if job else 0,
+        success_probability=success,
+        top_states=[{"bitstring": b, "probability": p} for b, p in top[:10]],
+        solution_match=match, routing=routing)
+    _print_report(report, out_dir, f"{_stem(graph_file)}.run.json")
 
 
 @main.command()

@@ -94,18 +94,33 @@ def test_grover_uncolorable_exits_zero(runner, k3_file, tmp_path):
     assert "not 2-colorable" in result.output
 
 
-def test_lower_stage_and_basis(runner, p3_file, tmp_path):
-    out = tmp_path / "out"
-    result = runner.invoke(main, ["lower", p3_file, "--k", "2",
-                                  "--stage", "grover", "--basis", "cx",
-                                  "--out-dir", str(out)])
+def test_grover_report_requires_integer_gate_counts(runner, k3_file,
+                                                    tmp_path):
+    result = runner.invoke(main, ["grover", k3_file, "--k", "3",
+                                  "--out-dir", str(tmp_path / "o")])
     assert result.exit_code == 0, result.output
     report = _json_head(result.output)
-    assert report["stage"] == "grover" and report["basis"] == "cx"
-    parsed = check_qasm((out / "p3.grover.lowered.qasm").read_text())
-    for name, ops, _ in parsed.gates:
-        if len(ops) == 2:
-            assert name == "cx"
+    validate_report(report)
+    without = {key: v for key, v in report.items() if key != "gate_counts"}
+    for bad in (without, {**report, "gate_counts": {}},
+                {**report, "gate_counts": {"pre_lowering": "x"}},
+                {**report, "gate_counts": {"pre_lowering": 1,
+                                           "post_lowering": 2.5}}):
+        with pytest.raises(jsonschema.ValidationError):
+            validate_report(bad)
+
+
+def test_basis_cx_on_synth_and_grover(runner, p3_file, tmp_path):
+    out = tmp_path / "out"
+    for command in ("synth", "grover"):
+        result = runner.invoke(main, [command, p3_file, "--k", "2",
+                                      "--basis", "cx", "--out-dir", str(out)])
+        assert result.exit_code == 0, result.output
+        assert "basis" not in _json_head(result.output)
+    for qasm in ("p3.oracle.qasm", "p3.grover.qasm"):
+        parsed = check_qasm((out / qasm).read_text())
+        two_qubit = [name for name, ops, _ in parsed.gates if len(ops) == 2]
+        assert set(two_qubit) == {"cx"}, qasm
 
 
 def test_route(runner, p3_file, tmp_path):
@@ -125,8 +140,9 @@ def test_route(runner, p3_file, tmp_path):
     assert "final_layout" in text
 
 
-def test_simulate(runner, p3_file):
-    result = runner.invoke(main, ["simulate", p3_file, "--k", "2"])
+def test_simulate(runner, p3_file, tmp_path):
+    result = runner.invoke(main, ["run", p3_file, "--k", "2",
+                                  "--out-dir", str(tmp_path / "o")])
     assert result.exit_code == 0, result.output
     report = _json_head(result.output)
     assert report["colorable"] is True
@@ -225,11 +241,11 @@ def test_report_does_not_follow_the_hash_seed(tmp_path):
     assert reports[0] == reports[1]
 
 
-@pytest.mark.parametrize("command", ["simulate", "run"])
+@pytest.mark.parametrize("topology", [False, True], ids=["run", "run-line7"])
 @pytest.mark.parametrize("graph, k", [("p3", "2"), ("k3", "2")])
 def test_simulation_enumerates_and_plans_once(runner, p3_file, k3_file,
                                               tmp_path, monkeypatch,
-                                              command, graph, k):
+                                              topology, graph, k):
     calls = {"solutions": 0, "plan_layout": 0}
 
     def counted(name, fn):
@@ -243,11 +259,12 @@ def test_simulation_enumerates_and_plans_once(runner, p3_file, k3_file,
     plan_layout = counted("plan_layout", oracle.plan_layout)
     for module in (oracle, grover, cli):
         monkeypatch.setattr(module, "plan_layout", plan_layout)
-    args = [command, p3_file if graph == "p3" else k3_file, "--k", k]
-    if command == "run":
+    args = ["run", p3_file if graph == "p3" else k3_file, "--k", k,
+            "--out-dir", str(tmp_path / "o")]
+    if topology:
         topo = tmp_path / "line7.cpl"
         topo.write_text(LINE7_CPL)
-        args += ["--topology", str(topo), "--out-dir", str(tmp_path / "o")]
+        args += ["--topology", str(topo)]
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
     assert calls == {"solutions": 1, "plan_layout": 1}
@@ -286,10 +303,12 @@ def test_run_uncolorable(runner, k3_file, tmp_path):
     assert report["colorable"] is False and report["M"] == 0
 
 
-def test_uncolorable_success_probability_is_a_float(runner, k3_file):
+def test_uncolorable_success_probability_is_a_float(runner, k3_file,
+                                                    tmp_path):
     # with --iterations the circuit is simulated though no coloring exists
-    result = runner.invoke(main, ["simulate", k3_file, "--k", "2",
-                                  "--iterations", "1"])
+    result = runner.invoke(main, ["run", k3_file, "--k", "2",
+                                  "--iterations", "1",
+                                  "--out-dir", str(tmp_path / "o")])
     assert result.exit_code == 0, result.output
     assert '"success_probability": 0.0,' in result.output
     report = _json_head(result.output)
@@ -324,8 +343,9 @@ def test_malformed_graph_exits_2(runner, tmp_path):
     assert result.exit_code == 2, result.output
 
 
-def test_resource_limit_exits_3(runner, p3_file):
-    result = runner.invoke(main, ["simulate", p3_file, "--k", "2"],
+def test_resource_limit_exits_3(runner, p3_file, tmp_path):
+    result = runner.invoke(main, ["run", p3_file, "--k", "2",
+                                  "--out-dir", str(tmp_path / "o")],
                            env={"GKC_QUBIT_CEILING": "4"})
     assert result.exit_code == 3, result.output
 
@@ -358,7 +378,7 @@ def test_every_error_has_one_exit_code(runner, k3_file, tmp_path,
 
 
 @pytest.mark.parametrize("args, named", [
-    (["lower", "--stage", "oracle", "--iterations", "7"], ["--iterations"]),
+    (["run", "--basis", "cx"], ["--basis"]),
     (["run", "--basis", "cx", "--seed", "5"], ["--basis", "--seed"]),
     (["run", "--seed", "0"], ["--seed"]),
 ])
@@ -412,10 +432,11 @@ def test_cost_rejects_bad_range(runner):
 
 
 # Golden outputs: every subcommand over four inputs, with the written
-# files and the integer-only stdout pinned by sha256.  simulate and run
-# print floats that may differ in the last digits between numpy builds,
-# so their reports are pinned with the probabilities and bitstrings
-# blanked, and those are compared with GOLDEN_RUNS within 1e-12.
+# files and the integer-only stdout pinned by sha256.  run prints floats
+# that may differ in the last digits between numpy builds, so its
+# reports are pinned with the probabilities and bitstrings blanked, and
+# those are compared with GOLDEN_RUNS within 1e-12.  Every subcommand
+# but cost has a row per input; cost has one of its own.
 GOLDEN_INPUTS = {
     "k3-3-strict": ("k3", "3", "strict"),
     "k3-3-paper": ("k3", "3", "paper"),
@@ -424,14 +445,11 @@ GOLDEN_INPUTS = {
 }
 GOLDEN_COMMANDS = {
     "synth": ["synth"],
+    "synth-cx": ["synth", "--basis", "cx"],
     "grover": ["grover"],
-    "lower-oracle-default": ["lower", "--stage", "oracle"],
-    "lower-oracle-cx": ["lower", "--stage", "oracle", "--basis", "cx"],
-    "lower-grover-default": ["lower", "--stage", "grover"],
-    "lower-grover-cx": ["lower", "--stage", "grover", "--basis", "cx"],
+    "grover-cx": ["grover", "--basis", "cx"],
     "route-default": ["route", "--topology", "line13.cpl"],
     "route-cx": ["route", "--topology", "line13.cpl", "--basis", "cx"],
-    "simulate": ["simulate"],
     "run": ["run"],
     "run-line13": ["run", "--topology", "line13.cpl"],
 }
@@ -453,22 +471,20 @@ k3-3-strict synth k3.oracle.qasm f943e52bffc27361a96e7734d8a88e450238ac6c3970204
 k3-3-strict synth k3.oracle.txt 177043e24ab207d8747b92a8d5fc4afe722812515f2d1c067bedd2530df1e4bf
 k3-3-strict synth k3.synth.json 71c98f2b2bc7716ff0349e321d15af1467e9f92d719d380b75c5cc6e74935974
 k3-3-strict synth stdout 71c98f2b2bc7716ff0349e321d15af1467e9f92d719d380b75c5cc6e74935974
+k3-3-strict synth-cx k3.oracle.qasm b13f7343f643683f83becef6655e2d3dd17c5ec88560e8a387f7bd35358846a5
+k3-3-strict synth-cx k3.oracle.txt 177043e24ab207d8747b92a8d5fc4afe722812515f2d1c067bedd2530df1e4bf
+k3-3-strict synth-cx k3.synth.json 430ab9a2c4cbf261e00c8742236fff80dff32a8dd056c1418b5d14a65678365b
+k3-3-strict synth-cx stdout 430ab9a2c4cbf261e00c8742236fff80dff32a8dd056c1418b5d14a65678365b
 k3-3-strict grover k3.grover.json b2bc5ede97e5b0c2643ccc7597f97c3f20078925d8655f526f2ff4ac067dd2f1
 k3-3-strict grover k3.grover.qasm 55c4106f66b1fdaa06c85701e41121bbbc9cd7831adfcd2f4cf0d8a921254e0a
 k3-3-strict grover stdout b2bc5ede97e5b0c2643ccc7597f97c3f20078925d8655f526f2ff4ac067dd2f1
-k3-3-strict lower-oracle-default k3.oracle.lowered.qasm f943e52bffc27361a96e7734d8a88e450238ac6c3970204d64a10c3921eebe2e
-k3-3-strict lower-oracle-default stdout fb5722fa6456a33b4a166da64a9a0c866e6ff9089776c545c492249df4b43b1b
-k3-3-strict lower-oracle-cx k3.oracle.lowered.qasm b13f7343f643683f83becef6655e2d3dd17c5ec88560e8a387f7bd35358846a5
-k3-3-strict lower-oracle-cx stdout 7d545f0f0416b6f7a8371e3827f32da2e166a521fa611a0316a3f35e4256034b
-k3-3-strict lower-grover-default k3.grover.lowered.qasm 55c4106f66b1fdaa06c85701e41121bbbc9cd7831adfcd2f4cf0d8a921254e0a
-k3-3-strict lower-grover-default stdout 8b1a6bb4286f7f63928a569c520bc2b6246aa784993a787a091fef6270156dba
-k3-3-strict lower-grover-cx k3.grover.lowered.qasm 055811d6de66e80d62b3d70234c89eb6bed7ae07673799ce11b32000693bcef0
-k3-3-strict lower-grover-cx stdout cfdca9525f0249f2211c83e6e896cbee85ba1079df035e527ae95e0cccf4ace6
+k3-3-strict grover-cx k3.grover.json 4c9cbdbabf5c32a6d90e4e5d108697138b7bcd52473e2664119d102805d12a78
+k3-3-strict grover-cx k3.grover.qasm 055811d6de66e80d62b3d70234c89eb6bed7ae07673799ce11b32000693bcef0
+k3-3-strict grover-cx stdout 4c9cbdbabf5c32a6d90e4e5d108697138b7bcd52473e2664119d102805d12a78
 k3-3-strict route-default k3.routed.qasm 29206a43930bd8cb7fa9780671a3f06bdf8f2a4f9ead6b1bd7b624fbf7d5da69
 k3-3-strict route-default stdout 6003aa237f77c36c588c6b537a39c5bd2c6b6790c9a3d08bf9216bf6bc89bd85
 k3-3-strict route-cx k3.routed.qasm 8ebc3bb3e9701a8fbc520cac5861a59f66793f8e76315ed3b235951b2c51211b
 k3-3-strict route-cx stdout 6003aa237f77c36c588c6b537a39c5bd2c6b6790c9a3d08bf9216bf6bc89bd85
-k3-3-strict simulate stdout 42be0b5b17eac86479b30edc25e7be925f887417aed896f4a5e4d3ec955fa671
 k3-3-strict run stdout 42be0b5b17eac86479b30edc25e7be925f887417aed896f4a5e4d3ec955fa671
 k3-3-strict run-line13 k3.routed.qasm 29206a43930bd8cb7fa9780671a3f06bdf8f2a4f9ead6b1bd7b624fbf7d5da69
 k3-3-strict run-line13 stdout b7e423e24f9dff3e0947438d9ad98c99de2cf542ca24637c1c2b19315df9ea2d
@@ -476,39 +492,35 @@ k3-3-paper synth k3.oracle.qasm f3175101795afccd23245ead18498aa4ac03db7a5f3a6d05
 k3-3-paper synth k3.oracle.txt 802d44e612e5ca4511d4520ff21924e8451116363dfb2fa1f29013a7378fb053
 k3-3-paper synth k3.synth.json 7aed4db58f58004eb0f4bbeb7b85640f039d8c8aac7f0d7c2001049faeaca379
 k3-3-paper synth stdout 7aed4db58f58004eb0f4bbeb7b85640f039d8c8aac7f0d7c2001049faeaca379
+k3-3-paper synth-cx k3.oracle.qasm 81d2a43548ad0739956d7cf643ad665875b1f89f05e69173e5acab92060b0b8a
+k3-3-paper synth-cx k3.oracle.txt 802d44e612e5ca4511d4520ff21924e8451116363dfb2fa1f29013a7378fb053
+k3-3-paper synth-cx k3.synth.json 20ce4f5f1afc1a17aca2cfbae0c3d9270760367a352f4822ee64f6b0bda77a7a
+k3-3-paper synth-cx stdout 20ce4f5f1afc1a17aca2cfbae0c3d9270760367a352f4822ee64f6b0bda77a7a
 k3-3-paper grover k3.grover.json 6ba0034f744dfcc3459a6daf9657bb025ce4cd5c23a368d6fb1624b5df81b7e4
 k3-3-paper grover k3.grover.qasm 815da4cb4cf6dcc058ea7724adeed412605bcd35bfed97f951e0d7e60e88861c
 k3-3-paper grover stdout 6ba0034f744dfcc3459a6daf9657bb025ce4cd5c23a368d6fb1624b5df81b7e4
-k3-3-paper lower-oracle-default k3.oracle.lowered.qasm f3175101795afccd23245ead18498aa4ac03db7a5f3a6d051a788a10799814a6
-k3-3-paper lower-oracle-default stdout 46d651125e0801fe412995b51750c07339492379057eee2f26057f337ad168ec
-k3-3-paper lower-oracle-cx k3.oracle.lowered.qasm 81d2a43548ad0739956d7cf643ad665875b1f89f05e69173e5acab92060b0b8a
-k3-3-paper lower-oracle-cx stdout 86de982622eaa9e35751080be9e40518ddeccb8fbfe3a665b389c60da2e3331d
-k3-3-paper lower-grover-default k3.grover.lowered.qasm 815da4cb4cf6dcc058ea7724adeed412605bcd35bfed97f951e0d7e60e88861c
-k3-3-paper lower-grover-default stdout a788ecae3877f10c02da47f5dc686ac3daca9e08781c52ed4c030b4baf439846
-k3-3-paper lower-grover-cx k3.grover.lowered.qasm 7363d8a28c8c263c72230d30b4ed668a93edd0e902534150f29da684c5ef7d4e
-k3-3-paper lower-grover-cx stdout 077d6434c4e47fb97b9aa6159d7d3d3e4acc89ce10b1a46f28407c2d8fbbe333
-k3-3-paper simulate stdout 67c5b9ab6b70fab0f2dbcb79d040a3bc9e9ff14a5d313ab2bb402d60f7a97df0
+k3-3-paper grover-cx k3.grover.json 3be17325a52e531a7301b21af14a7deee0155636459f62f3a40b27d1b4d10538
+k3-3-paper grover-cx k3.grover.qasm 7363d8a28c8c263c72230d30b4ed668a93edd0e902534150f29da684c5ef7d4e
+k3-3-paper grover-cx stdout 3be17325a52e531a7301b21af14a7deee0155636459f62f3a40b27d1b4d10538
 k3-3-paper run stdout 67c5b9ab6b70fab0f2dbcb79d040a3bc9e9ff14a5d313ab2bb402d60f7a97df0
 p3-2 synth p3.oracle.qasm 9014d5a11e7c7784c48be24b6f9cbdca32c1fdb2005aaadbfb33bca26f66647d
 p3-2 synth p3.oracle.txt cca7d588054bdd1290449ac5b89ccbb5db6cdf31321291579c5c7159a8b9620a
 p3-2 synth p3.synth.json 5a71c8195ec0d098f9b4a98ba20e21f8454b78a3336ba7f25ab81cfe6fb6c1d8
 p3-2 synth stdout 5a71c8195ec0d098f9b4a98ba20e21f8454b78a3336ba7f25ab81cfe6fb6c1d8
+p3-2 synth-cx p3.oracle.qasm 49f483ad29ce033259964db2022c3362e6fcdc00b4ebdf81eb61ddcf14c15306
+p3-2 synth-cx p3.oracle.txt cca7d588054bdd1290449ac5b89ccbb5db6cdf31321291579c5c7159a8b9620a
+p3-2 synth-cx p3.synth.json 00d6a2d8da418dd5d8692982f3560e9ff62c072e69276e3beaddb0b4129a6d64
+p3-2 synth-cx stdout 00d6a2d8da418dd5d8692982f3560e9ff62c072e69276e3beaddb0b4129a6d64
 p3-2 grover p3.grover.json 8a78185a457d729a1735a7783d0657048483ca3aa5ede7565d3ef1b4486d5260
 p3-2 grover p3.grover.qasm 21f7723332f9f84152f3e0dcc86d539743c7e121eb7b99d2d2adce9c412218e7
 p3-2 grover stdout 8a78185a457d729a1735a7783d0657048483ca3aa5ede7565d3ef1b4486d5260
-p3-2 lower-oracle-default p3.oracle.lowered.qasm 9014d5a11e7c7784c48be24b6f9cbdca32c1fdb2005aaadbfb33bca26f66647d
-p3-2 lower-oracle-default stdout 2edf716e70db51ea3b442983de47da90e9ebc642279c2489781c2d5736902354
-p3-2 lower-oracle-cx p3.oracle.lowered.qasm 49f483ad29ce033259964db2022c3362e6fcdc00b4ebdf81eb61ddcf14c15306
-p3-2 lower-oracle-cx stdout 80ad432bef21d42e31d3a129c1367e51e77d382d04c9a75ebee6c2e292b04cb6
-p3-2 lower-grover-default p3.grover.lowered.qasm 21f7723332f9f84152f3e0dcc86d539743c7e121eb7b99d2d2adce9c412218e7
-p3-2 lower-grover-default stdout af02c077c459b2469fa91d29c76d5afef169a21a5373b296e1ca02f4927bc34f
-p3-2 lower-grover-cx p3.grover.lowered.qasm ddb41f8c0efc07cad4f5ff694468d95193b2e4d891a3b16d1019e2301ae5f863
-p3-2 lower-grover-cx stdout f158e82e6363fe52f376089c9cababef32c3b3f97e8e8b9016f0f12001c67ce3
+p3-2 grover-cx p3.grover.json 62a6bf31ba354395fa56df96e809800bf2a1f00ef3e575536c2c7ba26d042f35
+p3-2 grover-cx p3.grover.qasm ddb41f8c0efc07cad4f5ff694468d95193b2e4d891a3b16d1019e2301ae5f863
+p3-2 grover-cx stdout 62a6bf31ba354395fa56df96e809800bf2a1f00ef3e575536c2c7ba26d042f35
 p3-2 route-default p3.routed.qasm 166f4ac90b199d2997da3680671ec724ab6f9eb6ebf1739a4ede15fcae358d15
 p3-2 route-default stdout fd6937dbc3e52cd7245022e4193f9be76647dc16c0f6c8c0f48253ad0529e898
 p3-2 route-cx p3.routed.qasm 97bb87f0494139e587aac2591045fcc9f142eca7421c228d2c80380148643c71
 p3-2 route-cx stdout fd6937dbc3e52cd7245022e4193f9be76647dc16c0f6c8c0f48253ad0529e898
-p3-2 simulate stdout 8fc046293d3d6579e82cb799a1a7e218077afa20735dc8099e49790e8b07e661
 p3-2 run stdout 8fc046293d3d6579e82cb799a1a7e218077afa20735dc8099e49790e8b07e661
 p3-2 run-line13 p3.routed.qasm 166f4ac90b199d2997da3680671ec724ab6f9eb6ebf1739a4ede15fcae358d15
 p3-2 run-line13 stdout 3435be45e34e38e34999f2ccb2d22615cbeedff9d1985432399c878788225251
@@ -516,16 +528,14 @@ k3-2 synth k3.oracle.qasm 723322246f448aacce0559cdc2c8e4fff037b2c0265047ed4f07c6
 k3-2 synth k3.oracle.txt a981535de7b477d1f9882b617f816ed73c2a6146be0fbf476ab9e0c9663d93de
 k3-2 synth k3.synth.json 8e02c8f9910175783767161f43c3b611bcc6f4750158a1f1849c1f1f43dc3af4
 k3-2 synth stdout 8e02c8f9910175783767161f43c3b611bcc6f4750158a1f1849c1f1f43dc3af4
+k3-2 synth-cx k3.oracle.qasm e070648fc329cc8c4d07f0b7dd3beb678f8c174e37739058d9afbf851d5974b0
+k3-2 synth-cx k3.oracle.txt a981535de7b477d1f9882b617f816ed73c2a6146be0fbf476ab9e0c9663d93de
+k3-2 synth-cx k3.synth.json 9a07eabd1f5f0d3be7ffcf0267fae67d1a2223aedefbf5c3079af801b979cecc
+k3-2 synth-cx stdout 9a07eabd1f5f0d3be7ffcf0267fae67d1a2223aedefbf5c3079af801b979cecc
 k3-2 grover stdout f3488c3ee8eed62f8e2f28944eb1ec793db9f7e13c5a05b2ef994934e211fe51
-k3-2 lower-oracle-default k3.oracle.lowered.qasm 723322246f448aacce0559cdc2c8e4fff037b2c0265047ed4f07c63582dab580
-k3-2 lower-oracle-default stdout a4b6816a8704c55fe6b82b69fcb20eb5825b064835298621f36ef8c55a1ee83f
-k3-2 lower-oracle-cx k3.oracle.lowered.qasm e070648fc329cc8c4d07f0b7dd3beb678f8c174e37739058d9afbf851d5974b0
-k3-2 lower-oracle-cx stdout 86b34b11f02308bf1b405083b06e1a1b7b8a36f2be99b6633b21857e316876aa
-k3-2 lower-grover-default stdout f3488c3ee8eed62f8e2f28944eb1ec793db9f7e13c5a05b2ef994934e211fe51
-k3-2 lower-grover-cx stdout f3488c3ee8eed62f8e2f28944eb1ec793db9f7e13c5a05b2ef994934e211fe51
+k3-2 grover-cx stdout f3488c3ee8eed62f8e2f28944eb1ec793db9f7e13c5a05b2ef994934e211fe51
 k3-2 route-default stdout f3488c3ee8eed62f8e2f28944eb1ec793db9f7e13c5a05b2ef994934e211fe51
 k3-2 route-cx stdout f3488c3ee8eed62f8e2f28944eb1ec793db9f7e13c5a05b2ef994934e211fe51
-k3-2 simulate stdout c5a8e95dd0692c244f662bdb0cd368e62d020d8a81ee0379b7a25a7d943b7fb4
 k3-2 run stdout c5a8e95dd0692c244f662bdb0cd368e62d020d8a81ee0379b7a25a7d943b7fb4
 k3-2 run-line13 stdout c5a8e95dd0692c244f662bdb0cd368e62d020d8a81ee0379b7a25a7d943b7fb4
 cost --k 3 stdout 1883f792dffd151279d62a40c3b79a1abb6266b8d04dc9ba4e2b41ebad5862d8
@@ -553,7 +563,7 @@ def _same_top_states(got, bitstrings, probabilities):
         start = end
 
 
-def _simulated_stdout(output: str, run_json: str | None) -> str:
+def _simulated_stdout(output: str, run_json: str) -> str:
     """Check the histogram and run.json against the report on stdout,
     and return stdout with the report's floats and bitstrings blanked."""
     head = output[:output.index("{")]
@@ -562,8 +572,7 @@ def _simulated_stdout(output: str, run_json: str | None) -> str:
             f"{'#' * max(1, int(round(s['probability'] * 50)))}\n"
             for s in report["top_states"]]
     assert output[end:] == "\n" + "".join(rows)
-    if run_json is not None:
-        assert run_json == output[len(head):end] + "\n"
+    assert run_json == output[len(head):end] + "\n"
     blank = dict(report, success_probability=None, top_states=None)
     return head + json.dumps(blank, indent=2)
 
@@ -582,20 +591,18 @@ def _golden_outputs(tmp_path, invoke) -> tuple[dict, dict]:
                 if label in GOLDEN_UNROUTED:
                     continue
             out = tmp_path / "out" / label / name
-            args = [command[0], f"{stem}.adj", "--k", k, "--mode", mode,
-                    *command[1:]]
-            if name != "simulate":
-                args += ["--out-dir", str(out)]
-            result = invoke(args)
+            result = invoke([command[0], f"{stem}.adj", "--k", k,
+                             "--mode", mode, *command[1:],
+                             "--out-dir", str(out)])
             assert result.exit_code == 0, (label, name, result.output)
             files = ({p.name: p.read_text() for p in out.iterdir()}
                      if out.exists() else {})
             stdout = result.output
-            if name in ("simulate", "run", "run-line13"):
+            if command[0] == "run":
                 report = _json_head(stdout)
                 runs[label, name] = report
-                stdout = _simulated_stdout(stdout, files.pop(f"{stem}.run.json",
-                                                             None))
+                stdout = _simulated_stdout(stdout,
+                                           files.pop(f"{stem}.run.json"))
             for file_name, text in [*sorted(files.items()),
                                     ("stdout", stdout)]:
                 digests[f"{label} {name} {file_name}"] = _sha(text)
@@ -606,6 +613,8 @@ def _golden_outputs(tmp_path, invoke) -> tuple[dict, dict]:
 
 
 def test_golden_outputs(runner, tmp_path, monkeypatch):
+    assert ({command[0] for command in GOLDEN_COMMANDS.values()}
+            == set(main.commands) - {"cost"})
     monkeypatch.chdir(tmp_path)
     digests, runs = _golden_outputs(tmp_path,
                                     lambda args: runner.invoke(main, args))

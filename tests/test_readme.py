@@ -1,10 +1,12 @@
-"""The README's "Library use" block runs as written, and the lowered
-counts and gate alphabet it quotes are the ones ``lower_circuit`` gives."""
+"""The README's "Library use" block runs as written, the lowered counts
+and gate alphabet it quotes are the ones ``lower_circuit`` gives, and
+the commands it shows are the CLI's subcommands."""
 import re
 from pathlib import Path
 
 from conftest import complete_graph, cycle_graph
 from qkcolor.circuit import LOWERED_KINDS
+from qkcolor.cli import main
 from qkcolor.graphs import make_instance
 from qkcolor.grover import assemble, make_job
 from qkcolor.lowering import lower_circuit
@@ -43,3 +45,24 @@ def test_quoted_lowered_alphabet():
     assert quoted, "README no longer quotes the lowered alphabet"
     assert sorted(quoted.group(1).split(", ")) == sorted(
         kind.value for kind in LOWERED_KINDS)
+
+
+def _command_words(text: str) -> list[str]:
+    """The word after ``qkcolor`` on each command line of the fenced
+    blocks in ``text`` and in each inline code span that starts with it."""
+    blocks = "\n".join(re.findall(r"```\w*\n(.*?)```", text, re.S))
+    return (re.findall(r"(?m)^qkcolor (\S+)", blocks)
+            + re.findall(r"`qkcolor (\S+?)[ `]", text))
+
+
+def test_quick_start_runs_every_subcommand():
+    text = README.read_text()
+    quick_start = text[text.index("## Quick start"):
+                       text.index("## How it works")]
+    assert set(_command_words(quick_start)) >= set(main.commands)
+
+
+def test_readme_names_only_subcommands():
+    words = _command_words(README.read_text())
+    assert words
+    assert set(words) <= set(main.commands)
