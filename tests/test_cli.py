@@ -241,7 +241,9 @@ def test_report_does_not_follow_the_hash_seed(tmp_path):
     assert reports[0] == reports[1]
 
 
-@pytest.mark.parametrize("topology", [False, True], ids=["run", "run-line7"])
+# "simulate" runs without --topology, so the circuit is only simulated;
+# "run" adds a device and so also routes
+@pytest.mark.parametrize("topology", [False, True], ids=["simulate", "run"])
 @pytest.mark.parametrize("graph, k", [("p3", "2"), ("k3", "2")])
 def test_simulation_enumerates_and_plans_once(runner, p3_file, k3_file,
                                               tmp_path, monkeypatch,
