@@ -43,7 +43,7 @@ def solutions(instance: Instance) -> set[str]:
     width = n * c
     if width > ENUMERATION_CEILING:
         raise TooLarge(f"{width} data qubits exceeds enumeration ceiling")
-    out = set()
+    out, spec = set(), f"0{width}b"
     for start in range(0, 2 ** width, _CHUNK):
         x = np.arange(start, min(start + _CHUNK, 2 ** width), dtype=np.int64)
         colors = [(x >> c * (n - 1 - v)) & (2 ** c - 1) for v in range(n)]
@@ -53,5 +53,5 @@ def solutions(instance: Instance) -> set[str]:
                 proper &= color < k
         for i, j in instance.graph.edges:
             proper &= colors[i] != colors[j]
-        out.update(format(s, f"0{width}b") for s in x[proper].tolist())
+        out.update(format(s, spec) for s in x[proper].tolist())
     return out

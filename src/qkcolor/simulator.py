@@ -18,17 +18,19 @@ CRX) take the dense 2x2 update, in place but for one copy of the
 
 ``phase_pattern`` has two paths, both exact.  An oracle of X, CX and
 MCT gates only (every IR oracle) is a classical reversible circuit: it
-is run on bit-packed basis states, with no statevector and no qubit
-ceiling.  Any other oracle (a lowered one, with H/CRX/RZ/RY) is run as
-one sparse statevector batch with a column per data string: it holds
-only the amplitudes that are not exactly 0, each under an integer key
-(column index above the row bits).  Controls select entries by bit
+is run on all prepared basis states at once, one Python int per qubit
+with a bit per basis state, with no statevector and no qubit ceiling.
+Any other oracle (a lowered one, with H/CRX/RZ/RY) is run as one sparse
+statevector batch with a column per data string: it holds only the
+amplitudes that are not exactly 0, each under an integer key (column
+index above the row bits).  Controls select entries by bit
 tests, permutation gates XOR the keys, diagonal gates scale the held
 amplitudes, and H/RY/CRX pair each entry with its target-flipped
 partner (0 when not held) and drop results that are exactly 0.  Both
 kernels update amplitudes through one helper, so the sparse batch is
-bit-identical to ``run_batch`` on the same columns.  A batch that could
-grow past ``_EXACT_PATTERN_LIMIT`` amplitudes raises TooLarge.
+bit-identical to ``run_batch`` on the same columns.  A gate that could
+grow the batch past ``_EXACT_PATTERN_LIMIT`` held amplitudes raises
+TooLarge before it runs.
 """
 from __future__ import annotations
 
@@ -51,6 +53,7 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # arithmetic, scaled in place, or mixed by the dense 2x2 update (the rest).
 _SWAPPED_KINDS = PERMUTATION_KINDS | {GateKind.SWAP}
 _DIAGONAL_KINDS = frozenset({GateKind.Z, GateKind.RZ, GateKind.CZ, GateKind.MCZ})
+_MIXED_KINDS = frozenset(GateKind) - _SWAPPED_KINDS - _DIAGONAL_KINDS
 
 _FIXED_1Q = {
     GateKind.H: np.array([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]], dtype=complex),
@@ -212,8 +215,14 @@ def _sparse_gate(keys: np.ndarray, amps: np.ndarray, gate: Gate,
 def _run_sparse(circuit: Circuit, keys: np.ndarray,
                 amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Apply every gate of the circuit to a sparse batch (see
-    ``_sparse_gate``); the inputs may be overwritten."""
+    ``_sparse_gate``); the inputs may be overwritten.  H, RY and CRX can
+    at most double the amplitudes held, so one that could grow them past
+    ``_EXACT_PATTERN_LIMIT`` raises TooLarge before it runs."""
     for gate in circuit.gates:
+        if gate.kind in _MIXED_KINDS and 2 * keys.size > _EXACT_PATTERN_LIMIT:
+            raise TooLarge(f"{gate.kind.name} on {keys.size} held amplitudes "
+                           f"could pass the {_EXACT_PATTERN_LIMIT}-amplitude "
+                           f"pattern batch")
         keys, amps = _sparse_gate(keys, amps, gate, circuit.num_qubits)
     return keys, amps
 
@@ -307,9 +316,9 @@ def phase_pattern(oracle: Circuit, layout: QubitLayout,
     * Any other oracle is simulated under the qubit ceiling as one
       sparse batch, one basis column per data string, holding only the
       amplitudes that are not exactly 0.  It matches ``run_batch`` bit
-      for bit.  A column can hold all of its 2**q rows, so a batch of
-      more than ``_EXACT_PATTERN_LIMIT`` amplitudes (2**q per column)
-      raises TooLarge.
+      for bit.  A gate that could grow it past ``_EXACT_PATTERN_LIMIT``
+      held amplitudes (H, RY and CRX at most double them) raises
+      TooLarge before it runs.
 
     A layout for another register width raises WidthMismatch.
     """
@@ -321,54 +330,67 @@ def phase_pattern(oracle: Circuit, layout: QubitLayout,
         flipped = _tracked_flips(oracle, layout, allow_global_phase)
     else:
         flipped = _statevector_flips(oracle, layout, allow_global_phase)
-    return {format(int(x), f"0{layout.num_data}b")
-            for x in np.flatnonzero(flipped)}
+    spec = f"0{layout.num_data}b"
+    return {format(x, spec) for x in np.flatnonzero(flipped).tolist()}
 
 
 def _tracked_flips(oracle, layout, allow_global_phase):
     """Per data string x, whether the X/CX/MCT oracle flips its phase.
 
-    Row i of a bit-packed array holds qubit i; column j holds the basis
-    state with data string j mod 2**m, output bit (j >> m) & 1 and the
-    declared ancilla initials.  Each gate XORs the AND of its
-    polarity-adjusted controls into its target row.  On |-> the phase
-    flips iff the output toggles for both output values and nothing else
-    changes; any other outcome is a leak.
+    Each qubit's row is one Python int over 2**(m+1) columns: bit j is
+    the qubit's value in the basis state with data string j mod 2**m,
+    output bit (j >> m) & 1 and the declared ancilla initials.  Each gate
+    XORs the AND of its polarity-adjusted controls into its target row.
+    On |-> the phase flips iff the output toggles for both output values
+    and nothing else changes; any other outcome is a leak.
     """
     m = layout.num_data
     if m > classical.ENUMERATION_CEILING:
         raise TooLarge(f"{m} data bits exceeds enumeration ceiling "
                        f"{classical.ENUMERATION_CEILING}")
-    n_cols = max(2 ** (m + 1), 8)  # whole bytes; extra columns repeat
+    n_cols = 2 ** (m + 1)
+    ones = (1 << n_cols) - 1
 
-    def index_bit(b):  # packed row whose column j holds bit b of j
-        return np.packbits(np.tile(np.repeat([False, True], 1 << b),
-                                   n_cols >> (b + 1)))
-
-    start = np.array([np.full(n_cols // 8, 0xFF * bit, dtype=np.uint8)
-                      for bit in layout.initial_state()])
+    start = [ones * bit for bit in layout.initial_state()]
     for pos, qubit in enumerate(layout.data):
-        start[qubit] = index_bit(m - 1 - pos)
-    start[layout.output] = index_bit(m)
-    rows = start.copy()
+        start[qubit] = _index_row(m - 1 - pos, n_cols)
+    start[layout.output] = _index_row(m, n_cols)
+    rows = list(start)
     for gate in oracle.gates:
-        hit = np.full(n_cols // 8, 0xFF, dtype=np.uint8)
+        hit = ones
         for ctl in gate.controls:
-            hit &= rows[ctl.qubit] if ctl.positive else ~rows[ctl.qubit]
+            row = rows[ctl.qubit] if ctl.positive else ones ^ rows[ctl.qubit]
+            hit = row if hit is ones else hit & row  # skip ones & row
         rows[gate.targets[0]] ^= hit
 
-    rows ^= start  # now the bits each column changed
-    toggled = np.unpackbits(rows[layout.output], count=2 ** (m + 1))
-    rows[layout.output] = 0
-    leaked = np.flatnonzero(rows.any(axis=1))
-    if leaked.size:
-        raise AncillaLeak(f"oracle leaves qubit {int(leaked[0])} changed")
-    flipped, flipped_from_one = toggled.astype(bool).reshape(2, -1)
-    if (flipped != flipped_from_one).any():
+    changed = [row ^ first for row, first in zip(rows, start)]
+    toggled = changed[layout.output]
+    changed[layout.output] = 0
+    leaked = next((qubit for qubit, row in enumerate(changed) if row), None)
+    if leaked is not None:
+        raise AncillaLeak(f"oracle leaves qubit {leaked} changed")
+    half = n_cols // 2
+    low_half = (1 << half) - 1
+    flipped = toggled & low_half
+    if flipped != toggled >> half:
         raise AncillaLeak("oracle toggles the output for one half of |->")
-    if allow_global_phase and flipped[0]:
-        flipped = ~flipped
-    return flipped
+    if allow_global_phase and flipped & 1:
+        flipped ^= low_half
+    return np.unpackbits(
+        np.frombuffer(flipped.to_bytes((half + 7) // 8, "little"), np.uint8),
+        count=half, bitorder="little").astype(bool)
+
+
+def _index_row(b, n_cols):
+    """Row whose bit j is bit b of j, for j < n_cols, built in linear
+    time from one repeated byte period (bit t of byte i is column 8i+t)."""
+    if b < 3:
+        period = bytes([(0xAA, 0xCC, 0xF0)[b]])
+    else:
+        run = 1 << (b - 3)
+        period = bytes(run) + b"\xff" * run
+    repeats = max(n_cols // (8 * len(period)), 1)
+    return int.from_bytes(period * repeats, "little") & ((1 << n_cols) - 1)
 
 
 def _statevector_flips(oracle, layout, allow_global_phase):
@@ -382,8 +404,8 @@ def _statevector_flips(oracle, layout, allow_global_phase):
     _check_ceiling(q)
     m = layout.num_data
     n_data = 2 ** m
-    if 2 ** q * n_data > _EXACT_PATTERN_LIMIT:
-        raise TooLarge(f"{n_data} columns of {q} qubits exceed the "
+    if 2 * n_data > _EXACT_PATTERN_LIMIT:
+        raise TooLarge(f"{n_data} columns of 2 amplitudes exceed the "
                        f"{_EXACT_PATTERN_LIMIT}-amplitude pattern batch")
 
     rows0, rows1, keys, amps = _prepared_batch(layout)
@@ -435,7 +457,6 @@ def _prepared_batch(layout):
     return rows0, rows1, keys, amps
 
 
-# most amplitudes one pattern batch may hold: 2**q per data string, the
-# sparse batch's worst case, where every row of every column is held
+# most amplitudes one sparse pattern batch may hold at once
 _EXACT_PATTERN_LIMIT = 2 ** 20
 _PATTERN_TOL = 1e-9  # amplitude tolerance of the sign and leak checks

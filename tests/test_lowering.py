@@ -380,7 +380,9 @@ def test_relative_vchain_count(n):
 def test_lowered_oracles_keep_the_ir_pattern():
     # The mirror cancels the compute section's relative phases; a leak or
     # a wrong sign on any data string would show here.  Every oracle on
-    # 2-4 vertices at k = 2..4 whose lowered batch fits the limit.
+    # 2-4 vertices at k = 2..4 with at most 2**20 rows in all, 2**(q+m);
+    # of the other 150, 128 check in about 20 s (2-vCPU Xeon) and 22 are
+    # refused.
     checked = past_limit = 0
     for n in (2, 3, 4):
         for graph in all_graphs(n):
@@ -399,7 +401,7 @@ def test_lowered_oracles_keep_the_ir_pattern():
                             == phase_pattern(oracle, layout,
                                              allow_global_phase=True))
                     checked += 1
-    # 60 on 2-3 vertices and 234 on 4; only 4-vertex cases are past it
+    # 60 on 2-3 vertices and 234 on 4; only 4-vertex cases have more
     assert (checked, past_limit) == (60 + 234, 150)
 
 

@@ -265,15 +265,35 @@ def test_phase_pattern_rejects_a_leak_past_x0():
             phase_pattern(spoiled, layout, allow_global_phase=True)
 
 
-def test_phase_pattern_refuses_a_batch_past_the_limit():
-    # lowered K4/k=4 strict: 13 qubits, 8 data bits, 2**21 amplitudes
+def test_phase_pattern_refuses_a_batch_past_the_limit(monkeypatch):
+    # lowered K4/k=4 strict: 13 qubits and 8 data bits, so 2**21 rows in
+    # all, but the batch never holds more than 23,932 amplitudes at once
     inst = make_instance(complete_graph(4), 4)
     plan = plan_layout(inst, "strict")
-    lowered = lower_circuit(build_oracle(inst, "strict", plan))
+    oracle = build_oracle(inst, "strict", plan)
+    lowered = lower_circuit(oracle)
     assert (lowered.num_qubits, plan.layout.num_data) == (13, 8)
     assert 2 ** 21 > sim._EXACT_PATTERN_LIMIT
-    with pytest.raises(TooLarge):
+    assert (phase_pattern(lowered, plan.layout, allow_global_phase=True)
+            == phase_pattern(oracle, plan.layout, allow_global_phase=True))
+    # the prepared batch (512 amplitudes) fits a 2**14 limit; a gate that
+    # could double the batch past it is refused before it runs
+    monkeypatch.setattr(sim, "_EXACT_PATTERN_LIMIT", 2 ** 14)
+    with pytest.raises(TooLarge, match="could pass the 16384-amplitude"):
         phase_pattern(lowered, plan.layout, allow_global_phase=True)
+    # and so is a prepared batch past the limit
+    monkeypatch.setattr(sim, "_EXACT_PATTERN_LIMIT", 2 ** 9 - 1)
+    with pytest.raises(TooLarge, match="256 columns"):
+        phase_pattern(lowered, plan.layout, allow_global_phase=True)
+    # two H gates take one held amplitude to 4: a limit of 4 lets both
+    # run, one of 3 refuses the second before it runs
+    circ = Circuit(2).append(gH(0)).append(gH(1))
+    keys, amps = np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex)
+    monkeypatch.setattr(sim, "_EXACT_PATTERN_LIMIT", 4)
+    assert sim._run_sparse(circ, keys.copy(), amps.copy())[0].size == 4
+    monkeypatch.setattr(sim, "_EXACT_PATTERN_LIMIT", 3)
+    with pytest.raises(TooLarge, match="H on 2 held amplitudes"):
+        sim._run_sparse(circ, keys, amps)
 
 
 def _dense(keys, amps, num_qubits, num_columns):
@@ -398,3 +418,38 @@ def test_tracked_pattern_past_the_qubit_ceiling(monkeypatch):
     monkeypatch.setattr(classical, "ENUMERATION_CEILING", plan.layout.num_data - 1)
     with pytest.raises(TooLarge):
         phase_pattern(oracle, plan.layout)
+
+
+def test_index_rows_hold_the_column_bits():
+    # bit j of _index_row(b, n) is bit b of j, also below one byte
+    for width in range(1, 13):
+        n_cols = 2 ** width
+        for b in range(width):
+            want = sum(1 << j for j in range(n_cols) if (j >> b) & 1)
+            assert sim._index_row(b, n_cols) == want, (b, n_cols)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_tracked_pattern_on_one_vertex(monkeypatch, k):
+    # 1 or 2 data bits: 4 or 8 tracked columns, at most one byte
+    inst = make_instance(Graph(1, frozenset()), k)
+    cases = []
+    for mode in ("strict", "paper"):
+        plan = plan_layout(inst, mode)
+        cases.append((build_oracle(inst, mode, plan), plan.layout))
+        assert plan.layout.num_data == (1 if k == 2 else 2)
+    tracked = [phase_pattern(o, layout, agp)
+               for o, layout in cases for agp in (False, True)]
+    assert tracked[0] == tracked[2] == classical.solutions(inst)
+    monkeypatch.setattr(sim, "PERMUTATION_KINDS", frozenset())
+    assert tracked == [phase_pattern(o, layout, agp)
+                       for o, layout in cases for agp in (False, True)]
+
+
+def test_tracked_pattern_at_twenty_data_bits():
+    # C10/k=4 strict: 2**21 tracked columns, 4**10 data strings
+    inst = make_instance(cycle_graph(10), 4)
+    plan = plan_layout(inst, "strict")
+    assert plan.layout.num_data == 20
+    oracle = build_oracle(inst, "strict", plan)
+    assert phase_pattern(oracle, plan.layout) == classical.solutions(inst)
