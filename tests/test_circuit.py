@@ -1,7 +1,11 @@
+import dataclasses
+
 import pytest
 
-from qkcolor.circuit import (Circuit, Control, Gate, GateKind, QubitLayout,
-                             gCX, gH, gMCT, gRY, gSWAP, gX)
+from qkcolor.circuit import (CONTROLLED_KINDS, MULTI_KINDS, ONE_QUBIT_KINDS,
+                             ROTATION_KINDS, Circuit, Control, Gate, GateKind,
+                             QubitLayout, gCRX, gCX, gH, gMCT, gMCZ, gRY,
+                             gSWAP, gX)
 from qkcolor.errors import IndexOutOfRange, OverlappingOperands
 
 
@@ -36,6 +40,72 @@ def test_overlapping_operands_rejected():
         gCX(1, 1)
     with pytest.raises(OverlappingOperands):
         gMCT([0, 1], 1)
+
+
+C1, C2 = Control(1), Control(2)
+N0, N1 = Control(0, positive=False), Control(1, positive=False)
+OK, BAD = "the angle the kind needs", "the opposite"
+
+# Malformed gates by shape: (controls, targets, angle, error, message),
+# where {k} is the kind's name.  A gate with two faults raises the error
+# of the first check it fails: shape, angle, polarity, overlap.
+MALFORMED = (
+    (ONE_QUBIT_KINDS, (
+        ((C1,), (0,), OK, ValueError, "{k} takes 0 controls and 1 target"),
+        ((), (), OK, ValueError, "{k} takes 0 controls and 1 target"),
+        ((), (0, 1), BAD, ValueError, "{k} takes 0 controls and 1 target"),
+        ((), (0,), BAD, ValueError, "angle must be present iff {k} is a rotation"),
+    )),
+    (CONTROLLED_KINDS, (
+        ((), (0,), OK, ValueError, "{k} takes 1 control and 1 target"),
+        ((C1, C2), (0,), OK, ValueError, "{k} takes 1 control and 1 target"),
+        ((C1,), (0, 2), BAD, ValueError, "{k} takes 1 control and 1 target"),
+        ((C1,), (0,), BAD, ValueError, "angle must be present iff {k} is a rotation"),
+        ((N1,), (0,), OK, ValueError, "negative polarity is permitted only on MCT/MCZ"),
+        ((N0,), (0,), OK, ValueError, "negative polarity is permitted only on MCT/MCZ"),
+        ((C1,), (1,), OK, OverlappingOperands, "{k} operands overlap: [1, 1]"),
+    )),
+    ({GateKind.SWAP}, (
+        ((C2,), (0, 1), OK, ValueError, "swap takes 0 controls and 2 targets"),
+        ((), (0,), OK, ValueError, "swap takes 0 controls and 2 targets"),
+        ((), (0, 1, 2), BAD, ValueError, "swap takes 0 controls and 2 targets"),
+        ((), (0, 1), BAD, ValueError, "angle must be present iff swap is a rotation"),
+        ((), (1, 1), OK, OverlappingOperands, "swap operands overlap: [1, 1]"),
+    )),
+    (MULTI_KINDS, (
+        ((C1,), (), OK, ValueError, "{k} takes exactly 1 target"),
+        ((C1,), (0, 2), BAD, ValueError, "{k} takes exactly 1 target"),
+        ((C1,), (0,), BAD, ValueError, "angle must be present iff {k} is a rotation"),
+        ((C1, N0), (0,), OK, OverlappingOperands, "{k} operands overlap: [1, 0, 0]"),
+        ((C1, C2, C1), (0,), OK, OverlappingOperands,
+         "{k} operands overlap: [1, 2, 1, 0]"),
+    )),
+)
+
+
+@pytest.mark.parametrize("kind", list(GateKind), ids=lambda kind: kind.value)
+def test_gate_validation(kind):
+    [cases] = [cases for kinds, cases in MALFORMED if kind in kinds]
+    good = 0.5 if kind in ROTATION_KINDS else None
+    bad = None if kind in ROTATION_KINDS else 0.5
+    for controls, targets, angle, error, message in cases:
+        with pytest.raises(error) as info:
+            Gate(kind, controls, targets, good if angle is OK else bad)
+        assert str(info.value) == message.format(k=kind.value)
+
+
+def test_operands_are_controls_then_targets():
+    built = [gMCT([(2, False), 0, 4], 1), gMCZ([3], 0), gSWAP(3, 1),
+             gCRX(0, 2, 0.3), gRY(1, -0.4)]
+    perm = [5, 6, 7, 8, 9]
+    gates = (built + [g.remapped(perm) for g in built]
+             + [g.adjoint() for g in built]
+             + [dataclasses.replace(built[0], targets=(3,))])
+    for gate in gates:
+        assert gate.operands == (tuple(c.qubit for c in gate.controls)
+                                 + gate.targets)
+    assert gates[5].operands == (7, 5, 9, 6)
+    assert gates[-1].operands == (2, 0, 4, 3)
 
 
 def test_adjoint_pairs():

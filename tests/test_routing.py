@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from conftest import (LOWERED_POOL, complete_graph, random_circuit,
-                      routed_max_error)
+from conftest import (LOWERED_POOL, complete_graph, cycle_graph,
+                      random_circuit, routed_max_error)
 from qasm_ref import check_qasm
 from qkcolor import routing
 from qkcolor.circuit import Circuit, GateKind, gCX, gH, gMCT
@@ -169,11 +169,13 @@ def test_stall_walk_routes_correctly(monkeypatch, seed):
     rng = random.Random(2000 + seed)
     width = rng.randint(4, 6)
     circ = random_circuit(width, 25, rng, pool=LOWERED_POOL)
-    for coupling in (line_coupling(width), grid_coupling(2, (width + 1) // 2)):
+    for device, coupling in (("line", line_coupling(width)),
+                             ("grid", grid_coupling(2, (width + 1) // 2))):
         result = sabre_route(circ, coupling, seed=seed)
         assert result.stall_walks > 0
         assert verify_constraints(result.routed, coupling)
         assert routed_max_error(circ, result, coupling.num_physical) < 1e-9
+        _assert_route(result, *STALL_ROUTES[seed, device])
 
 
 @pytest.fixture(scope="module")
@@ -202,12 +204,64 @@ def test_golden_route_k3(k3_grover, device):
     lowered = lower_circuit(k3_grover)
     assert (lowered.num_qubits, len(lowered.gates)) == (13, 738)
     result = sabre_route(lowered, coupling, seed=0)
-    assert result.swap_count == swaps
     assert sum(g.kind is GateKind.SWAP for g in result.routed.gates) == swaps
+    _assert_route(result, swaps, 0, initial, final, sha256)
+
+
+# The other route-small instances, strict at seed 0: (graph, k, gates,
+# device) -> swaps, stall walks, initial and final layouts, QASM sha256.
+LADDER_ROUTES = {
+    ("C6", "line13"): (cycle_graph(6), 2, 1174, line_coupling(13), 509, 0,
+                       (10, 9, 7, 4, 2, 12, 8, 11, 6, 3, 1, 5, 0),
+                       (12, 11, 9, 6, 5, 4, 10, 8, 7, 2, 1, 3, 0),
+                       "1e8fba182568e6420f1ed837abdb2e2b7a39bfcc33df4684f8ed242b47ca7b1d"),
+    ("C6", "grid4x4"): (cycle_graph(6), 2, 1174, grid_coupling(4, 4), 188, 0,
+                        (0, 4, 5, 7, 11, 6, 8, 2, 1, 3, 10, 9, 14),
+                        (8, 4, 2, 6, 10, 7, 0, 1, 5, 3, 11, 9, 13),
+                        "c1a98695cd99971238334652db21cea4623370668688bb803e4ff6be8ec26bee"),
+    ("K4", "line13"): (complete_graph(4), 4, 1146, line_coupling(13), 787, 0,
+                       (5, 0, 4, 1, 11, 3, 10, 7, 2, 6, 8, 9, 12),
+                       (0, 1, 2, 5, 7, 10, 11, 12, 3, 4, 6, 8, 9),
+                       "ed6459461b09b66a8f058926eb238a87bad223557e459bf8742c1488088227e7"),
+    ("K4", "grid4x4"): (complete_graph(4), 4, 1146, grid_coupling(4, 4), 252, 0,
+                        (13, 7, 14, 11, 9, 3, 0, 2, 10, 6, 1, 5, 4),
+                        (13, 15, 8, 7, 3, 9, 0, 4, 14, 10, 2, 6, 5),
+                        "93f0e58cd695e217e011aca477738688948561c148b10e58e5beb7448590b475"),
+}
+
+# test_stall_walk_routes_correctly, with both stall limits at 0: (seed,
+# device) -> the same fields.
+STALL_ROUTES = {
+    (0, "line"): (2, 2, (0, 1, 3, 2, 4), (0, 3, 2, 1, 4),
+                  "012fd714577e067c0f7c9d672c06a12d176ef5f09c75d8dc3887404e3b497971"),
+    (0, "grid"): (2, 2, (2, 1, 0, 4, 3), (2, 0, 1, 5, 3),
+                  "acf4c11d36e11013ebf0e8588bb86e46ceb5aa04d216c0db7d98bfdb63ff47ef"),
+    (1, "line"): (14, 7, (5, 4, 3, 1, 0, 2), (2, 0, 5, 4, 1, 3),
+                  "45505032d5e8c108e9820ac40a9b25511434fff13828b33096547b3ca83dac2e"),
+    (1, "grid"): (6, 4, (1, 2, 0, 5, 4, 3), (2, 0, 1, 3, 5, 4),
+                  "e66252304a5e1b5442e22a9a3554cfa2b611667ba19a002adee17e750a06db34"),
+    (2, "line"): (11, 6, (4, 5, 3, 2, 1, 0), (4, 5, 0, 3, 2, 1),
+                  "c57df059b46398e872dd9e245ae4d0efe24f052d7774ea35277833ebcc626b54"),
+    (2, "grid"): (7, 5, (1, 2, 0, 5, 4, 3), (0, 1, 2, 3, 4, 5),
+                  "a60acc6d49a6cfc8910d77bb967b1d3c7c6e80db569f944299618b7db7be0fd0"),
+}
+
+
+def _assert_route(result, swaps, stall_walks, initial, final, sha256):
+    assert result.swap_count == swaps
+    assert result.stall_walks == stall_walks
     assert result.initial.logical_to_physical == initial
     assert result.final.logical_to_physical == final
     qasm = emit_qasm(result.routed)
     assert hashlib.sha256(qasm.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("graph,device", sorted(LADDER_ROUTES))
+def test_golden_route_ladder(graph, device):
+    g, k, gates, coupling, *pins = LADDER_ROUTES[graph, device]
+    lowered = lower_circuit(assemble(make_job(make_instance(g, k), "strict")))
+    assert (lowered.num_qubits, len(lowered.gates)) == (13, gates)
+    _assert_route(sabre_route(lowered, coupling, seed=0), *pins)
 
 
 @pytest.mark.parametrize("device", sorted(GOLDEN_ROUTES))
