@@ -11,7 +11,7 @@ during lowering by X-conjugation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .errors import IndexOutOfRange, OverlappingOperands, UnloweredGate
@@ -30,6 +30,11 @@ class GateKind(Enum):
     MCT = "mct"
     MCZ = "mcz"
 
+    # Enum.__hash__ hashes the member name in Python code; members are
+    # singletons, so identity hashing keeps equality and is a C call for
+    # every frozenset test on a kind.
+    __hash__ = object.__hash__
+
 
 ONE_QUBIT_KINDS = frozenset({
     GateKind.X, GateKind.H, GateKind.Z, GateKind.RY, GateKind.RZ})
@@ -43,6 +48,17 @@ PERMUTATION_KINDS = frozenset({GateKind.X, GateKind.CX, GateKind.MCT})
 # The lowered alphabet, 1- and 2-qubit gates only: what lower_circuit
 # produces, and the only kinds emit_qasm and sabre_route accept.
 LOWERED_KINDS = ONE_QUBIT_KINDS | CONTROLLED_KINDS | {GateKind.SWAP}
+
+# Operand shape of each kind: (controls, targets, message), controls None
+# for any number.
+_SHAPES = {
+    **{k: (0, 1, f"{k.value} takes 0 controls and 1 target")
+       for k in ONE_QUBIT_KINDS},
+    **{k: (1, 1, f"{k.value} takes 1 control and 1 target")
+       for k in CONTROLLED_KINDS},
+    GateKind.SWAP: (0, 2, "swap takes 0 controls and 2 targets"),
+    **{k: (None, 1, f"{k.value} takes exactly 1 target") for k in MULTI_KINDS},
+}
 
 
 def check_lowered(circuit: Circuit) -> None:
@@ -76,29 +92,24 @@ class Gate:
     controls: tuple[Control, ...] = ()
     targets: tuple[int, ...] = ()
     angle: float | None = None
+    # control qubits, then targets; derived, so set by __post_init__
+    operands: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = self.kind
-        nc, nt = len(self.controls), len(self.targets)
-        if k in ONE_QUBIT_KINDS and (nc, nt) != (0, 1):
-            raise ValueError(f"{k.value} takes 0 controls and 1 target")
-        if k in CONTROLLED_KINDS and (nc, nt) != (1, 1):
-            raise ValueError(f"{k.value} takes 1 control and 1 target")
-        if k is GateKind.SWAP and (nc, nt) != (0, 2):
-            raise ValueError("swap takes 0 controls and 2 targets")
-        if k in MULTI_KINDS and nt != 1:
-            raise ValueError(f"{k.value} takes exactly 1 target")
+        nc_want, nt_want, message = _SHAPES[k]
+        if len(self.targets) != nt_want or (
+                nc_want is not None and len(self.controls) != nc_want):
+            raise ValueError(message)
         if (self.angle is not None) != (k in ROTATION_KINDS):
             raise ValueError(f"angle must be present iff {k.value} is a rotation")
-        if k not in MULTI_KINDS and any(not c.positive for c in self.controls):
+        if nc_want is not None and any(not c.positive for c in self.controls):
             raise ValueError("negative polarity is permitted only on MCT/MCZ")
-        operands = [c.qubit for c in self.controls] + list(self.targets)
-        if len(set(operands)) != len(operands):
-            raise OverlappingOperands(f"{k.value} operands overlap: {operands}")
-
-    @property
-    def operands(self) -> tuple[int, ...]:
-        return tuple(c.qubit for c in self.controls) + self.targets
+        operands = tuple(c.qubit for c in self.controls) + self.targets
+        if len(operands) > 1 and len(set(operands)) != len(operands):
+            raise OverlappingOperands(
+                f"{k.value} operands overlap: {list(operands)}")
+        object.__setattr__(self, "operands", operands)
 
     def adjoint(self) -> "Gate":
         """Inverse gate: a rotation by the negated angle; every other kind

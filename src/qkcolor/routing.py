@@ -173,6 +173,7 @@ class _Dag:
             self.indegree[i] = len(preds)
             for q in g:
                 last_on[q] = i
+        self.two_qubit = [len(g) == 2 for g in ops]  # the rest are 1q
 
 
 def sabre_route(circuit: Circuit, coupling: CouplingGraph,
@@ -225,9 +226,12 @@ def _route_pass(dag, coupling, mapping_seed, rng, gates=None):
     gate list is built only when ``gates``, the circuit's gates in DAG
     order, is given; otherwise it is None.
     """
-    ops, succ = dag.ops, dag.succ
+    ops, succ, two_qubit = dag.ops, dag.succ, dag.two_qubit
     dist, adj = coupling.distance, coupling.adjacency
     n_phys = coupling.num_physical
+    # the coupling pairs on each physical qubit, as candidate swaps
+    incident = [[(p, nb) if p < nb else (nb, p) for nb in adj[p]]
+             for p in range(n_phys)]
     l2p = list(mapping_seed)
     p2l = [0] * n_phys
     for logical, phys in enumerate(l2p):
@@ -240,7 +244,13 @@ def _route_pass(dag, coupling, mapping_seed, rng, gates=None):
     swaps_since_commit = 0
     stall_walks = 0
     stall_limit = STALL_BASE + STALL_PER_QUBIT * n_phys
-    blocked = extended = None  # operand pairs; valid until the front changes
+    # Valid until the front changes: the blocked and lookahead operand
+    # pairs, each logical qubit's partners in them, and their distance
+    # sums at the current layout, kept as exact ints so that every float
+    # score equals a full recount.
+    blocked = None
+    visited = [0] * len(ops)  # lookahead BFS generation of each node
+    generation = 0
 
     def swap(p, q):
         lp, lq = p2l[p], p2l[q]
@@ -250,7 +260,7 @@ def _route_pass(dag, coupling, mapping_seed, rng, gates=None):
             out.append(gSWAP(p, q))
 
     while front:
-        ready = [i for i in front if len(ops[i]) < 2
+        ready = [i for i in front if not two_qubit[i]
                  or dist[l2p[ops[i][0]]][l2p[ops[i][1]]] == 1]
         if ready:
             for i in ready:
@@ -268,9 +278,36 @@ def _route_pass(dag, coupling, mapping_seed, rng, gates=None):
             continue
 
         if blocked is None:
-            # nothing is ready, so every front gate is a blocked 2q gate
+            # nothing is ready, so every front gate is a blocked 2q gate;
+            # the lookahead is the nearest 2q successors in BFS order
             blocked = [ops[i] for i in front]
-            extended = _extended_set(dag, front)
+            generation += 1
+            for i in front:
+                visited[i] = generation
+            extended = []
+            queue = list(front)
+            for i in queue:
+                if len(extended) >= EXTENDED_SIZE:
+                    break
+                for s in succ[i]:
+                    if visited[s] == generation:
+                        continue
+                    visited[s] = generation
+                    if two_qubit[s]:
+                        extended.append(ops[s])
+                        if len(extended) >= EXTENDED_SIZE:
+                            break
+                    queue.append(s)
+            partner_b = [None] * n_phys  # front gates share no qubit
+            partner_e = [() for _ in range(n_phys)]
+            for a, b in blocked:
+                partner_b[a], partner_b[b] = b, a
+            for a, b in extended:
+                partner_e[a] += (b,)
+                partner_e[b] += (a,)
+            n_b, n_e = len(blocked), len(extended)
+            sum_b = sum(dist[l2p[a]][l2p[b]] for a, b in blocked)
+            sum_e = sum(dist[l2p[a]][l2p[b]] for a, b in extended)
         if swaps_since_commit >= stall_limit:
             # heuristic is oscillating: walk the first blocked gate's
             # operands together along a shortest path
@@ -282,31 +319,50 @@ def _route_pass(dag, coupling, mapping_seed, rng, gates=None):
                 pa = step
             swaps_since_commit = 0
             stall_walks += 1
+            # blocked[0] is now executable, so the next step commits it
+            # and rebuilds what depends on the front and the layout
+            blocked = None
             continue
 
-        # Distance sums at the current layout; a candidate SWAP changes
-        # only the terms of gates that touch its pair.  Exact ints keep
-        # the float scores equal to a full recount.
-        ends_b = _ends(blocked, l2p, n_phys)
-        ends_e = _ends(extended, l2p, n_phys)
-        sum_b = sum(dist[l2p[a]][l2p[b]] for a, b in blocked)
-        sum_e = sum(dist[l2p[a]][l2p[b]] for a, b in extended)
-        involved = {l2p[q] for pair in blocked for q in pair}
-        candidates = sorted({(p, nb) if p < nb else (nb, p)
-                             for p in involved for nb in adj[p]})
+        candidates = set()
+        for a, b in blocked:
+            candidates.update(incident[l2p[a]])
+            candidates.update(incident[l2p[b]])
+        # A candidate SWAP changes only the terms of pairs on its qubits;
+        # a pair on both keeps its distance.
         best_swaps, best_score = [], None
-        for p, q in candidates:
-            score = (sum_b + _delta(ends_b, dist, p, q)) / len(blocked)
-            if extended:
-                se = sum_e + _delta(ends_e, dist, p, q)
-                score += EXTENDED_WEIGHT * se / len(extended)
+        for p, q in sorted(candidates):
+            lp, lq = p2l[p], p2l[q]
+            dp, dq = dist[p], dist[q]
+            d_b = d_e = 0
+            other = partner_b[lp]
+            if other is not None and other != lq:
+                o = l2p[other]
+                d_b += dq[o] - dp[o]
+            other = partner_b[lq]
+            if other is not None and other != lp:
+                o = l2p[other]
+                d_b += dp[o] - dq[o]
+            score = (sum_b + d_b) / n_b
+            if n_e:
+                for other in partner_e[lp]:
+                    if other != lq:
+                        o = l2p[other]
+                        d_e += dq[o] - dp[o]
+                for other in partner_e[lq]:
+                    if other != lp:
+                        o = l2p[other]
+                        d_e += dp[o] - dq[o]
+                score += EXTENDED_WEIGHT * (sum_e + d_e) / n_e
             score = max(decay[p], decay[q]) * score
             if best_score is None or score < best_score - 1e-12:
-                best_swaps, best_score = [(p, q)], score
+                best_swaps, best_score = [(p, q, d_b, d_e)], score
             elif abs(score - best_score) <= 1e-12:
-                best_swaps.append((p, q))
-        p, q = rng.choice(best_swaps)
+                best_swaps.append((p, q, d_b, d_e))
+        p, q, d_b, d_e = rng.choice(best_swaps)
         swap(p, q)
+        sum_b += d_b
+        sum_e += d_e
         decay[p] += DECAY_INCREMENT
         decay[q] += DECAY_INCREMENT
         swaps_since_reset += 1
@@ -315,46 +371,3 @@ def _route_pass(dag, coupling, mapping_seed, rng, gates=None):
             decay = [1.0] * n_phys
             swaps_since_reset = 0
     return l2p, out, stall_walks
-
-
-def _ends(pairs, l2p, n_phys):
-    """For each physical qubit, the far physical end of every pair on it."""
-    ends = [[] for _ in range(n_phys)]
-    for a, b in pairs:
-        pa, pb = l2p[a], l2p[b]
-        ends[pa].append(pb)
-        ends[pb].append(pa)
-    return ends
-
-
-def _delta(ends, dist, p, q):
-    """Change of a distance sum when physical qubits p and q trade places."""
-    dp, dq = dist[p], dist[q]
-    d = 0
-    for o in ends[p]:
-        if o != q:
-            d += dq[o] - dp[o]
-    for o in ends[q]:
-        if o != p:
-            d += dp[o] - dq[o]
-    return d
-
-
-def _extended_set(dag, front):
-    """Lookahead window: operand pairs of the nearest 2q successors of the
-    front layer."""
-    succ, ops = dag.succ, dag.ops
-    seen = set(front)
-    queue = deque(front)
-    out = []
-    while queue:
-        for s in succ[queue.popleft()]:
-            if s in seen:
-                continue
-            seen.add(s)
-            if len(ops[s]) == 2:
-                out.append(ops[s])
-                if len(out) >= EXTENDED_SIZE:
-                    return out
-            queue.append(s)
-    return out
