@@ -231,7 +231,7 @@ def _route_pass(dag, coupling, mapping_seed, rng, gates=None):
     n_phys = coupling.num_physical
     # the coupling pairs on each physical qubit, as candidate swaps
     incident = [[(p, nb) if p < nb else (nb, p) for nb in adj[p]]
-             for p in range(n_phys)]
+                for p in range(n_phys)]
     l2p = list(mapping_seed)
     p2l = [0] * n_phys
     for logical, phys in enumerate(l2p):
@@ -244,10 +244,10 @@ def _route_pass(dag, coupling, mapping_seed, rng, gates=None):
     swaps_since_commit = 0
     stall_walks = 0
     stall_limit = STALL_BASE + STALL_PER_QUBIT * n_phys
-    # Valid until the front changes: the blocked and lookahead operand
+    # Built when the front changes: the blocked and lookahead operand
     # pairs, each logical qubit's partners in them, and their distance
-    # sums at the current layout, kept as exact ints so that every float
-    # score equals a full recount.
+    # sums, which each swap then moves by its change.  The sums are exact
+    # ints, so every float score equals that of a full recount.
     blocked = None
     visited = [0] * len(ops)  # lookahead BFS generation of each node
     generation = 0

@@ -44,40 +44,39 @@ def test_overlapping_operands_rejected():
 
 C1, C2 = Control(1), Control(2)
 N0, N1 = Control(0, positive=False), Control(1, positive=False)
-OK, BAD = "the angle the kind needs", "the opposite"
 
-# Malformed gates by shape: (controls, targets, angle, error, message),
-# where {k} is the kind's name.  A gate with two faults raises the error
+# Malformed gates by shape: (controls, targets, whether the angle is the
+# one the kind needs, error, message), where {k} is the kind's name.  A gate with two faults raises the error
 # of the first check it fails: shape, angle, polarity, overlap.
 MALFORMED = (
     (ONE_QUBIT_KINDS, (
-        ((C1,), (0,), OK, ValueError, "{k} takes 0 controls and 1 target"),
-        ((), (), OK, ValueError, "{k} takes 0 controls and 1 target"),
-        ((), (0, 1), BAD, ValueError, "{k} takes 0 controls and 1 target"),
-        ((), (0,), BAD, ValueError, "angle must be present iff {k} is a rotation"),
+        ((C1,), (0,), True, ValueError, "{k} takes 0 controls and 1 target"),
+        ((), (), True, ValueError, "{k} takes 0 controls and 1 target"),
+        ((), (0, 1), False, ValueError, "{k} takes 0 controls and 1 target"),
+        ((), (0,), False, ValueError, "angle must be present iff {k} is a rotation"),
     )),
     (CONTROLLED_KINDS, (
-        ((), (0,), OK, ValueError, "{k} takes 1 control and 1 target"),
-        ((C1, C2), (0,), OK, ValueError, "{k} takes 1 control and 1 target"),
-        ((C1,), (0, 2), BAD, ValueError, "{k} takes 1 control and 1 target"),
-        ((C1,), (0,), BAD, ValueError, "angle must be present iff {k} is a rotation"),
-        ((N1,), (0,), OK, ValueError, "negative polarity is permitted only on MCT/MCZ"),
-        ((N0,), (0,), OK, ValueError, "negative polarity is permitted only on MCT/MCZ"),
-        ((C1,), (1,), OK, OverlappingOperands, "{k} operands overlap: [1, 1]"),
+        ((), (0,), True, ValueError, "{k} takes 1 control and 1 target"),
+        ((C1, C2), (0,), True, ValueError, "{k} takes 1 control and 1 target"),
+        ((C1,), (0, 2), False, ValueError, "{k} takes 1 control and 1 target"),
+        ((C1,), (0,), False, ValueError, "angle must be present iff {k} is a rotation"),
+        ((N1,), (0,), True, ValueError, "negative polarity is permitted only on MCT/MCZ"),
+        ((N0,), (0,), True, ValueError, "negative polarity is permitted only on MCT/MCZ"),
+        ((C1,), (1,), True, OverlappingOperands, "{k} operands overlap: [1, 1]"),
     )),
     ({GateKind.SWAP}, (
-        ((C2,), (0, 1), OK, ValueError, "swap takes 0 controls and 2 targets"),
-        ((), (0,), OK, ValueError, "swap takes 0 controls and 2 targets"),
-        ((), (0, 1, 2), BAD, ValueError, "swap takes 0 controls and 2 targets"),
-        ((), (0, 1), BAD, ValueError, "angle must be present iff swap is a rotation"),
-        ((), (1, 1), OK, OverlappingOperands, "swap operands overlap: [1, 1]"),
+        ((C2,), (0, 1), True, ValueError, "swap takes 0 controls and 2 targets"),
+        ((), (0,), True, ValueError, "swap takes 0 controls and 2 targets"),
+        ((), (0, 1, 2), False, ValueError, "swap takes 0 controls and 2 targets"),
+        ((), (0, 1), False, ValueError, "angle must be present iff swap is a rotation"),
+        ((), (1, 1), True, OverlappingOperands, "swap operands overlap: [1, 1]"),
     )),
     (MULTI_KINDS, (
-        ((C1,), (), OK, ValueError, "{k} takes exactly 1 target"),
-        ((C1,), (0, 2), BAD, ValueError, "{k} takes exactly 1 target"),
-        ((C1,), (0,), BAD, ValueError, "angle must be present iff {k} is a rotation"),
-        ((C1, N0), (0,), OK, OverlappingOperands, "{k} operands overlap: [1, 0, 0]"),
-        ((C1, C2, C1), (0,), OK, OverlappingOperands,
+        ((C1,), (), True, ValueError, "{k} takes exactly 1 target"),
+        ((C1,), (0, 2), False, ValueError, "{k} takes exactly 1 target"),
+        ((C1,), (0,), False, ValueError, "angle must be present iff {k} is a rotation"),
+        ((C1, N0), (0,), True, OverlappingOperands, "{k} operands overlap: [1, 0, 0]"),
+        ((C1, C2, C1), (0,), True, OverlappingOperands,
          "{k} operands overlap: [1, 2, 1, 0]"),
     )),
 )
@@ -88,9 +87,9 @@ def test_gate_validation(kind):
     [cases] = [cases for kinds, cases in MALFORMED if kind in kinds]
     good = 0.5 if kind in ROTATION_KINDS else None
     bad = None if kind in ROTATION_KINDS else 0.5
-    for controls, targets, angle, error, message in cases:
+    for controls, targets, angle_ok, error, message in cases:
         with pytest.raises(error) as info:
-            Gate(kind, controls, targets, good if angle is OK else bad)
+            Gate(kind, controls, targets, good if angle_ok else bad)
         assert str(info.value) == message.format(k=kind.value)
 
 
