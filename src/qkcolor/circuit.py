@@ -106,9 +106,7 @@ class Gate:
         if nc_want is not None and any(not c.positive for c in self.controls):
             raise ValueError("negative polarity is permitted only on MCT/MCZ")
         operands = tuple(c.qubit for c in self.controls) + self.targets
-        if len(operands) > 1 and len(set(operands)) != len(operands):
-            raise OverlappingOperands(
-                f"{k.value} operands overlap: {list(operands)}")
+        _check_distinct(k, operands)
         object.__setattr__(self, "operands", operands)
 
     def adjoint(self) -> "Gate":
@@ -119,11 +117,33 @@ class Gate:
         return self
 
     def remapped(self, perm) -> "Gate":
-        """Gate with every operand q replaced by perm[q]."""
-        return Gate(self.kind,
-                    tuple(Control(perm[c.qubit], c.positive) for c in self.controls),
-                    tuple(perm[t] for t in self.targets),
-                    self.angle)
+        """Gate with every operand q replaced by perm[q].
+
+        A qubit map cannot change kind, arity, angle or polarity, so of
+        ``__post_init__``'s checks only the operand overlap is made again:
+        a map that sends two operands to one qubit raises
+        OverlappingOperands."""
+        operands = tuple([perm[q] for q in self.operands])
+        _check_distinct(self.kind, operands)
+        controls = self.controls
+        if controls:
+            controls = tuple([Control(q, c.positive)
+                              for q, c in zip(operands, controls)])
+        # the fields as __init__ would set them, without its checks
+        gate = object.__new__(Gate)
+        fields = gate.__dict__
+        fields["kind"] = self.kind
+        fields["controls"] = controls
+        fields["targets"] = operands[len(controls):]
+        fields["angle"] = self.angle
+        fields["operands"] = operands
+        return gate
+
+
+def _check_distinct(kind: GateKind, operands: tuple[int, ...]) -> None:
+    if len(operands) > 1 and len(set(operands)) != len(operands):
+        raise OverlappingOperands(
+            f"{kind.value} operands overlap: {list(operands)}")
 
 
 # Gate construction helpers; angles in radians.

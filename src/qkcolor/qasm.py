@@ -7,11 +7,15 @@ qubit ``circuit.measured[i]``.
 """
 from __future__ import annotations
 
-from .circuit import Circuit, Gate, check_lowered
+from .circuit import Circuit, Gate, GateKind, check_lowered
+
+# each kind's statement name, read once here rather than through the
+# Enum ``value`` property for every gate
+_NAMES = {kind: kind.value for kind in GateKind}
 
 
 def _statement(gate: Gate) -> str:
-    name = gate.kind.value
+    name = _NAMES[gate.kind]
     if gate.angle is not None:
         name = f"{name}({format(gate.angle, '.17g')})"
     args = ", ".join(f"q[{q}]" for q in gate.operands)

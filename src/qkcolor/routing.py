@@ -175,6 +175,25 @@ class _Dag:
                 last_on[q] = i
         self.two_qubit = [len(g) == 2 for g in ops]  # the rest are 1q
 
+    def reverse(self) -> "_Dag":
+        """The DAG of ``ops[::-1]``, as ``_Dag`` would build it.
+
+        Two gates are joined iff they share a qubit that no gate between
+        them touches, in either direction, so the edges are these edges
+        turned round.  Walking the nodes from the last one fills each
+        successor list in ascending order, as ``_Dag`` fills it.
+        """
+        n = len(self.ops)
+        rev = object.__new__(_Dag)
+        rev.ops = self.ops[::-1]
+        rev.succ = [[] for _ in range(n)]
+        for r, succ in enumerate(reversed(self.succ)):
+            for i in succ:
+                rev.succ[n - 1 - i].append(r)
+        rev.indegree = [len(succ) for succ in reversed(self.succ)]
+        rev.two_qubit = self.two_qubit[::-1]
+        return rev
+
 
 def sabre_route(circuit: Circuit, coupling: CouplingGraph,
                 seed: int = 0) -> RoutingResult:
@@ -195,7 +214,7 @@ def sabre_route(circuit: Circuit, coupling: CouplingGraph,
     rng = random.Random(seed)
     forward = _Dag(ops)
     m1, _, _ = _route_pass(forward, coupling, range(coupling.num_physical), rng)
-    m2, _, _ = _route_pass(_Dag(ops[::-1]), coupling, m1, rng)
+    m2, _, _ = _route_pass(forward.reverse(), coupling, m1, rng)
     m_final, out_gates, stall_walks = _route_pass(forward, coupling, m2, rng,
                                                   circuit.gates)
 
@@ -237,10 +256,16 @@ def _route_pass(dag, coupling, mapping_seed, rng, gates=None):
     for logical, phys in enumerate(l2p):
         p2l[phys] = logical
     indegree = list(dag.indegree)
-    front = deque(i for i in range(len(ops)) if indegree[i] == 0)
-    out = [] if gates is not None else None
+    front = [i for i in range(len(ops)) if indegree[i] == 0]
+    if gates is None:
+        out = None
+    else:
+        out = []
+        # one SWAP gate per coupled pair and operand order
+        swap_gates = {(p, nb): gSWAP(p, nb)
+                      for p in range(n_phys) for nb in adj[p]}
     decay = [1.0] * n_phys
-    swaps_since_reset = 0
+    swaps_since_reset = 0  # also 0 exactly when every decay is 1.0
     swaps_since_commit = 0
     stall_walks = 0
     stall_limit = STALL_BASE + STALL_PER_QUBIT * n_phys
@@ -257,22 +282,29 @@ def _route_pass(dag, coupling, mapping_seed, rng, gates=None):
         p2l[p], p2l[q] = lq, lp
         l2p[lp], l2p[lq] = q, p
         if out is not None:
-            out.append(gSWAP(p, q))
+            out.append(swap_gates[p, q])
 
     while front:
         ready = [i for i in front if not two_qubit[i]
                  or dist[l2p[ops[i][0]]][l2p[ops[i][1]]] == 1]
         if ready:
+            # the gates left in the front keep their order, and the
+            # successors each commit frees follow them in commit order
+            if len(ready) == len(front):
+                front = []
+            else:
+                done = set(ready)
+                front = [i for i in front if i not in done]
             for i in ready:
-                front.remove(i)
                 if out is not None:
                     out.append(gates[i].remapped(l2p))
                 for s in succ[i]:
                     indegree[s] -= 1
                     if indegree[s] == 0:
                         front.append(s)
-            decay = [1.0] * n_phys
-            swaps_since_reset = 0
+            if swaps_since_reset:
+                decay = [1.0] * n_phys
+                swaps_since_reset = 0
             swaps_since_commit = 0
             blocked = None
             continue
@@ -280,34 +312,35 @@ def _route_pass(dag, coupling, mapping_seed, rng, gates=None):
         if blocked is None:
             # nothing is ready, so every front gate is a blocked 2q gate;
             # the lookahead is the nearest 2q successors in BFS order
-            blocked = [ops[i] for i in front]
             generation += 1
+            blocked = []
+            partner_b = [None] * n_phys  # front gates share no qubit
+            partner_e = [()] * n_phys
+            sum_b = sum_e = n_e = 0
             for i in front:
                 visited[i] = generation
-            extended = []
+                a, b = pair = ops[i]
+                blocked.append(pair)
+                partner_b[a], partner_b[b] = b, a
+                sum_b += dist[l2p[a]][l2p[b]]
             queue = list(front)
             for i in queue:
-                if len(extended) >= EXTENDED_SIZE:
+                if n_e >= EXTENDED_SIZE:
                     break
                 for s in succ[i]:
                     if visited[s] == generation:
                         continue
                     visited[s] = generation
                     if two_qubit[s]:
-                        extended.append(ops[s])
-                        if len(extended) >= EXTENDED_SIZE:
+                        a, b = ops[s]
+                        partner_e[a] += (b,)
+                        partner_e[b] += (a,)
+                        sum_e += dist[l2p[a]][l2p[b]]
+                        n_e += 1
+                        if n_e >= EXTENDED_SIZE:
                             break
                     queue.append(s)
-            partner_b = [None] * n_phys  # front gates share no qubit
-            partner_e = [() for _ in range(n_phys)]
-            for a, b in blocked:
-                partner_b[a], partner_b[b] = b, a
-            for a, b in extended:
-                partner_e[a] += (b,)
-                partner_e[b] += (a,)
-            n_b, n_e = len(blocked), len(extended)
-            sum_b = sum(dist[l2p[a]][l2p[b]] for a, b in blocked)
-            sum_e = sum(dist[l2p[a]][l2p[b]] for a, b in extended)
+            n_b = len(blocked)
         if swaps_since_commit >= stall_limit:
             # heuristic is oscillating: walk the first blocked gate's
             # operands together along a shortest path
@@ -354,7 +387,8 @@ def _route_pass(dag, coupling, mapping_seed, rng, gates=None):
                         o = l2p[other]
                         d_e += dp[o] - dq[o]
                 score += EXTENDED_WEIGHT * (sum_e + d_e) / n_e
-            score = max(decay[p], decay[q]) * score
+            decay_p, decay_q = decay[p], decay[q]
+            score = (decay_p if decay_p > decay_q else decay_q) * score
             if best_score is None or score < best_score - 1e-12:
                 best_swaps, best_score = [(p, q, d_b, d_e)], score
             elif abs(score - best_score) <= 1e-12:

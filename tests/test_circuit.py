@@ -112,10 +112,56 @@ def test_adjoint_pairs():
     assert gX(0).adjoint() == gX(0)
 
 
+# One gate of each kind on qubits 0..4: controls, targets, angle.
+REMAP_CASES = {
+    GateKind.X: ((), (1,), None),
+    GateKind.H: ((), (4,), None),
+    GateKind.Z: ((), (0,), None),
+    GateKind.RY: ((), (2,), 0.25),
+    GateKind.RZ: ((), (3,), -1.5),
+    GateKind.CX: ((C2,), (0,), None),
+    GateKind.CZ: ((Control(4),), (1,), None),
+    GateKind.CRX: ((Control(3),), (2,), 0.75),
+    GateKind.SWAP: ((), (3, 1), None),
+    GateKind.MCT: ((Control(2, positive=False), Control(0), Control(4)),
+                   (1,), None),
+    GateKind.MCZ: ((Control(3), N0), (2,), None),
+}
+
+
+def _mapped_fields(controls, targets, perm):
+    return (tuple(Control(perm[c.qubit], c.positive) for c in controls),
+            tuple(perm[t] for t in targets))
+
+
 def test_remapped():
+    assert set(REMAP_CASES) == set(GateKind)
+    perm = [5, 9, 7, 6, 8]
+    collapse = [0] * 5  # sends every operand to one qubit
+    for kind, (controls, targets, angle) in REMAP_CASES.items():
+        gate = Gate(kind, controls, targets, angle)
+        for qubit_map in (perm, dict(enumerate(perm))):
+            got = gate.remapped(qubit_map)
+            want = Gate(kind, *_mapped_fields(controls, targets, perm), angle)
+            assert got == want and hash(got) == hash(want), kind
+            assert got.operands == want.operands, kind
+            assert repr(got) == repr(want), kind
+            assert (got.controls, got.targets, got.angle) == (
+                want.controls, want.targets, want.angle), kind
+        if len(gate.operands) == 1:
+            continue
+        # the error and message a validated construction raises
+        with pytest.raises(OverlappingOperands) as want:
+            Gate(kind, *_mapped_fields(controls, targets, collapse), angle)
+        with pytest.raises(OverlappingOperands) as got:
+            gate.remapped(collapse)
+        assert str(got.value) == str(want.value), kind
     g = gMCT([(2, False), 0], 1).remapped({0: 5, 1: 3, 2: 4})
     assert g.operands == (4, 5, 3)
     assert [c.positive for c in g.controls] == [False, True]
+    with pytest.raises(OverlappingOperands, match=r"^mct operands overlap: "
+                       r"\[4, 5, 5\]$"):
+        gMCT([(2, False), 0], 1).remapped({0: 5, 1: 5, 2: 4})
 
 
 def test_circuit_bounds_checked():

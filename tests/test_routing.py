@@ -178,6 +178,44 @@ def test_stall_walk_routes_correctly(monkeypatch, seed):
         _assert_route(result, *STALL_ROUTES[seed, device])
 
 
+def _lowered_ops(rng, width, size):
+    """Operand tuples of a random lowered circuit in which each gate
+    appears one to three times in a row: runs of 1-qubit gates, and
+    back-to-back gates on one pair, whose second gate has both its
+    predecessors in the first."""
+    ops = []
+    for gate in random_circuit(width, size, rng, pool=LOWERED_POOL).gates:
+        ops.extend([gate.operands] * rng.choice((1, 1, 2, 3)))
+    return ops
+
+
+def _ladder_lowered(graph, k):
+    return lower_circuit(assemble(make_job(make_instance(graph, k), "strict")))
+
+
+def test_reverse_dag_equals_the_rebuilt_one():
+    """The backward pass's DAG, turned round from the forward one, is
+    the one built from the reversed gates: the same successor lists in
+    the same order, indegrees and 2-qubit flags."""
+    cases = [[g.operands for g in _ladder_lowered(graph, k).gates]
+             for graph, k in ((complete_graph(3), 3), (cycle_graph(6), 2),
+                              (complete_graph(4), 4))]
+    rng = random.Random(3000)
+    cases += [_lowered_ops(rng, rng.randint(2, 7), 40) for _ in range(30)]
+    pairs = [ops for ops in cases
+             if any(len(a) == 2 and a == b for a, b in zip(ops, ops[1:]))]
+    runs = [ops for ops in cases
+            if any(len(a) == len(b) == 1 for a, b in zip(ops, ops[1:]))]
+    assert len(pairs) > 20 and len(runs) > 20
+    for ops in cases:
+        derived = routing._Dag(ops).reverse()
+        rebuilt = routing._Dag(ops[::-1])
+        assert derived.ops == rebuilt.ops
+        assert derived.succ == rebuilt.succ
+        assert derived.indegree == rebuilt.indegree
+        assert derived.two_qubit == rebuilt.two_qubit
+
+
 @pytest.fixture(scope="module")
 def k3_grover():
     return assemble(make_job(make_instance(complete_graph(3), 3), "strict"))
@@ -208,22 +246,38 @@ def test_golden_route_k3(k3_grover, device):
     _assert_route(result, swaps, 0, initial, final, sha256)
 
 
-# The other route-small instances, strict at seed 0: (graph, k, gates,
-# device) -> swaps, stall walks, initial and final layouts, QASM sha256.
+# The other route-small instances, and C5/k=3 on devices wider than 16
+# qubits, strict at seed 0: (graph, device) -> graph, k, (qubits, lowered
+# gates), device, swaps, stall walks, initial and final layouts, QASM
+# sha256.
 LADDER_ROUTES = {
-    ("C6", "line13"): (cycle_graph(6), 2, 1174, line_coupling(13), 509, 0,
+    ("C5", "grid5x5"): (cycle_graph(5), 3, (21, 2782), grid_coupling(5, 5),
+                        813, 0,
+                        (14, 18, 12, 16, 3, 6, 17, 5, 2, 23, 22, 13, 1, 15,
+                         0, 19, 11, 7, 10, 8, 9),
+                        (15, 16, 19, 2, 3, 1, 10, 8, 14, 5, 18, 17, 11, 7, 6,
+                         12, 13, 0, 9, 22, 21),
+                        "340e72b13c74bcdc0ecd5ec4024f321be18b47d00b42131e0368c6e566ee2f60"),
+    ("C5", "ring21"): (cycle_graph(5), 3, (21, 2782), ring_coupling(21),
+                       2009, 0,
+                       (14, 16, 7, 5, 2, 4, 9, 11, 18, 20, 0, 17, 8, 12, 13,
+                        15, 6, 3, 10, 19, 1),
+                       (14, 15, 17, 20, 2, 6, 8, 11, 12, 13, 16, 19, 1, 5, 7,
+                        9, 10, 4, 3, 18, 0),
+                       "1d7240b716c6e8a14465db5a31c74d8d694bc0cdf581b932b3add164a0478861"),
+    ("C6", "line13"): (cycle_graph(6), 2, (13, 1174), line_coupling(13), 509, 0,
                        (10, 9, 7, 4, 2, 12, 8, 11, 6, 3, 1, 5, 0),
                        (12, 11, 9, 6, 5, 4, 10, 8, 7, 2, 1, 3, 0),
                        "1e8fba182568e6420f1ed837abdb2e2b7a39bfcc33df4684f8ed242b47ca7b1d"),
-    ("C6", "grid4x4"): (cycle_graph(6), 2, 1174, grid_coupling(4, 4), 188, 0,
+    ("C6", "grid4x4"): (cycle_graph(6), 2, (13, 1174), grid_coupling(4, 4), 188, 0,
                         (0, 4, 5, 7, 11, 6, 8, 2, 1, 3, 10, 9, 14),
                         (8, 4, 2, 6, 10, 7, 0, 1, 5, 3, 11, 9, 13),
                         "c1a98695cd99971238334652db21cea4623370668688bb803e4ff6be8ec26bee"),
-    ("K4", "line13"): (complete_graph(4), 4, 1146, line_coupling(13), 787, 0,
+    ("K4", "line13"): (complete_graph(4), 4, (13, 1146), line_coupling(13), 787, 0,
                        (5, 0, 4, 1, 11, 3, 10, 7, 2, 6, 8, 9, 12),
                        (0, 1, 2, 5, 7, 10, 11, 12, 3, 4, 6, 8, 9),
                        "ed6459461b09b66a8f058926eb238a87bad223557e459bf8742c1488088227e7"),
-    ("K4", "grid4x4"): (complete_graph(4), 4, 1146, grid_coupling(4, 4), 252, 0,
+    ("K4", "grid4x4"): (complete_graph(4), 4, (13, 1146), grid_coupling(4, 4), 252, 0,
                         (13, 7, 14, 11, 9, 3, 0, 2, 10, 6, 1, 5, 4),
                         (13, 15, 8, 7, 3, 9, 0, 4, 14, 10, 2, 6, 5),
                         "93f0e58cd695e217e011aca477738688948561c148b10e58e5beb7448590b475"),
@@ -258,9 +312,9 @@ def _assert_route(result, swaps, stall_walks, initial, final, sha256):
 
 @pytest.mark.parametrize("graph,device", sorted(LADDER_ROUTES))
 def test_golden_route_ladder(graph, device):
-    g, k, gates, coupling, *pins = LADDER_ROUTES[graph, device]
-    lowered = lower_circuit(assemble(make_job(make_instance(g, k), "strict")))
-    assert (lowered.num_qubits, len(lowered.gates)) == (13, gates)
+    g, k, size, coupling, *pins = LADDER_ROUTES[graph, device]
+    lowered = _ladder_lowered(g, k)
+    assert (lowered.num_qubits, len(lowered.gates)) == size
     _assert_route(sabre_route(lowered, coupling, seed=0), *pins)
 
 
