@@ -240,10 +240,12 @@ class Circuit:
         self.gates: list[Gate] = []
         self.measured: tuple[int, ...] = (tuple(measured) if measured is not None
                                           else tuple(range(num_qubits)))
-        self.initial_state: list[int] = (list(initial_state) if initial_state is not None
-                                         else [0] * num_qubits)
-        if len(self.initial_state) != num_qubits:
+        init = list(initial_state) if initial_state is not None else [0] * num_qubits
+        if len(init) != num_qubits:
             raise IndexOutOfRange("initial_state length must equal num_qubits")
+        if any(bit not in (0, 1) for bit in init):
+            raise IndexOutOfRange(f"initial_state entries must be 0 or 1, got {init}")
+        self.initial_state: list[int] = [int(bit) for bit in init]
         check_qubit_subset(self.measured, num_qubits, "measured qubits")
 
     def append(self, gate: Gate) -> "Circuit":

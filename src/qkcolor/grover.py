@@ -15,9 +15,12 @@ from .oracle import OraclePlan, build_oracle, plan_layout
 class GroverJob:
     oracle: Circuit
     plan: OraclePlan
-    data_width: int
     iterations: int
     solutions: frozenset[str] | None  # None when the iteration count was given
+
+    @property
+    def data_width(self) -> int:
+        return self.plan.layout.num_data
 
     @property
     def solution_count(self) -> int | None:
@@ -73,14 +76,13 @@ def make_job(instance: Instance, mode: str = "strict",
         raise ValueError(f"iteration count must be >= 0, got {iterations}")
     plan = plan_layout(instance, mode)
     oracle = build_oracle(instance, mode, plan)
-    m = plan.layout.num_data
-    N = 2 ** m
+    N = 2 ** plan.layout.num_data
     sols: frozenset[str] | None = None
     if iterations is None:
         sols = frozenset(classical.solutions(instance))
         iterations = optimal_iterations(N, len(sols))
-    return GroverJob(oracle=oracle, plan=plan, data_width=m,
-                     iterations=iterations, solutions=sols)
+    return GroverJob(oracle=oracle, plan=plan, iterations=iterations,
+                     solutions=sols)
 
 
 def assemble(job: GroverJob) -> Circuit:

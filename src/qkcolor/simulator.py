@@ -1,4 +1,8 @@
-"""Dense statevector simulator used as the verification engine.
+"""Statevector simulators used as the verification engine.
+
+``run`` starts from the basis state a circuit's ``initial_state``
+declares.  A dense state holds at most ``QUBIT_CEILING`` qubits (a
+unitary half as many); more raise TooManyQubits before any allocation.
 
 Bit convention: qubit 0 is the most significant bit of the basis-state
 index, so ``format(index, f"0{q}b")`` reads off qubit values in register
@@ -35,7 +39,6 @@ TooLarge before it runs.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -44,8 +47,7 @@ from .circuit import (PERMUTATION_KINDS, ROTATION_KINDS, Circuit, Gate,
                       GateKind, QubitLayout, check_qubit_subset)
 from .errors import AncillaLeak, TooLarge, TooManyQubits, WidthMismatch
 
-DEFAULT_CEILING = 24
-UNITARY_CEILING = 12
+QUBIT_CEILING = 24
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -55,24 +57,24 @@ _SWAPPED_KINDS = PERMUTATION_KINDS | {GateKind.SWAP}
 _DIAGONAL_KINDS = frozenset({GateKind.Z, GateKind.RZ, GateKind.CZ, GateKind.MCZ})
 _MIXED_KINDS = frozenset(GateKind) - _SWAPPED_KINDS - _DIAGONAL_KINDS
 
-_FIXED_1Q = {
-    GateKind.H: np.array([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]], dtype=complex),
-    GateKind.Z: np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
-def qubit_ceiling() -> int:
-    return int(os.environ.get("GKC_QUBIT_CEILING", DEFAULT_CEILING))
+_H = np.array([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]], dtype=complex)
+_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def _check_ceiling(num_qubits: int) -> None:
-    ceiling = qubit_ceiling()
-    if num_qubits > ceiling:
-        raise TooManyQubits(f"{num_qubits} qubits exceeds ceiling {ceiling}")
+    if num_qubits > QUBIT_CEILING:
+        raise TooManyQubits(f"{num_qubits} qubits exceeds ceiling {QUBIT_CEILING}")
 
 
-def _rotation_matrix(kind: GateKind, angle: float) -> np.ndarray:
-    half = angle / 2.0
+def _matrix(gate: Gate) -> np.ndarray:
+    """2x2 matrix a gate that is not a permutation applies to its target
+    (its controls select the blocks it applies to)."""
+    kind = gate.kind
+    if kind is GateKind.H:
+        return _H
+    if kind not in ROTATION_KINDS:
+        return _Z  # Z, CZ and MCZ
+    half = gate.angle / 2.0
     c, s = math.cos(half), math.sin(half)
     if kind is GateKind.CRX:
         return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
@@ -81,49 +83,13 @@ def _rotation_matrix(kind: GateKind, angle: float) -> np.ndarray:
     return np.array([[np.exp(-1j * half), 0], [0, np.exp(1j * half)]], dtype=complex)
 
 
-def gate_1q_matrix(gate: Gate) -> np.ndarray:
-    """2x2 matrix applied to the target (controls handled separately).
-    X, CX, MCT and SWAP have none: ``_apply_gate`` swaps their blocks."""
-    if gate.kind in _FIXED_1Q:
-        return _FIXED_1Q[gate.kind]
-    if gate.kind in ROTATION_KINDS:
-        return _rotation_matrix(gate.kind, gate.angle)
-    if gate.kind is GateKind.CZ or gate.kind is GateKind.MCZ:
-        return _FIXED_1Q[GateKind.Z]
-    raise ValueError(f"no 1q matrix for {gate.kind}")
-
-
 class Statevector:
-    """Unit-norm complex amplitude array over 2**q basis states."""
+    """What a run returns: 2**q complex amplitudes, qubit 0 the most
+    significant bit of the basis-state index."""
 
-    def __init__(self, num_qubits: int, amplitudes: np.ndarray | None = None):
-        _check_ceiling(num_qubits)
-        if amplitudes is None:
-            amplitudes = np.zeros(2 ** num_qubits, dtype=complex)
-            amplitudes[0] = 1.0
-        amplitudes = np.asarray(amplitudes, dtype=complex)
-        if amplitudes.shape != (2 ** num_qubits,):
-            raise WidthMismatch(f"amplitudes of shape {amplitudes.shape} "
-                                f"for {num_qubits} qubits")
+    def __init__(self, num_qubits: int, amplitudes: np.ndarray):
         self.num_qubits = num_qubits
         self.amplitudes = amplitudes
-
-    @classmethod
-    def from_basis(cls, num_qubits: int, bits) -> "Statevector":
-        """Basis state from per-qubit bit values (qubit 0 first)."""
-        bits = tuple(1 if b else 0 for b in bits)
-        if len(bits) != num_qubits:
-            raise WidthMismatch(f"{len(bits)} bits for {num_qubits} qubits")
-        state = cls(num_qubits)
-        state.amplitudes[0] = 0.0
-        state.amplitudes.reshape((2,) * num_qubits)[bits] = 1.0
-        return state
-
-    def norm(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-    def bitstring(self, index: int) -> str:
-        return format(index, f"0{self.num_qubits}b")
 
 
 def _apply_gate(view: np.ndarray, gate: Gate) -> None:
@@ -151,7 +117,7 @@ def _update_blocks(b0, b1, gate: Gate) -> None:
     """Update in place the two blocks a non-permutation gate mixes, the
     target-bit-0 and target-bit-1 amplitudes in matching order.  Both
     kernels call this, so their amplitudes agree bit for bit."""
-    m = gate_1q_matrix(gate)
+    m = _matrix(gate)
     if gate.kind in _DIAGONAL_KINDS:
         if m[0, 0] != 1:
             b0 *= m[0, 0]
@@ -237,20 +203,13 @@ def _run_gates(circuit: Circuit, amps: np.ndarray) -> np.ndarray:
     return amps
 
 
-def run(circuit: Circuit, initial=None) -> Statevector:
-    """Simulate the circuit.
-
-    ``initial`` may be a bit sequence, a Statevector, or None (use the
-    circuit's declared initial_state); its width must match the circuit's.
-    """
+def run(circuit: Circuit) -> Statevector:
+    """Simulate the circuit from its declared ``initial_state``."""
     q = circuit.num_qubits
-    if isinstance(initial, Statevector):
-        state = Statevector(q, initial.amplitudes.copy())
-    else:
-        state = Statevector.from_basis(
-            q, circuit.initial_state if initial is None else initial)
-    _run_gates(circuit, state.amplitudes)
-    return state
+    _check_ceiling(q)
+    amps = np.zeros((2,) * q, dtype=complex)
+    amps[tuple(circuit.initial_state)] = 1.0
+    return Statevector(q, _run_gates(circuit, amps.reshape(-1)))
 
 
 def run_batch(circuit: Circuit, columns: np.ndarray) -> np.ndarray:
@@ -285,8 +244,8 @@ def probabilities(state: Statevector, qubit_subset=None) -> dict[str, float]:
 def unitary_of(circuit: Circuit) -> np.ndarray:
     """Dense matrix of the circuit, one simulated basis column at a time."""
     q = circuit.num_qubits
-    if q > UNITARY_CEILING:
-        raise TooManyQubits(f"unitary_of limited to {UNITARY_CEILING} qubits")
+    if 2 * q > QUBIT_CEILING:  # as many amplitudes as a 2q-qubit state
+        raise TooManyQubits(f"unitary of {q} qubits exceeds ceiling {QUBIT_CEILING // 2}")
     return run_batch(circuit, np.eye(2 ** q, dtype=complex))
 
 

@@ -179,6 +179,15 @@ def test_circuit_bounds_checked():
     assert Circuit(3, measured=[2, 0]).copy().measured == (2, 0)
 
 
+def test_initial_state_entries_must_be_bits():
+    # a run indexes the amplitude tensor by these: 2 would be out of
+    # range, -1 would wrap around to 1, and 0.5 is no index
+    for bit in (2, -1, 0.5, "1"):
+        with pytest.raises(IndexOutOfRange, match="entries must be 0 or 1"):
+            Circuit(2, initial_state=[bit, 0])
+    assert Circuit(2, initial_state=[True, 1.0]).initial_state == [1, 1]
+
+
 def test_stats():
     circ = Circuit(4)
     circ.extend([gH(0), gCX(0, 1), gSWAP(2, 3), gMCT([0, 1], 2),

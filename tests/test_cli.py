@@ -345,11 +345,15 @@ def test_malformed_graph_exits_2(runner, tmp_path):
     assert result.exit_code == 2, result.output
 
 
-def test_resource_limit_exits_3(runner, p3_file, tmp_path):
-    result = runner.invoke(main, ["run", p3_file, "--k", "2",
-                                  "--out-dir", str(tmp_path / "o")],
-                           env={"GKC_QUBIT_CEILING": "4"})
+def test_resource_limit_exits_3(runner, tmp_path):
+    # K5 at k = 5 in strict mode needs 26 qubits, past the dense ceiling
+    k5 = tmp_path / "k5.adj"
+    k5.write_text("".join(" ".join("0" if i == j else "1" for j in range(5)) + "\n"
+                          for i in range(5)))
+    result = runner.invoke(main, ["run", str(k5), "--k", "5",
+                                  "--out-dir", str(tmp_path / "o")])
     assert result.exit_code == 3, result.output
+    assert "TooManyQubits: 26 qubits exceeds ceiling 24" in result.output
 
 
 def _subclasses(cls):

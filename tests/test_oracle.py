@@ -49,12 +49,10 @@ def test_bad_mode_rejected():
 def test_comparator_truth_table():
     # a on qubits 0-1, b on 2-3, flag on 4: flag toggles iff a == b
     gates = build_comparator([0, 1], [2, 3], 4)
-    circ = Circuit(5)
-    circ.extend(gates)
     for a, b in itertools.product(range(4), repeat=2):
         bits = [a >> 1, a & 1, b >> 1, b & 1, 0]
-        state = run(circ, initial=bits)
-        out = [int(x) for x in state.bitstring(int(abs(state.amplitudes).argmax()))]
+        state = run(Circuit(5, initial_state=bits).extend(gates))
+        out = [int(x) for x in format(int(abs(state.amplitudes).argmax()), "05b")]
         assert out[:4] == bits[:4], "operands must be restored"
         assert out[4] == (1 if a == b else 0)
 
@@ -68,15 +66,14 @@ def _detector_output(mode, colors, k=3):
     graph = Graph(len(colors), frozenset())
     inst = make_instance(graph, k)
     plan = plan_layout(inst, mode)
-    circ = Circuit(plan.layout.num_qubits)
-    circ.extend(build_invalid_color_detector(plan, inst))
     init = plan.layout.initial_state()
     for v, color in enumerate(colors):
         for pos, q in enumerate(plan.layout.vertex_qubits(v)):
             init[q] = (color >> (inst.c - 1 - pos)) & 1
-    state = run(circ, initial=init)
-    idx = int(abs(state.amplitudes).argmax())
-    return state.bitstring(idx), plan.layout
+    circ = Circuit(plan.layout.num_qubits, initial_state=init)
+    circ.extend(build_invalid_color_detector(plan, inst))
+    idx = int(abs(run(circ).amplitudes).argmax())
+    return format(idx, f"0{circ.num_qubits}b"), plan.layout
 
 
 def test_strict_detector_clears_flags_of_invalid_vertices():

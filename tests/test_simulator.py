@@ -18,14 +18,19 @@ from qkcolor.errors import (AncillaLeak, IndexOutOfRange, TooLarge,
 from qkcolor.graphs import Graph, make_instance
 from qkcolor.lowering import lower_circuit
 from qkcolor.oracle import build_oracle, plan_layout
-from qkcolor.simulator import (Statevector, phase_pattern, probabilities,
-                               run, run_batch, unitary_of)
+from qkcolor.simulator import (phase_pattern, probabilities, run, run_batch,
+                               unitary_of)
+
+
+def _declared(circ, bits):
+    """The circuit's gates on a register declared to start in ``bits``."""
+    return Circuit(circ.num_qubits, initial_state=bits).extend(circ.gates)
 
 
 def test_basis_state_msb_convention():
-    state = Statevector.from_basis(3, [1, 0, 0])
+    state = run(Circuit(3, initial_state=[1, 0, 0]))
     assert state.amplitudes[0b100] == 1.0
-    assert state.bitstring(0b100) == "100"
+    assert probabilities(state)["100"] == 1.0
 
 
 def test_unitary_matches_independent_reference():
@@ -46,8 +51,8 @@ def test_unitarity_and_norm_preservation():
         circ = random_circuit(3, 10, rng)
         u = unitary_of(circ)
         assert np.max(np.abs(u @ u.conj().T - np.eye(8))) < 1e-12
-        state = run(circ, initial=[1, 0, 1])
-        assert abs(state.norm() - 1.0) < 1e-12
+        state = run(_declared(circ, [1, 0, 1]))
+        assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) < 1e-12
 
 
 def test_run_honors_declared_initial_state():
@@ -56,8 +61,8 @@ def test_run_honors_declared_initial_state():
     state = run(circ)
     assert abs(state.amplitudes[0b11]) == 1.0
 
-    # explicit initial overrides the declaration
-    state = run(circ, initial=[0, 0])
+    # the default declaration is all zeros
+    state = run(_declared(circ, None))
     assert abs(state.amplitudes[0b00]) == 1.0
 
 
@@ -67,8 +72,13 @@ def test_run_batch_agrees_with_run():
     cols = unitary_of(Circuit(3).append(gH(0)).append(gH(1)))[:, :4]
     out = run_batch(circ, cols)
     for j in range(4):
-        single = run(circ, initial=Statevector(3, cols[:, j]))
-        assert np.max(np.abs(out[:, j] - single.amplitudes)) < 1e-12
+        single = sim._run_gates(circ, cols[:, j].copy())
+        assert np.max(np.abs(out[:, j] - single)) < 1e-12
+    # run starts from the declared basis state: column j of the unitary
+    u = unitary_of(circ)
+    for j in range(8):
+        bits = [(j >> (2 - b)) & 1 for b in range(3)]
+        assert np.array_equal(run(_declared(circ, bits)).amplitudes, u[:, j])
 
     # the batch axis follows the qubit axes: check it against the reference
     nrng = np.random.default_rng(5)
@@ -77,8 +87,8 @@ def test_run_batch_agrees_with_run():
     out = run_batch(wide, cols)
     assert np.max(np.abs(out - ref_unitary(wide) @ cols)) < 1e-12
     for j in range(5):
-        single = run(wide, initial=Statevector(6, cols[:, j]))
-        assert np.array_equal(out[:, j], single.amplitudes)
+        single = sim._run_gates(wide, cols[:, j].copy())
+        assert np.array_equal(out[:, j], single)
 
 
 def test_probabilities_marginal_and_order():
@@ -160,7 +170,7 @@ def test_every_gate_kind_at_every_position(q):
     for gate in _placed_gates(q):
         kinds.add(gate.kind)
         circ = Circuit(q).append(gate)
-        single = run(circ, initial=Statevector(q, cols[:, 0])).amplitudes
+        single = sim._run_gates(circ, cols[:, 0].copy())  # no batch axis
         batch = run_batch(circ, cols)
         want = ref_gate_matrix(gate, q) @ cols
         assert np.max(np.abs(single - want[:, 0])) < 1e-12, gate
@@ -172,41 +182,40 @@ def test_every_gate_kind_at_every_position(q):
                      ONE_QUBIT_KINDS | MULTI_KINDS)
 
 
-def test_qubit_ceiling_env(monkeypatch):
-    monkeypatch.setenv("GKC_QUBIT_CEILING", "4")
-    with pytest.raises(TooManyQubits):
-        Statevector(5)
-    with pytest.raises(TooManyQubits):
-        run(Circuit(5))
-    with pytest.raises(TooManyQubits):
-        Statevector.from_basis(5, [0] * 5)
+def test_dense_ceiling(monkeypatch):
+    assert sim.QUBIT_CEILING == 24
+    # checked before the 2**50 amplitudes would be allocated
+    with pytest.raises(TooManyQubits, match="^50 qubits exceeds ceiling 24$"):
+        run(Circuit(50))
+    monkeypatch.setattr(sim, "QUBIT_CEILING", 4)
+    for bits in ([0] * 5, [1, 0, 0, 0, 1]):
+        with pytest.raises(TooManyQubits, match="^5 qubits exceeds ceiling 4$"):
+            run(Circuit(5, initial_state=bits))
     with pytest.raises(TooManyQubits):
         run_batch(Circuit(5), np.eye(32, 2))
-    # checked before the 2**50 amplitudes would be allocated
-    with pytest.raises(TooManyQubits):
-        Statevector.from_basis(50, [0] * 50)
     run(Circuit(4))  # at the ceiling is fine
-    Statevector.from_basis(4, [1, 0, 0, 1])
+    assert run(Circuit(4, initial_state=[1, 0, 0, 1])).amplitudes[0b1001] == 1.0
 
 
 def test_run_rejects_initial_of_wrong_width():
+    # a declaration of the wrong width never reaches run
+    for bits in ([1], [1, 0, 0]):
+        with pytest.raises(IndexOutOfRange, match="length must equal"):
+            Circuit(2, initial_state=bits)
     circ = Circuit(2).append(gX(0))
     with pytest.raises(WidthMismatch):
-        run(circ, initial=Statevector.from_basis(3, [0, 0, 1]))
-    with pytest.raises(WidthMismatch):
-        run(circ, initial=[1])
-    with pytest.raises(WidthMismatch):
-        run(circ, initial=[1, 0, 0])
-    with pytest.raises(WidthMismatch):
-        Statevector(2, np.ones(8) / math.sqrt(8))
-    with pytest.raises(WidthMismatch):
         run_batch(circ, np.eye(8, 2))
-    assert run(circ, initial=[0, 1]).amplitudes[0b11] == 1.0
+    assert run(_declared(circ, [0, 1])).amplitudes[0b11] == 1.0
 
 
-def test_unitary_of_ceiling():
-    with pytest.raises(TooManyQubits):
+def test_unitary_of_ceiling(monkeypatch):
+    # a q-qubit unitary holds as many amplitudes as a 2q-qubit state
+    with pytest.raises(TooManyQubits, match="^unitary of 13 qubits exceeds ceiling 12$"):
         unitary_of(Circuit(13))
+    monkeypatch.setattr(sim, "QUBIT_CEILING", 4)
+    assert unitary_of(Circuit(2)).shape == (4, 4)
+    with pytest.raises(TooManyQubits):
+        unitary_of(Circuit(3))
 
 
 def _k2_oracle(k=2):
@@ -404,13 +413,13 @@ def test_tracked_pattern_equals_statevector_pattern(monkeypatch):
     assert tracked == simulated
 
 
-def test_tracked_pattern_past_the_qubit_ceiling(monkeypatch):
+def test_tracked_pattern_past_the_dense_ceiling(monkeypatch):
     # 26 and 25 qubits: past the statevector ceiling, not the data one
     for graph, k, width in ((complete_graph(5), 5, 26), (cycle_graph(8), 4, 25)):
         inst = make_instance(graph, k)
         plan = plan_layout(inst, "strict")
         oracle = build_oracle(inst, "strict", plan)
-        assert oracle.num_qubits == width > sim.qubit_ceiling()
+        assert oracle.num_qubits == width > sim.QUBIT_CEILING
         assert phase_pattern(oracle, plan.layout) == classical.solutions(inst)
         with pytest.raises(TooManyQubits):
             phase_pattern(lower_circuit(oracle), plan.layout)
