@@ -19,7 +19,6 @@ from .qasm import emit_qasm
 from .routing import (CouplingGraph, Mapping, RoutingResult, grid_coupling,
                       line_coupling, parse_coupling, ring_coupling,
                       sabre_route, verify_constraints)
-from .simulator import (Statevector, phase_pattern, probabilities, run,
-                        run_batch, unitary_of)
+from .simulator import Statevector, phase_pattern, probabilities, run
 
 __version__ = "0.1.0"

@@ -49,8 +49,8 @@ class UnloweredGate(InputError):
 
 
 class WidthMismatch(InputError):
-    """Register widths differ: comparator operands, a simulator input and
-    its circuit, or an oracle and its layout."""
+    """Register widths differ: comparator operands, or an oracle and its
+    layout."""
 
 
 class NoInvalidColors(InputError):

@@ -1,40 +1,37 @@
-"""Statevector simulators used as the verification engine.
-
-``run`` starts from the basis state a circuit's ``initial_state``
-declares.  A dense state holds at most ``QUBIT_CEILING`` qubits (a
-unitary half as many); more raise TooManyQubits before any allocation.
+"""Sparse statevector simulator used as the verification engine.
 
 Bit convention: qubit 0 is the most significant bit of the basis-state
 index, so ``format(index, f"0{q}b")`` reads off qubit values in register
-order, and qubit i is axis i of the amplitude tensor
-``amps.reshape((2,) * q)``.  MCT/MCZ and negative controls are applied
-directly from the IR -- no lowering is required, which keeps the
-simulator independent of the lowering pass it is used to check.
+order.  MCT/MCZ and negative controls are applied directly from the IR
+-- no lowering is required, which keeps the simulator independent of
+the lowering pass it is used to check.
 
-Each gate updates the two blocks of the amplitude tensor it mixes, found
-by basic slicing: controls fix their axes, and the target axis splits
-into its 0 and 1 halves.  There are three update paths, chosen by gate
-kind.  Permutation gates (X, CX, MCT, SWAP) swap the blocks with one
-block copy and no arithmetic.  Diagonal gates (Z, RZ, CZ, MCZ) scale
-each block in place, skipping a factor of exactly 1.  The rest (H, RY,
-CRX) take the dense 2x2 update, in place but for one copy of the
-0-block.
+One kernel runs every statevector: a sparse batch that holds only the
+amplitudes it has not dropped, each under an integer key (column index
+above the row bits).  Controls select entries by bit tests, permutation
+gates (X, CX, MCT, SWAP) XOR the keys, diagonal gates (Z, RZ, CZ, MCZ)
+scale the held amplitudes, and H/RY/CRX pair each entry with its
+target-flipped partner (0 when not held) and drop results that are
+exactly 0.
+
+``run`` starts one column at the basis state a circuit's
+``initial_state`` declares; a register wider than ``QUBIT_CEILING``
+qubits raises TooManyQubits before anything is allocated.  After each
+H, RY or CRX it also drops held amplitudes of magnitude at most
+``_DROP_TOL``: the round-off residues of gates that cancel, which would
+otherwise fill the register (a lowered circuit's Toffolis leave ~1e-17
+behind).  The squared magnitudes it drops are summed on the returned
+``Statevector`` as ``dropped``, so the error of a run is stated, not
+assumed.  The result is written out as 2**q dense amplitudes.
 
 ``phase_pattern`` has two paths, both exact.  An oracle of X, CX and
 MCT gates only (every IR oracle) is a classical reversible circuit: it
 is run on all prepared basis states at once, one Python int per qubit
 with a bit per basis state, with no statevector and no qubit ceiling.
 Any other oracle (a lowered one, with H/CRX/RZ/RY) is run as one sparse
-statevector batch with a column per data string: it holds only the
-amplitudes that are not exactly 0, each under an integer key (column
-index above the row bits).  Controls select entries by bit
-tests, permutation gates XOR the keys, diagonal gates scale the held
-amplitudes, and H/RY/CRX pair each entry with its target-flipped
-partner (0 when not held) and drop results that are exactly 0.  Both
-kernels update amplitudes through one helper, so the sparse batch is
-bit-identical to ``run_batch`` on the same columns.  A gate that could
-grow the batch past ``_EXACT_PATTERN_LIMIT`` held amplitudes raises
-TooLarge before it runs.
+batch with a column per data string, which drops only exact zeros.  A
+gate that could grow the batch past ``_EXACT_PATTERN_LIMIT`` held
+amplitudes raises TooLarge before it runs.
 """
 from __future__ import annotations
 
@@ -51,14 +48,17 @@ QUBIT_CEILING = 24
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-# How _apply_gate updates the two blocks a gate mixes: swapped with no
-# arithmetic, scaled in place, or mixed by the dense 2x2 update (the rest).
+# How _sparse_gate applies a gate: XOR of the keys, in-place scaling of
+# the held amplitudes, or the 2x2 update of target-flipped pairs (the rest).
 _SWAPPED_KINDS = PERMUTATION_KINDS | {GateKind.SWAP}
 _DIAGONAL_KINDS = frozenset({GateKind.Z, GateKind.RZ, GateKind.CZ, GateKind.MCZ})
 _MIXED_KINDS = frozenset(GateKind) - _SWAPPED_KINDS - _DIAGONAL_KINDS
 
 _H = np.array([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+# run drops held amplitudes of at most this magnitude after each H, RY or CRX
+_DROP_TOL = 1e-12
 
 
 def _check_ceiling(num_qubits: int) -> None:
@@ -85,38 +85,20 @@ def _matrix(gate: Gate) -> np.ndarray:
 
 class Statevector:
     """What a run returns: 2**q complex amplitudes, qubit 0 the most
-    significant bit of the basis-state index."""
+    significant bit of the basis-state index, and ``dropped``, the sum of
+    the squared magnitudes the run dropped as round-off."""
 
-    def __init__(self, num_qubits: int, amplitudes: np.ndarray):
+    def __init__(self, num_qubits: int, amplitudes: np.ndarray,
+                 dropped: float):
         self.num_qubits = num_qubits
         self.amplitudes = amplitudes
-
-
-def _apply_gate(view: np.ndarray, gate: Gate) -> None:
-    """Apply one gate in place to the amplitude tensor ``view``: axis i is
-    qubit i, followed by the batch axis if there is one."""
-    i0 = [slice(None)] * view.ndim
-    for ctl in gate.controls:
-        i0[ctl.qubit] = int(ctl.positive)
-    # the two blocks the gate mixes: target bit 0 and 1, or |01> and |10>
-    i1 = list(i0)
-    for n, t in enumerate(gate.targets):
-        i0[t], i1[t] = n, 1 - n
-    # ``...`` makes a fully indexed block a 0-d view, not a scalar copy;
-    # the updates below write through these views, never by ``view[i] =``
-    b0, b1 = view[(*i0, ...)], view[(*i1, ...)]
-    if gate.kind in _SWAPPED_KINDS:
-        a0 = b0.copy()  # basic slices alias: keep a0 past the first write
-        b0[...] = b1
-        b1[...] = a0
-        return
-    _update_blocks(b0, b1, gate)
+        self.dropped = dropped
 
 
 def _update_blocks(b0, b1, gate: Gate) -> None:
     """Update in place the two blocks a non-permutation gate mixes, the
-    target-bit-0 and target-bit-1 amplitudes in matching order.  Both
-    kernels call this, so their amplitudes agree bit for bit."""
+    target-bit-0 and target-bit-1 amplitudes in matching order.  A dense
+    kernel that calls this agrees with the sparse one bit for bit."""
     m = _matrix(gate)
     if gate.kind in _DIAGONAL_KINDS:
         if m[0, 0] != 1:
@@ -193,33 +175,27 @@ def _run_sparse(circuit: Circuit, keys: np.ndarray,
     return keys, amps
 
 
-def _run_gates(circuit: Circuit, amps: np.ndarray) -> np.ndarray:
-    """Apply every gate of the circuit in place.  ``amps`` has shape
-    (2**q,) or (2**q, batch) and must be C-contiguous, so that its
-    reshape to the (2,)*q tensor is a view."""
-    view = amps.reshape((2,) * circuit.num_qubits + amps.shape[1:])
-    for gate in circuit.gates:
-        _apply_gate(view, gate)
-    return amps
-
-
 def run(circuit: Circuit) -> Statevector:
-    """Simulate the circuit from its declared ``initial_state``."""
+    """Simulate the circuit from its declared ``initial_state`` as a
+    one-column sparse batch.  After each H, RY or CRX, held amplitudes of
+    magnitude at most ``_DROP_TOL`` are dropped, and their squared
+    magnitudes summed into ``Statevector.dropped``."""
     q = circuit.num_qubits
     _check_ceiling(q)
-    amps = np.zeros((2,) * q, dtype=complex)
-    amps[tuple(circuit.initial_state)] = 1.0
-    return Statevector(q, _run_gates(circuit, amps.reshape(-1)))
-
-
-def run_batch(circuit: Circuit, columns: np.ndarray) -> np.ndarray:
-    """Simulate many initial vectors at once; columns has shape (2**q, b)."""
-    q = circuit.num_qubits
-    _check_ceiling(q)
-    amps = np.array(columns, dtype=complex, order="C")
-    if amps.shape[:1] != (2 ** q,):
-        raise WidthMismatch(f"columns of shape {amps.shape} for {q} qubits")
-    return _run_gates(circuit, amps)
+    start = sum(bit << (q - 1 - i) for i, bit in enumerate(circuit.initial_state))
+    keys, amps = np.array([start], dtype=np.int64), np.ones(1, dtype=complex)
+    dropped = 0.0
+    for gate in circuit.gates:
+        keys, amps = _sparse_gate(keys, amps, gate, q)
+        if gate.kind in _MIXED_KINDS:
+            mags = np.abs(amps)
+            small = mags <= _DROP_TOL
+            if small.any():
+                dropped += float(np.sum(mags[small] ** 2))
+                keys, amps = keys[~small], amps[~small]
+    out = np.zeros(2 ** q, dtype=complex)
+    out[keys] = amps
+    return Statevector(q, out, dropped)
 
 
 def probabilities(state: Statevector, qubit_subset=None) -> dict[str, float]:
@@ -239,14 +215,6 @@ def probabilities(state: Statevector, qubit_subset=None) -> dict[str, float]:
     # format(0, "00b") is "0", but the one outcome over no qubits is ""
     return {format(i, f"0{len(subset)}b") if subset else "": float(p)
             for i, p in enumerate(marginal)}
-
-
-def unitary_of(circuit: Circuit) -> np.ndarray:
-    """Dense matrix of the circuit, one simulated basis column at a time."""
-    q = circuit.num_qubits
-    if 2 * q > QUBIT_CEILING:  # as many amplitudes as a 2q-qubit state
-        raise TooManyQubits(f"unitary of {q} qubits exceeds ceiling {QUBIT_CEILING // 2}")
-    return run_batch(circuit, np.eye(2 ** q, dtype=complex))
 
 
 def phase_pattern(oracle: Circuit, layout: QubitLayout,
@@ -274,8 +242,7 @@ def phase_pattern(oracle: Circuit, layout: QubitLayout,
       ``classical.ENUMERATION_CEILING`` raise TooLarge.
     * Any other oracle is simulated under the qubit ceiling as one
       sparse batch, one basis column per data string, holding only the
-      amplitudes that are not exactly 0.  It matches ``run_batch`` bit
-      for bit.  A gate that could grow it past ``_EXACT_PATTERN_LIMIT``
+      amplitudes that are not exactly 0.  A gate that could grow it past ``_EXACT_PATTERN_LIMIT``
       held amplitudes (H, RY and CRX at most double them) raises
       TooLarge before it runs.
 

@@ -1,8 +1,11 @@
-"""Shared fixtures and an independent reference simulator.
+"""Shared fixtures and two dense reference simulators.
 
-The reference implementation here builds dense gate matrices one basis
-column at a time from the gate semantics, on purpose sharing no code
-with qkcolor.simulator's vectorized path.  Tests compare the two.
+``ref_unitary`` builds dense gate matrices one basis column at a time
+from the gate semantics, on purpose sharing no code with
+qkcolor.simulator.  ``run_batch`` and ``unitary_of`` run a dense
+amplitude tensor through the library's own 2x2 block update, so the
+sparse kernel can be compared with a dense one bit for bit.  Tests
+compare the library with both.
 """
 from __future__ import annotations
 
@@ -13,6 +16,7 @@ import random
 import numpy as np
 import pytest
 
+import qkcolor.simulator as sim
 from qkcolor.circuit import (LOWERED_KINDS, MULTI_KINDS, ONE_QUBIT_KINDS,
                              Circuit, Gate, GateKind)
 from qkcolor.graphs import Graph, Instance, edges_from_pairs, make_instance
@@ -84,6 +88,42 @@ def ref_unitary(circuit: Circuit) -> np.ndarray:
     for gate in circuit.gates:
         acc = ref_gate_matrix(gate, circuit.num_qubits) @ acc
     return acc
+
+
+def _apply_gate(view: np.ndarray, gate: Gate) -> None:
+    """Apply one gate in place to the amplitude tensor ``view``: axis i is
+    qubit i, followed by the batch axis if there is one."""
+    i0 = [slice(None)] * view.ndim
+    for ctl in gate.controls:
+        i0[ctl.qubit] = int(ctl.positive)
+    # the two blocks the gate mixes: target bit 0 and 1, or |01> and |10>
+    i1 = list(i0)
+    for n, t in enumerate(gate.targets):
+        i0[t], i1[t] = n, 1 - n
+    # ``...`` makes a fully indexed block a 0-d view, not a scalar copy;
+    # the updates below write through these views, never by ``view[i] =``
+    b0, b1 = view[(*i0, ...)], view[(*i1, ...)]
+    if gate.kind in sim._SWAPPED_KINDS:
+        a0 = b0.copy()  # basic slices alias: keep a0 past the first write
+        b0[...] = b1
+        b1[...] = a0
+        return
+    sim._update_blocks(b0, b1, gate)
+
+
+def run_batch(circuit: Circuit, columns) -> np.ndarray:
+    """Dense reference run of many vectors at once: ``columns`` has shape
+    (2**q, b), or (2**q,) for one vector."""
+    amps = np.array(columns, dtype=complex, order="C")
+    view = amps.reshape((2,) * circuit.num_qubits + amps.shape[1:])
+    for gate in circuit.gates:
+        _apply_gate(view, gate)
+    return amps
+
+
+def unitary_of(circuit: Circuit) -> np.ndarray:
+    """Dense matrix of the circuit by the dense reference run."""
+    return run_batch(circuit, np.eye(2 ** circuit.num_qubits, dtype=complex))
 
 
 def phase_aligned_distance(u: np.ndarray, v: np.ndarray) -> float:

@@ -12,7 +12,8 @@ import pytest
 
 from conftest import (LOWERED_POOL, TRIANGLE_K3_SOLUTIONS, all_graphs,
                       complete_graph, path_graph, phase_aligned_distance,
-                      random_circuit, ref_gate_matrix, routed_max_error)
+                      random_circuit, ref_gate_matrix, routed_max_error,
+                      unitary_of)
 from qasm_ref import check_qasm
 from qkcolor import classical
 from qkcolor.circuit import Circuit, Control, Gate, GateKind
@@ -26,7 +27,7 @@ from qkcolor.oracle import build_oracle, plan_layout
 from qkcolor.qasm import emit_qasm
 from qkcolor.routing import (grid_coupling, line_coupling, ring_coupling,
                              sabre_route, verify_constraints)
-from qkcolor.simulator import (phase_pattern, probabilities, run, unitary_of)
+from qkcolor.simulator import phase_pattern, probabilities, run
 
 
 def test_01_marked_states_of_the_triangle():

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import (TRIANGLE_K3_SOLUTIONS, complete_graph,
-                      phase_aligned_distance, path_graph)
+                      phase_aligned_distance, path_graph, unitary_of)
 from qkcolor import classical
 from qkcolor.errors import NoSolutions
 from qkcolor.graphs import make_instance
 from qkcolor.grover import (assemble, build_diffusion, make_job,
                             optimal_iterations, success_probability)
-from qkcolor.simulator import probabilities, run, unitary_of
+from qkcolor.simulator import probabilities, run
 
 
 def diffusion_matrix(m: int) -> np.ndarray:

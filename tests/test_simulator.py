@@ -8,23 +8,27 @@ import pytest
 import qkcolor.simulator as sim
 from conftest import (ONE_QUBIT_POOL, all_graphs, complete_graph,
                       cycle_graph, random_circuit, ref_gate_matrix,
-                      ref_unitary)
+                      ref_unitary, run_batch, unitary_of)
 from qkcolor import classical
 from qkcolor.circuit import (MULTI_KINDS, ONE_QUBIT_KINDS, ROTATION_KINDS,
                              Circuit, Control, Gate, GateKind, gCRX, gCX, gH,
                              gMCT, gRY, gX)
 from qkcolor.errors import (AncillaLeak, IndexOutOfRange, TooLarge,
-                            TooManyQubits, WidthMismatch)
+                            TooManyQubits)
 from qkcolor.graphs import Graph, make_instance
 from qkcolor.lowering import lower_circuit
 from qkcolor.oracle import build_oracle, plan_layout
-from qkcolor.simulator import (phase_pattern, probabilities, run, run_batch,
-                               unitary_of)
+from qkcolor.simulator import phase_pattern, probabilities, run
 
 
 def _declared(circ, bits):
     """The circuit's gates on a register declared to start in ``bits``."""
     return Circuit(circ.num_qubits, initial_state=bits).extend(circ.gates)
+
+
+def _bits(index, q):
+    """Qubit values of basis state ``index``, qubit 0 the top bit."""
+    return [(index >> (q - 1 - b)) & 1 for b in range(q)]
 
 
 def test_basis_state_msb_convention():
@@ -34,15 +38,19 @@ def test_basis_state_msb_convention():
 
 
 def test_unitary_matches_independent_reference():
-    # widths 1, 2 and 6 put qubit 0 and qubit q-1 in every role
+    # widths 1, 2 and 6 put qubit 0 and qubit q-1 in every role; run gives
+    # each basis column, the dense reference the whole matrix
     rng = random.Random(11)
     for width in (4, 1, 2, 6):
         pool = {"pool": ONE_QUBIT_POOL} if width == 1 else {}
         for _ in range(20):
             circ = random_circuit(width, rng.randint(1, 15), rng,
                                   max_controls=width - 1, **pool)
-            u = unitary_of(circ)
-            assert np.max(np.abs(u - ref_unitary(circ))) < 1e-12
+            want = ref_unitary(circ)
+            assert np.max(np.abs(unitary_of(circ) - want)) < 1e-12
+            for j in range(2 ** width):
+                got = run(_declared(circ, _bits(j, width))).amplitudes
+                assert np.max(np.abs(got - want[:, j])) < 1e-12
 
 
 def test_unitarity_and_norm_preservation():
@@ -66,19 +74,39 @@ def test_run_honors_declared_initial_state():
     assert abs(state.amplitudes[0b00]) == 1.0
 
 
+def test_run_drops_round_off_and_states_it():
+    # RY(2a) on |0> puts sin(a) on |1>: at most 1e-12 is dropped, with its
+    # square added to ``dropped``; nothing is renormalised
+    for angle, held in ((2e-13, False), (2e-11, True)):
+        circ = Circuit(1).append(gRY(0, angle))
+        state = run(circ)
+        tiny = math.sin(angle / 2)
+        assert state.amplitudes[0] == math.cos(angle / 2)
+        if held:
+            assert (state.amplitudes[1], state.dropped) == (tiny, 0)
+        else:
+            assert (state.amplitudes[1], state.dropped) == (0, tiny ** 2)
+        # the pattern batch drops only exact zeros
+        keys, _ = sim._run_sparse(circ, np.zeros(1, dtype=np.int64),
+                                  np.ones(1, dtype=complex))
+        assert keys.size == 2
+
+
 def test_run_batch_agrees_with_run():
     rng = random.Random(5)
     circ = random_circuit(3, 12, rng)
     cols = unitary_of(Circuit(3).append(gH(0)).append(gH(1)))[:, :4]
     out = run_batch(circ, cols)
     for j in range(4):
-        single = sim._run_gates(circ, cols[:, j].copy())
+        single = run_batch(circ, cols[:, j])
         assert np.max(np.abs(out[:, j] - single)) < 1e-12
-    # run starts from the declared basis state: column j of the unitary
+    # run starts from the declared basis state: column j of the unitary,
+    # bit for bit, since it drops nothing on this circuit
     u = unitary_of(circ)
     for j in range(8):
-        bits = [(j >> (2 - b)) & 1 for b in range(3)]
-        assert np.array_equal(run(_declared(circ, bits)).amplitudes, u[:, j])
+        state = run(_declared(circ, _bits(j, 3)))
+        assert state.dropped == 0
+        assert np.array_equal(state.amplitudes, u[:, j])
 
     # the batch axis follows the qubit axes: check it against the reference
     nrng = np.random.default_rng(5)
@@ -87,7 +115,7 @@ def test_run_batch_agrees_with_run():
     out = run_batch(wide, cols)
     assert np.max(np.abs(out - ref_unitary(wide) @ cols)) < 1e-12
     for j in range(5):
-        single = sim._run_gates(wide, cols[:, j].copy())
+        single = run_batch(wide, cols[:, j])
         assert np.array_equal(out[:, j], single)
 
 
@@ -166,18 +194,27 @@ def test_every_gate_kind_at_every_position(q):
     nrng = np.random.default_rng(q)
     cols = nrng.normal(size=(2 ** q, 3)) + 1j * nrng.normal(size=(2 ** q, 3))
     cols /= np.linalg.norm(cols, axis=0)
+    rows, columns = np.indices(cols.shape)
+    keys = (columns << q | rows).ravel().astype(np.int64)
     kinds = set()
     for gate in _placed_gates(q):
         kinds.add(gate.kind)
         circ = Circuit(q).append(gate)
-        single = sim._run_gates(circ, cols[:, 0].copy())  # no batch axis
-        batch = run_batch(circ, cols)
-        want = ref_gate_matrix(gate, q) @ cols
-        assert np.max(np.abs(single - want[:, 0])) < 1e-12, gate
-        assert np.max(np.abs(batch - want)) < 1e-12, gate
+        # the sparse kernel on every amplitude of three random columns
+        batch = _dense(*sim._run_sparse(circ, keys.copy(), cols.flatten()),
+                       q, cols.shape[1])
+        matrix = ref_gate_matrix(gate, q)
+        assert np.max(np.abs(batch - matrix @ cols)) < 1e-12, gate
+        assert np.array_equal(batch, run_batch(circ, cols)), gate
         if gate.kind in (GateKind.X, GateKind.CX, GateKind.MCT, GateKind.SWAP):
-            assert np.array_equal(single, _permuted(gate, cols[:, 0], q)), gate
             assert np.array_equal(batch, _permuted(gate, cols, q)), gate
+        # and run from every basis state, which drops nothing here: bit for
+        # bit a column of the dense reference
+        dense = unitary_of(circ)
+        for j in range(2 ** q):
+            state = run(_declared(circ, _bits(j, q)))
+            assert state.dropped == 0, gate
+            assert np.array_equal(state.amplitudes, dense[:, j]), gate
     assert kinds == (set(GateKind) if q > 1 else
                      ONE_QUBIT_KINDS | MULTI_KINDS)
 
@@ -191,8 +228,6 @@ def test_dense_ceiling(monkeypatch):
     for bits in ([0] * 5, [1, 0, 0, 0, 1]):
         with pytest.raises(TooManyQubits, match="^5 qubits exceeds ceiling 4$"):
             run(Circuit(5, initial_state=bits))
-    with pytest.raises(TooManyQubits):
-        run_batch(Circuit(5), np.eye(32, 2))
     run(Circuit(4))  # at the ceiling is fine
     assert run(Circuit(4, initial_state=[1, 0, 0, 1])).amplitudes[0b1001] == 1.0
 
@@ -203,19 +238,7 @@ def test_run_rejects_initial_of_wrong_width():
         with pytest.raises(IndexOutOfRange, match="length must equal"):
             Circuit(2, initial_state=bits)
     circ = Circuit(2).append(gX(0))
-    with pytest.raises(WidthMismatch):
-        run_batch(circ, np.eye(8, 2))
     assert run(_declared(circ, [0, 1])).amplitudes[0b11] == 1.0
-
-
-def test_unitary_of_ceiling(monkeypatch):
-    # a q-qubit unitary holds as many amplitudes as a 2q-qubit state
-    with pytest.raises(TooManyQubits, match="^unitary of 13 qubits exceeds ceiling 12$"):
-        unitary_of(Circuit(13))
-    monkeypatch.setattr(sim, "QUBIT_CEILING", 4)
-    assert unitary_of(Circuit(2)).shape == (4, 4)
-    with pytest.raises(TooManyQubits):
-        unitary_of(Circuit(3))
 
 
 def _k2_oracle(k=2):
