@@ -6,13 +6,19 @@ order.  MCT/MCZ and negative controls are applied directly from the IR
 -- no lowering is required, which keeps the simulator independent of
 the lowering pass it is used to check.
 
-One kernel runs every statevector: a sparse batch that holds only the
-amplitudes it has not dropped, each under an integer key (column index
-above the row bits).  Controls select entries by bit tests, permutation
-gates (X, CX, MCT, SWAP) XOR the keys, diagonal gates (Z, RZ, CZ, MCZ)
-scale the held amplitudes, and H/RY/CRX pair each entry with its
-target-flipped partner (0 when not held) and drop results that are
-exactly 0.
+One kernel, ``_run_sparse``, runs every statevector: a sparse batch
+that holds only the amplitudes it has not dropped, each under an integer
+key (column index above the row bits).  Controls select entries by bit
+tests, permutation gates (X, CX, MCT, SWAP) XOR the keys, and diagonal
+gates (Z, RZ, CZ, MCZ) scale the held amplitudes.  H, RY and CRX pair
+the batch on their target qubit t: the keys with bit t clear, once each,
+and a (2, pairs) array of their bit-0 and bit-1 amplitudes, 0 where not
+held.  The batch stays paired through the gates after them with target
+t, which update the two rows in place (a permutation swaps them), and
+through X, CX, MCT and SWAP of other qubits with no control on t, which
+XOR the pair keys; so a run of gates on one target (a Margolus Toffoli
+is seven) sorts the keys once.  Any other gate first flattens the batch
+back to keys, dropping exact zeros.
 
 ``run`` starts one column at the basis state a circuit's
 ``initial_state`` declares; a register wider than ``QUBIT_CEILING``
@@ -48,8 +54,9 @@ QUBIT_CEILING = 24
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-# How _sparse_gate applies a gate: XOR of the keys, in-place scaling of
-# the held amplitudes, or the 2x2 update of target-flipped pairs (the rest).
+# How _run_sparse applies a gate: XOR of the keys, in-place scaling of
+# the held amplitudes, or (the rest: H, RY, CRX) the 2x2 update of the
+# batch paired on its target, which stays paired for the next gate on it.
 _SWAPPED_KINDS = PERMUTATION_KINDS | {GateKind.SWAP}
 _DIAGONAL_KINDS = frozenset({GateKind.Z, GateKind.RZ, GateKind.CZ, GateKind.MCZ})
 _MIXED_KINDS = frozenset(GateKind) - _SWAPPED_KINDS - _DIAGONAL_KINDS
@@ -113,66 +120,119 @@ def _update_blocks(b0, b1, gate: Gate) -> None:
     b1 += a0
 
 
-def _sparse_gate(keys: np.ndarray, amps: np.ndarray, gate: Gate,
-                 num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Apply one gate to a sparse batch and return the new batch.
+def _pair(keys: np.ndarray, amps: np.ndarray,
+          t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pair a flat batch on the target bit ``t``: each key with bit t
+    clear, once, and a (2, pairs) array of the amplitudes with bit t 0
+    and 1, exactly 0 where not held."""
+    pairs, slot = np.unique(keys & ~t, return_inverse=True)
+    rows = np.zeros((2, pairs.size), dtype=complex)
+    rows[((keys & t) != 0).astype(np.intp), slot] = amps
+    return pairs, rows
 
-    ``keys`` holds the column index above the ``num_qubits`` row bits of
-    each held amplitude, no key twice; an amplitude not held is exactly
-    0.  Permutation gates XOR the keys and diagonal gates scale the held
-    amplitudes.  H, RY and CRX pair each held entry with its
-    target-flipped partner, taken as 0 when not held, and drop the
-    results that are exactly 0.
+
+def _flatten(pairs: np.ndarray, rows: np.ndarray,
+             t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The batch paired on ``t`` as keys and amplitudes, without the
+    exact zeros."""
+    held = rows != 0
+    return np.concatenate((pairs[held[0]], pairs[held[1]] | t)), rows[held]
+
+
+def _paired_gate(pairs: np.ndarray, rows: np.ndarray, care: int, want: int,
+                 gate: Gate) -> np.ndarray:
+    """Apply a gate on the paired target to the pairs its controls select,
+    in place where it can, and return the rows."""
+    swap = gate.kind in _SWAPPED_KINDS
+    if not care:
+        if swap:
+            return rows[::-1]
+        _update_blocks(rows[0], rows[1], gate)
+        return rows
+    hit = (pairs & care) == want
+    if swap:
+        return np.where(hit, rows[::-1], rows)
+    hit = np.flatnonzero(hit)
+    block = rows[:, hit]
+    _update_blocks(block[0], block[1], gate)
+    rows[:, hit] = block
+    return rows
+
+
+def _run_sparse(circuit: Circuit, keys: np.ndarray, amps: np.ndarray,
+                drop_tol: float | None = None
+                ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Apply every gate of the circuit to a sparse batch, as the module
+    docstring describes, and return the batch and the squared norm
+    dropped; the inputs may be overwritten.
+
+    ``keys`` holds the column index above the row bits of each held
+    amplitude, no key twice; an amplitude not held is exactly 0, and no
+    held one is.  While the batch is paired on a target bit t, ``keys``
+    holds the pair keys and ``rows`` their amplitudes (see ``_pair``),
+    and a pair slot that is 0 is not held.
+
+    With ``drop_tol`` (``run``), each H, RY and CRX is followed by a drop
+    of the held amplitudes of magnitude at most ``drop_tol``, their
+    squared magnitudes summed into what is returned.  Without it (the
+    pattern batch) only exact zeros are dropped, and an H, RY or CRX,
+    which at most doubles the amplitudes held, raises TooLarge before it
+    runs if it could grow them past ``_EXACT_PATTERN_LIMIT``.
     """
-    def bit(qubit):
-        return 1 << (num_qubits - 1 - qubit)
-
-    care = want = 0
-    for ctl in gate.controls:
-        care |= bit(ctl.qubit)
-        want |= bit(ctl.qubit) if ctl.positive else 0
-    hit = (keys & care) == want
-    if gate.kind is GateKind.SWAP:
-        a, b = (bit(t) for t in gate.targets)
-        hit &= ((keys & a) == 0) != ((keys & b) == 0)
-        keys[hit] ^= a | b
-        return keys, amps
-    t = bit(gate.targets[0])
-    if gate.kind in _SWAPPED_KINDS:
-        keys[hit] ^= t
-        return keys, amps
-    one = (keys & t) != 0
-    if gate.kind in _DIAGONAL_KINDS:
-        i0, i1 = np.flatnonzero(hit & ~one), np.flatnonzero(hit & one)
-        b0, b1 = amps[i0], amps[i1]
-        _update_blocks(b0, b1, gate)
-        amps[i0], amps[i1] = b0, b1
-        return keys, amps
-    pairs, slot = np.unique(keys[hit] & ~t, return_inverse=True)
-    b0 = np.zeros(pairs.size, dtype=complex)
-    b1 = np.zeros(pairs.size, dtype=complex)
-    held, held_one = amps[hit], one[hit]
-    b0[slot[~held_one]] = held[~held_one]
-    b1[slot[held_one]] = held[held_one]
-    _update_blocks(b0, b1, gate)
-    kept0, kept1 = b0 != 0, b1 != 0
-    return (np.concatenate((keys[~hit], pairs[kept0], pairs[kept1] | t)),
-            np.concatenate((amps[~hit], b0[kept0], b1[kept1])))
-
-
-def _run_sparse(circuit: Circuit, keys: np.ndarray,
-                amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Apply every gate of the circuit to a sparse batch (see
-    ``_sparse_gate``); the inputs may be overwritten.  H, RY and CRX can
-    at most double the amplitudes held, so one that could grow them past
-    ``_EXACT_PATTERN_LIMIT`` raises TooLarge before it runs."""
+    q = circuit.num_qubits
+    t = 0  # the target bit the batch is paired on, 0 while it is flat
+    rows = None
+    dropped = 0.0
     for gate in circuit.gates:
-        if gate.kind in _MIXED_KINDS and 2 * keys.size > _EXACT_PATTERN_LIMIT:
-            raise TooLarge(f"{gate.kind.name} on {keys.size} held amplitudes "
-                           f"could pass the {_EXACT_PATTERN_LIMIT}-amplitude "
-                           f"pattern batch")
-        keys, amps = _sparse_gate(keys, amps, gate, circuit.num_qubits)
-    return keys, amps
+        kind = gate.kind
+        care = want = moved = 0
+        for ctl in gate.controls:
+            bit = 1 << (q - 1 - ctl.qubit)
+            care |= bit
+            if ctl.positive:
+                want |= bit
+        for target in gate.targets:
+            moved |= 1 << (q - 1 - target)
+        mixed = kind in _MIXED_KINDS
+        if mixed and drop_tol is None:
+            held = rows.size if t else keys.size
+            if t and 2 * held > _EXACT_PATTERN_LIMIT:
+                held = int(np.count_nonzero(rows))
+            if 2 * held > _EXACT_PATTERN_LIMIT:
+                raise TooLarge(f"{kind.name} on {held} held amplitudes could "
+                               f"pass the {_EXACT_PATTERN_LIMIT}-amplitude "
+                               f"pattern batch")
+        if t and (care & t or moved != t
+                  and (kind not in _SWAPPED_KINDS or moved & t)):
+            keys, amps = _flatten(keys, rows, t)
+            t = 0
+        if mixed and not t:
+            t = moved
+            keys, rows = _pair(keys, amps, t)
+        if moved == t:
+            rows = _paired_gate(keys, rows, care, want, gate)
+            if mixed and drop_tol is not None:
+                mags = np.abs(rows)
+                small = (mags <= drop_tol) & (mags != 0)
+                if small.any():
+                    dropped += float(np.sum(mags[small] ** 2))
+                    rows[small] = 0
+        elif kind in _SWAPPED_KINDS:  # the flat keys, or the pair keys
+            hit = (keys & care) == want
+            if kind is GateKind.SWAP:
+                both = keys & moved
+                hit &= (both != 0) & (both != moved)
+            keys ^= np.where(hit, moved, 0)
+        else:
+            hit = (keys & care) == want
+            one = (keys & moved) != 0
+            i0, i1 = np.flatnonzero(hit & ~one), np.flatnonzero(hit & one)
+            b0, b1 = amps[i0], amps[i1]
+            _update_blocks(b0, b1, gate)
+            amps[i0], amps[i1] = b0, b1
+    if t:
+        keys, amps = _flatten(keys, rows, t)
+    return keys, amps, dropped
 
 
 def run(circuit: Circuit) -> Statevector:
@@ -183,16 +243,9 @@ def run(circuit: Circuit) -> Statevector:
     q = circuit.num_qubits
     _check_ceiling(q)
     start = sum(bit << (q - 1 - i) for i, bit in enumerate(circuit.initial_state))
-    keys, amps = np.array([start], dtype=np.int64), np.ones(1, dtype=complex)
-    dropped = 0.0
-    for gate in circuit.gates:
-        keys, amps = _sparse_gate(keys, amps, gate, q)
-        if gate.kind in _MIXED_KINDS:
-            mags = np.abs(amps)
-            small = mags <= _DROP_TOL
-            if small.any():
-                dropped += float(np.sum(mags[small] ** 2))
-                keys, amps = keys[~small], amps[~small]
+    keys, amps, dropped = _run_sparse(
+        circuit, np.array([start], dtype=np.int64), np.ones(1, dtype=complex),
+        _DROP_TOL)
     out = np.zeros(2 ** q, dtype=complex)
     out[keys] = amps
     return Statevector(q, out, dropped)
@@ -335,7 +388,7 @@ def _statevector_flips(oracle, layout, allow_global_phase):
                        f"{_EXACT_PATTERN_LIMIT}-amplitude pattern batch")
 
     rows0, rows1, keys, amps = _prepared_batch(layout)
-    keys, amps = _run_sparse(oracle, keys, amps)
+    keys, amps, _ = _run_sparse(oracle, keys, amps)
     tol = _PATTERN_TOL
 
     cols, rows = keys >> q, keys & ((1 << q) - 1)

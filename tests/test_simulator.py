@@ -87,9 +87,19 @@ def test_run_drops_round_off_and_states_it():
         else:
             assert (state.amplitudes[1], state.dropped) == (0, tiny ** 2)
         # the pattern batch drops only exact zeros
-        keys, _ = sim._run_sparse(circ, np.zeros(1, dtype=np.int64),
-                                  np.ones(1, dtype=complex))
+        keys, _, _ = sim._run_sparse(circ, np.zeros(1, dtype=np.int64),
+                                     np.ones(1, dtype=complex))
         assert keys.size == 2
+    # a residue made inside a run of gates on one qubit is dropped before
+    # the next gate: X moves the 1 to |1>, so the last RY gives exactly
+    # (-sin, cos) of its half angle, and the residue would have shown
+    circ = Circuit(1).append(gRY(0, 2e-13)).append(gX(0)).append(gRY(0, 1.0))
+    state = run(circ)
+    assert state.dropped == math.sin(1e-13) ** 2
+    assert np.array_equal(state.amplitudes, [-math.sin(0.5), math.cos(0.5)])
+    keys, amps, _ = sim._run_sparse(circ, np.zeros(1, dtype=np.int64),
+                                    np.ones(1, dtype=complex))
+    assert amps[keys == 0] != -math.sin(0.5)
 
 
 def test_run_batch_agrees_with_run():
@@ -201,7 +211,7 @@ def test_every_gate_kind_at_every_position(q):
         kinds.add(gate.kind)
         circ = Circuit(q).append(gate)
         # the sparse kernel on every amplitude of three random columns
-        batch = _dense(*sim._run_sparse(circ, keys.copy(), cols.flatten()),
+        batch = _dense(*sim._run_sparse(circ, keys.copy(), cols.flatten())[:2],
                        q, cols.shape[1])
         matrix = ref_gate_matrix(gate, q)
         assert np.max(np.abs(batch - matrix @ cols)) < 1e-12, gate
@@ -325,7 +335,22 @@ def test_phase_pattern_refuses_a_batch_past_the_limit(monkeypatch):
     assert sim._run_sparse(circ, keys.copy(), amps.copy())[0].size == 4
     monkeypatch.setattr(sim, "_EXACT_PATTERN_LIMIT", 3)
     with pytest.raises(TooLarge, match="H on 2 held amplitudes"):
-        sim._run_sparse(circ, keys, amps)
+        sim._run_sparse(circ, keys.copy(), amps.copy())
+    # a second gate on the qubit the batch is paired on is refused alike
+    same = Circuit(1).append(gRY(0, 0.5)).append(gRY(0, 0.5))
+    with pytest.raises(TooLarge, match="RY on 2 held amplitudes"):
+        sim._run_sparse(same, keys.copy(), amps.copy())
+    # while paired, a pair slot that is 0 is not held: CRX on |00> + |01>
+    # holds 3 amplitudes in 4 slots, so the next CRX runs under a limit of
+    # 7 and is refused under one of 5
+    crx = Circuit(2).append(gCRX(1, 0, 0.5)).append(gCRX(1, 0, 0.5))
+    keys = np.array([0b00, 0b01], dtype=np.int64)
+    amps = np.ones(2, dtype=complex)
+    monkeypatch.setattr(sim, "_EXACT_PATTERN_LIMIT", 7)
+    assert sim._run_sparse(crx, keys.copy(), amps.copy())[0].size == 3
+    monkeypatch.setattr(sim, "_EXACT_PATTERN_LIMIT", 5)
+    with pytest.raises(TooLarge, match="CRX on 3 held amplitudes"):
+        sim._run_sparse(crx, keys, amps)
 
 
 def _dense(keys, amps, num_qubits, num_columns):
@@ -338,8 +363,9 @@ def _dense(keys, amps, num_qubits, num_columns):
 def _assert_sparse_equals_run_batch(circuit, keys, amps, num_columns):
     q = circuit.num_qubits
     want = run_batch(circuit, _dense(keys, amps, q, num_columns))
-    keys, amps = sim._run_sparse(circuit, keys, amps)
+    keys, amps, _ = sim._run_sparse(circuit, keys, amps)
     assert np.unique(keys).size == keys.size
+    assert np.all(amps != 0)
     assert np.array_equal(_dense(keys, amps, q, num_columns), want)
 
 
@@ -376,6 +402,127 @@ def test_sparse_batch_is_bit_identical_to_run_batch():
             amps = [1, 1j] @ values.normal(size=(2, held.size))
             _assert_sparse_equals_run_batch(circ, held.astype(np.int64),
                                             amps, 4)
+
+
+# How a gate after an H, RY or CRX on qubit t keeps the sparse batch
+# paired on t, or flattens it
+_STAYS = ("swap rows", "update", "xor keys")
+_FLATTENS = ("control on t", "swap touching t", "diagonal elsewhere",
+             "mixed elsewhere")
+_MIXED = (GateKind.H, GateKind.RY, GateKind.CRX)
+_DIAGONAL = (GateKind.Z, GateKind.RZ, GateKind.CZ, GateKind.MCZ)
+_MOVES = (GateKind.X, GateKind.CX, GateKind.MCT)
+
+
+def _gate_on(kind, target, others, rng, control=None):
+    """A gate of ``kind`` on ``target`` whose controls are drawn from
+    ``others``, one of them on ``control`` if it is given."""
+    if kind in MULTI_KINDS:
+        count = rng.randint(control is not None, min(3, len(others)))
+    else:
+        count = int(kind in (GateKind.CX, GateKind.CZ, GateKind.CRX))
+    picked = [control] if control is not None else []
+    picked += rng.sample([o for o in others if o != control],
+                         count - len(picked))
+    controls = tuple(Control(c, kind not in MULTI_KINDS or rng.random() < 0.8)
+                     for c in picked)
+    angle = rng.uniform(-math.pi, math.pi) if kind in ROTATION_KINDS else None
+    return Gate(kind, controls, (target,), angle)
+
+
+def _paired_runs(q, num_runs, rng):
+    """Random runs of gates on one qubit t.  An H, RY or CRX on t pairs
+    the batch, gates that keep it paired follow, and a gate that
+    flattens it ends the run; one that is an H, RY or CRX itself pairs
+    the batch on its own target and opens the next run.  Returns the
+    circuit, the ways each gate after the first of a run was drawn, and
+    how many times the kernel must pair the batch."""
+    circ, ways, pairings, t = Circuit(q), [], 0, None
+    for _ in range(num_runs):
+        if t is None:
+            for _ in range(rng.randint(0, 2)):  # gates on the flat batch
+                u = rng.randrange(q)
+                circ.append(_gate_on(rng.choice(_MOVES + _DIAGONAL), u,
+                                     [o for o in range(q) if o != u], rng))
+            t = rng.randrange(q)
+            circ.append(_gate_on(rng.choice(_MIXED), t,
+                                 [o for o in range(q) if o != t], rng))
+            pairings += 1
+        rest = [o for o in range(q) if o != t]
+        for _ in range(rng.randint(0, 6)):
+            way = rng.choice(_STAYS)
+            u = rng.choice(rest)
+            if way == "swap rows":
+                gate = _gate_on(rng.choice(_MOVES), t, rest, rng)
+            elif way == "update":
+                gate = _gate_on(rng.choice(_DIAGONAL + _MIXED), t, rest, rng)
+            elif rng.random() < 0.25:  # xor keys: SWAP of two other qubits
+                gate = Gate(GateKind.SWAP, targets=tuple(rng.sample(rest, 2)))
+            else:
+                gate = _gate_on(rng.choice(_MOVES), u,
+                                [o for o in rest if o != u], rng)
+            circ.append(gate)
+            ways.append(way)
+        way = rng.choice(_FLATTENS)
+        u = rng.choice(rest)
+        others = [o for o in rest if o != u]
+        if way == "control on t":
+            kind = rng.choice((GateKind.CX, GateKind.CZ, GateKind.CRX,
+                               GateKind.MCT, GateKind.MCZ))
+            gate = _gate_on(kind, u, others + [t], rng, control=t)
+        elif way == "swap touching t":
+            gate = Gate(GateKind.SWAP, targets=rng.choice(((t, u), (u, t))))
+        else:
+            kinds = _DIAGONAL if way == "diagonal elsewhere" else _MIXED
+            gate = _gate_on(rng.choice(kinds), u, others, rng)
+        circ.append(gate)
+        ways.append(way)
+        t = None
+        if gate.kind in _MIXED:
+            t = u
+            pairings += 1
+    return circ, ways, pairings
+
+
+def test_paired_batch_is_bit_identical_to_run_batch(monkeypatch):
+    # every way a run of gates on one qubit keeps the batch paired or
+    # flattens it, bit for bit on basis columns and on random columns about
+    # half of whose amplitudes are not held, and in run from every basis
+    # state; the kernel pairs the batch only where a run opens
+    pairings = []
+    pair = sim._pair
+
+    def counted(keys, amps, t):
+        pairings.append(t)
+        return pair(keys, amps, t)
+
+    monkeypatch.setattr(sim, "_pair", counted)
+    rng = random.Random(25)
+    values = np.random.default_rng(25)
+    ways = set()
+    for width in (3, 4, 5, 6):
+        dim = 2 ** width
+        for _ in range(10):
+            circ, used, expected = _paired_runs(width, rng.randint(1, 8), rng)
+            ways.update(used)
+            basis = np.arange(dim, dtype=np.int64)
+            pairings.clear()
+            _assert_sparse_equals_run_batch(
+                circ, basis << width | basis, np.ones(dim, dtype=complex), dim)
+            assert len(pairings) == expected
+            held = np.flatnonzero(values.random(4 * dim) < 0.5)
+            amps = [1, 1j] @ values.normal(size=(2, held.size))
+            _assert_sparse_equals_run_batch(circ, held.astype(np.int64),
+                                            amps, 4)
+            # numpy rounds a complex product on a one-element block apart
+            # from one on a longer block, so run, which holds a single
+            # column, agrees with the unitary to round-off only
+            dense = unitary_of(circ)
+            for j in range(dim):
+                state = run(_declared(circ, _bits(j, width)))
+                assert state.dropped == 0
+                assert np.max(np.abs(state.amplitudes - dense[:, j])) < 1e-12
+    assert ways == set(_STAYS + _FLATTENS)
 
 
 @pytest.mark.parametrize("mode", ["strict", "paper"])
