@@ -78,8 +78,9 @@ class TooFewPhysicalQubits(InputError):
 # --- resource limits ---
 
 class TooManyQubits(ResourceLimit):
-    """Register exceeds the simulator ceiling."""
+    """Register too wide for the simulator's int64 batch keys."""
 
 
 class TooLarge(ResourceLimit):
-    """Brute-force enumeration space exceeds the configured bound."""
+    """A brute-force enumeration, or the amplitudes a simulation would
+    hold, past its fixed bound."""

@@ -7,7 +7,7 @@ order.  MCT/MCZ and negative controls are applied directly from the IR
 the lowering pass it is used to check.
 
 One kernel, ``_run_sparse``, runs every statevector: a sparse batch
-that holds only the amplitudes it has not dropped, each under an integer
+that holds only the amplitudes it has not dropped, each under an int64
 key (column index above the row bits).  Controls select entries by bit
 tests, permutation gates (X, CX, MCT, SWAP) XOR the keys, and diagonal
 gates (Z, RZ, CZ, MCZ) scale the held amplitudes.  H, RY and CRX pair
@@ -20,28 +20,31 @@ XOR the pair keys; so a run of gates on one target (a Margolus Toffoli
 is seven) sorts the keys once.  Any other gate first flattens the batch
 back to keys, dropping exact zeros.
 
+One rule bounds every batch: an H, RY or CRX, which at most doubles
+the amplitudes held, raises TooLarge before it runs if it could take
+them past ``_HELD_LIMIT``.  The only width bound is ``_KEY_BITS``, the
+column and row bits an int64 key holds (TooManyQubits past it).
+
 ``run`` starts one column at the basis state a circuit's
-``initial_state`` declares; a register wider than ``QUBIT_CEILING``
-qubits raises TooManyQubits before anything is allocated.  After each
-H, RY or CRX it also drops held amplitudes of magnitude at most
-``_DROP_TOL``: the round-off residues of gates that cancel, which would
-otherwise fill the register (a lowered circuit's Toffolis leave ~1e-17
-behind).  The squared magnitudes it drops are summed on the returned
-``Statevector`` as ``dropped``, so the error of a run is stated, not
-assumed.  The result is written out as 2**q dense amplitudes.
+``initial_state`` declares.  After each H, RY or CRX it also drops held
+amplitudes of magnitude at most ``_DROP_TOL``: the round-off residues of
+gates that cancel, which would otherwise fill the register (a lowered
+circuit's Toffolis leave ~1e-17 behind).  The squared magnitudes it
+drops are summed on the returned ``Statevector`` as ``dropped``, so the
+error of a run is stated, not assumed.  It returns the held batch;
+only ``Statevector.amplitudes`` writes out all 2**q amplitudes.
 
 ``phase_pattern`` has two paths, both exact.  An oracle of X, CX and
 MCT gates only (every IR oracle) is a classical reversible circuit: it
 is run on all prepared basis states at once, one Python int per qubit
-with a bit per basis state, with no statevector and no qubit ceiling.
+with a bit per basis state, with no statevector and no width bound.
 Any other oracle (a lowered one, with H/CRX/RZ/RY) is run as one sparse
-batch with a column per data string, which drops only exact zeros.  A
-gate that could grow the batch past ``_EXACT_PATTERN_LIMIT`` held
-amplitudes raises TooLarge before it runs.
+batch with a column per data string, which drops only exact zeros.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,8 +52,6 @@ from . import classical
 from .circuit import (PERMUTATION_KINDS, ROTATION_KINDS, Circuit, Gate,
                       GateKind, QubitLayout, check_qubit_subset)
 from .errors import AncillaLeak, TooLarge, TooManyQubits, WidthMismatch
-
-QUBIT_CEILING = 24
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -66,11 +67,10 @@ _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 # run drops held amplitudes of at most this magnitude after each H, RY or CRX
 _DROP_TOL = 1e-12
-
-
-def _check_ceiling(num_qubits: int) -> None:
-    if num_qubits > QUBIT_CEILING:
-        raise TooManyQubits(f"{num_qubits} qubits exceeds ceiling {QUBIT_CEILING}")
+# most amplitudes any batch may hold at once
+_HELD_LIMIT = 2 ** 20
+# widest batch key (column bits above row bits): int64, one bit spare
+_KEY_BITS = 62
 
 
 def _matrix(gate: Gate) -> np.ndarray:
@@ -90,22 +90,31 @@ def _matrix(gate: Gate) -> np.ndarray:
     return np.array([[np.exp(-1j * half), 0], [0, np.exp(1j * half)]], dtype=complex)
 
 
+@dataclass(eq=False)
 class Statevector:
-    """What a run returns: 2**q complex amplitudes, qubit 0 the most
-    significant bit of the basis-state index, and ``dropped``, the sum of
-    the squared magnitudes the run dropped as round-off."""
+    """What a run returns: the amplitudes ``amps`` it holds, each under
+    its basis-state index in ``keys`` (qubit 0 the most significant bit,
+    no index twice, 0 at every index not held), and ``dropped``, the
+    sum of the squared magnitudes the run dropped as round-off."""
+    num_qubits: int
+    keys: np.ndarray
+    amps: np.ndarray
+    dropped: float
 
-    def __init__(self, num_qubits: int, amplitudes: np.ndarray,
-                 dropped: float):
-        self.num_qubits = num_qubits
-        self.amplitudes = amplitudes
-        self.dropped = dropped
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """All 2**q amplitudes as a dense vector, written on each call."""
+        out = np.zeros(2 ** self.num_qubits, dtype=complex)
+        out[self.keys] = self.amps
+        return out
 
 
 def _update_blocks(b0, b1, gate: Gate) -> None:
     """Update in place the two blocks a non-permutation gate mixes, the
-    target-bit-0 and target-bit-1 amplitudes in matching order.  A dense
-    kernel that calls this agrees with the sparse one bit for bit."""
+    target-bit-0 and target-bit-1 amplitudes in matching order.  Dense and
+    sparse batches that call it agree bit for bit, but ``run``'s single
+    column may differ in the last bit: numpy rounds an in-place product on
+    a one-element array apart from the same product in a longer one."""
     m = _matrix(gate)
     if gate.kind in _DIAGONAL_KINDS:
         if m[0, 0] != 1:
@@ -172,12 +181,10 @@ def _run_sparse(circuit: Circuit, keys: np.ndarray, amps: np.ndarray,
     holds the pair keys and ``rows`` their amplitudes (see ``_pair``),
     and a pair slot that is 0 is not held.
 
-    With ``drop_tol`` (``run``), each H, RY and CRX is followed by a drop
-    of the held amplitudes of magnitude at most ``drop_tol``, their
-    squared magnitudes summed into what is returned.  Without it (the
-    pattern batch) only exact zeros are dropped, and an H, RY or CRX,
-    which at most doubles the amplitudes held, raises TooLarge before it
-    runs if it could grow them past ``_EXACT_PATTERN_LIMIT``.
+    Each H, RY or CRX is first checked against ``_HELD_LIMIT``, and with
+    ``drop_tol`` (``run``) followed by a drop of the held amplitudes of
+    magnitude at most ``drop_tol``, their squared magnitudes summed into
+    what is returned; without it only exact zeros are dropped.
     """
     q = circuit.num_qubits
     t = 0  # the target bit the batch is paired on, 0 while it is flat
@@ -194,14 +201,13 @@ def _run_sparse(circuit: Circuit, keys: np.ndarray, amps: np.ndarray,
         for target in gate.targets:
             moved |= 1 << (q - 1 - target)
         mixed = kind in _MIXED_KINDS
-        if mixed and drop_tol is None:
+        if mixed:
             held = rows.size if t else keys.size
-            if t and 2 * held > _EXACT_PATTERN_LIMIT:
+            if t and 2 * held > _HELD_LIMIT:
                 held = int(np.count_nonzero(rows))
-            if 2 * held > _EXACT_PATTERN_LIMIT:
+            if 2 * held > _HELD_LIMIT:
                 raise TooLarge(f"{kind.name} on {held} held amplitudes could "
-                               f"pass the {_EXACT_PATTERN_LIMIT}-amplitude "
-                               f"pattern batch")
+                               f"pass the {_HELD_LIMIT}-amplitude limit")
         if t and (care & t or moved != t
                   and (kind not in _SWAPPED_KINDS or moved & t)):
             keys, amps = _flatten(keys, rows, t)
@@ -237,34 +243,31 @@ def _run_sparse(circuit: Circuit, keys: np.ndarray, amps: np.ndarray,
 
 def run(circuit: Circuit) -> Statevector:
     """Simulate the circuit from its declared ``initial_state`` as a
-    one-column sparse batch.  After each H, RY or CRX, held amplitudes of
-    magnitude at most ``_DROP_TOL`` are dropped, and their squared
-    magnitudes summed into ``Statevector.dropped``."""
+    one-column sparse batch under ``_HELD_LIMIT``, and return what it
+    holds and the squared norm it dropped as round-off."""
     q = circuit.num_qubits
-    _check_ceiling(q)
+    if q > _KEY_BITS:
+        raise TooManyQubits(f"{q} qubits exceed the {_KEY_BITS}-bit batch key")
     start = sum(bit << (q - 1 - i) for i, bit in enumerate(circuit.initial_state))
     keys, amps, dropped = _run_sparse(
         circuit, np.array([start], dtype=np.int64), np.ones(1, dtype=complex),
         _DROP_TOL)
-    out = np.zeros(2 ** q, dtype=complex)
-    out[keys] = amps
-    return Statevector(q, out, dropped)
+    return Statevector(q, keys, amps, dropped)
 
 
 def probabilities(state: Statevector, qubit_subset=None) -> dict[str, float]:
     """Marginal Born-rule distribution over the given qubits (register
-    order preserved).  A repeated qubit, or one outside the register,
-    raises IndexOutOfRange."""
+    order preserved), every outcome listed.  A repeated qubit, or one
+    outside the register, raises IndexOutOfRange."""
     q = state.num_qubits
     subset = tuple(range(q) if qubit_subset is None else qubit_subset)
     check_qubit_subset(subset, q, "qubit subset")
-    probs = np.abs(state.amplitudes.reshape([2] * q)) ** 2
-    drop = tuple(ax for ax in range(q) if ax not in subset)
-    marginal = probs.sum(axis=drop) if drop else probs
-    # axes after summing are the kept qubits in ascending order
-    kept_sorted = sorted(subset)
-    order = [kept_sorted.index(s) for s in subset]
-    marginal = np.transpose(marginal, order).reshape(-1)
+    # each held amplitude's outcome: the subset's bits of its key, in order
+    outcome = np.zeros(state.keys.size, dtype=np.int64)
+    for qubit in subset:
+        outcome = outcome << 1 | (state.keys >> (q - 1 - qubit)) & 1
+    marginal = np.bincount(outcome, weights=np.abs(state.amps) ** 2,
+                           minlength=2 ** len(subset))
     # format(0, "00b") is "0", but the one outcome over no qubits is ""
     return {format(i, f"0{len(subset)}b") if subset else "": float(p)
             for i, p in enumerate(marginal)}
@@ -290,14 +293,12 @@ def phase_pattern(oracle: Circuit, layout: QubitLayout,
     There are two paths, both exact:
 
     * An oracle of X, CX and MCT gates only permutes basis states, so
-      every data string is tracked exactly as bits, with no statevector
-      and no qubit ceiling.  More data bits than
-      ``classical.ENUMERATION_CEILING`` raise TooLarge.
-    * Any other oracle is simulated under the qubit ceiling as one
-      sparse batch, one basis column per data string, holding only the
-      amplitudes that are not exactly 0.  A gate that could grow it past ``_EXACT_PATTERN_LIMIT``
-      held amplitudes (H, RY and CRX at most double them) raises
-      TooLarge before it runs.
+      every data string is tracked exactly as bits, with no statevector;
+      more than ``classical.ENUMERATION_CEILING`` data bits raise TooLarge.
+    * Any other oracle is simulated as one sparse batch, one basis
+      column per data string, holding only the amplitudes that are not
+      exactly 0, under ``_HELD_LIMIT`` (TooLarge); its keys need q + m
+      bits, and more than ``_KEY_BITS`` raise TooManyQubits.
 
     A layout for another register width raises WidthMismatch.
     """
@@ -379,13 +380,14 @@ def _statevector_flips(oracle, layout, allow_global_phase):
     and it must come back as itself times +1 or -1: any other amplitude
     on its two prepared rows, or any amplitude elsewhere, is a leak.
     """
-    q = oracle.num_qubits
-    _check_ceiling(q)
-    m = layout.num_data
+    q, m = oracle.num_qubits, layout.num_data
+    if q + m > _KEY_BITS:
+        raise TooManyQubits(f"{q} qubits and {m} data bits exceed the "
+                            f"{_KEY_BITS}-bit batch key")
     n_data = 2 ** m
-    if 2 * n_data > _EXACT_PATTERN_LIMIT:
+    if 2 * n_data > _HELD_LIMIT:
         raise TooLarge(f"{n_data} columns of 2 amplitudes exceed the "
-                       f"{_EXACT_PATTERN_LIMIT}-amplitude pattern batch")
+                       f"{_HELD_LIMIT}-amplitude limit")
 
     rows0, rows1, keys, amps = _prepared_batch(layout)
     keys, amps, _ = _run_sparse(oracle, keys, amps)
@@ -436,6 +438,4 @@ def _prepared_batch(layout):
     return rows0, rows1, keys, amps
 
 
-# most amplitudes one sparse pattern batch may hold at once
-_EXACT_PATTERN_LIMIT = 2 ** 20
 _PATTERN_TOL = 1e-9  # amplitude tolerance of the sign and leak checks

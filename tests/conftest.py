@@ -5,7 +5,8 @@ from the gate semantics, on purpose sharing no code with
 qkcolor.simulator.  ``run_batch`` and ``unitary_of`` run a dense
 amplitude tensor through the library's own 2x2 block update, so the
 sparse kernel can be compared with a dense one bit for bit.  Tests
-compare the library with both.
+compare the library with both, and its marginals, summed from the
+sparse keys, with ``ref_marginal``'s sums over the dense tensor.
 """
 from __future__ import annotations
 
@@ -124,6 +125,19 @@ def run_batch(circuit: Circuit, columns) -> np.ndarray:
 def unitary_of(circuit: Circuit) -> np.ndarray:
     """Dense matrix of the circuit by the dense reference run."""
     return run_batch(circuit, np.eye(2 ** circuit.num_qubits, dtype=complex))
+
+
+def ref_marginal(amplitudes: np.ndarray, num_qubits: int,
+                 subset) -> np.ndarray:
+    """Dense reference marginal over ``subset``: |a|^2 of the dense vector
+    as a [2]*q tensor, summed over the other qubits, with the axes put in
+    subset order; index i is outcome ``format(i, f"0{len(subset)}b")``."""
+    probs = np.abs(amplitudes.reshape([2] * num_qubits)) ** 2
+    rest = tuple(ax for ax in range(num_qubits) if ax not in subset)
+    # the kept axes are in ascending order after the sum
+    kept = sorted(subset)
+    return np.transpose(probs.sum(axis=rest),
+                        [kept.index(s) for s in subset]).reshape(-1)
 
 
 def phase_aligned_distance(u: np.ndarray, v: np.ndarray) -> float:

@@ -346,14 +346,32 @@ def test_malformed_graph_exits_2(runner, tmp_path):
 
 
 def test_resource_limit_exits_3(runner, tmp_path):
-    # K5 at k = 5 in strict mode needs 26 qubits, past the dense ceiling
+    # C10 at k = 4 has 20 data qubits: the H on the last one could double
+    # the 2**20 amplitudes held past the simulator's limit
+    c10 = tmp_path / "c10.edg"
+    c10.write_text("".join(f"{i} {(i + 1) % 10}\n" for i in range(10)))
+    result = runner.invoke(main, ["run", str(c10), "--k", "4",
+                                  "--out-dir", str(tmp_path / "o")])
+    assert result.exit_code == 3, result.output
+    assert ("TooLarge: H on 1048576 held amplitudes could pass the "
+            "1048576-amplitude limit") in result.output
+
+
+def test_run_past_24_qubits(runner, tmp_path):
+    # K5 at k = 5 in strict mode needs 26 qubits, but holds at most 2**16
+    # amplitudes: 15 data qubits and the output
     k5 = tmp_path / "k5.adj"
     k5.write_text("".join(" ".join("0" if i == j else "1" for j in range(5)) + "\n"
                           for i in range(5)))
     result = runner.invoke(main, ["run", str(k5), "--k", "5",
                                   "--out-dir", str(tmp_path / "o")])
-    assert result.exit_code == 3, result.output
-    assert "TooManyQubits: 26 qubits exceeds ceiling 24" in result.output
+    assert result.exit_code == 0, result.output
+    report = _json_head(result.output)
+    assert report["solution_match"] is True
+    want = grover.success_probability(report["N"], report["M"],
+                                      report["iterations"])
+    assert (report["N"], report["M"]) == (2 ** 15, 120)
+    assert abs(report["success_probability"] - want) < 1e-9
 
 
 def _subclasses(cls):

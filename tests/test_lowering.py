@@ -16,8 +16,7 @@ from qkcolor.lowering import lower_circuit
 from qkcolor.oracle import build_oracle, plan_layout
 from qkcolor.qasm import emit_qasm
 from qkcolor.routing import line_coupling, sabre_route
-from qkcolor.simulator import (_EXACT_PATTERN_LIMIT, phase_pattern,
-                               probabilities, run)
+from qkcolor.simulator import _HELD_LIMIT, phase_pattern, probabilities, run
 
 # The lowered alphabet, written out once: what lower_circuit emits, and
 # all that LOWERED_KINDS admits (test_pipeline_emits_the_whole_alphabet).
@@ -392,7 +391,7 @@ def test_lowered_oracles_keep_the_ir_pattern():
                     plan = plan_layout(inst, mode)
                     layout = plan.layout
                     if (2 ** (layout.num_qubits + layout.num_data)
-                            > _EXACT_PATTERN_LIMIT):
+                            > _HELD_LIMIT):
                         past_limit += 1
                         continue
                     oracle = build_oracle(inst, mode, plan)

@@ -7,12 +7,13 @@ import pytest
 
 import qkcolor.simulator as sim
 from conftest import (ONE_QUBIT_POOL, all_graphs, complete_graph,
-                      cycle_graph, random_circuit, ref_gate_matrix,
-                      ref_unitary, run_batch, unitary_of)
+                      cycle_graph, path_graph, random_circuit,
+                      ref_gate_matrix, ref_marginal, ref_unitary, run_batch,
+                      unitary_of)
 from qkcolor import classical
 from qkcolor.circuit import (MULTI_KINDS, ONE_QUBIT_KINDS, ROTATION_KINDS,
                              Circuit, Control, Gate, GateKind, gCRX, gCX, gH,
-                             gMCT, gRY, gX)
+                             gMCT, gRY, gRZ, gX)
 from qkcolor.errors import (AncillaLeak, IndexOutOfRange, TooLarge,
                             TooManyQubits)
 from qkcolor.graphs import Graph, make_instance
@@ -149,6 +150,32 @@ def test_probabilities_over_no_qubits():
     assert probabilities(state, []) == {"": pytest.approx(1.0)}
 
 
+def test_probabilities_match_a_dense_marginal():
+    # the subset's bits of each held key, summed by bincount, against sums
+    # over the dense tensor: every outcome listed in order, over the whole
+    # register, no qubit, and subsets in register order, reversed and
+    # permuted
+    rng = random.Random(17)
+    for width in (1, 2, 4, 7):
+        pool = {"pool": ONE_QUBIT_POOL} if width == 1 else {}
+        for _ in range(10):
+            circ = random_circuit(width, rng.randint(1, 25), rng,
+                                  max_controls=min(width - 1, 3), **pool)
+            state = run(_declared(circ, _bits(rng.randrange(2 ** width),
+                                              width)))
+            dense = state.amplitudes
+            picked = sorted(rng.sample(range(width), rng.randint(1, width)))
+            for subset in (None, [], picked, picked[::-1],
+                           rng.sample(range(width), width)):
+                got = probabilities(state, subset)
+                subset = range(width) if subset is None else subset
+                outcomes = [format(i, f"0{len(subset)}b") if subset else ""
+                            for i in range(2 ** len(subset))]
+                assert list(got) == outcomes
+                want = ref_marginal(dense, width, subset)
+                assert np.max(np.abs(list(got.values()) - want)) <= 1e-15
+
+
 def test_probabilities_refuses_a_bad_subset():
     state = run(Circuit(3))
     for subset in ([0, 0], [5], [-1]):
@@ -229,17 +256,49 @@ def test_every_gate_kind_at_every_position(q):
                      ONE_QUBIT_KINDS | MULTI_KINDS)
 
 
-def test_dense_ceiling(monkeypatch):
-    assert sim.QUBIT_CEILING == 24
-    # checked before the 2**50 amplitudes would be allocated
-    with pytest.raises(TooManyQubits, match="^50 qubits exceeds ceiling 24$"):
-        run(Circuit(50))
-    monkeypatch.setattr(sim, "QUBIT_CEILING", 4)
-    for bits in ([0] * 5, [1, 0, 0, 0, 1]):
-        with pytest.raises(TooManyQubits, match="^5 qubits exceeds ceiling 4$"):
-            run(Circuit(5, initial_state=bits))
-    run(Circuit(4))  # at the ceiling is fine
-    assert run(Circuit(4, initial_state=[1, 0, 0, 1])).amplitudes[0b1001] == 1.0
+def test_one_held_amplitude_limit(monkeypatch):
+    # H on every qubit fills the register: run refuses the H that could
+    # double the held amplitudes past the limit before it runs, as the
+    # pattern batch does, with the same message
+    assert sim._HELD_LIMIT == 2 ** 20
+    pairings = []
+    pair = sim._pair
+
+    def counted(keys, amps, t):
+        pairings.append(keys.size)
+        return pair(keys, amps, t)
+
+    monkeypatch.setattr(sim, "_pair", counted)
+    monkeypatch.setattr(sim, "_HELD_LIMIT", 2 ** 6)
+    fill = Circuit(8).extend(gH(qubit) for qubit in range(8))
+    message = "^H on 64 held amplitudes could pass the 64-amplitude limit$"
+    with pytest.raises(TooLarge, match=message):
+        run(fill)
+    # six H gates ran on 1 to 32 held amplitudes, the seventh never did
+    assert pairings == [2 ** n for n in range(6)]
+    with pytest.raises(TooLarge, match=message):
+        sim._run_sparse(fill, np.zeros(1, dtype=np.int64),
+                        np.ones(1, dtype=complex))
+    assert run(Circuit(6).extend(fill.gates[:6])).keys.size == 2 ** 6
+    # the one width bound is the int64 key's, checked before anything runs
+    with pytest.raises(TooManyQubits,
+                       match="^63 qubits exceed the 62-bit batch key$"):
+        run(Circuit(63))
+    flip = Circuit(62).extend(gX(qubit) for qubit in range(62))
+    state = run(flip)
+    assert (state.keys.tolist(), state.amps.tolist()) == ([2 ** 62 - 1], [1])
+    assert probabilities(state, [61, 0, 30]) == {
+        format(i, "03b"): float(i == 7) for i in range(8)}
+    assert run(_declared(flip, [1] + [0] * 61)).keys.tolist() == [
+        2 ** 61 - 1]
+    # a pattern batch keys q + m bits: P13 at k = 4 has 39 qubits and 26
+    # data bits; an RZ puts its oracle on the batch path
+    inst = make_instance(path_graph(13), 4)
+    plan = plan_layout(inst, "strict")
+    oracle = build_oracle(inst, "strict", plan).append(gRZ(0, 0.5))
+    with pytest.raises(TooManyQubits, match="^39 qubits and 26 data bits "
+                                            "exceed the 62-bit batch key$"):
+        phase_pattern(oracle, plan.layout)
 
 
 def test_run_rejects_initial_of_wrong_width():
@@ -315,25 +374,25 @@ def test_phase_pattern_refuses_a_batch_past_the_limit(monkeypatch):
     oracle = build_oracle(inst, "strict", plan)
     lowered = lower_circuit(oracle)
     assert (lowered.num_qubits, plan.layout.num_data) == (13, 8)
-    assert 2 ** 21 > sim._EXACT_PATTERN_LIMIT
+    assert 2 ** 21 > sim._HELD_LIMIT
     assert (phase_pattern(lowered, plan.layout, allow_global_phase=True)
             == phase_pattern(oracle, plan.layout, allow_global_phase=True))
     # the prepared batch (512 amplitudes) fits a 2**14 limit; a gate that
     # could double the batch past it is refused before it runs
-    monkeypatch.setattr(sim, "_EXACT_PATTERN_LIMIT", 2 ** 14)
+    monkeypatch.setattr(sim, "_HELD_LIMIT", 2 ** 14)
     with pytest.raises(TooLarge, match="could pass the 16384-amplitude"):
         phase_pattern(lowered, plan.layout, allow_global_phase=True)
     # and so is a prepared batch past the limit
-    monkeypatch.setattr(sim, "_EXACT_PATTERN_LIMIT", 2 ** 9 - 1)
+    monkeypatch.setattr(sim, "_HELD_LIMIT", 2 ** 9 - 1)
     with pytest.raises(TooLarge, match="256 columns"):
         phase_pattern(lowered, plan.layout, allow_global_phase=True)
     # two H gates take one held amplitude to 4: a limit of 4 lets both
     # run, one of 3 refuses the second before it runs
     circ = Circuit(2).append(gH(0)).append(gH(1))
     keys, amps = np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex)
-    monkeypatch.setattr(sim, "_EXACT_PATTERN_LIMIT", 4)
+    monkeypatch.setattr(sim, "_HELD_LIMIT", 4)
     assert sim._run_sparse(circ, keys.copy(), amps.copy())[0].size == 4
-    monkeypatch.setattr(sim, "_EXACT_PATTERN_LIMIT", 3)
+    monkeypatch.setattr(sim, "_HELD_LIMIT", 3)
     with pytest.raises(TooLarge, match="H on 2 held amplitudes"):
         sim._run_sparse(circ, keys.copy(), amps.copy())
     # a second gate on the qubit the batch is paired on is refused alike
@@ -346,9 +405,9 @@ def test_phase_pattern_refuses_a_batch_past_the_limit(monkeypatch):
     crx = Circuit(2).append(gCRX(1, 0, 0.5)).append(gCRX(1, 0, 0.5))
     keys = np.array([0b00, 0b01], dtype=np.int64)
     amps = np.ones(2, dtype=complex)
-    monkeypatch.setattr(sim, "_EXACT_PATTERN_LIMIT", 7)
+    monkeypatch.setattr(sim, "_HELD_LIMIT", 7)
     assert sim._run_sparse(crx, keys.copy(), amps.copy())[0].size == 3
-    monkeypatch.setattr(sim, "_EXACT_PATTERN_LIMIT", 5)
+    monkeypatch.setattr(sim, "_HELD_LIMIT", 5)
     with pytest.raises(TooLarge, match="CRX on 3 held amplitudes"):
         sim._run_sparse(crx, keys, amps)
 
@@ -569,7 +628,7 @@ def test_tracked_pattern_equals_statevector_pattern(monkeypatch):
                     plan = plan_layout(inst, mode)
                     layout = plan.layout
                     if (2 ** (layout.num_qubits + layout.num_data)
-                            <= sim._EXACT_PATTERN_LIMIT):
+                            <= sim._HELD_LIMIT):
                         cases.append((build_oracle(inst, mode, plan), layout))
     # n = 2, 3 at k = 2..4 and n = 4 at k = 2, both modes; n = 4 at k = 3
     # only in paper mode with at most 2 edges, and at k = 4 in both modes
@@ -583,15 +642,17 @@ def test_tracked_pattern_equals_statevector_pattern(monkeypatch):
     assert tracked == simulated
 
 
-def test_tracked_pattern_past_the_dense_ceiling(monkeypatch):
-    # 26 and 25 qubits: past the statevector ceiling, not the data one
-    for graph, k, width in ((complete_graph(5), 5, 26), (cycle_graph(8), 4, 25)):
+def test_tracked_pattern_past_the_held_limit(monkeypatch):
+    # 26 and 25 qubits: the IR oracles are tracked as bits, and their
+    # lowered forms are refused before a gate could hold past the limit
+    for graph, k, width, held in ((complete_graph(5), 5, 26, 575744),
+                                  (cycle_graph(8), 4, 25, 675840)):
         inst = make_instance(graph, k)
         plan = plan_layout(inst, "strict")
         oracle = build_oracle(inst, "strict", plan)
-        assert oracle.num_qubits == width > sim.QUBIT_CEILING
+        assert oracle.num_qubits == width
         assert phase_pattern(oracle, plan.layout) == classical.solutions(inst)
-        with pytest.raises(TooManyQubits):
+        with pytest.raises(TooLarge, match=f"^RY on {held} held amplitudes"):
             phase_pattern(lower_circuit(oracle), plan.layout)
     # more data bits than the enumeration ceiling are refused, not tracked
     monkeypatch.setattr(classical, "ENUMERATION_CEILING", plan.layout.num_data - 1)
