@@ -11,7 +11,7 @@ during lowering by X-conjugation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import IndexOutOfRange, OverlappingOperands, UnloweredGate
@@ -50,7 +50,7 @@ PERMUTATION_KINDS = frozenset({GateKind.X, GateKind.CX, GateKind.MCT})
 LOWERED_KINDS = ONE_QUBIT_KINDS | CONTROLLED_KINDS | {GateKind.SWAP}
 
 # Operand shape of each kind: (controls, targets, message), controls None
-# for any number.
+# for any number, then whether it is a rotation.
 _SHAPES = {
     **{k: (0, 1, f"{k.value} takes 0 controls and 1 target")
        for k in ONE_QUBIT_KINDS},
@@ -59,6 +59,7 @@ _SHAPES = {
     GateKind.SWAP: (0, 2, "swap takes 0 controls and 2 targets"),
     **{k: (None, 1, f"{k.value} takes exactly 1 target") for k in MULTI_KINDS},
 }
+_SHAPES = {k: (*shape, k in ROTATION_KINDS) for k, shape in _SHAPES.items()}
 
 
 def check_lowered(circuit: Circuit) -> None:
@@ -96,48 +97,93 @@ class Gate:
     operands: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        k = self.kind
-        nc_want, nt_want, message = _SHAPES[k]
-        if len(self.targets) != nt_want or (
-                nc_want is not None and len(self.controls) != nc_want):
+        kind, controls, targets = self.kind, self.controls, self.targets
+        nc_want, nt_want, message, rotation = _SHAPES[kind]
+        if len(targets) != nt_want or (
+                nc_want is not None and len(controls) != nc_want):
             raise ValueError(message)
-        if (self.angle is not None) != (k in ROTATION_KINDS):
-            raise ValueError(f"angle must be present iff {k.value} is a rotation")
-        if nc_want is not None and any(not c.positive for c in self.controls):
-            raise ValueError("negative polarity is permitted only on MCT/MCZ")
-        operands = tuple(c.qubit for c in self.controls) + self.targets
-        _check_distinct(k, operands)
-        object.__setattr__(self, "operands", operands)
+        if (self.angle is None) == rotation:
+            raise ValueError(
+                f"angle must be present iff {kind.value} is a rotation")
+        if nc_want == 0:
+            operands = targets
+        elif nc_want == 1:
+            control = controls[0]
+            if not control.positive:
+                raise ValueError(
+                    "negative polarity is permitted only on MCT/MCZ")
+            operands = (control.qubit, targets[0])
+        else:
+            operands = tuple([c.qubit for c in controls]) + targets
+        if len(operands) == 2:
+            if operands[0] == operands[1]:
+                _check_distinct(kind, operands)
+        elif len(operands) > 2:
+            _check_distinct(kind, operands)
+        self.__dict__["operands"] = operands
 
     def adjoint(self) -> "Gate":
         """Inverse gate: a rotation by the negated angle; every other kind
         is self-inverse."""
         if self.kind in ROTATION_KINDS:
-            return replace(self, angle=-self.angle)
+            return _built(self.kind, self.controls, self.targets, -self.angle,
+                          self.operands)
         return self
 
     def remapped(self, perm) -> "Gate":
         """Gate with every operand q replaced by perm[q].
 
         A qubit map cannot change kind, arity, angle or polarity, so of
-        ``__post_init__``'s checks only the operand overlap is made again:
-        a map that sends two operands to one qubit raises
-        OverlappingOperands."""
-        operands = tuple([perm[q] for q in self.operands])
-        _check_distinct(self.kind, operands)
+        ``__post_init__``'s checks only the operand overlap is made
+        again: a map that sends two operands to one qubit raises
+        OverlappingOperands.  A 1-qubit gate is mapped directly, and each
+        control is the one shared ``Control`` of its (qubit, polarity)."""
+        operands = self.operands
+        if len(operands) == 1:
+            operands = (perm[operands[0]],)
+            return _built(self.kind, (), operands, self.angle, operands)
+        if len(operands) == 2:
+            a, b = operands
+            operands = (perm[a], perm[b])
+            if operands[0] == operands[1]:
+                _check_distinct(self.kind, operands)
+        else:
+            operands = tuple([perm[q] for q in operands])
+            _check_distinct(self.kind, operands)
         controls = self.controls
-        if controls:
-            controls = tuple([Control(q, c.positive)
+        if len(controls) == 1:
+            controls = (_control(operands[0], controls[0].positive),)
+        elif controls:
+            controls = tuple([_control(q, c.positive)
                               for q, c in zip(operands, controls)])
-        # the fields as __init__ would set them, without its checks
-        gate = object.__new__(Gate)
-        fields = gate.__dict__
-        fields["kind"] = self.kind
-        fields["controls"] = controls
-        fields["targets"] = operands[len(controls):]
-        fields["angle"] = self.angle
-        fields["operands"] = operands
-        return gate
+        return _built(self.kind, controls, operands[len(controls):],
+                      self.angle, operands)
+
+
+# One Control per (qubit, polarity), shared by every remapped gate: a
+# Control is frozen, so no gate can change one under another, and the
+# table grows only with the qubit indices remapped onto.
+_CONTROLS: dict[tuple[int, bool], Control] = {}
+
+
+def _control(qubit: int, positive: bool) -> Control:
+    control = _CONTROLS.get((qubit, positive))
+    if control is None:
+        control = _CONTROLS[qubit, positive] = Control(qubit, positive)
+    return control
+
+
+def _built(kind, controls, targets, angle, operands) -> Gate:
+    """A Gate with these fields, set as __init__ would set them but
+    without its checks: for gates derived from a checked one."""
+    gate = object.__new__(Gate)
+    fields = gate.__dict__
+    fields["kind"] = kind
+    fields["controls"] = controls
+    fields["targets"] = targets
+    fields["angle"] = angle
+    fields["operands"] = operands
+    return gate
 
 
 def _check_distinct(kind: GateKind, operands: tuple[int, ...]) -> None:

@@ -82,5 +82,5 @@ class TooManyQubits(ResourceLimit):
 
 
 class TooLarge(ResourceLimit):
-    """A brute-force enumeration, or the amplitudes a simulation would
-    hold, past its fixed bound."""
+    """A brute-force enumeration, the amplitudes a simulation would
+    hold, or the outcomes a marginal would list, past its fixed bound."""

@@ -18,8 +18,11 @@ def _statement(gate: Gate) -> str:
     name = _NAMES[gate.kind]
     if gate.angle is not None:
         name = f"{name}({format(gate.angle, '.17g')})"
-    args = ", ".join(f"q[{q}]" for q in gate.operands)
-    return f"{name} {args};"
+    # a lowered gate has one or two operands
+    ops = gate.operands
+    if len(ops) == 1:
+        return f"{name} q[{ops[0]}];"
+    return f"{name} q[{ops[0]}], q[{ops[1]}];"
 
 
 def emit_qasm(circuit: Circuit, comment_lines=()) -> str:
@@ -33,7 +36,7 @@ def emit_qasm(circuit: Circuit, comment_lines=()) -> str:
              f"qreg q[{circuit.num_qubits}];", f"creg c[{max(len(measured), 1)}];"]
     lines.extend(f"x q[{q}];" for q, bit in enumerate(circuit.initial_state)
                  if bit)
-    lines.extend(_statement(gate) for gate in circuit.gates)
+    lines.extend(map(_statement, circuit.gates))
     lines.extend(f"measure q[{q}] -> c[{pos}];" for pos, q in enumerate(measured))
     lines.extend(f"// {comment}" for comment in comment_lines)
     return "\n".join(lines) + "\n"

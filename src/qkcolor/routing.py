@@ -150,29 +150,46 @@ STALL_PER_QUBIT = 4          # stall walk: BASE + PER_QUBIT * num_physical
 
 
 def verify_constraints(circuit: Circuit, coupling: CouplingGraph) -> bool:
+    pairs = coupling.pairs
     for gate in circuit.gates:
         ops = gate.operands
-        if len(ops) == 2 and not coupling.coupled(*ops):
-            return False
+        if len(ops) == 2:
+            a, b = ops
+            if ((a, b) if a < b else (b, a)) not in pairs:
+                return False
     return True
 
 
 class _Dag:
-    """Dependency DAG over operand tuples (operand overlap ordering)."""
+    """Dependency DAG over 1- and 2-qubit operand tuples (operand
+    overlap ordering)."""
 
     def __init__(self, ops: list[tuple[int, ...]]):
         self.ops = ops
         n = len(ops)
         self.succ: list[list[int]] = [[] for _ in range(n)]
         self.indegree = [0] * n
+        succ, indegree = self.succ, self.indegree
         last_on: dict[int, int] = {}
+        last = last_on.get
         for i, g in enumerate(ops):
-            preds = {last_on[q] for q in g if q in last_on}
-            for p in preds:
-                self.succ[p].append(i)
-            self.indegree[i] = len(preds)
-            for q in g:
-                last_on[q] = i
+            if len(g) == 1:
+                p = last(g[0])
+                if p is not None:
+                    succ[p].append(i)
+                    indegree[i] = 1
+                last_on[g[0]] = i
+                continue
+            a, b = g
+            pa, pb = last(a), last(b)
+            if pa is not None:
+                succ[pa].append(i)
+                indegree[i] = 1
+            # back to back on one pair: a single edge
+            if pb is not None and pb != pa:
+                succ[pb].append(i)
+                indegree[i] += 1
+            last_on[a] = last_on[b] = i
         self.two_qubit = [len(g) == 2 for g in ops]  # the rest are 1q
 
     def reverse(self) -> "_Dag":
@@ -234,7 +251,8 @@ def _routed_circuit(logical: Circuit, num_physical: int, gates,
         init[initial.physical(l)] = logical.initial_state[l]
     measured = [final.physical(q) for q in logical.measured]
     out = Circuit(num_physical, measured=measured, initial_state=init)
-    out.extend(gates)
+    # every operand is a physical qubit, so append's range check is skipped
+    out.gates = gates
     return out
 
 
@@ -244,6 +262,18 @@ def _route_pass(dag, coupling, mapping_seed, rng, gates=None):
     Returns (final l2p mapping, physical gate list, stall walks).  The
     gate list is built only when ``gates``, the circuit's gates in DAG
     order, is given; otherwise it is None.
+
+    The front is ``waiting``, the gates found blocked, in front order,
+    followed by ``unchecked``, the gates not yet checked.  One drain per
+    layout takes ``unchecked`` first in, first out: a ready gate commits
+    and queues the successors it frees, a blocked one joins ``waiting``.
+    A commit does not move the layout, so a gate is checked once until a
+    swap does.  Front gates share no qubit and a swap moves two logical
+    qubits, so after a swap only the blocked gates on those two are
+    checked again; a stall walk moves many, so it checks the whole front
+    again.  The drain commits the gates, in the order, and leaves the
+    front in the order, of rounds that each commit every ready front
+    gate and then append the successors freed, in commit order.
     """
     ops, succ, two_qubit = dag.ops, dag.succ, dag.two_qubit
     dist, adj = coupling.distance, coupling.adjacency
@@ -251,12 +281,21 @@ def _route_pass(dag, coupling, mapping_seed, rng, gates=None):
     # the coupling pairs on each physical qubit, as candidate swaps
     incident = [[(p, nb) if p < nb else (nb, p) for nb in adj[p]]
                 for p in range(n_phys)]
+    # each candidate with how the swap moves a distance: a qubit on p
+    # moves to q and gains shift[x] to each physical qubit x, and one on
+    # q loses it
+    with_shift = {(p, q): (p, q, tuple([dq - dp for dp, dq in
+                                        zip(dist[p], dist[q])]))
+                  for p in range(n_phys) for q in adj[p] if p < q}
+    # the sorted candidate swaps of a single-gate front, by its physical pair
+    single_candidates = {}
     l2p = list(mapping_seed)
     p2l = [0] * n_phys
     for logical, phys in enumerate(l2p):
         p2l[phys] = logical
     indegree = list(dag.indegree)
-    front = [i for i in range(len(ops)) if indegree[i] == 0]
+    unchecked = [i for i in range(len(ops)) if indegree[i] == 0]
+    waiting = []
     if gates is None:
         out = None
     else:
@@ -270,9 +309,10 @@ def _route_pass(dag, coupling, mapping_seed, rng, gates=None):
     stall_walks = 0
     stall_limit = STALL_BASE + STALL_PER_QUBIT * n_phys
     # Built when the front changes: the blocked and lookahead operand
-    # pairs, each logical qubit's partners in them, and their distance
-    # sums, which each swap then moves by its change.  The sums are exact
-    # ints, so every float score equals that of a full recount.
+    # pairs, each logical qubit's partners in them and blocked gate, and
+    # their distance sums, which each swap then moves by its change.  The
+    # sums are exact ints, so every float score equals that of a full
+    # recount.
     blocked = None
     visited = [0] * len(ops)  # lookahead BFS generation of each node
     generation = 0
@@ -284,46 +324,49 @@ def _route_pass(dag, coupling, mapping_seed, rng, gates=None):
         if out is not None:
             out.append(swap_gates[p, q])
 
-    while front:
-        ready = [i for i in front if not two_qubit[i]
-                 or dist[l2p[ops[i][0]]][l2p[ops[i][1]]] == 1]
-        if ready:
-            # the gates left in the front keep their order, and the
-            # successors each commit frees follow them in commit order
-            if len(ready) == len(front):
-                front = []
-            else:
-                done = set(ready)
-                front = [i for i in front if i not in done]
-            for i in ready:
+    while True:
+        if unchecked:
+            committed = False
+            for i in unchecked:  # grows by the successors each commit frees
+                if two_qubit[i]:
+                    a, b = ops[i]
+                    if dist[l2p[a]][l2p[b]] != 1:
+                        waiting.append(i)
+                        continue
+                committed = True
                 if out is not None:
                     out.append(gates[i].remapped(l2p))
                 for s in succ[i]:
                     indegree[s] -= 1
                     if indegree[s] == 0:
-                        front.append(s)
-            if swaps_since_reset:
-                decay = [1.0] * n_phys
-                swaps_since_reset = 0
-            swaps_since_commit = 0
-            blocked = None
-            continue
+                        unchecked.append(s)
+            unchecked = []
+            if committed:
+                if swaps_since_reset:
+                    decay = [1.0] * n_phys
+                    swaps_since_reset = 0
+                swaps_since_commit = 0
+                blocked = None
+        if not waiting:
+            break
 
         if blocked is None:
-            # nothing is ready, so every front gate is a blocked 2q gate;
-            # the lookahead is the nearest 2q successors in BFS order
+            # every front gate is a blocked 2q gate; the lookahead is the
+            # nearest 2q successors in BFS order
             generation += 1
             blocked = []
             partner_b = [None] * n_phys  # front gates share no qubit
+            gate_on = [None] * n_phys
             partner_e = [()] * n_phys
             sum_b = sum_e = n_e = 0
-            for i in front:
+            for i in waiting:
                 visited[i] = generation
                 a, b = pair = ops[i]
                 blocked.append(pair)
                 partner_b[a], partner_b[b] = b, a
+                gate_on[a] = gate_on[b] = i
                 sum_b += dist[l2p[a]][l2p[b]]
-            queue = list(front)
+            queue = list(waiting)
             for i in queue:
                 if n_e >= EXTENDED_SIZE:
                     break
@@ -352,40 +395,46 @@ def _route_pass(dag, coupling, mapping_seed, rng, gates=None):
                 pa = step
             swaps_since_commit = 0
             stall_walks += 1
-            # blocked[0] is now executable, so the next step commits it
-            # and rebuilds what depends on the front and the layout
-            blocked = None
+            # the walk moved many qubits, so the whole front is checked
+            # again; blocked[0] is now executable, and its commit has the
+            # sums rebuilt
+            unchecked, waiting = waiting, []
             continue
 
-        candidates = set()
-        for a, b in blocked:
-            candidates.update(incident[l2p[a]])
-            candidates.update(incident[l2p[b]])
+        if n_b == 1:
+            a, b = blocked[0]
+            key = l2p[a], l2p[b]
+            candidates = single_candidates.get(key)
+            if candidates is None:
+                candidates = [with_shift[pair] for pair in sorted(
+                    {*incident[key[0]], *incident[key[1]]})]
+                single_candidates[key] = candidates
+        else:
+            pairs = set()
+            for a, b in blocked:
+                pairs.update(incident[l2p[a]])
+                pairs.update(incident[l2p[b]])
+            candidates = [with_shift[pair] for pair in sorted(pairs)]
         # A candidate SWAP changes only the terms of pairs on its qubits;
         # a pair on both keeps its distance.
         best_swaps, best_score = [], None
-        for p, q in sorted(candidates):
+        for p, q, shift in candidates:
             lp, lq = p2l[p], p2l[q]
-            dp, dq = dist[p], dist[q]
             d_b = d_e = 0
             other = partner_b[lp]
             if other is not None and other != lq:
-                o = l2p[other]
-                d_b += dq[o] - dp[o]
+                d_b += shift[l2p[other]]
             other = partner_b[lq]
             if other is not None and other != lp:
-                o = l2p[other]
-                d_b += dp[o] - dq[o]
+                d_b -= shift[l2p[other]]
             score = (sum_b + d_b) / n_b
             if n_e:
                 for other in partner_e[lp]:
                     if other != lq:
-                        o = l2p[other]
-                        d_e += dq[o] - dp[o]
+                        d_e += shift[l2p[other]]
                 for other in partner_e[lq]:
                     if other != lp:
-                        o = l2p[other]
-                        d_e += dp[o] - dq[o]
+                        d_e -= shift[l2p[other]]
                 score += EXTENDED_WEIGHT * (sum_e + d_e) / n_e
             decay_p, decay_q = decay[p], decay[q]
             score = (decay_p if decay_p > decay_q else decay_q) * score
@@ -394,6 +443,7 @@ def _route_pass(dag, coupling, mapping_seed, rng, gates=None):
             elif abs(score - best_score) <= 1e-12:
                 best_swaps.append((p, q, d_b, d_e))
         p, q, d_b, d_e = rng.choice(best_swaps)
+        lp, lq = p2l[p], p2l[q]
         swap(p, q)
         sum_b += d_b
         sum_e += d_e
@@ -404,4 +454,15 @@ def _route_pass(dag, coupling, mapping_seed, rng, gates=None):
         if swaps_since_reset >= DECAY_RESET_INTERVAL:
             decay = [1.0] * n_phys
             swaps_since_reset = 0
+        # lp is now on q and lq on p; a gate on both keeps its distance
+        ready = []
+        other = partner_b[lp]
+        if other is not None and other != lq and dist[q][l2p[other]] == 1:
+            ready.append(gate_on[lp])
+        other = partner_b[lq]
+        if other is not None and other != lp and dist[p][l2p[other]] == 1:
+            ready.append(gate_on[lq])
+        if ready:
+            unchecked = [i for i in waiting if i in ready]
+            waiting = [i for i in waiting if i not in ready]
     return l2p, out, stall_walks

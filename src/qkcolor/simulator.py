@@ -258,16 +258,23 @@ def run(circuit: Circuit) -> Statevector:
 def probabilities(state: Statevector, qubit_subset=None) -> dict[str, float]:
     """Marginal Born-rule distribution over the given qubits (register
     order preserved), every outcome listed.  A repeated qubit, or one
-    outside the register, raises IndexOutOfRange."""
+    outside the register, raises IndexOutOfRange; a subset with more
+    outcomes than ``_HELD_LIMIT`` raises TooLarge before anything is
+    allocated, whatever the state holds."""
     q = state.num_qubits
     subset = tuple(range(q) if qubit_subset is None else qubit_subset)
     check_qubit_subset(subset, q, "qubit subset")
+    outcomes = 2 ** len(subset)
+    if outcomes > _HELD_LIMIT:
+        raise TooLarge(f"a marginal over {len(subset)} qubits lists "
+                       f"{outcomes} outcomes, past the "
+                       f"{_HELD_LIMIT}-amplitude limit")
     # each held amplitude's outcome: the subset's bits of its key, in order
     outcome = np.zeros(state.keys.size, dtype=np.int64)
     for qubit in subset:
         outcome = outcome << 1 | (state.keys >> (q - 1 - qubit)) & 1
     marginal = np.bincount(outcome, weights=np.abs(state.amps) ** 2,
-                           minlength=2 ** len(subset))
+                           minlength=outcomes)
     # format(0, "00b") is "0", but the one outcome over no qubits is ""
     return {format(i, f"0{len(subset)}b") if subset else "": float(p)
             for i, p in enumerate(marginal)}

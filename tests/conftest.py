@@ -1,4 +1,5 @@
-"""Shared fixtures and two dense reference simulators.
+"""Shared fixtures, two dense reference simulators and a reference
+SABRE pass.
 
 ``ref_unitary`` builds dense gate matrices one basis column at a time
 from the gate semantics, on purpose sharing no code with
@@ -7,6 +8,9 @@ amplitude tensor through the library's own 2x2 block update, so the
 sparse kernel can be compared with a dense one bit for bit.  Tests
 compare the library with both, and its marginals, summed from the
 sparse keys, with ``ref_marginal``'s sums over the dense tensor.
+``ref_route_pass`` is the router's pass as rounds over the whole front,
+which the FIFO drain of ``routing._route_pass`` must match decision for
+decision.
 """
 from __future__ import annotations
 
@@ -18,8 +22,9 @@ import numpy as np
 import pytest
 
 import qkcolor.simulator as sim
+from qkcolor import routing
 from qkcolor.circuit import (LOWERED_KINDS, MULTI_KINDS, ONE_QUBIT_KINDS,
-                             Circuit, Gate, GateKind)
+                             Circuit, Gate, GateKind, gSWAP)
 from qkcolor.graphs import Graph, Instance, edges_from_pairs, make_instance
 
 # Reference gate semantics (independent of qkcolor.simulator)
@@ -210,6 +215,175 @@ def routed_max_error(logical: Circuit, result, num_physical: int) -> float:
                 y |= 1 << (num_physical - 1 - result.final.physical(q))
         mapped[y] = a[x]
     return float(np.max(np.abs(b - mapped)))
+
+
+# Reference SABRE pass (the round-based loop the router replaced)
+
+def ref_route_pass(dag, coupling, mapping_seed, rng, gates=None):
+    """``routing._route_pass`` as it was before the FIFO drain: rounds
+    that each check every front gate, commit every ready one, and then
+    append the successors freed, in commit order.  The same decisions,
+    read from the same module constants, so a test may patch them."""
+    ops, succ, two_qubit = dag.ops, dag.succ, dag.two_qubit
+    dist, adj = coupling.distance, coupling.adjacency
+    n_phys = coupling.num_physical
+    # the coupling pairs on each physical qubit, as candidate swaps
+    incident = [[(p, nb) if p < nb else (nb, p) for nb in adj[p]]
+                for p in range(n_phys)]
+    l2p = list(mapping_seed)
+    p2l = [0] * n_phys
+    for logical, phys in enumerate(l2p):
+        p2l[phys] = logical
+    indegree = list(dag.indegree)
+    front = [i for i in range(len(ops)) if indegree[i] == 0]
+    if gates is None:
+        out = None
+    else:
+        out = []
+        # one SWAP gate per coupled pair and operand order
+        swap_gates = {(p, nb): gSWAP(p, nb)
+                      for p in range(n_phys) for nb in adj[p]}
+    decay = [1.0] * n_phys
+    swaps_since_reset = 0  # also 0 exactly when every decay is 1.0
+    swaps_since_commit = 0
+    stall_walks = 0
+    stall_limit = routing.STALL_BASE + routing.STALL_PER_QUBIT * n_phys
+    # Built when the front changes: the blocked and lookahead operand
+    # pairs, each logical qubit's partners in them, and their distance
+    # sums, which each swap then moves by its change.  The sums are exact
+    # ints, so every float score equals that of a full recount.
+    blocked = None
+    visited = [0] * len(ops)  # lookahead BFS generation of each node
+    generation = 0
+
+    def swap(p, q):
+        lp, lq = p2l[p], p2l[q]
+        p2l[p], p2l[q] = lq, lp
+        l2p[lp], l2p[lq] = q, p
+        if out is not None:
+            out.append(swap_gates[p, q])
+
+    while front:
+        ready = [i for i in front if not two_qubit[i]
+                 or dist[l2p[ops[i][0]]][l2p[ops[i][1]]] == 1]
+        if ready:
+            # the gates left in the front keep their order, and the
+            # successors each commit frees follow them in commit order
+            if len(ready) == len(front):
+                front = []
+            else:
+                done = set(ready)
+                front = [i for i in front if i not in done]
+            for i in ready:
+                if out is not None:
+                    out.append(gates[i].remapped(l2p))
+                for s in succ[i]:
+                    indegree[s] -= 1
+                    if indegree[s] == 0:
+                        front.append(s)
+            if swaps_since_reset:
+                decay = [1.0] * n_phys
+                swaps_since_reset = 0
+            swaps_since_commit = 0
+            blocked = None
+            continue
+
+        if blocked is None:
+            # nothing is ready, so every front gate is a blocked 2q gate;
+            # the lookahead is the nearest 2q successors in BFS order
+            generation += 1
+            blocked = []
+            partner_b = [None] * n_phys  # front gates share no qubit
+            partner_e = [()] * n_phys
+            sum_b = sum_e = n_e = 0
+            for i in front:
+                visited[i] = generation
+                a, b = pair = ops[i]
+                blocked.append(pair)
+                partner_b[a], partner_b[b] = b, a
+                sum_b += dist[l2p[a]][l2p[b]]
+            queue = list(front)
+            for i in queue:
+                if n_e >= routing.EXTENDED_SIZE:
+                    break
+                for s in succ[i]:
+                    if visited[s] == generation:
+                        continue
+                    visited[s] = generation
+                    if two_qubit[s]:
+                        a, b = ops[s]
+                        partner_e[a] += (b,)
+                        partner_e[b] += (a,)
+                        sum_e += dist[l2p[a]][l2p[b]]
+                        n_e += 1
+                        if n_e >= routing.EXTENDED_SIZE:
+                            break
+                    queue.append(s)
+            n_b = len(blocked)
+        if swaps_since_commit >= stall_limit:
+            # heuristic is oscillating: walk the first blocked gate's
+            # operands together along a shortest path
+            a, b = blocked[0]
+            pa, pb = l2p[a], l2p[b]
+            while dist[pa][pb] != 1:
+                step = min(adj[pa], key=lambda nb: dist[nb][pb])
+                swap(pa, step)
+                pa = step
+            swaps_since_commit = 0
+            stall_walks += 1
+            # blocked[0] is now executable, so the next step commits it
+            # and rebuilds what depends on the front and the layout
+            blocked = None
+            continue
+
+        candidates = set()
+        for a, b in blocked:
+            candidates.update(incident[l2p[a]])
+            candidates.update(incident[l2p[b]])
+        # A candidate SWAP changes only the terms of pairs on its qubits;
+        # a pair on both keeps its distance.
+        best_swaps, best_score = [], None
+        for p, q in sorted(candidates):
+            lp, lq = p2l[p], p2l[q]
+            dp, dq = dist[p], dist[q]
+            d_b = d_e = 0
+            other = partner_b[lp]
+            if other is not None and other != lq:
+                o = l2p[other]
+                d_b += dq[o] - dp[o]
+            other = partner_b[lq]
+            if other is not None and other != lp:
+                o = l2p[other]
+                d_b += dp[o] - dq[o]
+            score = (sum_b + d_b) / n_b
+            if n_e:
+                for other in partner_e[lp]:
+                    if other != lq:
+                        o = l2p[other]
+                        d_e += dq[o] - dp[o]
+                for other in partner_e[lq]:
+                    if other != lp:
+                        o = l2p[other]
+                        d_e += dp[o] - dq[o]
+                score += routing.EXTENDED_WEIGHT * (sum_e + d_e) / n_e
+            decay_p, decay_q = decay[p], decay[q]
+            score = (decay_p if decay_p > decay_q else decay_q) * score
+            if best_score is None or score < best_score - 1e-12:
+                best_swaps, best_score = [(p, q, d_b, d_e)], score
+            elif abs(score - best_score) <= 1e-12:
+                best_swaps.append((p, q, d_b, d_e))
+        p, q, d_b, d_e = rng.choice(best_swaps)
+        swap(p, q)
+        sum_b += d_b
+        sum_e += d_e
+        decay[p] += routing.DECAY_INCREMENT
+        decay[q] += routing.DECAY_INCREMENT
+        swaps_since_reset += 1
+        swaps_since_commit += 1
+        if swaps_since_reset >= routing.DECAY_RESET_INTERVAL:
+            decay = [1.0] * n_phys
+            swaps_since_reset = 0
+    return l2p, out, stall_walks
 
 
 # Common graph fixtures

@@ -4,12 +4,14 @@ import pytest
 
 from conftest import complete_graph, path_graph
 from qasm_ref import check_qasm
-from qkcolor.circuit import Circuit, gCRX, gCX, gH, gMCT, gMCZ, gRZ
+from qkcolor.circuit import (CONTROLLED_KINDS, LOWERED_KINDS, ROTATION_KINDS,
+                             Circuit, Control, Gate, GateKind, gCRX, gCX, gH,
+                             gMCT, gMCZ, gRZ)
 from qkcolor.errors import UnloweredGate
 from qkcolor.graphs import make_instance
 from qkcolor.lowering import lower_circuit
 from qkcolor.oracle import build_oracle
-from qkcolor.qasm import emit_qasm
+from qkcolor.qasm import _statement, emit_qasm
 
 
 def test_emit_minimal_circuit():
@@ -85,3 +87,23 @@ def test_lowered_oracle_emits_valid_qasm(builder, k):
     preamble = sum(lowered.initial_state)
     assert len(parsed.gates) == preamble + len(lowered.gates)
     assert len(parsed.measures) == inst.num_data_qubits
+
+
+@pytest.mark.parametrize("kind", sorted(LOWERED_KINDS, key=lambda k: k.value),
+                         ids=lambda kind: kind.value)
+def test_statement_matches_the_generic_form(kind):
+    # the golden shas cover the kinds a ladder route uses; this covers
+    # every lowered kind, its operand count and its angle text
+    angles = ((math.pi / 4, -math.pi / 4, 0.1, 1e-300)
+              if kind in ROTATION_KINDS else (None,))
+    if kind in CONTROLLED_KINDS:
+        controls, targets = (Control(10),), (7,)
+    else:
+        controls, targets = (), (12, 3) if kind is GateKind.SWAP else (11,)
+    for angle in angles:
+        gate = Gate(kind, controls, targets, angle)
+        name = kind.value
+        if angle is not None:
+            name += "(" + format(angle, ".17g") + ")"
+        args = ", ".join("q[%d]" % q for q in gate.operands)
+        assert _statement(gate) == name + " " + args + ";"

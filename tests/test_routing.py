@@ -4,10 +4,10 @@ import random
 import pytest
 
 from conftest import (LOWERED_POOL, complete_graph, cycle_graph,
-                      random_circuit, routed_max_error)
+                      random_circuit, ref_route_pass, routed_max_error)
 from qasm_ref import check_qasm
 from qkcolor import routing
-from qkcolor.circuit import Circuit, GateKind, gCX, gH, gMCT
+from qkcolor.circuit import Circuit, GateKind, gCX, gH, gMCT, gRZ
 from qkcolor.errors import (Disconnected, IndexOutOfRange,
                             TooFewPhysicalQubits, UnloweredGate)
 from qkcolor.graphs import make_instance
@@ -214,6 +214,44 @@ def test_reverse_dag_equals_the_rebuilt_one():
         assert derived.succ == rebuilt.succ
         assert derived.indegree == rebuilt.indegree
         assert derived.two_qubit == rebuilt.two_qubit
+
+
+@pytest.mark.parametrize("stall_limits", ["default", "zero"])
+def test_drain_matches_the_round_based_pass(monkeypatch, stall_limits):
+    """The FIFO drain makes every decision of the round-based pass: on
+    random lowered DAGs, forward and reversed, on a line, a ring and a
+    grid, both passes commit the same gates and swaps in the same order,
+    end on the same layout after the same stall walks, and leave the
+    random stream at the same point."""
+    if stall_limits == "zero":
+        monkeypatch.setattr(routing, "STALL_BASE", 0)
+        monkeypatch.setattr(routing, "STALL_PER_QUBIT", 0)
+    rng = random.Random(4000)
+    swaps = stall_walks = 0
+    for _ in range(40):
+        width = rng.randint(3, 7)
+        ops = _lowered_ops(rng, width, 30)
+        # a distinct gate per operand tuple: CX, or RZ by the gate's index
+        gates = [gCX(*g) if len(g) == 2 else gRZ(g[0], float(i))
+                 for i, g in enumerate(ops)]
+        forward = routing._Dag(ops)
+        for dag, dag_gates in ((forward, gates), (forward.reverse(), gates[::-1])):
+            for coupling in (line_coupling(width), ring_coupling(width),
+                             grid_coupling(2, (width + 1) // 2)):
+                layout = rng.sample(range(coupling.num_physical),
+                                    coupling.num_physical)
+                seed = rng.randrange(2 ** 32)
+                runs = []
+                for route_pass in (routing._route_pass, ref_route_pass):
+                    sabre_rng = random.Random(seed)
+                    l2p, out, walks = route_pass(dag, coupling, layout,
+                                                 sabre_rng, dag_gates)
+                    runs.append((l2p, out, walks, sabre_rng.random()))
+                assert runs[0] == runs[1]
+                swaps += len(runs[0][1]) - len(ops)
+                stall_walks += runs[0][2]
+    assert swaps > 1000
+    assert (stall_walks > 100) == (stall_limits == "zero")
 
 
 @pytest.fixture(scope="module")

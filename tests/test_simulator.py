@@ -183,6 +183,24 @@ def test_probabilities_refuses_a_bad_subset():
             probabilities(state, subset)
 
 
+def test_probabilities_bounded_by_the_held_limit(monkeypatch):
+    # the outcomes a marginal lists count against the held limit, however
+    # few amplitudes the state holds: the default subset of a 33-qubit
+    # state is refused before bincount is asked for 2^33 floats
+    with pytest.raises(TooLarge, match="^a marginal over 33 qubits lists "
+                       "8589934592 outcomes, past the 1048576-amplitude "
+                       "limit$"):
+        probabilities(run(Circuit(33)))
+    monkeypatch.setattr(sim, "_HELD_LIMIT", 2 ** 6)
+    state = run(Circuit(8, initial_state=[1, 0, 1, 0, 0, 0, 0, 1]))
+    got = probabilities(state, [7, 0, 1, 2, 3, 4])
+    assert list(got) == [format(i, "06b") for i in range(64)]
+    assert got["110100"] == 1.0 and sum(got.values()) == 1.0
+    with pytest.raises(TooLarge, match="^a marginal over 7 qubits lists 128 "
+                       "outcomes, past the 64-amplitude limit$"):
+        probabilities(state, range(7))
+
+
 # Each gate kind with its target and every control at qubit 0, a middle
 # qubit and qubit q-1, with mixed polarities on multi-controlled gates
 # (and a third control at qubit 3 on 5 qubits).  On 1 to 3 qubits some
