@@ -11,6 +11,7 @@ during lowering by X-conjugation.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -87,22 +88,30 @@ class Control:
     positive: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Gate:
+    """One gate: its kind, controls, targets and rotation angle.
+
+    Every gate is checked by the one ``__init__``: the operand shape of
+    its kind, the angle (present iff the kind is a rotation), positive
+    polarity on single-controlled kinds and distinct operands, in that
+    order, raising ValueError or OverlappingOperands for the first
+    check it fails.  ``dataclasses.replace`` calls it too.  ``operands``
+    (control qubits, then targets) is derived, so it is neither
+    compared nor printed."""
     kind: GateKind
     controls: tuple[Control, ...] = ()
     targets: tuple[int, ...] = ()
     angle: float | None = None
-    # control qubits, then targets; derived, so set by __post_init__
     operands: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        kind, controls, targets = self.kind, self.controls, self.targets
+    def __init__(self, kind: GateKind, controls: tuple[Control, ...] = (),
+                 targets: tuple[int, ...] = (), angle: float | None = None):
         nc_want, nt_want, message, rotation = _SHAPES[kind]
         if len(targets) != nt_want or (
                 nc_want is not None and len(controls) != nc_want):
             raise ValueError(message)
-        if (self.angle is None) == rotation:
+        if (angle is None) == rotation:
             raise ValueError(
                 f"angle must be present iff {kind.value} is a rotation")
         if nc_want == 0:
@@ -120,7 +129,12 @@ class Gate:
                 _check_distinct(kind, operands)
         elif len(operands) > 2:
             _check_distinct(kind, operands)
-        self.__dict__["operands"] = operands
+        fields = self.__dict__
+        fields["kind"] = kind
+        fields["controls"] = controls
+        fields["targets"] = targets
+        fields["angle"] = angle
+        fields["operands"] = operands
 
     def adjoint(self) -> "Gate":
         """Inverse gate: a rotation by the negated angle; every other kind
@@ -134,7 +148,7 @@ class Gate:
         """Gate with every operand q replaced by perm[q].
 
         A qubit map cannot change kind, arity, angle or polarity, so of
-        ``__post_init__``'s checks only the operand overlap is made
+        ``__init__``'s checks only the operand overlap is made
         again: a map that sends two operands to one qubit raises
         OverlappingOperands.  A 1-qubit gate is mapped directly, and each
         control is the one shared ``Control`` of its (qubit, polarity)."""
@@ -160,15 +174,18 @@ class Gate:
                       self.angle, operands)
 
 
-# One Control per (qubit, polarity), shared by every remapped gate: a
-# Control is frozen, so no gate can change one under another, and the
-# table grows only with the qubit indices remapped onto.
+# One Control per (qubit, polarity), shared by every gate the helpers
+# build or remapped derives: a Control is frozen, so no gate can change
+# one under another, and the table grows only with the qubit indices
+# used.  Its qubits are Python ints, whatever integer type first named
+# them, so one caller's numpy index does not reach another's gates.
 _CONTROLS: dict[tuple[int, bool], Control] = {}
 
 
 def _control(qubit: int, positive: bool) -> Control:
     control = _CONTROLS.get((qubit, positive))
     if control is None:
+        qubit = operator.index(qubit)
         control = _CONTROLS[qubit, positive] = Control(qubit, positive)
     return control
 
@@ -194,35 +211,30 @@ def _check_distinct(kind: GateKind, operands: tuple[int, ...]) -> None:
 
 # Gate construction helpers; angles in radians.
 
-def gX(t): return Gate(GateKind.X, targets=(t,))
-def gH(t): return Gate(GateKind.H, targets=(t,))
-def gZ(t): return Gate(GateKind.Z, targets=(t,))
-def gRY(t, angle): return Gate(GateKind.RY, targets=(t,), angle=angle)
-def gRZ(t, angle): return Gate(GateKind.RZ, targets=(t,), angle=angle)
-def gCX(c, t): return Gate(GateKind.CX, controls=(Control(c),), targets=(t,))
-def gCZ(c, t): return Gate(GateKind.CZ, controls=(Control(c),), targets=(t,))
-def gCRX(c, t, angle): return Gate(GateKind.CRX, controls=(Control(c),), targets=(t,), angle=angle)
-def gSWAP(a, b): return Gate(GateKind.SWAP, targets=(a, b))
+def gX(t): return Gate(GateKind.X, (), (t,))
+def gH(t): return Gate(GateKind.H, (), (t,))
+def gZ(t): return Gate(GateKind.Z, (), (t,))
+def gRY(t, angle): return Gate(GateKind.RY, (), (t,), angle)
+def gRZ(t, angle): return Gate(GateKind.RZ, (), (t,), angle)
+def gCX(c, t): return Gate(GateKind.CX, (_control(c, True),), (t,))
+def gCZ(c, t): return Gate(GateKind.CZ, (_control(c, True),), (t,))
+def gCRX(c, t, angle): return Gate(GateKind.CRX, (_control(c, True),), (t,), angle)
+def gSWAP(a, b): return Gate(GateKind.SWAP, (), (a, b))
 
 
 def gMCT(controls, target) -> Gate:
     """MCT with mixed-polarity controls; each control is an index or
     (index, positive) pair."""
-    return Gate(GateKind.MCT, controls=_as_controls(controls), targets=(target,))
+    return Gate(GateKind.MCT, _as_controls(controls), (target,))
 
 
 def gMCZ(controls, target) -> Gate:
-    return Gate(GateKind.MCZ, controls=_as_controls(controls), targets=(target,))
+    return Gate(GateKind.MCZ, _as_controls(controls), (target,))
 
 
 def _as_controls(controls) -> tuple[Control, ...]:
-    out = []
-    for c in controls:
-        if isinstance(c, tuple):
-            out.append(Control(c[0], bool(c[1])))
-        else:
-            out.append(Control(int(c)))
-    return tuple(out)
+    return tuple([_control(c[0], bool(c[1])) if isinstance(c, tuple)
+                  else _control(int(c), True) for c in controls])
 
 
 @dataclass(frozen=True)
@@ -295,15 +307,18 @@ class Circuit:
         check_qubit_subset(self.measured, num_qubits, "measured qubits")
 
     def append(self, gate: Gate) -> "Circuit":
-        for q in gate.operands:
-            if not (0 <= q < self.num_qubits):
-                raise IndexOutOfRange(f"qubit {q} outside register of {self.num_qubits}")
-        self.gates.append(gate)
-        return self
+        return self.extend((gate,))
 
     def extend(self, gates) -> "Circuit":
+        """Append every gate, or none if any names a qubit outside the
+        register."""
+        gates = list(gates)
+        n = self.num_qubits
         for g in gates:
-            self.append(g)
+            for q in g.operands:
+                if not 0 <= q < n:
+                    raise IndexOutOfRange(f"qubit {q} outside register of {n}")
+        self.gates.extend(gates)
         return self
 
     def copy(self) -> "Circuit":

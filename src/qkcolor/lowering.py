@@ -217,18 +217,24 @@ def lower_circuit(circuit: Circuit, basis: str = "default") -> Circuit:
         raise ValueError(f"unknown basis {basis!r}")
     out = Circuit(circuit.num_qubits, measured=circuit.measured,
                   initial_state=circuit.initial_state)
-    for g in _lowered_gates(circuit.gates, circuit.num_qubits):
-        if basis == "cx" and g.kind is GateKind.CRX:
-            out.extend(_crx_to_cx(g))
-        elif basis == "cx" and g.kind is GateKind.SWAP:
-            a, b = g.targets
-            out.extend([gCX(a, b), gCX(b, a), gCX(a, b)])
-        elif basis == "cx" and g.kind is GateKind.CZ:
-            c, t = g.controls[0].qubit, g.targets[0]
-            out.extend([gH(t), gCX(c, t), gH(t)])
-        else:
-            out.append(g)
-    return out
+    gates = _lowered_gates(circuit.gates, circuit.num_qubits)
+    if basis == "cx":
+        gates = [low for g in gates for low in _cx_basis(g)]
+    return out.extend(gates)
+
+
+def _cx_basis(gate: Gate) -> list[Gate]:
+    """The gate with crx, swap and cz expanded so cx is its only 2-qubit
+    gate."""
+    if gate.kind is GateKind.CRX:
+        return _crx_to_cx(gate)
+    if gate.kind is GateKind.SWAP:
+        a, b = gate.targets
+        return [gCX(a, b), gCX(b, a), gCX(a, b)]
+    if gate.kind is GateKind.CZ:
+        c, t = gate.controls[0].qubit, gate.targets[0]
+        return [gH(t), gCX(c, t), gH(t)]
+    return [gate]
 
 
 def _crx_to_cx(gate: Gate) -> list[Gate]:

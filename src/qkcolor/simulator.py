@@ -62,8 +62,10 @@ _SWAPPED_KINDS = PERMUTATION_KINDS | {GateKind.SWAP}
 _DIAGONAL_KINDS = frozenset({GateKind.Z, GateKind.RZ, GateKind.CZ, GateKind.MCZ})
 _MIXED_KINDS = frozenset(GateKind) - _SWAPPED_KINDS - _DIAGONAL_KINDS
 
-_H = np.array([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+# _matrix entries of H and of Z, CZ and MCZ
+_H = (complex(_INV_SQRT2), complex(_INV_SQRT2), complex(_INV_SQRT2),
+      complex(-_INV_SQRT2))
+_Z = (1 + 0j, 0j, 0j, -1 + 0j)
 
 # run drops held amplitudes of at most this magnitude after each H, RY or CRX
 _DROP_TOL = 1e-12
@@ -73,9 +75,11 @@ _HELD_LIMIT = 2 ** 20
 _KEY_BITS = 62
 
 
-def _matrix(gate: Gate) -> np.ndarray:
-    """2x2 matrix a gate that is not a permutation applies to its target
-    (its controls select the blocks it applies to)."""
+def _matrix(gate: Gate) -> tuple[complex, complex, complex, complex]:
+    """Entries m00, m01, m10, m11 of the 2x2 matrix a gate that is not a
+    permutation applies to its target (its controls select the blocks it
+    applies to), as Python complex numbers: the values a complex128
+    array of the same expressions holds, without building one."""
     kind = gate.kind
     if kind is GateKind.H:
         return _H
@@ -84,10 +88,10 @@ def _matrix(gate: Gate) -> np.ndarray:
     half = gate.angle / 2.0
     c, s = math.cos(half), math.sin(half)
     if kind is GateKind.CRX:
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+        return complex(c), -1j * s, -1j * s, complex(c)
     if kind is GateKind.RY:
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    return np.array([[np.exp(-1j * half), 0], [0, np.exp(1j * half)]], dtype=complex)
+        return complex(c), complex(-s), complex(s), complex(c)
+    return complex(np.exp(-1j * half)), 0j, 0j, complex(np.exp(1j * half))
 
 
 @dataclass(eq=False)
@@ -111,32 +115,39 @@ class Statevector:
 
 def _update_blocks(b0, b1, gate: Gate) -> None:
     """Update in place the two blocks a non-permutation gate mixes, the
-    target-bit-0 and target-bit-1 amplitudes in matching order.  Dense and
-    sparse batches that call it agree bit for bit, but ``run``'s single
-    column may differ in the last bit: numpy rounds an in-place product on
-    a one-element array apart from the same product in a longer one."""
-    m = _matrix(gate)
+    target-bit-0 and target-bit-1 amplitudes in matching order, by the
+    four ``_matrix`` entries, each a Python complex that numpy applies as
+    a complex128 scalar.  Dense and sparse batches that call it agree bit
+    for bit, but ``run``'s single column may differ in the last bit: numpy
+    rounds an in-place product on a one-element array apart from the same
+    product in a longer one."""
+    m00, m01, m10, m11 = _matrix(gate)
     if gate.kind in _DIAGONAL_KINDS:
-        if m[0, 0] != 1:
-            b0 *= m[0, 0]
-        if m[1, 1] != 1:
-            b1 *= m[1, 1]
+        if m00 != 1:
+            b0 *= m00
+        if m11 != 1:
+            b1 *= m11
         return
-    a0 = b0 * m[1, 0]  # the 0-block's share of the new 1-block
-    b0 *= m[0, 0]
-    b0 += m[0, 1] * b1
-    b1 *= m[1, 1]
+    a0 = b0 * m10  # the 0-block's share of the new 1-block
+    b0 *= m00
+    b0 += m01 * b1
+    b1 *= m11
     b1 += a0
 
 
 def _pair(keys: np.ndarray, amps: np.ndarray,
           t: int) -> tuple[np.ndarray, np.ndarray]:
     """Pair a flat batch on the target bit ``t``: each key with bit t
-    clear, once, and a (2, pairs) array of the amplitudes with bit t 0
-    and 1, exactly 0 where not held."""
-    pairs, slot = np.unique(keys & ~t, return_inverse=True)
+    clear, once, in ascending order, and a (2, pairs) array of the
+    amplitudes with bit t 0 and 1, exactly 0 where not held."""
+    base = keys & ~t
+    ordered = np.sort(base)
+    first = np.ones(base.size, dtype=bool)  # first of its value in ordered
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    pairs = ordered[first]
     rows = np.zeros((2, pairs.size), dtype=complex)
-    rows[((keys & t) != 0).astype(np.intp), slot] = amps
+    bit = (keys >> (t.bit_length() - 1)) & 1
+    rows[bit, np.searchsorted(pairs, base)] = amps
     return pairs, rows
 
 
@@ -219,16 +230,22 @@ def _run_sparse(circuit: Circuit, keys: np.ndarray, amps: np.ndarray,
             rows = _paired_gate(keys, rows, care, want, gate)
             if mixed and drop_tol is not None:
                 mags = np.abs(rows)
-                small = (mags <= drop_tol) & (mags != 0)
-                if small.any():
-                    dropped += float(np.sum(mags[small] ** 2))
+                small = mags <= drop_tol
+                # every slot not held is exactly 0, and so small: drop
+                # only if small counts more than those
+                if np.count_nonzero(small) > mags.size - np.count_nonzero(mags):
+                    small &= mags != 0
+                    dropped += float((mags[small] ** 2).sum())
                     rows[small] = 0
         elif kind in _SWAPPED_KINDS:  # the flat keys, or the pair keys
-            hit = (keys & care) == want
-            if kind is GateKind.SWAP:
-                both = keys & moved
-                hit &= (both != 0) & (both != moved)
-            keys ^= np.where(hit, moved, 0)
+            if not care and kind is not GateKind.SWAP:
+                keys ^= moved  # X, or an MCT with no control, moves all
+            else:
+                hit = (keys & care) == want
+                if kind is GateKind.SWAP:
+                    both = keys & moved
+                    hit &= (both != 0) & (both != moved)
+                keys ^= np.where(hit, moved, 0)
         else:
             hit = (keys & care) == want
             one = (keys & moved) != 0
@@ -317,8 +334,7 @@ def phase_pattern(oracle: Circuit, layout: QubitLayout,
         flipped = _tracked_flips(oracle, layout, allow_global_phase)
     else:
         flipped = _statevector_flips(oracle, layout, allow_global_phase)
-    spec = f"0{layout.num_data}b"
-    return {format(x, spec) for x in np.flatnonzero(flipped).tolist()}
+    return set(classical.bitstrings(np.flatnonzero(flipped), layout.num_data))
 
 
 def _tracked_flips(oracle, layout, allow_global_phase):

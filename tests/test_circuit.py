@@ -1,11 +1,12 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from qkcolor.circuit import (CONTROLLED_KINDS, MULTI_KINDS, ONE_QUBIT_KINDS,
                              ROTATION_KINDS, Circuit, Control, Gate, GateKind,
-                             QubitLayout, gCRX, gCX, gH, gMCT, gMCZ, gRY,
-                             gSWAP, gX)
+                             QubitLayout, gCRX, gCX, gCZ, gH, gMCT, gMCZ, gRY,
+                             gRZ, gSWAP, gX, gZ)
 from qkcolor.errors import IndexOutOfRange, OverlappingOperands
 
 
@@ -93,6 +94,28 @@ def test_gate_validation(kind):
         assert str(info.value) == message.format(k=kind.value)
 
 
+@pytest.mark.parametrize("kind", list(GateKind), ids=lambda kind: kind.value)
+def test_malformed_by_keyword(kind):
+    [cases] = [cases for kinds, cases in MALFORMED if kind in kinds]
+    good = 0.5 if kind in ROTATION_KINDS else None
+    bad = None if kind in ROTATION_KINDS else 0.5
+    for controls, targets, angle_ok, error, message in cases:
+        with pytest.raises(error) as info:
+            Gate(kind=kind, controls=controls, targets=targets,
+                 angle=good if angle_ok else bad)
+        assert str(info.value) == message.format(k=kind.value)
+
+
+def test_replace_is_checked():
+    with pytest.raises(OverlappingOperands, match=r"^cx operands overlap: "
+                       r"\[0, 0\]$"):
+        dataclasses.replace(gCX(0, 1), targets=(0,))
+    with pytest.raises(ValueError, match="^angle must be present iff ry"):
+        dataclasses.replace(gRY(0, 0.5), angle=None)
+    moved = dataclasses.replace(gMCT([(2, False), 0], 1), targets=(3,))
+    assert moved.operands == (2, 0, 3)
+
+
 def test_operands_are_controls_then_targets():
     built = [gMCT([(2, False), 0, 4], 1), gMCZ([3], 0), gSWAP(3, 1),
              gCRX(0, 2, 0.3), gRY(1, -0.4)]
@@ -164,6 +187,42 @@ def test_remapped():
         gMCT([(2, False), 0], 1).remapped({0: 5, 1: 5, 2: 4})
 
 
+# The helper call that builds each REMAP_CASES gate.
+HELPER_CASES = {
+    GateKind.X: lambda: gX(1),
+    GateKind.H: lambda: gH(4),
+    GateKind.Z: lambda: gZ(0),
+    GateKind.RY: lambda: gRY(2, 0.25),
+    GateKind.RZ: lambda: gRZ(3, -1.5),
+    GateKind.CX: lambda: gCX(2, 0),
+    GateKind.CZ: lambda: gCZ(4, 1),
+    GateKind.CRX: lambda: gCRX(3, 2, 0.75),
+    GateKind.SWAP: lambda: gSWAP(3, 1),
+    GateKind.MCT: lambda: gMCT([(2, False), 0, 4], 1),
+    GateKind.MCZ: lambda: gMCZ([3, (0, 0)], 2),
+}
+
+
+def test_helpers_and_constructor_agree():
+    assert set(HELPER_CASES) == set(REMAP_CASES) == set(GateKind)
+    for kind, (controls, targets, angle) in REMAP_CASES.items():
+        gates = (Gate(kind, controls, targets, angle),
+                 Gate(kind=kind, controls=controls, targets=targets,
+                      angle=angle),
+                 HELPER_CASES[kind]())
+        for gate in gates:
+            assert gate == gates[0] and hash(gate) == hash(gates[0]), kind
+            assert gate.operands == gates[0].operands, kind
+            assert repr(gate) == repr(gates[0]), kind
+            assert (gate.kind, gate.controls, gate.targets, gate.angle) == (
+                kind, controls, targets, angle), kind
+    # the helpers' controls hold Python ints, whatever index type named
+    # them first
+    for gate in (gCX(np.int64(1234), 0), gMCT([(np.int64(1235), True)], 0),
+                 gCX(1234, 0)):
+        assert all(type(c.qubit) is int for c in gate.controls)
+
+
 def test_circuit_bounds_checked():
     circ = Circuit(2)
     with pytest.raises(IndexOutOfRange):
@@ -177,6 +236,20 @@ def test_circuit_bounds_checked():
             Circuit(2, measured=measured)
     assert Circuit(3).measured == (0, 1, 2)
     assert Circuit(3, measured=[2, 0]).copy().measured == (2, 0)
+
+
+def test_extend_checks_the_batch_first():
+    circ = Circuit(2).extend([gX(0), gCX(0, 1)])
+    # the first qubit out of range, in gate and operand order, is named,
+    # and no gate of the batch is appended
+    for batch, bad in (([gX(1), gCX(1, 2), gX(3)], 2), ([gSWAP(0, 5)], 5),
+                       ([gMCT([(3, False), 0], 1)], 3)):
+        with pytest.raises(IndexOutOfRange, match=f"^qubit {bad} outside "
+                           "register of 2$"):
+            circ.extend(iter(batch))
+        assert circ.gates == [gX(0), gCX(0, 1)]
+    assert circ.extend(g for g in [gH(1)]) is circ
+    assert circ.gates == [gX(0), gCX(0, 1), gH(1)]
 
 
 def test_initial_state_entries_must_be_bits():

@@ -1,11 +1,15 @@
+import random
 from itertools import product
 
+import numpy as np
 import pytest
 
-from conftest import TRIANGLE_K3_SOLUTIONS, all_graphs, complete_graph
+from conftest import (TRIANGLE_K3_SOLUTIONS, all_graphs, complete_graph,
+                      path_graph)
 from qkcolor import classical
-from qkcolor.classical import (ENUMERATION_CEILING, decode_bitstring,
-                               encode_assignment, is_proper, solutions)
+from qkcolor.classical import (ENUMERATION_CEILING, bitstrings,
+                               decode_bitstring, encode_assignment, is_proper,
+                               solutions)
 from qkcolor.errors import TooLarge
 from qkcolor.graphs import Graph, make_instance
 
@@ -15,6 +19,21 @@ def test_is_proper():
     assert is_proper(tri, [0, 1, 2], 3)
     assert not is_proper(tri, [0, 0, 1], 3)     # monochromatic edge
     assert not is_proper(tri, [0, 1, 3], 3)     # color out of range
+
+
+def test_colors_outside_the_range():
+    p2 = path_graph(2)
+    assert is_proper(p2, [1, 0], 2)
+    for colors in ([-1, 0], [0, -3], [2, 0], [0, 5]):
+        assert not is_proper(p2, colors, 2), colors
+    assert not is_proper(complete_graph(3), [-1, 0, 1], 3)
+    # 2**c - 1 is the widest code; one past it, or below 0, has none
+    assert encode_assignment([3, 0], 2) == "1100"
+    for colors, c, bad in (([-1, 0], 1, -1), ([5, 0], 2, 5), ([0, 2], 1, 2),
+                           ([0, 1, -2], 3, -2)):
+        with pytest.raises(ValueError, match=f"^color {bad} has no {c}-bit "
+                           "code$"):
+            encode_assignment(colors, c)
 
 
 def test_encode_decode_roundtrip():
@@ -56,6 +75,24 @@ def test_solutions_across_chunks(monkeypatch):
     for graph in all_graphs(4):
         inst = make_instance(graph, 3)
         assert solutions(inst) == _filtered_product(inst), graph.edges
+
+
+@pytest.mark.parametrize("width", range(1, 25))
+def test_bitstrings_match_format(width):
+    rng = random.Random(width)
+    top = 2 ** width - 1
+    picks = [0, top, top // 3] + [rng.randrange(top + 1) for _ in range(40)]
+    for xs in (picks, sorted(set(picks)), [], [top], [0]):
+        got = bitstrings(np.array(xs, dtype=np.int64), width)
+        assert got == [format(x, f"0{width}b") for x in xs], xs
+        assert all(type(s) is str for s in got)
+
+
+def test_bitstrings_across_chunks(monkeypatch):
+    # 7 indices per chunk: the 50 indices take 8 chunks, the last one short
+    monkeypatch.setattr(classical, "_CHUNK", 7)
+    xs = list(range(255, 205, -1))
+    assert bitstrings(np.array(xs), 8) == [format(x, "08b") for x in xs]
 
 
 def test_enumeration_ceiling():

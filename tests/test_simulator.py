@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import tracemalloc
@@ -17,6 +18,7 @@ from qkcolor.circuit import (MULTI_KINDS, ONE_QUBIT_KINDS, ROTATION_KINDS,
 from qkcolor.errors import (AncillaLeak, IndexOutOfRange, TooLarge,
                             TooManyQubits)
 from qkcolor.graphs import Graph, make_instance
+from qkcolor.grover import assemble, make_job
 from qkcolor.lowering import lower_circuit
 from qkcolor.oracle import build_oracle, plan_layout
 from qkcolor.simulator import phase_pattern, probabilities, run
@@ -711,3 +713,117 @@ def test_tracked_pattern_at_twenty_data_bits():
     assert plan.layout.num_data == 20
     oracle = build_oracle(inst, "strict", plan)
     assert phase_pattern(oracle, plan.layout) == classical.solutions(inst)
+
+
+def test_pattern_strings_match_format():
+    """Every IR oracle on 2-4 vertices at k = 2..5, both modes: the
+    tracked pattern is the set of strings format writes for the data
+    strings whose phase it flips, and a strict one is the set format
+    writes for the proper colorings, as is ``classical.solutions``."""
+    cases = 0
+    for n in (2, 3, 4):
+        for graph in all_graphs(n):
+            for k in (2, 3, 4, 5):
+                inst = make_instance(graph, k)
+                c = inst.c
+                m = n * c
+                proper = {format(x, f"0{m}b") for x in range(2 ** m)
+                          if classical.is_proper(graph, [
+                              (x >> c * (n - 1 - v)) & (2 ** c - 1)
+                              for v in range(n)], k)}
+                assert classical.solutions(inst) == proper
+                for mode in ("strict", "paper"):
+                    plan = plan_layout(inst, mode)
+                    oracle = build_oracle(inst, mode, plan)
+                    for agp in (False, True):
+                        flipped = sim._tracked_flips(oracle, plan.layout, agp)
+                        want = {format(x, f"0{m}b")
+                                for x in np.flatnonzero(flipped).tolist()}
+                        assert phase_pattern(oracle, plan.layout, agp) == want
+                        if mode == "strict" and not agp:
+                            assert want == proper
+                    cases += 1
+    assert cases == (2 + 8 + 64) * 4 * 2
+
+
+def _kernel_platform():
+    """The numpy minor version and whether it dispatches x86-64-v3 (AVX2
+    and FMA3) loops, or None where numpy does not report that level."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        return None
+    if "X86_V3" not in __cpu_features__:
+        return None
+    return ".".join(np.__version__.split(".")[:2]), __cpu_features__["X86_V3"]
+
+
+# sha256 of keys.tobytes() + amps.tobytes(), the held count and the
+# dropped squared norm of three sparse runs, recorded before ``_matrix``
+# returned Python complex numbers.  The key order is pinned too, since
+# ``probabilities`` sums the amplitudes in key order.  The bits follow
+# numpy's complex loops, which fuse multiply-adds where the CPU has FMA3,
+# so they are pinned per numpy version and x86-64 level; numpy 2.4
+# without x86-64-v3 was measured with NPY_DISABLE_CPU_FEATURES="X86_V3
+# X86_V4 AVX512_ICL AVX512_SPR".
+KERNEL_PINS = {
+    ("2.4", True): {
+        "K3/k=3 run": ("f7c9bf72e6a1571af620967956378063"
+                       "729f3c8b11d5b973d8a60b0f8f1dee4c",
+                       128, 7.168913993694709e-31),
+        "C6/k=2 run": ("5dd18606c0005758761f70af8da9b4fa"
+                       "f7a6ff91851976ec8eed5920a16f47f3",
+                       128, 8.822436870350541e-31),
+        "K3/k=3 paper pattern batch": ("5db25a95f9f424df121c21d1732bb54d"
+                                       "d02ddc4dfc611eb7ef054539327cf542",
+                                       2196, 0.0),
+    },
+    ("2.4", False): {
+        "K3/k=3 run": ("1034d79387e06f1d35ff3bd39ffb81af"
+                       "7ce94e5ce33cfa3359d3e01c2ddb8003",
+                       128, 6.963643580598922e-31),
+        "C6/k=2 run": ("045f79340edbf4467b71ab1c71d362bb"
+                       "46a7a96926353a0c7a8141d483a7263b",
+                       128, 9.116024518310486e-31),
+        "K3/k=3 paper pattern batch": ("ccb8dd80156db8611b1b820e136a04be"
+                                       "2ce4c5574c131835503ecaa1c2d85ee6",
+                                       2216, 0.0),
+    },
+}
+
+
+@pytest.mark.skipif(_kernel_platform() not in KERNEL_PINS,
+                    reason="kernel bits pinned only for numpy 2.4 on x86-64")
+def test_kernel_bits_are_pinned():
+    def summary(keys, amps, dropped):
+        digest = hashlib.sha256(keys.tobytes() + amps.tobytes()).hexdigest()
+        return digest, keys.size, dropped
+
+    got = {}
+    for label, graph, k in (("K3/k=3", complete_graph(3), 3),
+                            ("C6/k=2", cycle_graph(6), 2)):
+        state = run(lower_circuit(assemble(make_job(make_instance(graph, k)))))
+        got[f"{label} run"] = summary(state.keys, state.amps, state.dropped)
+    inst = make_instance(complete_graph(3), 3)
+    plan = plan_layout(inst, "paper")
+    _, _, keys, amps = sim._prepared_batch(plan.layout)
+    got["K3/k=3 paper pattern batch"] = summary(*sim._run_sparse(
+        lower_circuit(build_oracle(inst, "paper", plan)), keys, amps))
+    assert got == KERNEL_PINS[_kernel_platform()]
+
+
+def test_pair_matches_unique():
+    # the pairing np.unique gave: the sorted distinct keys with bit t
+    # clear, and each amplitude in the row of its bit t at its key's slot
+    rng = np.random.default_rng(28)
+    for size in (0, 1, 2, 5, 64, 300):
+        for t in (1, 2, 8, 1 << 40):
+            keys = rng.choice(2 ** 12, size=size, replace=False).astype(np.int64)
+            keys[::3] |= 1 << 40
+            amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+            want_pairs, slot = np.unique(keys & ~t, return_inverse=True)
+            want = np.zeros((2, want_pairs.size), dtype=complex)
+            want[((keys & t) != 0).astype(np.intp), slot] = amps
+            pairs, rows = sim._pair(keys, amps, t)
+            assert np.array_equal(pairs, want_pairs) and pairs.dtype == np.int64
+            assert np.array_equal(rows, want), (size, t)
