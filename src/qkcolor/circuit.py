@@ -14,6 +14,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Integral
 
 from .errors import IndexOutOfRange, OverlappingOperands, UnloweredGate
 
@@ -310,13 +311,14 @@ class Circuit:
         return self.extend((gate,))
 
     def extend(self, gates) -> "Circuit":
-        """Append every gate, or none if any names a qubit outside the
-        register."""
+        """Append every gate, or none if any names a qubit that is not an
+        int or numpy integer (a bool is not one) in the register's range."""
         gates = list(gates)
         n = self.num_qubits
         for g in gates:
             for q in g.operands:
-                if not 0 <= q < n:
+                if not 0 <= q < n or type(q) is not int and (
+                        type(q) is bool or not isinstance(q, Integral)):
                     raise IndexOutOfRange(f"qubit {q} outside register of {n}")
         self.gates.extend(gates)
         return self

@@ -6,6 +6,8 @@ Subcommands: synth (the oracle), grover (the Grover circuit), route
 steps: load the instance, make the Grover job (refusing a device too
 small for it), lower to the default or the cx basis and write QASM,
 route, simulate, and validate, write and print the JSON report.
+N and t come from the job; for a graph with no coloring, grover and
+route write nothing, and run still writes its report.
 
 Exit codes: 0 success (including "not k-colorable"), 2 input or usage
 error (an option the command would ignore is a usage error), 3 resource
@@ -25,7 +27,7 @@ from click.core import ParameterSource
 
 from . import classical
 from .circuit import Circuit, Gate
-from .errors import InputError, NoSolutions, ResourceLimit
+from .errors import InputError, ResourceLimit
 from .graphs import (Graph, Instance, edges_from_pairs, make_instance,
                      parse_graph_file)
 from .grover import assemble, make_job
@@ -54,17 +56,14 @@ def _load_instance(graph_file: str, k: int) -> Instance:
 
 def _grover_job(instance: Instance, mode: str, iterations: int | None,
                 coupling=None):
-    """The instance's Grover job, or None after saying it has no coloring.
-
-    A ``coupling`` too small for the job's circuit is refused here,
-    before anything is assembled, lowered or simulated.
+    """The instance's Grover job, after saying so if its count found no
+    coloring.  Otherwise a ``coupling`` too small for the job's circuit
+    is refused here, before anything is assembled, lowered or simulated.
     """
-    try:
-        job = make_job(instance, mode, iterations)
-    except NoSolutions:
+    job = make_job(instance, mode, iterations)
+    if job.solution_count == 0:
         click.echo(f"graph is not {instance.k}-colorable")
-        return None
-    if coupling is not None:
+    elif coupling is not None:
         coupling.check_width(job.plan.layout.num_qubits)
     return job
 
@@ -199,12 +198,12 @@ def grover(graph_file, k, mode, iterations, basis, out_dir):
     """Assemble the full Grover circuit and emit lowered QASM."""
     instance = _load_instance(graph_file, k)
     job = _grover_job(instance, mode, iterations)
-    if job is None:
+    if job.solution_count == 0:
         return
     circ = assemble(job)
     stem = _stem(graph_file)
     counts = _lowered_qasm(out_dir, f"{stem}.grover.qasm", circ, basis)
-    report = _header("grover", instance, mode, N=2 ** job.data_width,
+    report = _header("grover", instance, mode, N=job.search_size,
                      M=job.solution_count, iterations=job.iterations,
                      total_qubits=circ.num_qubits, gate_counts=counts)
     _print_report(report, out_dir, f"{stem}.grover.json")
@@ -222,7 +221,7 @@ def route(graph_file, k, mode, topology, iterations, seed, basis, out_dir):
     instance = _load_instance(graph_file, k)
     coupling = parse_coupling(Path(topology).read_text())
     job = _grover_job(instance, mode, iterations, coupling)
-    if job is not None:
+    if job.solution_count != 0:
         _print_report(_route_to_file(assemble(job), coupling, seed, basis,
                                      out_dir, _stem(graph_file)))
 
@@ -268,10 +267,10 @@ def run_cmd(graph_file, k, mode, iterations, topology, seed, basis, out_dir):
     else:
         coupling = parse_coupling(Path(topology).read_text())
     job = _grover_job(instance, mode, iterations, coupling)
-    sols, top, success, match, routing = frozenset(), [], None, None, None
-    if job is not None:
-        sols = (job.solutions if job.solutions is not None
-                else classical.solutions(instance))
+    sols = (job.solutions if job.solutions is not None
+            else classical.solutions(instance))
+    top, success, match, routing = [], None, None, None
+    if job.solution_count != 0:
         circ = assemble(job)
         dist = probabilities(simulate_circuit(circ), circ.measured)
         top = sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -281,8 +280,8 @@ def run_cmd(graph_file, k, mode, iterations, topology, seed, basis, out_dir):
             routing = _route_to_file(circ, coupling, seed, basis, out_dir,
                                      _stem(graph_file))
     report = _header(
-        "run", instance, mode, N=2 ** instance.num_data_qubits, M=len(sols),
-        colorable=bool(sols), iterations=job.iterations if job else 0,
+        "run", instance, mode, N=job.search_size, M=len(sols),
+        colorable=bool(sols), iterations=job.iterations,
         success_probability=success,
         top_states=[{"bitstring": b, "probability": p} for b, p in top[:10]],
         solution_match=match, routing=routing)
@@ -313,7 +312,7 @@ def cost(vertices_range, k, out_file):
         oracle = build_oracle(instance, "paper", plan)
         ancilla = plan.layout.num_qubits - plan.layout.num_data - 1
         lowered_count = len(lower_circuit(oracle).gates)
-        writer.writerow([n, k, instance.num_data_qubits, n * k, ancilla,
+        writer.writerow([n, k, plan.layout.num_data, n * k, ancilla,
                          (n * k) ** 2, plan.layout.num_qubits,
                          len(oracle.gates), lowered_count])
     text = buf.getvalue()

@@ -62,10 +62,6 @@ class Instance:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "invalid_colors", frozenset(range(self.k, 2 ** c)))
 
-    @property
-    def num_data_qubits(self) -> int:
-        return self.graph.n * self.c
-
 
 def make_instance(graph: Graph, k: int) -> Instance:
     return Instance(graph, k)

@@ -1,11 +1,13 @@
-"""Diffusion synthesis, iteration count, and full Grover assembly."""
+"""The Grover search: ``make_job`` works out N, M and t, once, and
+``assemble`` writes the data preparation A, then t rounds of the oracle
+and the diffusion A^-1 (X, MCZ, X) A."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
 from . import classical
-from .circuit import Circuit, gH, gMCZ, gX
+from .circuit import Circuit, Gate, gH, gMCZ, gX
 from .errors import NoSolutions
 from .graphs import Instance
 from .oracle import OraclePlan, build_oracle, plan_layout
@@ -15,6 +17,7 @@ from .oracle import OraclePlan, build_oracle, plan_layout
 class GroverJob:
     oracle: Circuit
     plan: OraclePlan
+    search_size: int  # N, the number of data strings searched
     iterations: int
     solutions: frozenset[str] | None  # None when the iteration count was given
 
@@ -27,26 +30,25 @@ class GroverJob:
         return None if self.solutions is None else len(self.solutions)
 
 
+def _prepare(data) -> list[Gate]:
+    """The data preparation A: an H on each data qubit, in register order.
+    H is its own inverse, so the same gates also write A^-1."""
+    return [gH(q) for q in data]
+
+
 def build_diffusion(data_width: int) -> Circuit:
     """Inversion about the average on ``data_width`` qubits.
 
-    H then X on every qubit, a (m-1)-controlled Z on the last qubit, then
-    the X and H layers again.  Equals 2|s><s| - I up to global phase.
+    A^-1, X on every qubit, a (m-1)-controlled Z on the last qubit, then
+    the X layer and A again.  Equals 2|s><s| - I up to global phase.
     """
     if data_width < 1:
         raise ValueError("diffusion needs at least one qubit")
     m = data_width
-    circ = Circuit(m)
-    for q in range(m):
-        circ.append(gH(q))
-    for q in range(m):
-        circ.append(gX(q))
-    circ.append(gMCZ(range(m - 1), m - 1))
-    for q in range(m):
-        circ.append(gX(q))
-    for q in range(m):
-        circ.append(gH(q))
-    return circ
+    prepare = _prepare(range(m))
+    flips = [gX(q) for q in range(m)]
+    return Circuit(m).extend(
+        prepare + flips + [gMCZ(range(m - 1), m - 1)] + flips + prepare)
 
 
 def optimal_iterations(N: int, M: int) -> int:
@@ -66,11 +68,12 @@ def success_probability(N: int, M: int, t: int) -> float:
 
 def make_job(instance: Instance, mode: str = "strict",
              iterations: int | None = None) -> GroverJob:
-    """Resolve the oracle, layout and iteration count for an instance.
+    """Resolve the oracle, layout, search size and iteration count.
 
     M defaults to the brute-force solution count, and the enumerated
     solutions are kept on the job; an explicit iteration override skips
-    the enumeration.
+    the enumeration.  An uncolorable instance gets a job with M = 0 and
+    t = 0, which ``assemble`` refuses.
     """
     if iterations is not None and iterations < 0:
         raise ValueError(f"iteration count must be >= 0, got {iterations}")
@@ -80,26 +83,25 @@ def make_job(instance: Instance, mode: str = "strict",
     sols: frozenset[str] | None = None
     if iterations is None:
         sols = frozenset(classical.solutions(instance))
-        iterations = optimal_iterations(N, len(sols))
-    return GroverJob(oracle=oracle, plan=plan, iterations=iterations,
-                     solutions=sols)
+        iterations = optimal_iterations(N, len(sols)) if sols else 0
+    return GroverJob(oracle=oracle, plan=plan, search_size=N,
+                     iterations=iterations, solutions=sols)
 
 
 def assemble(job: GroverJob) -> Circuit:
     """State preparation followed by t repetitions of oracle + diffusion.
 
     The register starts in |0...0>; ancilla/output qubits declared |1> by
-    the layout are set with explicit X gates so the circuit is
-    self-contained on hardware and in simulation alike.
+    the layout are set with explicit X gates, so the circuit is
+    self-contained.  A job that counted no solutions raises NoSolutions.
     """
+    if job.solution_count == 0:
+        raise NoSolutions("no marked states: graph is unsatisfiable at this k")
     layout = job.plan.layout
     circ = Circuit(layout.num_qubits, measured=layout.data,
                    initial_state=[0] * layout.num_qubits)
-    for q, bit in enumerate(layout.initial_state()):
-        if bit:
-            circ.append(gX(q))
-    for q in layout.data:
-        circ.append(gH(q))
+    circ.extend([gX(q) for q, bit in enumerate(layout.initial_state()) if bit])
+    circ.extend(_prepare(layout.data))
     circ.append(gH(layout.output))
 
     diffusion = build_diffusion(job.data_width)

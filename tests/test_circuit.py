@@ -248,8 +248,20 @@ def test_extend_checks_the_batch_first():
                            "register of 2$"):
             circ.extend(iter(batch))
         assert circ.gates == [gX(0), gCX(0, 1)]
+    # in range but no index: a float or a bool qubit would be written
+    # into the QASM as q[1.5] or q[True]
+    for batch, bad in (([gX(1), gX(1.5)], 1.5), ([gX(True)], True),
+                       ([gCX(0, np.bool_(True))], True),
+                       ([gH(np.float64(0.0))], 0.0)):
+        with pytest.raises(IndexOutOfRange, match=f"^qubit {bad} outside "
+                           "register of 2$"):
+            circ.extend(batch)
+        assert circ.gates == [gX(0), gCX(0, 1)]
     assert circ.extend(g for g in [gH(1)]) is circ
     assert circ.gates == [gX(0), gCX(0, 1), gH(1)]
+    # numpy integers are indices, as in the helpers' controls
+    circ.extend([gX(np.int64(0)), gCX(np.uint8(1), np.int32(0))])
+    assert circ.gates[3:] == [gX(0), gCX(1, 0)]
 
 
 def test_initial_state_entries_must_be_bits():

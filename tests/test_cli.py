@@ -305,6 +305,32 @@ def test_run_uncolorable(runner, k3_file, tmp_path):
     assert report["colorable"] is False and report["M"] == 0
 
 
+@pytest.mark.parametrize("command", ["grover", "run"])
+@pytest.mark.parametrize("k, iterations", [("3", None), ("2", None),
+                                           ("2", "1")],
+                         ids=["colorable", "uncolorable", "uncolorable-t1"])
+def test_reports_read_the_search_from_the_job(runner, k3_file, tmp_path,
+                                              command, k, iterations):
+    job = grover.make_job(make_instance(complete_graph(3), int(k)),
+                          iterations=None if iterations is None
+                          else int(iterations))
+    args = [command, k3_file, "--k", k, "--out-dir", str(tmp_path / "o")]
+    if iterations is not None:
+        args += ["--iterations", iterations]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    path = tmp_path / "o" / f"k3.{command}.json"
+    if command == "grover" and job.solution_count == 0:
+        assert "not 2-colorable" in result.output and not path.exists()
+        return
+    report = json.loads(path.read_text())
+    assert report["N"] == job.search_size
+    assert report["iterations"] == job.iterations
+    if command == "run":
+        # with --iterations an uncolorable graph is still assembled and run
+        assert bool(report["top_states"]) == (job.solution_count != 0)
+
+
 def test_uncolorable_success_probability_is_a_float(runner, k3_file,
                                                     tmp_path):
     # with --iterations the circuit is simulated though no coloring exists

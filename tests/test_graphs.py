@@ -5,6 +5,7 @@ from qkcolor.errors import (AsymmetricMatrix, InvalidK, MalformedMatrix,
 from qkcolor.graphs import (Graph, Instance, edges_from_pairs, make_instance,
                             parse_adjacency, parse_edge_list,
                             parse_graph_file)
+from qkcolor.oracle import plan_layout
 
 K3_ADJ = "0 1 1\n1 0 1\n1 1 0\n"
 
@@ -98,7 +99,7 @@ def test_instance_encoding_width(k, c, invalid):
     inst = make_instance(Graph(2, frozenset({(0, 1)})), k)
     assert inst.c == c
     assert set(inst.invalid_colors) == invalid
-    assert inst.num_data_qubits == 2 * c
+    assert plan_layout(inst).layout.num_data == 2 * c
 
 
 def test_instance_rejects_small_k():

@@ -56,7 +56,7 @@ def test_success_probability_closed_form():
 
 
 def _solution_probability(instance, circuit):
-    layout_width = instance.num_data_qubits
+    layout_width = instance.graph.n * instance.c
     dist = probabilities(run(circuit), list(range(layout_width)))
     return sum(dist.get(s, 0.0) for s in classical.solutions(instance))
 
@@ -87,6 +87,13 @@ def test_iteration_override_skips_counting():
     prep = len(circ.gates) - job.iterations * one_round
     # 7 X seeds (3 slots, 3 flags, output) + 7 H (6 data, output)
     assert prep == 14
+
+
+def test_uncolorable_job_searches_nothing():
+    # "not k-colorable" is an outcome: the job states N, with M = t = 0
+    job = make_job(make_instance(complete_graph(3), 2))
+    assert job.solution_count == 0 and job.iterations == 0
+    assert job.search_size == 8 == 2 ** job.data_width
 
 
 def test_uncolorable_instance_raises():

@@ -86,7 +86,7 @@ def test_lowered_oracle_emits_valid_qasm(builder, k):
     assert parsed.num_qubits == lowered.num_qubits
     preamble = sum(lowered.initial_state)
     assert len(parsed.gates) == preamble + len(lowered.gates)
-    assert len(parsed.measures) == inst.num_data_qubits
+    assert len(parsed.measures) == inst.graph.n * inst.c
 
 
 @pytest.mark.parametrize("kind", sorted(LOWERED_KINDS, key=lambda k: k.value),
