@@ -11,7 +11,6 @@ during lowering by X-conjugation.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from numbers import Integral
@@ -44,7 +43,7 @@ ROTATION_KINDS = frozenset({GateKind.RY, GateKind.RZ, GateKind.CRX})
 CONTROLLED_KINDS = frozenset({GateKind.CX, GateKind.CZ, GateKind.CRX})
 MULTI_KINDS = frozenset({GateKind.MCT, GateKind.MCZ})
 # Gates that map basis states to basis states with no phase: what the W
-# of a mirror window may hold, and the oracles phase_pattern tracks as bits.
+# of a mirror window may hold; phase_pattern tracks these and Z/CZ/MCZ.
 PERMUTATION_KINDS = frozenset({GateKind.X, GateKind.CX, GateKind.MCT})
 
 # The lowered alphabet, 1- and 2-qubit gates only: what lower_circuit
@@ -178,15 +177,19 @@ class Gate:
 # One Control per (qubit, polarity), shared by every gate the helpers
 # build or remapped derives: a Control is frozen, so no gate can change
 # one under another, and the table grows only with the qubit indices
-# used.  Its qubits are Python ints, whatever integer type first named
-# them, so one caller's numpy index does not reach another's gates.
+# used.  Its qubits are Python ints, whatever integer type named them,
+# so one caller's numpy index does not reach another's gates; a float or
+# a bool qubit raises IndexOutOfRange, on every call.
 _CONTROLS: dict[tuple[int, bool], Control] = {}
 
 
 def _control(qubit: int, positive: bool) -> Control:
+    if type(qubit) is not int:
+        if type(qubit) is bool or not isinstance(qubit, Integral):
+            raise IndexOutOfRange(f"control qubit {qubit!r} is not an index")
+        qubit = int(qubit)
     control = _CONTROLS.get((qubit, positive))
     if control is None:
-        qubit = operator.index(qubit)
         control = _CONTROLS[qubit, positive] = Control(qubit, positive)
     return control
 
@@ -235,7 +238,7 @@ def gMCZ(controls, target) -> Gate:
 
 def _as_controls(controls) -> tuple[Control, ...]:
     return tuple([_control(c[0], bool(c[1])) if isinstance(c, tuple)
-                  else _control(int(c), True) for c in controls])
+                  else _control(c, True) for c in controls])
 
 
 @dataclass(frozen=True)
@@ -243,7 +246,9 @@ class QubitLayout:
     """Register map of a synthesized oracle.
 
     Data qubits come first: vertex v's color bits occupy
-    ``[v*c, (v+1)*c)``, most significant bit first.
+    ``[v*c, (v+1)*c)``, most significant bit first.  The edge ancillas,
+    then the invalid ancilla or the valid flags, follow; a qubit past
+    them (at most one) is idle, left in |0> for a lowering to borrow.
     """
 
     n: int
@@ -252,11 +257,7 @@ class QubitLayout:
     edge_ancilla: range
     invalid_ancilla: int | None
     valid_flags: range | None
-    output: int
-
-    @property
-    def num_qubits(self) -> int:
-        return self.output + 1
+    num_qubits: int
 
     @property
     def num_data(self) -> int:
@@ -266,14 +267,13 @@ class QubitLayout:
         return range(v * self.c, (v + 1) * self.c)
 
     def initial_state(self) -> list[int]:
-        """Edge ancillas, valid flags and the output start in |1>."""
+        """Edge ancillas and valid flags start in |1>."""
         init = [0] * self.num_qubits
         for q in self.edge_ancilla:
             init[q] = 1
         if self.valid_flags is not None:
             for q in self.valid_flags:
                 init[q] = 1
-        init[self.output] = 1
         return init
 
 

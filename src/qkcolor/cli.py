@@ -129,16 +129,16 @@ def _gate_text(gate: Gate) -> str:
 
 
 def _layout_counts(layout) -> dict:
-    counts = {
-        "data": layout.num_data,
-        "edge_ancilla": len(layout.edge_ancilla),
-        "output": 1,
-        "total": layout.num_qubits,
-    }
+    """Qubits by role; ``idle`` counts a qubit kept only to be borrowed."""
+    counts = {"data": layout.num_data, "edge_ancilla": len(layout.edge_ancilla)}
     if layout.invalid_ancilla is not None:
         counts["invalid_ancilla"] = 1
     if layout.valid_flags is not None:
         counts["valid_flags"] = len(layout.valid_flags)
+    idle = layout.num_qubits - sum(counts.values())
+    if idle:
+        counts["idle"] = idle
+    counts["total"] = layout.num_qubits
     return counts
 
 
@@ -310,7 +310,7 @@ def cost(vertices_range, k, out_file):
         instance = make_instance(complete, k)
         plan = plan_layout(instance, "paper")
         oracle = build_oracle(instance, "paper", plan)
-        ancilla = plan.layout.num_qubits - plan.layout.num_data - 1
+        ancilla = plan.layout.num_qubits - plan.layout.num_data
         lowered_count = len(lower_circuit(oracle).gates)
         writer.writerow([n, k, plan.layout.num_data, n * k, ancilla,
                          (n * k) ** 2, plan.layout.num_qubits,

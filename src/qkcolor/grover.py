@@ -1,6 +1,6 @@
 """The Grover search: ``make_job`` works out N, M and t, once, and
-``assemble`` writes the data preparation A, then t rounds of the oracle
-and the diffusion A^-1 (X, MCZ, X) A."""
+``assemble`` writes the data preparation A, then t rounds of the oracle,
+which marks by phase alone, and the diffusion A^-1 (X, MCZ, X) A."""
 from __future__ import annotations
 
 import math
@@ -91,9 +91,9 @@ def make_job(instance: Instance, mode: str = "strict",
 def assemble(job: GroverJob) -> Circuit:
     """State preparation followed by t repetitions of oracle + diffusion.
 
-    The register starts in |0...0>; ancilla/output qubits declared |1> by
-    the layout are set with explicit X gates, so the circuit is
-    self-contained.  A job that counted no solutions raises NoSolutions.
+    The register starts in |0...0>; ancillas declared |1> by the layout
+    are set with explicit X gates, so the circuit is self-contained.  A
+    job that counted no solutions raises NoSolutions.
     """
     if job.solution_count == 0:
         raise NoSolutions("no marked states: graph is unsatisfiable at this k")
@@ -102,7 +102,6 @@ def assemble(job: GroverJob) -> Circuit:
                    initial_state=[0] * layout.num_qubits)
     circ.extend([gX(q) for q, bit in enumerate(layout.initial_state()) if bit])
     circ.extend(_prepare(layout.data))
-    circ.append(gH(layout.output))
 
     diffusion = build_diffusion(job.data_width)
     for _ in range(job.iterations):

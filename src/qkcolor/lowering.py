@@ -18,15 +18,16 @@ quant-ph/9503016):
 
 One rule then picks each Toffoli (Maslov 2016, arXiv:1508.03273).  In a
 mirror window W K W^-1, with K an MCT/MCZ on target t and W a run of
-X/CX/MCT gates off t, every Toffoli of W is a 7-gate relative-phase
-(Margolus) Toffoli, 3 of them CX, t is never borrowed, and the right
-side is the exact adjoint of the lowered W, so the phases cancel across
-the window.  Any other Toffoli is the 9-gate exact one below.  An
-oracle's compute, kickback and uncompute is such a window, and so is
-the sweep, top and mirrored sweep of every V-chain: a positive-control
-MCT with n-2 free qubits is 28n-52 gates, 12n-18 of them 2-qubit, with
-only its two tops exact, and 28n-56 gates, 12n-24 of them 2-qubit, on
-the compute side of a window, where its tops are Margolus too.
+X/CX/MCT gates (off t under an MCT), every Toffoli of W is a 7-gate
+relative-phase (Margolus) Toffoli, 3 of them CX, t is never borrowed,
+and the right side is the exact adjoint of the lowered W, so the phases
+cancel across the window.  Any other Toffoli is the 9-gate exact one
+below.  An oracle's compute, MCZ kickback and uncompute is such a
+window, and so is the sweep, top and mirrored sweep of every V-chain: a
+positive-control MCT with n-2 free qubits is 28n-52 gates, 12n-18 of
+them 2-qubit, with only its two tops exact, and 28n-56 gates, 12n-24 of
+them 2-qubit, on the compute side of a window, where its tops are
+Margolus too.
 """
 from __future__ import annotations
 
@@ -147,15 +148,15 @@ def _lower_multi(gate: Gate, num_qubits: int,
 def _mirror_windows(gates: list[Gate]) -> dict[int, int]:
     """Start -> centre of the longest window W K W^-1 at each start.
 
-    K is an MCT/MCZ on target t, W a run of X/CX/MCT gates none of which
-    has t as an operand, and the gates after K are W's, reversed, each
-    replaced by its adjoint.  Windows with an empty W are left out.
+    K is an MCT/MCZ on target t, W a run of X/CX/MCT gates, off t under
+    an MCT, and the gates after K are W's, reversed, each replaced by its
+    adjoint.  Windows with an empty W are left out.
     """
     windows = {}
     for centre, gate in enumerate(gates):
         if gate.kind not in MULTI_KINDS:
             continue
-        tau = gate.targets[0]
+        tau = gate.targets[0] if gate.kind is GateKind.MCT else None
         w = 0
         while w < centre and centre + w + 1 < len(gates):
             g = gates[centre - w - 1]
@@ -175,11 +176,12 @@ def _lowered_gates(gates: list[Gate], width: int, avoid: int | None = None):
     of its W.
 
     In a window W K W^-1 the W is lowered with ``avoid`` set to K's
-    target, so it is D P with P the exact W and D diagonal off that
-    target; W's gates only permute basis states, so their relative-phase
-    lowering is a diagonal times that permutation.  K is lowered as any
-    other gate, and the right side is the exact adjoint of the lowered
-    W.  D commutes with K, so the window is (D P)^-1 K (D P) = P^-1 K P.
+    target, so it is D P with P the exact W and D diagonal (off that
+    target under an MCT); W's gates only permute basis states, so their
+    relative-phase lowering is a diagonal times that permutation.  K is
+    lowered as any other gate, and the right side is the exact adjoint
+    of the lowered W.  D commutes with K, so the window is
+    (D P)^-1 K (D P) = P^-1 K P.
     """
     def lowered(gate, off):
         return (_lower_multi(gate, width, off)

@@ -4,8 +4,9 @@ The oracle marks (phase-flips) exactly the data basis states that encode
 proper colorings using valid colors.  Structure:
 
     invalid-color detection  ->  edge comparators (with ancilla
-    aggregation when the slot budget is exhausted)  ->  one MCT onto the
-    output qubit  ->  mirror of the comparators and the detection.
+    aggregation when the slot budget is exhausted)  ->  one MCZ on the
+    final checks (Nielsen & Chuang 6.1, with no output qubit)  ->
+    mirror of the comparators and the detection.
 
 Two invalid-color strategies are provided.  ``paper`` mode accumulates
 all invalid-vertex detections onto a single ancilla, which is parity
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import (Circuit, Control, Gate, GateKind, QubitLayout, gCX,
-                      gMCT, gX)
+                      gMCT, gMCZ, gX, gZ)
 from .errors import NoInvalidColors, WidthMismatch
 from .graphs import Instance
 
@@ -46,7 +47,7 @@ class OraclePlan:
     edge_schedule: tuple[ComparatorRound, ...]
 
     def surviving_slots(self) -> list[int]:
-        """Ancilla qubits that are live controls of the final MCT."""
+        """Ancilla qubits that are live checks of the kickback."""
         out = []
         for rnd in self.edge_schedule:
             if rnd.aggregate_slot is not None:
@@ -62,7 +63,10 @@ def _check_mode(mode: str) -> None:
 
 
 def plan_layout(instance: Instance, mode: str = "strict") -> OraclePlan:
-    """Assign qubit ranges and the edge-comparator schedule."""
+    """Assign qubit ranges and the edge-comparator schedule.  An idle
+    qubit is kept where fewer than max(m - 3, 2) sit beside the m data
+    qubits: the diffusion's V-chain borrows m - 3, a one-vertex
+    detector 1."""
     _check_mode(mode)
     graph = instance.graph
     n, c, e = graph.n, instance.c, graph.num_edges
@@ -83,7 +87,8 @@ def plan_layout(instance: Instance, mode: str = "strict") -> OraclePlan:
     layout = QubitLayout(n=n, c=c, data=range(0, m),
                          edge_ancilla=range(m, m + r),
                          invalid_ancilla=invalid_ancilla,
-                         valid_flags=valid_flags, output=cursor)
+                         valid_flags=valid_flags,
+                         num_qubits=cursor + (cursor - m < max(m - 3, 2)))
 
     schedule = _schedule_edges(graph.sorted_edges(), list(layout.edge_ancilla))
     return OraclePlan(layout=layout, mode=mode, edge_schedule=schedule)
@@ -164,9 +169,11 @@ def build_oracle(instance: Instance, mode: str = "strict",
                  plan: OraclePlan | None = None) -> Circuit:
     """Full phase oracle over the plan's register.
 
-    The circuit acts diagonally on the data qubits when the output qubit
-    is held in |->: a basis state acquires phase -1 iff it encodes a
-    proper, validly colored assignment (strict mode guarantee).
+    With the ancillas in their declared states it acts diagonally on the
+    data: a basis state gets phase -1 iff it encodes a proper, validly
+    colored assignment (in strict mode).  The kickback is an MCZ on the
+    last check that must read 1, controlled by the others; with none,
+    X Z X on the invalid ancilla or Z X Z X (a global -1) on qubit 0.
 
     A ``plan`` made for another instance or mode raises ValueError.
     """
@@ -183,17 +190,20 @@ def build_oracle(instance: Instance, mode: str = "strict",
         compute.extend(build_invalid_color_detector(plan, instance))
     compute.extend(_edge_phase_gates(plan, layout))
 
-    final_controls: list[Control] = [Control(q) for q in plan.surviving_slots()]
+    checks, zero = plan.surviving_slots(), []  # qubits that must read 1, 0
     if instance.invalid_colors:
         if plan.mode == "paper":
-            final_controls.append(Control(layout.invalid_ancilla, positive=False))
+            zero.append(layout.invalid_ancilla)
         else:
-            final_controls.extend(Control(q) for q in layout.valid_flags)
-    kickback = Gate(GateKind.MCT, controls=tuple(final_controls),
-                    targets=(layout.output,))
+            checks.extend(layout.valid_flags)
+    if checks:
+        kickback = [gMCZ(checks[:-1] + [(q, False) for q in zero], checks[-1])]
+    elif zero:  # no edges: X Z X, its Z an MCZ centring a mirror window
+        kickback = [gX(zero[0]), gMCZ([], zero[0]), gX(zero[0])]
+    else:  # nothing to check: every string is marked
+        kickback = [gZ(0), gX(0), gZ(0), gX(0)]
 
-    circuit.extend(compute)
-    circuit.append(kickback)
+    circuit.extend(compute + kickback)
     circuit.extend(g.adjoint() for g in reversed(compute))
     return circuit
 

@@ -35,10 +35,11 @@ error of a run is stated, not assumed.  It returns the held batch;
 only ``Statevector.amplitudes`` writes out all 2**q amplitudes.
 
 ``phase_pattern`` has two paths, both exact.  An oracle of X, CX and
-MCT gates only (every IR oracle) is a classical reversible circuit: it
-is run on all prepared basis states at once, one Python int per qubit
-with a bit per basis state, with no statevector and no width bound.
-Any other oracle (a lowered one, with H/CRX/RZ/RY) is run as one sparse
+MCT gates and Z, CZ and MCZ phases only (every IR oracle) maps basis
+states to basis states up to a sign: it is run on all prepared basis
+states at once, one Python int per qubit and one for the sign, with a
+bit per basis state, with no statevector and no width bound.  Any
+other oracle (a lowered one, with H/CRX/RZ/RY) is run as one sparse
 batch with a column per data string, which drops only exact zeros.
 """
 from __future__ import annotations
@@ -59,8 +60,11 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # the held amplitudes, or (the rest: H, RY, CRX) the 2x2 update of the
 # batch paired on its target, which stays paired for the next gate on it.
 _SWAPPED_KINDS = PERMUTATION_KINDS | {GateKind.SWAP}
-_DIAGONAL_KINDS = frozenset({GateKind.Z, GateKind.RZ, GateKind.CZ, GateKind.MCZ})
+_SIGN_KINDS = frozenset({GateKind.Z, GateKind.CZ, GateKind.MCZ})
+_DIAGONAL_KINDS = _SIGN_KINDS | {GateKind.RZ}
 _MIXED_KINDS = frozenset(GateKind) - _SWAPPED_KINDS - _DIAGONAL_KINDS
+# The oracles phase_pattern tracks as bit rows; any other is simulated.
+_TRACKED_KINDS = PERMUTATION_KINDS | _SIGN_KINDS
 
 # _matrix entries of H and of Z, CZ and MCZ
 _H = (complex(_INV_SQRT2), complex(_INV_SQRT2), complex(_INV_SQRT2),
@@ -301,10 +305,10 @@ def phase_pattern(oracle: Circuit, layout: QubitLayout,
                   allow_global_phase: bool = False) -> set[str]:
     """Data basis strings whose phase the oracle flips.
 
-    For each data string x the initial state is |x> on data qubits, the
-    layout's declared ancilla initials, and |-> on the output qubit.  The
-    oracle must act diagonally: any amplitude outside the prepared
-    (x, ancilla, output) pair is an ancilla leak.
+    For each data string x the initial state is |x> on data qubits and
+    the layout's declared ancilla initials.  The oracle must act
+    diagonally: any amplitude outside the prepared basis state is an
+    ancilla leak.
 
     Lowered circuits acquire a circuit-wide global phase, only from the
     RZ in each exact lowered Toffoli: every Margolus Toffoli is on the
@@ -316,9 +320,10 @@ def phase_pattern(oracle: Circuit, layout: QubitLayout,
 
     There are two paths, both exact:
 
-    * An oracle of X, CX and MCT gates only permutes basis states, so
-      every data string is tracked exactly as bits, with no statevector;
-      more than ``classical.ENUMERATION_CEILING`` data bits raise TooLarge.
+    * An oracle of ``_TRACKED_KINDS`` gates only (X, CX, MCT, Z, CZ and
+      MCZ) maps basis states to signed basis states, so every data
+      string is tracked exactly as bits, with no statevector; more than
+      ``classical.ENUMERATION_CEILING`` data bits raise TooLarge.
     * Any other oracle is simulated as one sparse batch, one basis
       column per data string, holding only the amplitudes that are not
       exactly 0, under ``_HELD_LIMIT`` (TooLarge); its keys need q + m
@@ -330,7 +335,7 @@ def phase_pattern(oracle: Circuit, layout: QubitLayout,
     if layout.num_qubits != q:
         raise WidthMismatch(f"{layout.num_qubits}-qubit layout for a "
                             f"{q}-qubit oracle")
-    if all(gate.kind in PERMUTATION_KINDS for gate in oracle.gates):
+    if all(gate.kind in _TRACKED_KINDS for gate in oracle.gates):
         flipped = _tracked_flips(oracle, layout, allow_global_phase)
     else:
         flipped = _statevector_flips(oracle, layout, allow_global_phase)
@@ -338,50 +343,45 @@ def phase_pattern(oracle: Circuit, layout: QubitLayout,
 
 
 def _tracked_flips(oracle, layout, allow_global_phase):
-    """Per data string x, whether the X/CX/MCT oracle flips its phase.
+    """Per data string x, whether a ``_TRACKED_KINDS`` oracle flips it.
 
-    Each qubit's row is one Python int over 2**(m+1) columns: bit j is
-    the qubit's value in the basis state with data string j mod 2**m,
-    output bit (j >> m) & 1 and the declared ancilla initials.  Each gate
-    XORs the AND of its polarity-adjusted controls into its target row.
-    On |-> the phase flips iff the output toggles; a change to any other
-    qubit is a leak.
+    Each qubit's row is one Python int over 2**m columns: bit j is the
+    qubit's value in the basis state with data string j and the declared
+    ancilla initials; one more row holds the sign.  A permutation gate
+    XORs the AND of its polarity-adjusted controls into its target row,
+    and a sign gate XORs that AND with its target row into the sign
+    row.  A change to any qubit's row is a leak.
     """
     m = layout.num_data
     if m > classical.ENUMERATION_CEILING:
         raise TooLarge(f"{m} data bits exceeds enumeration ceiling "
                        f"{classical.ENUMERATION_CEILING}")
-    n_cols = 2 ** (m + 1)
+    n_cols = 2 ** m
     ones = (1 << n_cols) - 1
 
     start = [ones * bit for bit in layout.initial_state()]
     for pos, qubit in enumerate(layout.data):
         start[qubit] = _index_row(m - 1 - pos, n_cols)
-    start[layout.output] = _index_row(m, n_cols)
     rows = list(start)
+    flipped = 0
     for gate in oracle.gates:
         hit = ones
         for ctl in gate.controls:
             row = rows[ctl.qubit] if ctl.positive else ones ^ rows[ctl.qubit]
             hit = row if hit is ones else hit & row  # skip ones & row
-        rows[gate.targets[0]] ^= hit
+        if gate.kind in _SIGN_KINDS:
+            flipped ^= hit & rows[gate.targets[0]]
+        else:
+            rows[gate.targets[0]] ^= hit
 
-    changed = [row ^ first for row, first in zip(rows, start)]
-    toggled = changed[layout.output]
-    changed[layout.output] = 0
-    leaked = next((qubit for qubit, row in enumerate(changed) if row), None)
-    if leaked is not None:
-        raise AncillaLeak(f"oracle leaves qubit {leaked} changed")
-    # The gates permute basis states and only the output changed, so the
-    # columns (x, 0) and (x, 1) swap or stay: both halves toggle alike.
-    half = n_cols // 2
-    low_half = (1 << half) - 1
-    flipped = toggled & low_half
+    for qubit, (row, first) in enumerate(zip(rows, start)):
+        if row != first:
+            raise AncillaLeak(f"oracle leaves qubit {qubit} changed")
     if allow_global_phase and flipped & 1:
-        flipped ^= low_half
+        flipped ^= ones
     return np.unpackbits(
-        np.frombuffer(flipped.to_bytes((half + 7) // 8, "little"), np.uint8),
-        count=half, bitorder="little").astype(bool)
+        np.frombuffer(flipped.to_bytes((n_cols + 7) // 8, "little"), np.uint8),
+        count=n_cols, bitorder="little").astype(bool)
 
 
 def _index_row(b, n_cols):
@@ -399,66 +399,55 @@ def _index_row(b, n_cols):
 def _statevector_flips(oracle, layout, allow_global_phase):
     """Per data string x, whether the oracle flips its phase.
 
-    Column x of one sparse batch is |x, ancillas> (|0> - |1>)/sqrt(2),
-    and it must come back as itself times +1 or -1: any other amplitude
-    on its two prepared rows, or any amplitude elsewhere, is a leak.
+    Column x of one sparse batch is |x, ancillas>, and it must come back
+    as itself times +1 or -1: any other amplitude on its prepared row,
+    or any amplitude elsewhere, is a leak.
     """
     q, m = oracle.num_qubits, layout.num_data
     if q + m > _KEY_BITS:
         raise TooManyQubits(f"{q} qubits and {m} data bits exceed the "
                             f"{_KEY_BITS}-bit batch key")
     n_data = 2 ** m
-    if 2 * n_data > _HELD_LIMIT:
-        raise TooLarge(f"{n_data} columns of 2 amplitudes exceed the "
+    if n_data > _HELD_LIMIT:
+        raise TooLarge(f"{n_data} columns exceed the "
                        f"{_HELD_LIMIT}-amplitude limit")
 
-    rows0, rows1, keys, amps = _prepared_batch(layout)
+    prepared, keys, amps = _prepared_batch(layout)
     keys, amps, _ = _run_sparse(oracle, keys, amps)
     tol = _PATTERN_TOL
 
     cols, rows = keys >> q, keys & ((1 << q) - 1)
-    on0, on1 = rows == rows0[cols], rows == rows1[cols]
-    got0 = np.zeros(n_data, dtype=complex)
-    got1 = np.zeros(n_data, dtype=complex)
-    got0[cols[on0]], got1[cols[on1]] = amps[on0], amps[on1]
+    on = rows == prepared[cols]
+    got = np.zeros(n_data, dtype=complex)
+    got[cols[on]] = amps[on]
     if allow_global_phase:
-        ref = got0[0] / _INV_SQRT2
+        ref = got[0]
         if abs(abs(ref) - 1.0) > tol:
             raise AncillaLeak("oracle output is not a pure phase on x=0")
-        got0 /= ref
-        got1 /= ref
+        got /= ref
         amps /= ref
 
-    flipped = got0.real < 0
-    expected = np.where(flipped, -_INV_SQRT2, _INV_SQRT2)
-    bad = np.flatnonzero((np.abs(got0 - expected) > tol)
-                         | (np.abs(got1 + expected) > tol))
+    flipped = got.real < 0
+    bad = np.flatnonzero(np.abs(got - np.where(flipped, -1.0, 1.0)) > tol)
     if bad.size:
         raise AncillaLeak(
             f"oracle is not a +/-1 phase on data string x={int(bad[0])}")
     # what remains lies outside the prepared rows
-    if (np.abs(amps[~(on0 | on1)]) > tol).any():
+    if (np.abs(amps[~on]) > tol).any():
         raise AncillaLeak("oracle leaves support outside the prepared subspace")
     return flipped
 
 
 def _prepared_batch(layout):
-    """Rows of |x, ancillas, 0> and |x, ancillas, 1> per data string x,
-    and the sparse batch whose column x is their difference over sqrt(2)."""
+    """The row of |x, ancillas> per data string x, and the sparse batch
+    whose column x is that basis state."""
     q, m = layout.num_qubits, layout.num_data
-    base = 0
-    for qubit, bit in enumerate(layout.initial_state()):
-        if bit and qubit not in layout.data and qubit != layout.output:
-            base |= 1 << (q - 1 - qubit)
     xs = np.arange(2 ** m, dtype=np.int64)
-    rows0 = np.full(2 ** m, base, dtype=np.int64)
+    base = int("".join(map(str, layout.initial_state())), 2)  # qubit 0 first
+    prepared = np.full(2 ** m, base, dtype=np.int64)
     for pos, dq in enumerate(layout.data):
-        rows0 |= ((xs >> (m - 1 - pos)) & 1) << (q - 1 - dq)
-    rows1 = rows0 | (1 << (q - 1 - layout.output))
-    keys = np.concatenate(((xs << q) | rows0, (xs << q) | rows1))
-    amps = np.repeat(np.array([_INV_SQRT2, -_INV_SQRT2], dtype=complex),
-                     2 ** m)
-    return rows0, rows1, keys, amps
+        prepared |= ((xs >> (m - 1 - pos)) & 1) << (q - 1 - dq)
+    return prepared, (xs << q) | prepared, np.ones(2 ** m, dtype=complex)
 
 
 _PATTERN_TOL = 1e-9  # amplitude tolerance of the sign and leak checks

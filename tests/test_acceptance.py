@@ -57,7 +57,7 @@ def test_03_triangle_cost_bounds():
     inst = make_instance(complete_graph(3), 3)
     plan = plan_layout(inst, "paper")
     oracle = build_oracle(inst, "paper", plan)
-    ancillas = plan.layout.num_qubits - plan.layout.num_data - 1
+    ancillas = plan.layout.num_qubits - plan.layout.num_data
     assert ancillas == 4
     assert len(oracle.gates) <= 67
 

@@ -223,6 +223,19 @@ def test_helpers_and_constructor_agree():
         assert all(type(c.qubit) is int for c in gate.controls)
 
 
+def test_helpers_refuse_a_control_that_is_no_index():
+    # checked on every call: a float equal to a qubit already in the
+    # shared Control table, a bool and a float among MCT controls would
+    # otherwise build a control on qubit 2, 1 and 1
+    gCX(2, 5)
+    for build in (lambda: gCX(2.0, 5), lambda: gCX(True, 5),
+                  lambda: gMCT([1.7, 3], 5),
+                  lambda: gMCZ([(np.bool_(True), False)], 5)):
+        with pytest.raises(IndexOutOfRange, match="is not an index"):
+            build()
+    assert gCX(np.int64(2), 5) == gCX(2, 5)
+
+
 def test_circuit_bounds_checked():
     circ = Circuit(2)
     with pytest.raises(IndexOutOfRange):
@@ -288,9 +301,9 @@ def test_stats():
 def test_layout_data_and_initials():
     layout = QubitLayout(n=2, c=2, data=range(0, 4), edge_ancilla=range(4, 5),
                          invalid_ancilla=None, valid_flags=range(5, 7),
-                         output=7)
+                         num_qubits=8)
     init = layout.initial_state()
-    assert init == [0, 0, 0, 0, 1, 1, 1, 1]
+    assert init == [0, 0, 0, 0, 1, 1, 1, 0]
     assert list(layout.vertex_qubits(1)) == [2, 3]
     assert layout.num_qubits == 8
     assert layout.num_data == 4

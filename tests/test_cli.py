@@ -59,7 +59,8 @@ def test_synth(runner, k3_file, tmp_path):
     report = _json_head(result.output)
     validate_report(report)
     assert report["qubits"]["data"] == 6
-    assert report["qubits"]["total"] == 13
+    assert report["qubits"]["total"] == 12
+    assert "idle" not in report["qubits"]
     assert report["invalid_colors"] == [3]
     assert (out / "k3.oracle.txt").exists()
     assert (out / "k3.synth.json").exists()
@@ -72,8 +73,21 @@ def test_synth_paper_mode(runner, k3_file, tmp_path):
                                   "--out-dir", str(tmp_path / "o")])
     assert result.exit_code == 0, result.output
     report = _json_head(result.output)
-    assert report["qubits"]["total"] == 11
+    assert report["qubits"]["total"] == 10
     assert report["qubits"]["invalid_ancilla"] == 1
+
+
+def test_synth_reports_a_kept_idle_qubit(runner, tmp_path):
+    # K4/k=4 keeps one idle qubit for the diffusion's V-chain to borrow:
+    # 8 data qubits and 4 slots leave 4 of the m - 3 = 5 it needs
+    k4 = tmp_path / "k4.adj"
+    k4.write_text("".join(" ".join("0" if i == j else "1" for j in range(4))
+                          + "\n" for i in range(4)))
+    result = runner.invoke(main, ["synth", str(k4), "--k", "4",
+                                  "--out-dir", str(tmp_path / "o")])
+    assert result.exit_code == 0, result.output
+    qubits = _json_head(result.output)["qubits"]
+    assert qubits == {"data": 8, "edge_ancilla": 4, "idle": 1, "total": 13}
 
 
 def test_grover(runner, k3_file, tmp_path):
@@ -275,7 +289,7 @@ def test_simulation_enumerates_and_plans_once(runner, p3_file, k3_file,
 @pytest.mark.parametrize("command", ["run", "route"])
 def test_small_device_fails_before_the_work(runner, k3_file, tmp_path,
                                             monkeypatch, command):
-    # K3/k=3 needs 13 qubits; the line has 7
+    # K3/k=3 needs 12 qubits; the line has 7
     calls = {"simulate": 0, "lower": 0}
 
     def never(name):
@@ -372,8 +386,9 @@ def test_malformed_graph_exits_2(runner, tmp_path):
 
 
 def test_resource_limit_exits_3(runner, tmp_path):
-    # C10 at k = 4 has 20 data qubits: the H on the last one could double
-    # the 2**20 amplitudes held past the simulator's limit
+    # C10 at k = 4 has 20 data qubits: their H layer holds 2**20
+    # amplitudes, and the diffusion's first H could double them past the
+    # simulator's limit
     c10 = tmp_path / "c10.edg"
     c10.write_text("".join(f"{i} {(i + 1) % 10}\n" for i in range(10)))
     result = runner.invoke(main, ["run", str(c10), "--k", "4",
@@ -384,8 +399,8 @@ def test_resource_limit_exits_3(runner, tmp_path):
 
 
 def test_run_past_24_qubits(runner, tmp_path):
-    # K5 at k = 5 in strict mode needs 26 qubits, but holds at most 2**16
-    # amplitudes: 15 data qubits and the output
+    # K5 at k = 5 in strict mode needs 26 qubits, but holds at most 2**15
+    # amplitudes, one per string of its 15 data qubits
     k5 = tmp_path / "k5.adj"
     k5.write_text("".join(" ".join("0" if i == j else "1" for j in range(5)) + "\n"
                           for i in range(5)))
@@ -517,78 +532,78 @@ GOLDEN_RUNS = {
     "k3-2": (None, "", []),
 }
 GOLDEN_SHA256 = """
-k3-3-strict synth k3.oracle.qasm f943e52bffc27361a96e7734d8a88e450238ac6c3970204d64a10c3921eebe2e
-k3-3-strict synth k3.oracle.txt 177043e24ab207d8747b92a8d5fc4afe722812515f2d1c067bedd2530df1e4bf
-k3-3-strict synth k3.synth.json 71c98f2b2bc7716ff0349e321d15af1467e9f92d719d380b75c5cc6e74935974
-k3-3-strict synth stdout 71c98f2b2bc7716ff0349e321d15af1467e9f92d719d380b75c5cc6e74935974
-k3-3-strict synth-cx k3.oracle.qasm b13f7343f643683f83becef6655e2d3dd17c5ec88560e8a387f7bd35358846a5
-k3-3-strict synth-cx k3.oracle.txt 177043e24ab207d8747b92a8d5fc4afe722812515f2d1c067bedd2530df1e4bf
-k3-3-strict synth-cx k3.synth.json 430ab9a2c4cbf261e00c8742236fff80dff32a8dd056c1418b5d14a65678365b
-k3-3-strict synth-cx stdout 430ab9a2c4cbf261e00c8742236fff80dff32a8dd056c1418b5d14a65678365b
-k3-3-strict grover k3.grover.json b2bc5ede97e5b0c2643ccc7597f97c3f20078925d8655f526f2ff4ac067dd2f1
-k3-3-strict grover k3.grover.qasm 55c4106f66b1fdaa06c85701e41121bbbc9cd7831adfcd2f4cf0d8a921254e0a
-k3-3-strict grover stdout b2bc5ede97e5b0c2643ccc7597f97c3f20078925d8655f526f2ff4ac067dd2f1
-k3-3-strict grover-cx k3.grover.json 4c9cbdbabf5c32a6d90e4e5d108697138b7bcd52473e2664119d102805d12a78
-k3-3-strict grover-cx k3.grover.qasm 055811d6de66e80d62b3d70234c89eb6bed7ae07673799ce11b32000693bcef0
-k3-3-strict grover-cx stdout 4c9cbdbabf5c32a6d90e4e5d108697138b7bcd52473e2664119d102805d12a78
-k3-3-strict route-default k3.routed.qasm 29206a43930bd8cb7fa9780671a3f06bdf8f2a4f9ead6b1bd7b624fbf7d5da69
-k3-3-strict route-default stdout 6003aa237f77c36c588c6b537a39c5bd2c6b6790c9a3d08bf9216bf6bc89bd85
-k3-3-strict route-cx k3.routed.qasm 8ebc3bb3e9701a8fbc520cac5861a59f66793f8e76315ed3b235951b2c51211b
-k3-3-strict route-cx stdout 6003aa237f77c36c588c6b537a39c5bd2c6b6790c9a3d08bf9216bf6bc89bd85
+k3-3-strict synth k3.oracle.qasm 16b1bd19a093ae8eb896daee483d868c0b96b6751ac17a81b6b87a37b322dedf
+k3-3-strict synth k3.oracle.txt 7abd032e90232657bdc55e0a5d1e3258004672bdaf4dceaea4b547cbc4099cfc
+k3-3-strict synth k3.synth.json bb28067926cf5de2fd50500a5440fde1d44e38d1aca1346db774de194db47bd1
+k3-3-strict synth stdout bb28067926cf5de2fd50500a5440fde1d44e38d1aca1346db774de194db47bd1
+k3-3-strict synth-cx k3.oracle.qasm e606c91f3a04a33ca1a5d86d4e822bf7261a33b8e4f0cb0e04fc245693a61aa2
+k3-3-strict synth-cx k3.oracle.txt 7abd032e90232657bdc55e0a5d1e3258004672bdaf4dceaea4b547cbc4099cfc
+k3-3-strict synth-cx k3.synth.json d7181490f7a3ebeba808aaf6d3528de06103e68afe75648a16673504f9a78f99
+k3-3-strict synth-cx stdout d7181490f7a3ebeba808aaf6d3528de06103e68afe75648a16673504f9a78f99
+k3-3-strict grover k3.grover.json 6b500f2a0eff31485ecd88cb1497aa6f580160fa3d4c7f5bf3db477a890525ee
+k3-3-strict grover k3.grover.qasm 7973f4a36f61a28fd007a8c34e4bfaf51ed9f7ceec5bec172a50fd1ebbc90177
+k3-3-strict grover stdout 6b500f2a0eff31485ecd88cb1497aa6f580160fa3d4c7f5bf3db477a890525ee
+k3-3-strict grover-cx k3.grover.json 2728dcf55f6dc0ae5726e4d145b0fb6347885bd0412ba39e9fdb9a041312f578
+k3-3-strict grover-cx k3.grover.qasm 86f300ac555b7cd5274667db27c3babb729833a929fcca55ae8b9f9e9adbae15
+k3-3-strict grover-cx stdout 2728dcf55f6dc0ae5726e4d145b0fb6347885bd0412ba39e9fdb9a041312f578
+k3-3-strict route-default k3.routed.qasm bb0f0254d7e3c33ad0cd727b89c9dbdcafd72735cdbdd500599a4aa6a5bdb073
+k3-3-strict route-default stdout af9b3b0c3698b2d8db9b7d82e1f11c55442bd622d2a82e68b979602c2401221a
+k3-3-strict route-cx k3.routed.qasm bce68eb4731227fe1184f9896d7881cfd5b16ade311c0fc1e0555d4a076be94f
+k3-3-strict route-cx stdout af9b3b0c3698b2d8db9b7d82e1f11c55442bd622d2a82e68b979602c2401221a
 k3-3-strict run stdout 42be0b5b17eac86479b30edc25e7be925f887417aed896f4a5e4d3ec955fa671
-k3-3-strict run-line13 k3.routed.qasm 29206a43930bd8cb7fa9780671a3f06bdf8f2a4f9ead6b1bd7b624fbf7d5da69
-k3-3-strict run-line13 stdout b7e423e24f9dff3e0947438d9ad98c99de2cf542ca24637c1c2b19315df9ea2d
-k3-3-paper synth k3.oracle.qasm f3175101795afccd23245ead18498aa4ac03db7a5f3a6d051a788a10799814a6
-k3-3-paper synth k3.oracle.txt 802d44e612e5ca4511d4520ff21924e8451116363dfb2fa1f29013a7378fb053
-k3-3-paper synth k3.synth.json 7aed4db58f58004eb0f4bbeb7b85640f039d8c8aac7f0d7c2001049faeaca379
-k3-3-paper synth stdout 7aed4db58f58004eb0f4bbeb7b85640f039d8c8aac7f0d7c2001049faeaca379
-k3-3-paper synth-cx k3.oracle.qasm 81d2a43548ad0739956d7cf643ad665875b1f89f05e69173e5acab92060b0b8a
-k3-3-paper synth-cx k3.oracle.txt 802d44e612e5ca4511d4520ff21924e8451116363dfb2fa1f29013a7378fb053
-k3-3-paper synth-cx k3.synth.json 20ce4f5f1afc1a17aca2cfbae0c3d9270760367a352f4822ee64f6b0bda77a7a
-k3-3-paper synth-cx stdout 20ce4f5f1afc1a17aca2cfbae0c3d9270760367a352f4822ee64f6b0bda77a7a
-k3-3-paper grover k3.grover.json 6ba0034f744dfcc3459a6daf9657bb025ce4cd5c23a368d6fb1624b5df81b7e4
-k3-3-paper grover k3.grover.qasm 815da4cb4cf6dcc058ea7724adeed412605bcd35bfed97f951e0d7e60e88861c
-k3-3-paper grover stdout 6ba0034f744dfcc3459a6daf9657bb025ce4cd5c23a368d6fb1624b5df81b7e4
-k3-3-paper grover-cx k3.grover.json 3be17325a52e531a7301b21af14a7deee0155636459f62f3a40b27d1b4d10538
-k3-3-paper grover-cx k3.grover.qasm 7363d8a28c8c263c72230d30b4ed668a93edd0e902534150f29da684c5ef7d4e
-k3-3-paper grover-cx stdout 3be17325a52e531a7301b21af14a7deee0155636459f62f3a40b27d1b4d10538
+k3-3-strict run-line13 k3.routed.qasm bb0f0254d7e3c33ad0cd727b89c9dbdcafd72735cdbdd500599a4aa6a5bdb073
+k3-3-strict run-line13 stdout f86b09dcde229ee3968e0ce9b75f65fc93e1290f234bd857912cf8f9e1e35e99
+k3-3-paper synth k3.oracle.qasm 9175ae7341a4ee4fc342b1be55c15faea72e3aaff896d2ebe68c622928e84d90
+k3-3-paper synth k3.oracle.txt f7f9cda01ad92109d7a2a28a6543e0700dbd56cd024a47937445ed9a5207a840
+k3-3-paper synth k3.synth.json adc0deb07fdf68dd78f79f3a9ac4b0d65358268d53ce91448b55270f6fda0100
+k3-3-paper synth stdout adc0deb07fdf68dd78f79f3a9ac4b0d65358268d53ce91448b55270f6fda0100
+k3-3-paper synth-cx k3.oracle.qasm 893deeaa299d896ad6ca62a2c9acb69e4c9d69345cfa61f61cd5cacfa878b9c2
+k3-3-paper synth-cx k3.oracle.txt f7f9cda01ad92109d7a2a28a6543e0700dbd56cd024a47937445ed9a5207a840
+k3-3-paper synth-cx k3.synth.json 89f6723522eb2fefab538b0dd1267e39185f58078c77278e03003a5b18f351f6
+k3-3-paper synth-cx stdout 89f6723522eb2fefab538b0dd1267e39185f58078c77278e03003a5b18f351f6
+k3-3-paper grover k3.grover.json a3ef19463e71ff2525dd44d63e12b3c9a5c3050d8ea0e723327c41f05dff43b6
+k3-3-paper grover k3.grover.qasm 8eede40b95bf3020381405037a9a0fffd23e0d888ec36dc3e524b4ebd0721402
+k3-3-paper grover stdout a3ef19463e71ff2525dd44d63e12b3c9a5c3050d8ea0e723327c41f05dff43b6
+k3-3-paper grover-cx k3.grover.json 8b8eacba1f9d6bb1b493f8e0fbb08c41bb1e5e3987de055d031900262ad0ec2d
+k3-3-paper grover-cx k3.grover.qasm a168424d784d8fdd46a7decfe09da6ea8cd385c07b58010e68be79957f7919df
+k3-3-paper grover-cx stdout 8b8eacba1f9d6bb1b493f8e0fbb08c41bb1e5e3987de055d031900262ad0ec2d
 k3-3-paper run stdout 67c5b9ab6b70fab0f2dbcb79d040a3bc9e9ff14a5d313ab2bb402d60f7a97df0
-p3-2 synth p3.oracle.qasm 9014d5a11e7c7784c48be24b6f9cbdca32c1fdb2005aaadbfb33bca26f66647d
-p3-2 synth p3.oracle.txt cca7d588054bdd1290449ac5b89ccbb5db6cdf31321291579c5c7159a8b9620a
-p3-2 synth p3.synth.json 5a71c8195ec0d098f9b4a98ba20e21f8454b78a3336ba7f25ab81cfe6fb6c1d8
-p3-2 synth stdout 5a71c8195ec0d098f9b4a98ba20e21f8454b78a3336ba7f25ab81cfe6fb6c1d8
-p3-2 synth-cx p3.oracle.qasm 49f483ad29ce033259964db2022c3362e6fcdc00b4ebdf81eb61ddcf14c15306
-p3-2 synth-cx p3.oracle.txt cca7d588054bdd1290449ac5b89ccbb5db6cdf31321291579c5c7159a8b9620a
-p3-2 synth-cx p3.synth.json 00d6a2d8da418dd5d8692982f3560e9ff62c072e69276e3beaddb0b4129a6d64
-p3-2 synth-cx stdout 00d6a2d8da418dd5d8692982f3560e9ff62c072e69276e3beaddb0b4129a6d64
-p3-2 grover p3.grover.json 8a78185a457d729a1735a7783d0657048483ca3aa5ede7565d3ef1b4486d5260
-p3-2 grover p3.grover.qasm 21f7723332f9f84152f3e0dcc86d539743c7e121eb7b99d2d2adce9c412218e7
-p3-2 grover stdout 8a78185a457d729a1735a7783d0657048483ca3aa5ede7565d3ef1b4486d5260
-p3-2 grover-cx p3.grover.json 62a6bf31ba354395fa56df96e809800bf2a1f00ef3e575536c2c7ba26d042f35
-p3-2 grover-cx p3.grover.qasm ddb41f8c0efc07cad4f5ff694468d95193b2e4d891a3b16d1019e2301ae5f863
-p3-2 grover-cx stdout 62a6bf31ba354395fa56df96e809800bf2a1f00ef3e575536c2c7ba26d042f35
-p3-2 route-default p3.routed.qasm 166f4ac90b199d2997da3680671ec724ab6f9eb6ebf1739a4ede15fcae358d15
-p3-2 route-default stdout fd6937dbc3e52cd7245022e4193f9be76647dc16c0f6c8c0f48253ad0529e898
-p3-2 route-cx p3.routed.qasm 97bb87f0494139e587aac2591045fcc9f142eca7421c228d2c80380148643c71
-p3-2 route-cx stdout fd6937dbc3e52cd7245022e4193f9be76647dc16c0f6c8c0f48253ad0529e898
+p3-2 synth p3.oracle.qasm ac0a5e8e5ea8503dd9ec741bb4f7caf53e365dc47643685950101261a729cb30
+p3-2 synth p3.oracle.txt 99f0276bec32ee3bcc88693cf6d14c5a815a0d9bc571b99d5622422c6b283967
+p3-2 synth p3.synth.json 3492b7fcba0e0db6b39f6ba7fdec1bc6e1d7fedd9cf9228c46ea8bd2d950fe83
+p3-2 synth stdout 3492b7fcba0e0db6b39f6ba7fdec1bc6e1d7fedd9cf9228c46ea8bd2d950fe83
+p3-2 synth-cx p3.oracle.qasm 071de7209ed2ca106cc173a7d52d505cb5c9527c9775d4b33a505ddfe40dc530
+p3-2 synth-cx p3.oracle.txt 99f0276bec32ee3bcc88693cf6d14c5a815a0d9bc571b99d5622422c6b283967
+p3-2 synth-cx p3.synth.json 5d28b3d25da26d71de21533a83f66e8b3d343fe490cf8e5a77fb551e5bf047d2
+p3-2 synth-cx stdout 5d28b3d25da26d71de21533a83f66e8b3d343fe490cf8e5a77fb551e5bf047d2
+p3-2 grover p3.grover.json 938b3d7923a9ef280211cc46e29f64e1f46164fbc12134643fa91bd7ead4f40e
+p3-2 grover p3.grover.qasm 01470a075781776ed71ad5eb602c2939fe422d8f342fc2a696de6fe4b4200d97
+p3-2 grover stdout 938b3d7923a9ef280211cc46e29f64e1f46164fbc12134643fa91bd7ead4f40e
+p3-2 grover-cx p3.grover.json 8571b965b56d7fafcad9e4ee65c4e007240329aa1b5ab74d01db39f40f38cacd
+p3-2 grover-cx p3.grover.qasm f463b24988241ec08134422f20c242ecb7add0147bdcad62e13823693cb42e6f
+p3-2 grover-cx stdout 8571b965b56d7fafcad9e4ee65c4e007240329aa1b5ab74d01db39f40f38cacd
+p3-2 route-default p3.routed.qasm 8e217703e6b54b405999de26792f3b3323c1255cb06e81d7b0ed714471c81978
+p3-2 route-default stdout bfcfc9bcfa7d19c593a5cf39a765f430960a0ebb697d99279a4018195fae8fec
+p3-2 route-cx p3.routed.qasm 143fe72d340967cdcc4cb54f790e45b5c1df000a23cef3b01f0ba204b9eca6d8
+p3-2 route-cx stdout bfcfc9bcfa7d19c593a5cf39a765f430960a0ebb697d99279a4018195fae8fec
 p3-2 run stdout 8fc046293d3d6579e82cb799a1a7e218077afa20735dc8099e49790e8b07e661
-p3-2 run-line13 p3.routed.qasm 166f4ac90b199d2997da3680671ec724ab6f9eb6ebf1739a4ede15fcae358d15
-p3-2 run-line13 stdout 3435be45e34e38e34999f2ccb2d22615cbeedff9d1985432399c878788225251
-k3-2 synth k3.oracle.qasm 723322246f448aacce0559cdc2c8e4fff037b2c0265047ed4f07c63582dab580
-k3-2 synth k3.oracle.txt a981535de7b477d1f9882b617f816ed73c2a6146be0fbf476ab9e0c9663d93de
-k3-2 synth k3.synth.json 8e02c8f9910175783767161f43c3b611bcc6f4750158a1f1849c1f1f43dc3af4
-k3-2 synth stdout 8e02c8f9910175783767161f43c3b611bcc6f4750158a1f1849c1f1f43dc3af4
-k3-2 synth-cx k3.oracle.qasm e070648fc329cc8c4d07f0b7dd3beb678f8c174e37739058d9afbf851d5974b0
-k3-2 synth-cx k3.oracle.txt a981535de7b477d1f9882b617f816ed73c2a6146be0fbf476ab9e0c9663d93de
-k3-2 synth-cx k3.synth.json 9a07eabd1f5f0d3be7ffcf0267fae67d1a2223aedefbf5c3079af801b979cecc
-k3-2 synth-cx stdout 9a07eabd1f5f0d3be7ffcf0267fae67d1a2223aedefbf5c3079af801b979cecc
+p3-2 run-line13 p3.routed.qasm 8e217703e6b54b405999de26792f3b3323c1255cb06e81d7b0ed714471c81978
+p3-2 run-line13 stdout 596294a8443862797189f1914e86d19171401faadda7b29ba0cddb59bc543b86
+k3-2 synth k3.oracle.qasm 39959a02d8a6196e42e01ab335b62b0998e3c944d6518a9e690a3f09358b8d70
+k3-2 synth k3.oracle.txt 00a9c904948b380b5fe1b841bc885b6acbcca133428987e2a2eb09867a5bcc12
+k3-2 synth k3.synth.json eadd9d318b2e4cddbf7e0916ec3e64b96cce2c89423a1ff976d913ec69a52f37
+k3-2 synth stdout eadd9d318b2e4cddbf7e0916ec3e64b96cce2c89423a1ff976d913ec69a52f37
+k3-2 synth-cx k3.oracle.qasm b444a22c1bab745c7b893b096f09bed5e609407eb1dae94a64f65328f981e4fb
+k3-2 synth-cx k3.oracle.txt 00a9c904948b380b5fe1b841bc885b6acbcca133428987e2a2eb09867a5bcc12
+k3-2 synth-cx k3.synth.json 331e4ba0dd09790102df8b2c76f401aa831097cfa23ca5f7e05adfa4865ea4cf
+k3-2 synth-cx stdout 331e4ba0dd09790102df8b2c76f401aa831097cfa23ca5f7e05adfa4865ea4cf
 k3-2 grover stdout f3488c3ee8eed62f8e2f28944eb1ec793db9f7e13c5a05b2ef994934e211fe51
 k3-2 grover-cx stdout f3488c3ee8eed62f8e2f28944eb1ec793db9f7e13c5a05b2ef994934e211fe51
 k3-2 route-default stdout f3488c3ee8eed62f8e2f28944eb1ec793db9f7e13c5a05b2ef994934e211fe51
 k3-2 route-cx stdout f3488c3ee8eed62f8e2f28944eb1ec793db9f7e13c5a05b2ef994934e211fe51
 k3-2 run stdout c5a8e95dd0692c244f662bdb0cd368e62d020d8a81ee0379b7a25a7d943b7fb4
 k3-2 run-line13 stdout c5a8e95dd0692c244f662bdb0cd368e62d020d8a81ee0379b7a25a7d943b7fb4
-cost --k 3 stdout 1883f792dffd151279d62a40c3b79a1abb6266b8d04dc9ba4e2b41ebad5862d8
+cost --k 3 stdout d0bcd9250e967ceab938743748821ead2c01d80c58f62233a1fd462b6ca9e063
 """
 
 

@@ -85,8 +85,8 @@ def test_iteration_override_skips_counting():
     circ = assemble(job)
     one_round = len(job.oracle.gates) + len(build_diffusion(6).gates)
     prep = len(circ.gates) - job.iterations * one_round
-    # 7 X seeds (3 slots, 3 flags, output) + 7 H (6 data, output)
-    assert prep == 14
+    # 6 X seeds (3 slots, 3 flags) + 6 H on the data
+    assert prep == 12
 
 
 def test_uncolorable_job_searches_nothing():

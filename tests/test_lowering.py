@@ -213,21 +213,21 @@ def test_ladder_lowers_linearly():
 # and the cx basis, so the lowered output is pinned byte for byte.  A
 # lowering change must re-pin them deliberately.
 LADDER_COUNTS = {
-    "K3": ((738, 312), 344,
-           ("55c4106f66b1fdaa06c85701e41121bbbc9cd7831adfcd2f4cf0d8a921254e0a",
-            "055811d6de66e80d62b3d70234c89eb6bed7ae07673799ce11b32000693bcef0")),
-    "C6": ((1174, 528), None,
-           ("58208234280148b04442dc59eb9846e9c596ac073f998919d97fc022d7a737a5",
-            "1d624ccc71048ee72df3a418f14fb3a11e3417e386ef150f0edd4eb9b8862ee1")),
-    "K4": ((1146, 492), 524,
-           ("30257e37342372e84c9fe23f15b54e52d0cc60d3236359aa7807c430686caf7f",
-            "728f566c56b1eac6d2f751bb1190374e8e683451fc6e0bcb0ec9251101b16de4")),
-    "C5": ((2782, 1168), 1232,
-           ("841ca693aed3075b19039ffe98e62f279471db688fbd546cdf76ac3781d21514",
-            "8e083d8cd0648f005128e6c24157ab5abf1fcc4031100ffdeff7064c05f72fc1")),
-    "C10": ((9712, 4284), 4556,
-            ("95272bc1e02a777c5f4eef2ca459007380d5a18f0cfaf50934259aaf4d494688",
-             "e2594ff6a7bad04b5120a93767385b742bf846e97db8d1372f131d7cf02dbdd8")),
+    "K3": ((684, 288), 320,
+           ("7973f4a36f61a28fd007a8c34e4bfaf51ed9f7ceec5bec172a50fd1ebbc90177",
+            "86f300ac555b7cd5274667db27c3babb729833a929fcca55ae8b9f9e9adbae15")),
+    "C6": ((1068, 480), None,
+           ("9c40771821e082154d38158fa81e2ec11f21eb90b7b425d062ee8a86201b4ef8",
+            "c1fa76dfbbf0bd4212698da90732c5ede5455a77b49a06235f7ea715fad9a095")),
+    "K4": ((1092, 468), 500,
+           ("d707363b13e61bf12c91e5db86ac6c45257fc486ef953460a5e1042a5b1036fa",
+            "39981bc2a52368d351a7627bb97ba0236aba3999f5f6779803062a91b0f590dc")),
+    "C5": ((2676, 1120), 1184,
+           ("e5e9ed50a24eaa84dee792e797113523f12587012fced11f702c520e3641f3ff",
+            "eb51a579349d6fb7057a060215d37bacc8b8bdb2d8240a8ddfdbdcee0622b49f")),
+    "C10": ((9268, 4080), 4352,
+            ("6914e81ad802581d5d25a71a6ce5ecfdaa3f2b5a2aefd56ba7ee2a033b5501b4",
+             "e7cabbaf45d86c558650c5fc09f59f42609803621934c54dd9add4561a4d7f37")),
 }
 
 
@@ -276,6 +276,17 @@ def test_every_wide_mct_leaves_a_qubit_idle():
                             assert len(gate.operands) < circ.num_qubits
                     checked += 1
     assert checked == 600
+
+
+def test_edgeless_paper_detector_lowers_in_a_window():
+    # with no edge the paper kickback is X Z X on the invalid ancilla; its
+    # Z is an MCZ, so the detector is the W of a mirror window and its
+    # Toffolis are Margolus: no CRX, which only the exact Toffoli emits
+    for n in range(1, 5):
+        inst = make_instance(Graph(n, frozenset()), 3)
+        lowered = lower_circuit(build_oracle(inst, "paper"))
+        assert not any(g.kind is GateKind.CRX for g in lowered.gates), n
+        assert len(lowered.gates) == 3 + 14 * n
 
 
 def _gate_by_gate(circ):

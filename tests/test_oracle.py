@@ -2,9 +2,10 @@ import itertools
 
 import pytest
 
-from conftest import all_graphs, complete_graph, path_graph
+from conftest import all_graphs, complete_graph, cycle_graph, path_graph
 from qkcolor import classical
-from qkcolor.circuit import PERMUTATION_KINDS, Circuit, GateKind
+from qkcolor.circuit import (PERMUTATION_KINDS, Circuit, GateKind, gMCZ,
+                             gX, gZ)
 from qkcolor.errors import NoInvalidColors, WidthMismatch
 from qkcolor.graphs import Graph, make_instance
 from qkcolor.oracle import (MODES, build_comparator,
@@ -20,7 +21,7 @@ def test_strict_layout_triangle_k3():
     assert list(layout.edge_ancilla) == [6, 7, 8]
     assert layout.invalid_ancilla is None
     assert list(layout.valid_flags) == [9, 10, 11]
-    assert layout.output == 12
+    assert layout.num_qubits == 12
 
 
 def test_paper_layout_triangle_k3():
@@ -28,9 +29,9 @@ def test_paper_layout_triangle_k3():
     layout = plan.layout
     assert layout.invalid_ancilla == 9
     assert layout.valid_flags is None
-    assert layout.output == 10
+    assert layout.num_qubits == 10
     # 3 comparator slots + 1 invalid-detection ancilla
-    assert layout.num_qubits - layout.num_data - 1 == 4
+    assert layout.num_qubits - layout.num_data == 4
 
 
 def test_power_of_two_k_needs_no_invalid_tracking():
@@ -133,8 +134,8 @@ def test_oracle_is_self_mirrored():
     oracle = build_oracle(inst, "strict")
     gates = oracle.gates
     half = len(gates) // 2
-    assert len(gates) % 2 == 1  # single kickback MCT in the middle
-    assert gates[half].kind is GateKind.MCT
+    assert len(gates) % 2 == 1  # single kickback MCZ in the middle
+    assert gates[half].kind is GateKind.MCZ
     for before, after in zip(gates[:half], reversed(gates[half + 1:])):
         assert after == before.adjoint()
 
@@ -154,25 +155,83 @@ def test_small_graph_oracles_match_brute_force(k):
         assert phase_pattern(oracle, plan.layout) == classical.solutions(inst)
 
 
-def test_every_oracle_is_a_permutation_circuit():
-    # phase_pattern tracks oracles made only of X, CX and MCT as bits, and
-    # cli's oracle listing prints no angles
-    checked = 0
+def _kickback(plan, instance):
+    """The kickback build_oracle must write: an MCZ on the final checks
+    targeting the last that must read 1, else X Z X on the invalid
+    ancilla, its Z a control-free MCZ, else a global -1 as Z X Z X on
+    qubit 0."""
+    layout = plan.layout
+    positive = plan.surviving_slots()
+    negative = []
+    if instance.invalid_colors:
+        if plan.mode == "paper":
+            negative.append(layout.invalid_ancilla)
+        else:
+            positive.extend(layout.valid_flags)
+    if positive:
+        return [gMCZ(positive[:-1] + [(q, False) for q in negative],
+                     positive[-1])]
+    if negative:
+        return [gX(negative[0]), gMCZ([], negative[0]), gX(negative[0])]
+    return [gZ(0), gX(0), gZ(0), gX(0)]
+
+
+def test_every_oracle_is_permutations_around_one_kickback():
+    # phase_pattern tracks oracles of X, CX, MCT, Z, CZ and MCZ as bits,
+    # and cli's oracle listing prints no angles
+    checked = {}
     for n in range(1, 5):
         for graph in all_graphs(n):
             for k in range(2, 6):
                 for mode in MODES:
-                    oracle = build_oracle(make_instance(graph, k), mode)
-                    assert {g.kind for g in oracle.gates} <= PERMUTATION_KINDS
-                    checked += 1
-    assert checked == 600
+                    inst = make_instance(graph, k)
+                    plan = plan_layout(inst, mode)
+                    gates = build_oracle(inst, mode, plan).gates
+                    kickback = _kickback(plan, inst)
+                    half = (len(gates) - len(kickback)) // 2
+                    compute = gates[:half]
+                    assert {g.kind for g in compute} <= PERMUTATION_KINDS
+                    assert gates[half:len(gates) - half] == kickback
+                    assert gates[len(gates) - half:] == \
+                        [g.adjoint() for g in reversed(compute)]
+                    form = len(kickback)
+                    checked[form] = checked.get(form, 0) + 1
+    # the X Z X form: paper mode on the 4 edgeless graphs at k = 3, 5;
+    # the global -1: the edgeless graphs at k = 2, 4 in both modes
+    assert checked == {1: 600 - 8 - 16, 3: 8, 4: 16}
+
+
+def _parent_width(inst, mode):
+    """The register with an output qubit: data, comparator slots, the
+    invalid-color qubits of the mode, and the output."""
+    n, m = inst.graph.n, inst.graph.n * inst.c
+    invalid = (n if mode == "strict" else 1) if inst.invalid_colors else 0
+    return m + min(inst.graph.num_edges, n) + invalid + 1
+
+
+def test_register_is_never_wider_than_with_an_output_qubit():
+    for n in range(1, 5):
+        for graph in all_graphs(n):
+            for k in range(2, 8):
+                for mode in MODES:
+                    inst = make_instance(graph, k)
+                    width = plan_layout(inst, mode).layout.num_qubits
+                    assert width <= _parent_width(inst, mode), (graph, k, mode)
+    for graph, k, mode in ((complete_graph(3), 3, "strict"),
+                           (cycle_graph(6), 2, "strict"),
+                           (cycle_graph(5), 3, "strict"),
+                           (cycle_graph(10), 2, "strict"),
+                           (complete_graph(3), 3, "paper")):
+        inst = make_instance(graph, k)
+        assert plan_layout(inst, mode).layout.num_qubits == \
+            _parent_width(inst, mode) - 1
 
 
 @pytest.mark.parametrize("oracle_mode, layout_mode", [("strict", "paper"),
                                                       ("paper", "strict")])
 def test_phase_pattern_refuses_a_layout_of_another_width(oracle_mode,
                                                          layout_mode):
-    # K3/k=3: 13 qubits strict, 11 paper
+    # K3/k=3: 12 qubits strict, 10 paper
     inst = make_instance(complete_graph(3), 3)
     oracle = build_oracle(inst, oracle_mode)
     layout = plan_layout(inst, layout_mode).layout

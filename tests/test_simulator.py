@@ -342,7 +342,7 @@ def _k2_lowered():
     # X and CX only)
     oracle, layout = _k2_oracle(3)
     lowered = lower_circuit(oracle)
-    assert not all(g.kind in sim.PERMUTATION_KINDS for g in lowered.gates)
+    assert not all(g.kind in sim._TRACKED_KINDS for g in lowered.gates)
     return lowered, layout
 
 
@@ -379,7 +379,7 @@ def test_phase_pattern_rejects_a_leak_past_x0():
     data, ancilla = layout.data[0], layout.edge_ancilla[0]
     for spoiler, message in (
             (gMCT([data], ancilla), "not a \\+/-1 phase on data string x=8"),
-            (gCRX(data, ancilla, 1e-4),
+            (gCRX(data, ancilla, 1e-5),
              "leaves support outside the prepared subspace")):
         spoiled = lowered.copy().append(spoiler)
         with pytest.raises(AncillaLeak, match=message):
@@ -388,7 +388,7 @@ def test_phase_pattern_rejects_a_leak_past_x0():
 
 def test_phase_pattern_refuses_a_batch_past_the_limit(monkeypatch):
     # lowered K4/k=4 strict: 13 qubits and 8 data bits, so 2**21 rows in
-    # all, but the batch never holds more than 23,932 amplitudes at once
+    # all, but the batch never holds more than 7,576 amplitudes at once
     inst = make_instance(complete_graph(4), 4)
     plan = plan_layout(inst, "strict")
     oracle = build_oracle(inst, "strict", plan)
@@ -397,13 +397,17 @@ def test_phase_pattern_refuses_a_batch_past_the_limit(monkeypatch):
     assert 2 ** 21 > sim._HELD_LIMIT
     assert (phase_pattern(lowered, plan.layout, allow_global_phase=True)
             == phase_pattern(oracle, plan.layout, allow_global_phase=True))
-    # the prepared batch (512 amplitudes) fits a 2**14 limit; a gate that
-    # could double the batch past it is refused before it runs
-    monkeypatch.setattr(sim, "_HELD_LIMIT", 2 ** 14)
-    with pytest.raises(TooLarge, match="could pass the 16384-amplitude"):
+    # so it runs under a limit of twice that; the prepared batch (256
+    # amplitudes) fits a 2**13 limit, but a gate that could double the
+    # batch past it is refused before it runs
+    monkeypatch.setattr(sim, "_HELD_LIMIT", 2 * 7576)
+    assert (phase_pattern(lowered, plan.layout, allow_global_phase=True)
+            == phase_pattern(oracle, plan.layout, allow_global_phase=True))
+    monkeypatch.setattr(sim, "_HELD_LIMIT", 2 ** 13)
+    with pytest.raises(TooLarge, match="could pass the 8192-amplitude"):
         phase_pattern(lowered, plan.layout, allow_global_phase=True)
     # and so is a prepared batch past the limit
-    monkeypatch.setattr(sim, "_HELD_LIMIT", 2 ** 9 - 1)
+    monkeypatch.setattr(sim, "_HELD_LIMIT", 2 ** 8 - 1)
     with pytest.raises(TooLarge, match="256 columns"):
         phase_pattern(lowered, plan.layout, allow_global_phase=True)
     # two H gates take one held amplitude to 4: a limit of 4 lets both
@@ -459,9 +463,9 @@ def test_sparse_batch_is_bit_identical_to_run_batch():
                 for mode in ("strict", "paper"):
                     plan = plan_layout(inst, mode)
                     lowered = lower_circuit(build_oracle(inst, mode, plan))
-                    rows0, _, keys, amps = sim._prepared_batch(plan.layout)
+                    prepared, keys, amps = sim._prepared_batch(plan.layout)
                     _assert_sparse_equals_run_batch(lowered, keys, amps,
-                                                    rows0.size)
+                                                    prepared.size)
                     cases += 1
     assert cases == 66
     # random circuits of every kind, mixed-polarity MCT/MCZ and SWAP, run
@@ -607,12 +611,12 @@ def test_paired_batch_is_bit_identical_to_run_batch(monkeypatch):
 @pytest.mark.parametrize("mode", ["strict", "paper"])
 def test_lowered_pattern_check_holds_less_than_a_dense_batch(mode):
     # lowered K3/k=3: a dense batch of 2**q rows per data string would be
-    # 8 MB in strict mode (13 qubits) and 2 MB in paper mode (11 qubits)
+    # 4 MB in strict mode (12 qubits) and 1 MB in paper mode (10 qubits)
     inst = make_instance(complete_graph(3), 3)
     plan = plan_layout(inst, mode)
     lowered = lower_circuit(build_oracle(inst, mode, plan))
     dense_bytes = 16 * 2 ** (lowered.num_qubits + plan.layout.num_data)
-    assert dense_bytes == {"strict": 8, "paper": 2}[mode] * 2 ** 20
+    assert dense_bytes == {"strict": 4, "paper": 1}[mode] * 2 ** 20
     tracemalloc.start()
     try:
         phase_pattern(lowered, plan.layout, allow_global_phase=True)
@@ -628,8 +632,9 @@ def test_tracked_pattern_rejects_leaks(monkeypatch):
     truncated = Circuit(oracle.num_qubits, oracle.measured, oracle.initial_state)
     truncated.extend(oracle.gates[:len(oracle.gates) // 2])
     permuted = oracle.copy().append(gX(layout.data[0]))
-    output_controlled = oracle.copy().append(gCX(layout.output, layout.data[0]))
-    for spoiled in (truncated, permuted, output_controlled):
+    ancilla_spoiled = oracle.copy().append(gCX(layout.data[0],
+                                               layout.edge_ancilla[0]))
+    for spoiled in (truncated, permuted, ancilla_spoiled):
         for allow_global_phase in (False, True):
             with pytest.raises(AncillaLeak):
                 phase_pattern(spoiled, layout, allow_global_phase)
@@ -656,7 +661,7 @@ def test_tracked_pattern_equals_statevector_pattern(monkeypatch):
     assert len(cases) == (2 + 8) * 3 * 2 + 64 * 2 + 22 + 42 * 2
     tracked = [phase_pattern(o, layout, agp)
                for o, layout in cases for agp in (False, True)]
-    monkeypatch.setattr(sim, "PERMUTATION_KINDS", frozenset())
+    monkeypatch.setattr(sim, "_TRACKED_KINDS", frozenset())
     simulated = [phase_pattern(o, layout, agp)
                  for o, layout in cases for agp in (False, True)]
     assert tracked == simulated
@@ -665,8 +670,8 @@ def test_tracked_pattern_equals_statevector_pattern(monkeypatch):
 def test_tracked_pattern_past_the_held_limit(monkeypatch):
     # 26 and 25 qubits: the IR oracles are tracked as bits, and their
     # lowered forms are refused before a gate could hold past the limit
-    for graph, k, width, held in ((complete_graph(5), 5, 26, 575744),
-                                  (cycle_graph(8), 4, 25, 675840)):
+    for graph, k, width, held in ((complete_graph(5), 5, 26, 885760),
+                                  (cycle_graph(8), 4, 25, 663552)):
         inst = make_instance(graph, k)
         plan = plan_layout(inst, "strict")
         oracle = build_oracle(inst, "strict", plan)
@@ -691,7 +696,7 @@ def test_index_rows_hold_the_column_bits():
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_tracked_pattern_on_one_vertex(monkeypatch, k):
-    # 1 or 2 data bits: 4 or 8 tracked columns, at most one byte
+    # 1 or 2 data bits: 2 or 4 tracked columns, less than one byte
     inst = make_instance(Graph(1, frozenset()), k)
     cases = []
     for mode in ("strict", "paper"):
@@ -701,13 +706,13 @@ def test_tracked_pattern_on_one_vertex(monkeypatch, k):
     tracked = [phase_pattern(o, layout, agp)
                for o, layout in cases for agp in (False, True)]
     assert tracked[0] == tracked[2] == classical.solutions(inst)
-    monkeypatch.setattr(sim, "PERMUTATION_KINDS", frozenset())
+    monkeypatch.setattr(sim, "_TRACKED_KINDS", frozenset())
     assert tracked == [phase_pattern(o, layout, agp)
                        for o, layout in cases for agp in (False, True)]
 
 
 def test_tracked_pattern_at_twenty_data_bits():
-    # C10/k=4 strict: 2**21 tracked columns, 4**10 data strings
+    # C10/k=4 strict: 2**20 tracked columns, 4**10 data strings
     inst = make_instance(cycle_graph(10), 4)
     plan = plan_layout(inst, "strict")
     assert plan.layout.num_data == 20
@@ -759,35 +764,34 @@ def _kernel_platform():
 
 
 # sha256 of keys.tobytes() + amps.tobytes(), the held count and the
-# dropped squared norm of three sparse runs, recorded before ``_matrix``
-# returned Python complex numbers.  The key order is pinned too, since
-# ``probabilities`` sums the amplitudes in key order.  The bits follow
-# numpy's complex loops, which fuse multiply-adds where the CPU has FMA3,
-# so they are pinned per numpy version and x86-64 level; numpy 2.4
-# without x86-64-v3 was measured with NPY_DISABLE_CPU_FEATURES="X86_V3
-# X86_V4 AVX512_ICL AVX512_SPR".
+# dropped squared norm of three sparse runs.  The key order is pinned
+# too, since ``probabilities`` sums the amplitudes in key order.
+# The bits follow numpy's complex loops, which fuse multiply-adds where
+# the CPU has FMA3, so they are pinned per numpy version and x86-64
+# level; numpy 2.4 without x86-64-v3 was measured with
+# NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR".
 KERNEL_PINS = {
     ("2.4", True): {
-        "K3/k=3 run": ("f7c9bf72e6a1571af620967956378063"
-                       "729f3c8b11d5b973d8a60b0f8f1dee4c",
-                       128, 7.168913993694709e-31),
-        "C6/k=2 run": ("5dd18606c0005758761f70af8da9b4fa"
-                       "f7a6ff91851976ec8eed5920a16f47f3",
-                       128, 8.822436870350541e-31),
-        "K3/k=3 paper pattern batch": ("5db25a95f9f424df121c21d1732bb54d"
-                                       "d02ddc4dfc611eb7ef054539327cf542",
-                                       2196, 0.0),
+        "K3/k=3 run": ("fe1969d90170aada9c0e43554b54ee70"
+                       "79b77c22280d960ec62cbc68d2bca3df",
+                       64, 1.0623923517620555e-30),
+        "C6/k=2 run": ("e5107abc232a9f24675ff52764f5b217"
+                       "a2fdf6af29c1aa503a7b5f940a19e559",
+                       64, 7.643172317614488e-31),
+        "K3/k=3 paper pattern batch": ("8a8e5a388105beaeb3f2427ed4e182c6"
+                                       "ae2306a94c022899fc5bc1a0d0570890",
+                                       948, 0.0),
     },
     ("2.4", False): {
-        "K3/k=3 run": ("1034d79387e06f1d35ff3bd39ffb81af"
-                       "7ce94e5ce33cfa3359d3e01c2ddb8003",
-                       128, 6.963643580598922e-31),
-        "C6/k=2 run": ("045f79340edbf4467b71ab1c71d362bb"
-                       "46a7a96926353a0c7a8141d483a7263b",
-                       128, 9.116024518310486e-31),
-        "K3/k=3 paper pattern batch": ("ccb8dd80156db8611b1b820e136a04be"
-                                       "2ce4c5574c131835503ecaa1c2d85ee6",
-                                       2216, 0.0),
+        "K3/k=3 run": ("98326dafd94bd9b9726ee7366a579407"
+                       "63b5b782e8725b10a8785a5441cc34db",
+                       64, 1.2041914593100418e-30),
+        "C6/k=2 run": ("f9448a460bd6ba2ac16c1f8a46829720"
+                       "b580dd94141d91c10d98fc6332a27a63",
+                       64, 7.489050058806296e-31),
+        "K3/k=3 paper pattern batch": ("8e7550c7d5efdb183f87a79e573e5249"
+                                       "b5460ac24e934e1971c93fd0b0277d87",
+                                       982, 0.0),
     },
 }
 
@@ -806,7 +810,7 @@ def test_kernel_bits_are_pinned():
         got[f"{label} run"] = summary(state.keys, state.amps, state.dropped)
     inst = make_instance(complete_graph(3), 3)
     plan = plan_layout(inst, "paper")
-    _, _, keys, amps = sim._prepared_batch(plan.layout)
+    _, keys, amps = sim._prepared_batch(plan.layout)
     got["K3/k=3 paper pattern batch"] = summary(*sim._run_sparse(
         lower_circuit(build_oracle(inst, "paper", plan)), keys, amps))
     assert got == KERNEL_PINS[_kernel_platform()]
