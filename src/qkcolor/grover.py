@@ -1,13 +1,19 @@
 """The Grover search: ``make_job`` works out N, M and t, once, and
 ``assemble`` writes the data preparation A, then t rounds of the oracle,
-which marks by phase alone, and the diffusion A^-1 (X, MCZ, X) A."""
+which marks by phase alone, and the diffusion A^-1 (X, MCZ, X) A.
+
+The oracle returns every non-data qubit to its declared state, so the
+diffusion's MCZ on m-1 controls runs as an AND chain on m-3 of them as
+clean ancillas where the layout has that many (m >= 4): 14(m-3)+11
+gates lowered, 6m-12 of them 2-qubit, plus 2 X per ancilla that holds
+1, against 28m-78 and 12m-30 on borrowed qubits."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
 from . import classical
-from .circuit import Circuit, Gate, gH, gMCZ, gX
+from .circuit import Circuit, Gate, gH, gMCT, gMCZ, gX
 from .errors import NoSolutions
 from .graphs import Instance
 from .oracle import OraclePlan, build_oracle, plan_layout
@@ -36,19 +42,46 @@ def _prepare(data) -> list[Gate]:
     return [gH(q) for q in data]
 
 
-def build_diffusion(data_width: int) -> Circuit:
-    """Inversion about the average on ``data_width`` qubits.
+def build_diffusion(data_width: int, clean=()) -> Circuit:
+    """Inversion about the average on the data qubits 0..m-1.
 
-    A^-1, X on every qubit, a (m-1)-controlled Z on the last qubit, then
-    the X layer and A again.  Equals 2|s><s| - I up to global phase.
+    A^-1, X on every data qubit, a Z on qubit m-1 controlled by the
+    other m-1, then the X layer and A again: 2|s><s| - I up to global
+    phase.  ``clean`` lists (qubit, declared bit) pairs outside the data
+    that hold their bit whenever the diffusion runs.  With m >= 4 and at
+    least m-3 of them, the first m-3 are clean ancillas for an AND
+    chain: X on those that hold 1, a0 = c0 AND c1, then
+    ai = c(i+1) AND a(i-1), a Z on m-1 controlled by the last AND and
+    c(m-2), and the chain and X gates mirrored.  That is a mirror window,
+    so it lowers to 14(m-3)+11 gates, 6m-12 of them 2-qubit, plus 2 X per
+    ancilla that holds 1, and returns every ancilla.  Otherwise it is one
+    MCZ on m-1 controls, which the lowering writes on borrowed qubits.
     """
     if data_width < 1:
         raise ValueError("diffusion needs at least one qubit")
     m = data_width
+    clean = list(clean)
+    if any(q < m for q, _ in clean):
+        raise ValueError(f"clean qubits {clean} must lie outside the data "
+                         f"qubits 0..{m - 1}")
+    chain = clean[:m - 3] if m >= 4 and len(clean) >= m - 3 else []
+    width = max([m] + [q + 1 for q, _ in chain])
+    initial = [0] * width
+    for q, bit in chain:
+        initial[q] = bit
+    if chain:
+        anc = [q for q, _ in chain]
+        seeds = [gX(q) for q, bit in chain if bit]
+        ands = [gMCT([0, 1], anc[0])] + [
+            gMCT([i + 1, anc[i - 1]], anc[i]) for i in range(1, m - 3)]
+        mcz = (seeds + ands + [gMCZ([anc[-1], m - 2], m - 1)]
+               + ands[::-1] + seeds[::-1])
+    else:
+        mcz = [gMCZ(range(m - 1), m - 1)]
     prepare = _prepare(range(m))
     flips = [gX(q) for q in range(m)]
-    return Circuit(m).extend(
-        prepare + flips + [gMCZ(range(m - 1), m - 1)] + flips + prepare)
+    return Circuit(width, initial_state=initial).extend(
+        prepare + flips + mcz + flips + prepare)
 
 
 def optimal_iterations(N: int, M: int) -> int:
@@ -100,10 +133,13 @@ def assemble(job: GroverJob) -> Circuit:
     layout = job.plan.layout
     circ = Circuit(layout.num_qubits, measured=layout.data,
                    initial_state=[0] * layout.num_qubits)
-    circ.extend([gX(q) for q, bit in enumerate(layout.initial_state()) if bit])
+    init = layout.initial_state()
+    circ.extend([gX(q) for q, bit in enumerate(init) if bit])
     circ.extend(_prepare(layout.data))
 
-    diffusion = build_diffusion(job.data_width)
+    # between rounds every non-data qubit holds its declared bit
+    diffusion = build_diffusion(job.data_width, [
+        (q, init[q]) for q in range(job.data_width, layout.num_qubits)])
     for _ in range(job.iterations):
         circ.extend(job.oracle.gates)
         circ.extend(diffusion.gates)  # data qubits are indices 0..m-1

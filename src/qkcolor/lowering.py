@@ -23,7 +23,8 @@ relative-phase (Margolus) Toffoli, 3 of them CX, t is never borrowed,
 and the right side is the exact adjoint of the lowered W, so the phases
 cancel across the window.  Any other Toffoli is the 9-gate exact one
 below.  An oracle's compute, MCZ kickback and uncompute is such a
-window, and so is the sweep, top and mirrored sweep of every V-chain: a
+window, so is the diffusion's AND chain around its 2-control Z, and so
+is the sweep, top and mirrored sweep of every V-chain: a
 positive-control MCT with n-2 free qubits is 28n-52 gates, 12n-18 of
 them 2-qubit, with only its two tops exact, and 28n-56 gates, 12n-24 of
 them 2-qubit, on the compute side of a window, where its tops are

@@ -65,8 +65,9 @@ def _check_mode(mode: str) -> None:
 def plan_layout(instance: Instance, mode: str = "strict") -> OraclePlan:
     """Assign qubit ranges and the edge-comparator schedule.  An idle
     qubit is kept where fewer than max(m - 3, 2) sit beside the m data
-    qubits: the diffusion's V-chain borrows m - 3, a one-vertex
-    detector 1."""
+    qubits: the diffusion's AND chain takes m - 3 as clean ancillas,
+    14(m-3)+11 gates lowered, 6m-12 of them 2-qubit, plus 2 X per
+    ancilla that holds 1; a one-vertex detector borrows 1."""
     _check_mode(mode)
     graph = instance.graph
     n, c, e = graph.n, instance.c, graph.num_edges

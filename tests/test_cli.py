@@ -78,8 +78,8 @@ def test_synth_paper_mode(runner, k3_file, tmp_path):
 
 
 def test_synth_reports_a_kept_idle_qubit(runner, tmp_path):
-    # K4/k=4 keeps one idle qubit for the diffusion's V-chain to borrow:
-    # 8 data qubits and 4 slots leave 4 of the m - 3 = 5 it needs
+    # K4/k=4 keeps one idle qubit: beside 8 data qubits, its 4 slots are
+    # 4 of the m - 3 = 5 clean ancillas the diffusion's AND chain needs
     k4 = tmp_path / "k4.adj"
     k4.write_text("".join(" ".join("0" if i == j else "1" for j in range(4))
                           + "\n" for i in range(4)))
@@ -540,19 +540,19 @@ k3-3-strict synth-cx k3.oracle.qasm e606c91f3a04a33ca1a5d86d4e822bf7261a33b8e4f0
 k3-3-strict synth-cx k3.oracle.txt 7abd032e90232657bdc55e0a5d1e3258004672bdaf4dceaea4b547cbc4099cfc
 k3-3-strict synth-cx k3.synth.json d7181490f7a3ebeba808aaf6d3528de06103e68afe75648a16673504f9a78f99
 k3-3-strict synth-cx stdout d7181490f7a3ebeba808aaf6d3528de06103e68afe75648a16673504f9a78f99
-k3-3-strict grover k3.grover.json 6b500f2a0eff31485ecd88cb1497aa6f580160fa3d4c7f5bf3db477a890525ee
-k3-3-strict grover k3.grover.qasm 7973f4a36f61a28fd007a8c34e4bfaf51ed9f7ceec5bec172a50fd1ebbc90177
-k3-3-strict grover stdout 6b500f2a0eff31485ecd88cb1497aa6f580160fa3d4c7f5bf3db477a890525ee
-k3-3-strict grover-cx k3.grover.json 2728dcf55f6dc0ae5726e4d145b0fb6347885bd0412ba39e9fdb9a041312f578
-k3-3-strict grover-cx k3.grover.qasm 86f300ac555b7cd5274667db27c3babb729833a929fcca55ae8b9f9e9adbae15
-k3-3-strict grover-cx stdout 2728dcf55f6dc0ae5726e4d145b0fb6347885bd0412ba39e9fdb9a041312f578
-k3-3-strict route-default k3.routed.qasm bb0f0254d7e3c33ad0cd727b89c9dbdcafd72735cdbdd500599a4aa6a5bdb073
-k3-3-strict route-default stdout af9b3b0c3698b2d8db9b7d82e1f11c55442bd622d2a82e68b979602c2401221a
-k3-3-strict route-cx k3.routed.qasm bce68eb4731227fe1184f9896d7881cfd5b16ade311c0fc1e0555d4a076be94f
-k3-3-strict route-cx stdout af9b3b0c3698b2d8db9b7d82e1f11c55442bd622d2a82e68b979602c2401221a
+k3-3-strict grover k3.grover.json 6b91b48edd1278e8ca8de426593d40ee8c42afa601d859976cb26dbfe9fdf2c2
+k3-3-strict grover k3.grover.qasm ca35edb6fbb73e81decc07dffc232708bb52a5db11982f53eb119486de5ba682
+k3-3-strict grover stdout 6b91b48edd1278e8ca8de426593d40ee8c42afa601d859976cb26dbfe9fdf2c2
+k3-3-strict grover-cx k3.grover.json 327dfa5a57ca54e745957c0fd2bbe7309028bae8b384ae0bfa0de341375820de
+k3-3-strict grover-cx k3.grover.qasm 4776e90f56223e20205173e8993c65c04e9c0ba6903dd02f09e0d0c7a6f765aa
+k3-3-strict grover-cx stdout 327dfa5a57ca54e745957c0fd2bbe7309028bae8b384ae0bfa0de341375820de
+k3-3-strict route-default k3.routed.qasm ed5be065a7b359964e9554f6b7823802493583008889dc57a23279719a502589
+k3-3-strict route-default stdout a29d24210fa357fa5b11f01845c0599ba33ec76dff6fcd1dc80a15c28637c2b9
+k3-3-strict route-cx k3.routed.qasm 2f09ab23695c94bad7788ce24b5f52168ea845b74b98e84c2579bd3bcda79b6c
+k3-3-strict route-cx stdout a29d24210fa357fa5b11f01845c0599ba33ec76dff6fcd1dc80a15c28637c2b9
 k3-3-strict run stdout 42be0b5b17eac86479b30edc25e7be925f887417aed896f4a5e4d3ec955fa671
-k3-3-strict run-line13 k3.routed.qasm bb0f0254d7e3c33ad0cd727b89c9dbdcafd72735cdbdd500599a4aa6a5bdb073
-k3-3-strict run-line13 stdout f86b09dcde229ee3968e0ce9b75f65fc93e1290f234bd857912cf8f9e1e35e99
+k3-3-strict run-line13 k3.routed.qasm ed5be065a7b359964e9554f6b7823802493583008889dc57a23279719a502589
+k3-3-strict run-line13 stdout 9c7a7122351c804b7cb0a39bd984ad6d893ae117c74b393b03ed105234ac7a6d
 k3-3-paper synth k3.oracle.qasm 9175ae7341a4ee4fc342b1be55c15faea72e3aaff896d2ebe68c622928e84d90
 k3-3-paper synth k3.oracle.txt f7f9cda01ad92109d7a2a28a6543e0700dbd56cd024a47937445ed9a5207a840
 k3-3-paper synth k3.synth.json adc0deb07fdf68dd78f79f3a9ac4b0d65358268d53ce91448b55270f6fda0100
@@ -561,12 +561,12 @@ k3-3-paper synth-cx k3.oracle.qasm 893deeaa299d896ad6ca62a2c9acb69e4c9d69345cfa6
 k3-3-paper synth-cx k3.oracle.txt f7f9cda01ad92109d7a2a28a6543e0700dbd56cd024a47937445ed9a5207a840
 k3-3-paper synth-cx k3.synth.json 89f6723522eb2fefab538b0dd1267e39185f58078c77278e03003a5b18f351f6
 k3-3-paper synth-cx stdout 89f6723522eb2fefab538b0dd1267e39185f58078c77278e03003a5b18f351f6
-k3-3-paper grover k3.grover.json a3ef19463e71ff2525dd44d63e12b3c9a5c3050d8ea0e723327c41f05dff43b6
-k3-3-paper grover k3.grover.qasm 8eede40b95bf3020381405037a9a0fffd23e0d888ec36dc3e524b4ebd0721402
-k3-3-paper grover stdout a3ef19463e71ff2525dd44d63e12b3c9a5c3050d8ea0e723327c41f05dff43b6
-k3-3-paper grover-cx k3.grover.json 8b8eacba1f9d6bb1b493f8e0fbb08c41bb1e5e3987de055d031900262ad0ec2d
-k3-3-paper grover-cx k3.grover.qasm a168424d784d8fdd46a7decfe09da6ea8cd385c07b58010e68be79957f7919df
-k3-3-paper grover-cx stdout 8b8eacba1f9d6bb1b493f8e0fbb08c41bb1e5e3987de055d031900262ad0ec2d
+k3-3-paper grover k3.grover.json 6e6fa5d0c01bdc5d350c13fb059bd95d253c3d46434a9d03dea7b315a0e085e1
+k3-3-paper grover k3.grover.qasm 4df3b8d588059f4879d8be65537cee05670f4d59043de30d1f816a7fe6644973
+k3-3-paper grover stdout 6e6fa5d0c01bdc5d350c13fb059bd95d253c3d46434a9d03dea7b315a0e085e1
+k3-3-paper grover-cx k3.grover.json 824a2a8f437e2468addd1ee367075c5edefe9321b5b8bf1bd3e2ea7f61d0d169
+k3-3-paper grover-cx k3.grover.qasm c0befbbe110e07734db776dc7a4c33dfef21481cc5a6e08094e5d5e2cb19d7f4
+k3-3-paper grover-cx stdout 824a2a8f437e2468addd1ee367075c5edefe9321b5b8bf1bd3e2ea7f61d0d169
 k3-3-paper run stdout 67c5b9ab6b70fab0f2dbcb79d040a3bc9e9ff14a5d313ab2bb402d60f7a97df0
 p3-2 synth p3.oracle.qasm ac0a5e8e5ea8503dd9ec741bb4f7caf53e365dc47643685950101261a729cb30
 p3-2 synth p3.oracle.txt 99f0276bec32ee3bcc88693cf6d14c5a815a0d9bc571b99d5622422c6b283967

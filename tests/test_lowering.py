@@ -213,21 +213,21 @@ def test_ladder_lowers_linearly():
 # and the cx basis, so the lowered output is pinned byte for byte.  A
 # lowering change must re-pin them deliberately.
 LADDER_COUNTS = {
-    "K3": ((684, 288), 320,
-           ("7973f4a36f61a28fd007a8c34e4bfaf51ed9f7ceec5bec172a50fd1ebbc90177",
-            "86f300ac555b7cd5274667db27c3babb729833a929fcca55ae8b9f9e9adbae15")),
-    "C6": ((1068, 480), None,
-           ("9c40771821e082154d38158fa81e2ec11f21eb90b7b425d062ee8a86201b4ef8",
-            "c1fa76dfbbf0bd4212698da90732c5ede5455a77b49a06235f7ea715fad9a095")),
-    "K4": ((1092, 468), 500,
-           ("d707363b13e61bf12c91e5db86ac6c45257fc486ef953460a5e1042a5b1036fa",
-            "39981bc2a52368d351a7627bb97ba0236aba3999f5f6779803062a91b0f590dc")),
-    "C5": ((2676, 1120), 1184,
-           ("e5e9ed50a24eaa84dee792e797113523f12587012fced11f702c520e3641f3ff",
-            "eb51a579349d6fb7057a060215d37bacc8b8bdb2d8240a8ddfdbdcee0622b49f")),
-    "C10": ((9268, 4080), 4352,
-            ("6914e81ad802581d5d25a71a6ce5ecfdaa3f2b5a2aefd56ba7ee2a033b5501b4",
-             "e7cabbaf45d86c558650c5fc09f59f42609803621934c54dd9add4561a4d7f37")),
+    "K3": ((622, 252), 276,
+           ("ca35edb6fbb73e81decc07dffc232708bb52a5db11982f53eb119486de5ba682",
+            "4776e90f56223e20205173e8993c65c04e9c0ba6903dd02f09e0d0c7a6f765aa")),
+    "C6": ((944, 408), None,
+           ("ccafbf71bb2c36e949b2e3da57ad3e9504318c7fedee14b238302e3d7fe86209",
+            "157bcf4da7343ad3990aca2f4ec10d23da124af078e3e7ddb082b15fb54ad69e")),
+    "K4": ((978, 408), 432,
+           ("929b735c779155123fc5306f3de5861730c36fb0c34457683fc6578af125b0ed",
+            "22aded82704a1e1cd7f1bc7c304e11d41b131bb1d5d037d585b8504cd16b56d9")),
+    "C5": ((2360, 952), 1000,
+           ("a587ca8a0f0cb6122aa4bce3039c0a08793402d2d3d72aed57e0342feb9bf530",
+            "54351317680391cccde1c0e119ae9e281d74191180399a2baf199a395d305942")),
+    "C10": ((7925, 3366), 3570,
+            ("ac8235b64ab3413dbe1362fe154dd8452d86c6ee5681382de037f7a47f13aed8",
+             "1bdc37a117956597cb452db6b9345837e014561fdbe0a9886c8cddb140bde73a")),
 }
 
 
@@ -421,8 +421,8 @@ def test_lowered_grover_keeps_the_data_distribution(label):
     circ = assemble(make_job(make_instance(graph, k), "strict"))
     data = circ.measured
     lowered, ir = run(lower_circuit(circ)), run(circ)
-    # run drops only round-off residues (lowered C5/k=3 and C10/k=2: 21
-    # qubits, 2,782 and 9,712 gates)
+    # run drops only round-off residues (lowered C5/k=3 and C10/k=2: 20
+    # qubits, 2,360 and 7,925 gates)
     assert lowered.dropped <= 1e-20 and ir.dropped <= 1e-20
     # the whole state, ancillas included, up to the lowering's global phase
     assert phase_aligned_distance(lowered.amplitudes, ir.amplitudes) < 1e-9
