@@ -6,7 +6,7 @@ The oracle returns every non-data qubit to its declared state, so the
 diffusion's MCZ on m-1 controls runs as an AND chain on m-3 of them as
 clean ancillas where the layout has that many (m >= 4): 14(m-3)+11
 gates lowered, 6m-12 of them 2-qubit, plus 2 X per ancilla that holds
-1, against 28m-78 and 12m-30 on borrowed qubits."""
+1, against 28m-82 and 12m-34 on borrowed qubits."""
 from __future__ import annotations
 
 import math
@@ -55,7 +55,8 @@ def build_diffusion(data_width: int, clean=()) -> Circuit:
     c(m-2), and the chain and X gates mirrored.  That is a mirror window,
     so it lowers to 14(m-3)+11 gates, 6m-12 of them 2-qubit, plus 2 X per
     ancilla that holds 1, and returns every ancilla.  Otherwise it is one
-    MCZ on m-1 controls, which the lowering writes on borrowed qubits.
+    MCZ on m-1 controls, which the lowering writes on borrowed qubits:
+    28m-82 gates, 12m-34 of them 2-qubit, where m-3 are free.
     """
     if data_width < 1:
         raise ValueError("diffusion needs at least one qubit")

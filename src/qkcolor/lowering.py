@@ -2,11 +2,11 @@
 2-qubit gates, exactly (up to a global phase), without adding qubits.
 
 A gate with 0 or 1 control becomes X/CX (MCT) or Z/CZ (MCZ).  An MCZ
-with 2 or more controls is the MCT conjugated by H on its target, and
-negative controls are conjugated by X.  A gate with n >= 3 controls is a
-network of Toffolis on the qubits it leaves free, borrowed dirty: they
-may hold any state and are restored (Barenco et al. 1995,
-quant-ph/9503016):
+with 2 or more controls is the MCT conjugated by H on its target, but
+on a V-chain (below), and negative controls are conjugated by X.  A
+gate with n >= 3 controls is a network of Toffolis on the qubits it
+leaves free, borrowed dirty: they may hold any state and are restored
+(Barenco et al. 1995, quant-ph/9503016):
 
 * n-2 or more free qubits: the V-chain of Lemma 7.2, 4(n-2) Toffolis;
 * 1 to n-3 free qubits: the split of Lemma 7.3, which borrows one
@@ -28,7 +28,18 @@ is the sweep, top and mirrored sweep of every V-chain: a
 positive-control MCT with n-2 free qubits is 28n-52 gates, 12n-18 of
 them 2-qubit, with only its two tops exact, and 28n-56 gates, 12n-24 of
 them 2-qubit, on the compute side of a window, where its tops are
-Margolus too.
+Margolus too.  An MCZ with n-2 free qubits has no exact Toffoli and no
+H: its tops are a CCZ times a phase on two qubits the sweep leaves
+alone, and its inverse, so the phases cancel (``_phase_vchain``): 28n-54
+gates, 12n-22 of them 2-qubit.
+
+The lowered W of a window is then folded (``_folded``): a CX pair
+conjugating gates that commute with it, but one CX, is dropped and that
+CX gets a CX after it.  So a comparator's CX ladder onto the Margolus
+control it uses once costs 1 CX instead of 2, and a ladder CX undone
+before anything else needs its target cancels.  Only the W of a window
+is folded, so a circuit with no MCT or MCZ, a routed one say, passes
+unchanged.
 """
 from __future__ import annotations
 
@@ -67,6 +78,16 @@ def _margolus(a: int, b: int, t: int) -> list[Gate]:
             gRY(t, -quarter), gCX(b, t), gRY(t, -quarter)]
 
 
+def _sweep(controls: list[int], dirty: list[int]) -> list[Gate]:
+    """Toffolis that toggle ``dirty[len(controls) - 2]`` by the AND of
+    ``controls``, whatever the dirty qubits hold; a palindrome, so its
+    own inverse."""
+    a = dirty[:len(controls) - 1]
+    down = [gMCT([controls[i + 2], a[i]], a[i + 1])
+            for i in reversed(range(len(controls) - 2))]
+    return down + [gMCT(controls[:2], a[0])] + down[::-1]
+
+
 def _vchain(controls: list[int], target: int,
             dirty: list[int]) -> list[Gate]:
     """Lemma 7.2: C^nX as 4(n-2) Toffolis on n-2 dirty qubits, which
@@ -78,17 +99,43 @@ def _vchain(controls: list[int], target: int,
     top S top S^-1.  S is a palindrome of Toffolis, so S^-1 is S, and
     S top S^-1 is a mirror window: ``_lowered_gates`` makes its sweep
     Toffolis Margolus, so the chain lowers to 28n-52 gates, 12n-18 of
-    them 2-qubit.
+    them 2-qubit.  A C^nZ takes the same sweep with phase tops instead
+    (``_phase_vchain``).
     """
     n = len(controls)
     if n == 2:
         return [gMCT(controls, target)]
-    a = dirty[:n - 2]
-    down = [gMCT([controls[i + 2], a[i]], a[i + 1])
-            for i in reversed(range(n - 3))]
-    sweep = down + [gMCT(controls[:2], a[0])] + down[::-1]
-    top = gMCT([controls[-1], a[-1]], target)
+    sweep = _sweep(controls[:-1], dirty)
+    top = gMCT([controls[-1], dirty[n - 3]], target)
     return [top] + sweep + [top] + sweep
+
+
+def _phase_top(c: int, a: int, t: int) -> list[Gate]:
+    """CCZ(c, a, t) times a phase on (c, t) alone: 8 gates, 4 of them CX.
+
+    Its phase is pi/4 (a - a^c + a^c^t - a^t) = pi act - pi/2 ct; the
+    RZ angles sum to 0, so it carries no global phase.
+    """
+    quarter = math.pi / 4
+    return [gRZ(a, quarter), gCX(c, a), gRZ(a, -quarter), gCX(t, a),
+            gRZ(a, quarter), gCX(c, a), gRZ(a, -quarter), gCX(t, a)]
+
+
+def _phase_vchain(controls: list[int], target: int, dirty: list[int],
+                  width: int) -> list[Gate]:
+    """C^nZ, n >= 3, on n-2 dirty qubits: T S T^-1 S^-1 with S the
+    V-chain's sweep onto a, the last dirty qubit, in Margolus Toffolis,
+    and T ``_phase_top`` on the last control c, a and the target t.
+
+    T^-1 T multiplies (-1)^(ct a) by (-1)^(ct (a ^ AND)), leaving the
+    C^nZ, and cancels T's phase on (c, t), which S does not touch; S's
+    relative phase is diagonal, so it commutes with T^-1 and the exact
+    S^-1 cancels it.  28n-54 gates, 12n-22 of them 2-qubit.
+    """
+    top = _phase_top(controls[-1], dirty[len(controls) - 3], target)
+    sweep = list(_lowered_gates(_sweep(controls[:-1], dirty), width, target))
+    return (top + sweep + [g.adjoint() for g in reversed(top)]
+            + [g.adjoint() for g in reversed(sweep)])
 
 
 def _split(controls: list[int], target: int, spare: int) -> list[Gate]:
@@ -112,7 +159,9 @@ def _lower_multi(gate: Gate, num_qubits: int,
     lowered in turn by ``_lowered_gates``, so given ``avoid`` it is
     lowered only up to a diagonal that does not act on ``avoid``, and
     ``avoid`` is never borrowed.  Where ``avoid`` is the only free
-    qubit, the gate is lowered exactly instead.
+    qubit, the gate is lowered exactly instead.  An MCZ is the MCT in H
+    on its target, but with n-2 free qubits, where it is the exact
+    ``_phase_vchain``.
     """
     n = len(gate.controls)
     mcz = gate.kind is GateKind.MCZ
@@ -138,8 +187,13 @@ def _lower_multi(gate: Gate, num_qubits: int,
         # so routing tends to place these near the gate (6 % fewer swaps
         # than index order on K3/k=3, C6/k=2 and K4/k=4).
         free.sort(key=lambda q: min(abs(q - o) for o in busy))
-        chain = (_vchain(controls, target, free) if len(free) >= n - 2
-                 else _split(controls, target, free[0]))
+        if len(free) < n - 2:
+            chain = _split(controls, target, free[0])
+        elif mcz:
+            return _flipped(gate, _phase_vchain(controls, target, free,
+                                                num_qubits))
+        else:
+            chain = _vchain(controls, target, free)
         body = list(_lowered_gates(chain, num_qubits, avoid))
     if mcz:
         body = [gH(target)] + body + [gH(target)]
@@ -179,7 +233,8 @@ def _lowered_gates(gates: list[Gate], width: int, avoid: int | None = None):
     In a window W K W^-1 the W is lowered with ``avoid`` set to K's
     target, so it is D P with P the exact W and D diagonal (off that
     target under an MCT); W's gates only permute basis states, so their
-    relative-phase lowering is a diagonal times that permutation.  K is
+    relative-phase lowering is a diagonal times that permutation.
+    ``_folded`` then rewrites it into fewer CX with the same unitary.  K is
     lowered as any other gate, and the right side is the exact adjoint
     of the lowered W.  D commutes with K, so the window is
     (D P)^-1 K (D P) = P^-1 K P.
@@ -197,11 +252,66 @@ def _lowered_gates(gates: list[Gate], width: int, avoid: int | None = None):
             i += 1
             continue
         tau = gates[centre].targets[0]
-        compute = [low for g in gates[i:centre] for low in lowered(g, tau)]
+        compute = _folded([low for g in gates[i:centre]
+                           for low in lowered(g, tau)])
         yield from compute
         yield from lowered(gates[centre], avoid)
         yield from (g.adjoint() for g in reversed(compute))
         i = 2 * centre - i + 1
+
+
+def _folded(gates: list[Gate]) -> list[Gate]:
+    """``gates`` with each pair CX(x, y) ... CX(x, y) conjugated away
+    where, between the two, y is touched only by X and by at most one
+    CX(y, t) with t != x, and x only as a CX control or by Z/RZ.
+
+    Every gate between commutes with CX(x, y) but that CX(y, t), which
+    the pair turns into CX(y, t) CX(x, t); with no CX(y, t) the pair
+    cancels.  Pairs are taken left to right on the list as folded so far.
+    """
+    gates = list(gates)
+    i = 0
+    while i < len(gates):
+        if gates[i].kind is GateKind.CX:
+            partner, through = _fold_partner(gates, i)
+            if partner is not None:
+                if through is not None:
+                    gates.insert(through + 1, gCX(gates[i].operands[0],
+                                                  gates[through].targets[0]))
+                    partner += 1
+                del gates[partner], gates[i]
+                continue
+        i += 1
+    return gates
+
+
+def _fold_partner(gates: list[Gate], i: int) -> tuple[int | None, int | None]:
+    """(partner, through) for the CX(x, y) at ``i``: the index of the
+    next CX(x, y), if ``_folded`` may drop the pair, and of the one
+    CX(y, t) between them, if any; (None, None) if it may not."""
+    x, y = gates[i].operands
+    through = None
+    for j in range(i + 1, len(gates)):
+        gate = gates[j]
+        ops = gate.operands
+        if x not in ops and y not in ops:
+            continue
+        kind = gate.kind
+        if kind is GateKind.CX:
+            control, target = ops
+            if control == x:
+                if target == y:
+                    return j, through
+                continue
+            if control == y and target != x and through is None:
+                through = j
+                continue
+        elif ops == (y,) and kind is GateKind.X:
+            continue
+        elif ops == (x,) and kind in (GateKind.Z, GateKind.RZ):
+            continue
+        return None, None
+    return None, None
 
 
 def lower_circuit(circuit: Circuit, basis: str = "default") -> Circuit:
@@ -210,7 +320,8 @@ def lower_circuit(circuit: Circuit, basis: str = "default") -> Circuit:
     An MCT/MCZ with 3 or more controls borrows the qubits it leaves
     free, and raises ``UnloweredGate`` if it leaves none.  The compute
     part W of each mirror window W K W^-1 is lowered with relative-phase
-    Toffolis, whose phases the mirror cancels (see ``_lowered_gates``).
+    Toffolis, whose phases the mirror cancels, and folded (see
+    ``_lowered_gates``); a circuit with no MCT or MCZ has no window.
 
     basis="default" keeps crx, cz and swap; basis="cx" expands them so
     cx is the only 2-qubit gate left.  Both are idempotent, so a routed

@@ -532,78 +532,78 @@ GOLDEN_RUNS = {
     "k3-2": (None, "", []),
 }
 GOLDEN_SHA256 = """
-k3-3-strict synth k3.oracle.qasm 16b1bd19a093ae8eb896daee483d868c0b96b6751ac17a81b6b87a37b322dedf
+k3-3-strict synth k3.oracle.qasm efb812efc6d73c9b02a4f6909d173e3a2a1d680e960c64e33dea981540782d62
 k3-3-strict synth k3.oracle.txt 7abd032e90232657bdc55e0a5d1e3258004672bdaf4dceaea4b547cbc4099cfc
-k3-3-strict synth k3.synth.json bb28067926cf5de2fd50500a5440fde1d44e38d1aca1346db774de194db47bd1
-k3-3-strict synth stdout bb28067926cf5de2fd50500a5440fde1d44e38d1aca1346db774de194db47bd1
-k3-3-strict synth-cx k3.oracle.qasm e606c91f3a04a33ca1a5d86d4e822bf7261a33b8e4f0cb0e04fc245693a61aa2
+k3-3-strict synth k3.synth.json 4c92e3cab36eb73a596636739123226ae79a9915d70ac56a6dacf5ed688d7abe
+k3-3-strict synth stdout 4c92e3cab36eb73a596636739123226ae79a9915d70ac56a6dacf5ed688d7abe
+k3-3-strict synth-cx k3.oracle.qasm efb812efc6d73c9b02a4f6909d173e3a2a1d680e960c64e33dea981540782d62
 k3-3-strict synth-cx k3.oracle.txt 7abd032e90232657bdc55e0a5d1e3258004672bdaf4dceaea4b547cbc4099cfc
-k3-3-strict synth-cx k3.synth.json d7181490f7a3ebeba808aaf6d3528de06103e68afe75648a16673504f9a78f99
-k3-3-strict synth-cx stdout d7181490f7a3ebeba808aaf6d3528de06103e68afe75648a16673504f9a78f99
-k3-3-strict grover k3.grover.json 6b91b48edd1278e8ca8de426593d40ee8c42afa601d859976cb26dbfe9fdf2c2
-k3-3-strict grover k3.grover.qasm ca35edb6fbb73e81decc07dffc232708bb52a5db11982f53eb119486de5ba682
-k3-3-strict grover stdout 6b91b48edd1278e8ca8de426593d40ee8c42afa601d859976cb26dbfe9fdf2c2
-k3-3-strict grover-cx k3.grover.json 327dfa5a57ca54e745957c0fd2bbe7309028bae8b384ae0bfa0de341375820de
-k3-3-strict grover-cx k3.grover.qasm 4776e90f56223e20205173e8993c65c04e9c0ba6903dd02f09e0d0c7a6f765aa
-k3-3-strict grover-cx stdout 327dfa5a57ca54e745957c0fd2bbe7309028bae8b384ae0bfa0de341375820de
-k3-3-strict route-default k3.routed.qasm ed5be065a7b359964e9554f6b7823802493583008889dc57a23279719a502589
-k3-3-strict route-default stdout a29d24210fa357fa5b11f01845c0599ba33ec76dff6fcd1dc80a15c28637c2b9
-k3-3-strict route-cx k3.routed.qasm 2f09ab23695c94bad7788ce24b5f52168ea845b74b98e84c2579bd3bcda79b6c
-k3-3-strict route-cx stdout a29d24210fa357fa5b11f01845c0599ba33ec76dff6fcd1dc80a15c28637c2b9
+k3-3-strict synth-cx k3.synth.json 4c92e3cab36eb73a596636739123226ae79a9915d70ac56a6dacf5ed688d7abe
+k3-3-strict synth-cx stdout 4c92e3cab36eb73a596636739123226ae79a9915d70ac56a6dacf5ed688d7abe
+k3-3-strict grover k3.grover.json b6f49bdffb2480bb6c5ada4dc2171434f35d9e87921b331662e53a48d6aaaa2d
+k3-3-strict grover k3.grover.qasm 34b8e59a4186c6ebb7ea2b0f7644032ab4c3304d3f68b26228bf5b8075dd66e3
+k3-3-strict grover stdout b6f49bdffb2480bb6c5ada4dc2171434f35d9e87921b331662e53a48d6aaaa2d
+k3-3-strict grover-cx k3.grover.json 88e5a1ac91e7f89a797db2d6357a16c06804a74ce0f5320b5433e70f0f7f9859
+k3-3-strict grover-cx k3.grover.qasm ad2f580fdf22e9bd565cef00ae1bf7acb3d6f1b75b97f2ba8e2d15921bb4cd06
+k3-3-strict grover-cx stdout 88e5a1ac91e7f89a797db2d6357a16c06804a74ce0f5320b5433e70f0f7f9859
+k3-3-strict route-default k3.routed.qasm fe84a582ed31d816d55a2ef86ebe90f78b134e2ab1c324694653559d0462503b
+k3-3-strict route-default stdout badb371a22dd91a050803c034a9247b686f8f5213930257af038433dec789ec0
+k3-3-strict route-cx k3.routed.qasm 6d39cb3b744a7b62fe9c1cc5291e54695ca993e35913db210411344966aa1300
+k3-3-strict route-cx stdout badb371a22dd91a050803c034a9247b686f8f5213930257af038433dec789ec0
 k3-3-strict run stdout 42be0b5b17eac86479b30edc25e7be925f887417aed896f4a5e4d3ec955fa671
-k3-3-strict run-line13 k3.routed.qasm ed5be065a7b359964e9554f6b7823802493583008889dc57a23279719a502589
-k3-3-strict run-line13 stdout 9c7a7122351c804b7cb0a39bd984ad6d893ae117c74b393b03ed105234ac7a6d
-k3-3-paper synth k3.oracle.qasm 9175ae7341a4ee4fc342b1be55c15faea72e3aaff896d2ebe68c622928e84d90
+k3-3-strict run-line13 k3.routed.qasm fe84a582ed31d816d55a2ef86ebe90f78b134e2ab1c324694653559d0462503b
+k3-3-strict run-line13 stdout 16e2821206f0d6d5ced85c751a7cc14faad5ad1ccd9f9b118bda0c706d023a4e
+k3-3-paper synth k3.oracle.qasm b6e318633a7f28b3b94e1cd6869bced17b16957e3b59985207ddfc1b5f856cae
 k3-3-paper synth k3.oracle.txt f7f9cda01ad92109d7a2a28a6543e0700dbd56cd024a47937445ed9a5207a840
-k3-3-paper synth k3.synth.json adc0deb07fdf68dd78f79f3a9ac4b0d65358268d53ce91448b55270f6fda0100
-k3-3-paper synth stdout adc0deb07fdf68dd78f79f3a9ac4b0d65358268d53ce91448b55270f6fda0100
-k3-3-paper synth-cx k3.oracle.qasm 893deeaa299d896ad6ca62a2c9acb69e4c9d69345cfa61f61cd5cacfa878b9c2
+k3-3-paper synth k3.synth.json 973bbc81ffbc4681d5c27cf484f73b5a8e9ae07e14f0cdba5c582c54cd160957
+k3-3-paper synth stdout 973bbc81ffbc4681d5c27cf484f73b5a8e9ae07e14f0cdba5c582c54cd160957
+k3-3-paper synth-cx k3.oracle.qasm b6e318633a7f28b3b94e1cd6869bced17b16957e3b59985207ddfc1b5f856cae
 k3-3-paper synth-cx k3.oracle.txt f7f9cda01ad92109d7a2a28a6543e0700dbd56cd024a47937445ed9a5207a840
-k3-3-paper synth-cx k3.synth.json 89f6723522eb2fefab538b0dd1267e39185f58078c77278e03003a5b18f351f6
-k3-3-paper synth-cx stdout 89f6723522eb2fefab538b0dd1267e39185f58078c77278e03003a5b18f351f6
-k3-3-paper grover k3.grover.json 6e6fa5d0c01bdc5d350c13fb059bd95d253c3d46434a9d03dea7b315a0e085e1
-k3-3-paper grover k3.grover.qasm 4df3b8d588059f4879d8be65537cee05670f4d59043de30d1f816a7fe6644973
-k3-3-paper grover stdout 6e6fa5d0c01bdc5d350c13fb059bd95d253c3d46434a9d03dea7b315a0e085e1
-k3-3-paper grover-cx k3.grover.json 824a2a8f437e2468addd1ee367075c5edefe9321b5b8bf1bd3e2ea7f61d0d169
-k3-3-paper grover-cx k3.grover.qasm c0befbbe110e07734db776dc7a4c33dfef21481cc5a6e08094e5d5e2cb19d7f4
-k3-3-paper grover-cx stdout 824a2a8f437e2468addd1ee367075c5edefe9321b5b8bf1bd3e2ea7f61d0d169
+k3-3-paper synth-cx k3.synth.json 973bbc81ffbc4681d5c27cf484f73b5a8e9ae07e14f0cdba5c582c54cd160957
+k3-3-paper synth-cx stdout 973bbc81ffbc4681d5c27cf484f73b5a8e9ae07e14f0cdba5c582c54cd160957
+k3-3-paper grover k3.grover.json a4914ab6a588ba1622e33f1ecb69f4cddfa5598051ac22e39cc8014191f67779
+k3-3-paper grover k3.grover.qasm b92d1cad809337d1500b31f7ceb76e6ff05a44bb550786cb68647e552959acef
+k3-3-paper grover stdout a4914ab6a588ba1622e33f1ecb69f4cddfa5598051ac22e39cc8014191f67779
+k3-3-paper grover-cx k3.grover.json d4cb3e5a90cea250ca8c7afed17a9c99172c455016558a97d0d5300d061231d4
+k3-3-paper grover-cx k3.grover.qasm 5cfb1ca2337b0d41d1af5af0b12b5682168782bca8a3f750be82ee3b75c698a4
+k3-3-paper grover-cx stdout d4cb3e5a90cea250ca8c7afed17a9c99172c455016558a97d0d5300d061231d4
 k3-3-paper run stdout 67c5b9ab6b70fab0f2dbcb79d040a3bc9e9ff14a5d313ab2bb402d60f7a97df0
-p3-2 synth p3.oracle.qasm ac0a5e8e5ea8503dd9ec741bb4f7caf53e365dc47643685950101261a729cb30
+p3-2 synth p3.oracle.qasm fb1a75a0adee2c50101b206d1dac75c837edfb6543ed02b07f88872f01ed4d5c
 p3-2 synth p3.oracle.txt 99f0276bec32ee3bcc88693cf6d14c5a815a0d9bc571b99d5622422c6b283967
-p3-2 synth p3.synth.json 3492b7fcba0e0db6b39f6ba7fdec1bc6e1d7fedd9cf9228c46ea8bd2d950fe83
-p3-2 synth stdout 3492b7fcba0e0db6b39f6ba7fdec1bc6e1d7fedd9cf9228c46ea8bd2d950fe83
-p3-2 synth-cx p3.oracle.qasm 071de7209ed2ca106cc173a7d52d505cb5c9527c9775d4b33a505ddfe40dc530
+p3-2 synth p3.synth.json fe13d665b0db06b1b5577b397eb99beec26ceb828f003ab149ef3884e32f7aab
+p3-2 synth stdout fe13d665b0db06b1b5577b397eb99beec26ceb828f003ab149ef3884e32f7aab
+p3-2 synth-cx p3.oracle.qasm 7f6d21ad86b57eba16775d986538ecb71f40c6b606564199401bf43acb0f05d0
 p3-2 synth-cx p3.oracle.txt 99f0276bec32ee3bcc88693cf6d14c5a815a0d9bc571b99d5622422c6b283967
-p3-2 synth-cx p3.synth.json 5d28b3d25da26d71de21533a83f66e8b3d343fe490cf8e5a77fb551e5bf047d2
-p3-2 synth-cx stdout 5d28b3d25da26d71de21533a83f66e8b3d343fe490cf8e5a77fb551e5bf047d2
-p3-2 grover p3.grover.json 938b3d7923a9ef280211cc46e29f64e1f46164fbc12134643fa91bd7ead4f40e
-p3-2 grover p3.grover.qasm 01470a075781776ed71ad5eb602c2939fe422d8f342fc2a696de6fe4b4200d97
-p3-2 grover stdout 938b3d7923a9ef280211cc46e29f64e1f46164fbc12134643fa91bd7ead4f40e
-p3-2 grover-cx p3.grover.json 8571b965b56d7fafcad9e4ee65c4e007240329aa1b5ab74d01db39f40f38cacd
-p3-2 grover-cx p3.grover.qasm f463b24988241ec08134422f20c242ecb7add0147bdcad62e13823693cb42e6f
-p3-2 grover-cx stdout 8571b965b56d7fafcad9e4ee65c4e007240329aa1b5ab74d01db39f40f38cacd
-p3-2 route-default p3.routed.qasm 8e217703e6b54b405999de26792f3b3323c1255cb06e81d7b0ed714471c81978
-p3-2 route-default stdout bfcfc9bcfa7d19c593a5cf39a765f430960a0ebb697d99279a4018195fae8fec
-p3-2 route-cx p3.routed.qasm 143fe72d340967cdcc4cb54f790e45b5c1df000a23cef3b01f0ba204b9eca6d8
-p3-2 route-cx stdout bfcfc9bcfa7d19c593a5cf39a765f430960a0ebb697d99279a4018195fae8fec
+p3-2 synth-cx p3.synth.json 41cd597a5cf8974fe96ff8c255c129ba4f815def3b0019deddde800dfbeda419
+p3-2 synth-cx stdout 41cd597a5cf8974fe96ff8c255c129ba4f815def3b0019deddde800dfbeda419
+p3-2 grover p3.grover.json 7dd77effe4db5ede9e5e75da21d84d92a56c52ec757fc19233fc7f6790e13cc0
+p3-2 grover p3.grover.qasm 9ba4de4ff7e06b11284d2165c9f9d1ecc98fe5f0b19bb2b7e75250d44f1028b5
+p3-2 grover stdout 7dd77effe4db5ede9e5e75da21d84d92a56c52ec757fc19233fc7f6790e13cc0
+p3-2 grover-cx p3.grover.json 60e386f4adcadafe9bcd29f0009fc39544afad7e3e8d612d0293fa7fa061a2d4
+p3-2 grover-cx p3.grover.qasm a2a8c8f7d5ff86460dbf230b04574301d967654ec1f3a57c76e6bb9ed810d769
+p3-2 grover-cx stdout 60e386f4adcadafe9bcd29f0009fc39544afad7e3e8d612d0293fa7fa061a2d4
+p3-2 route-default p3.routed.qasm eed3a4c5937ea8ef227baf0ad3f8fc973805be680cf02c793d729ec7181d46b8
+p3-2 route-default stdout 212ec24bc06e18cf04aca893fc0ae21662cda8ff3e40a76d81f15b5053832ee5
+p3-2 route-cx p3.routed.qasm 41bbc7ca36f165d68ea3a8da9620dcedcd33433ac2797b9c2ea9af2c68710259
+p3-2 route-cx stdout 212ec24bc06e18cf04aca893fc0ae21662cda8ff3e40a76d81f15b5053832ee5
 p3-2 run stdout 8fc046293d3d6579e82cb799a1a7e218077afa20735dc8099e49790e8b07e661
-p3-2 run-line13 p3.routed.qasm 8e217703e6b54b405999de26792f3b3323c1255cb06e81d7b0ed714471c81978
-p3-2 run-line13 stdout 596294a8443862797189f1914e86d19171401faadda7b29ba0cddb59bc543b86
-k3-2 synth k3.oracle.qasm 39959a02d8a6196e42e01ab335b62b0998e3c944d6518a9e690a3f09358b8d70
+p3-2 run-line13 p3.routed.qasm eed3a4c5937ea8ef227baf0ad3f8fc973805be680cf02c793d729ec7181d46b8
+p3-2 run-line13 stdout 42fd085007525cfab12fcce0f73ef4bc7b1453b6a892e7eeada89e9f29bd99b9
+k3-2 synth k3.oracle.qasm f06f9b3035e7732c2f40301d53d14872343e07da35f94fa447b674bf1cfe63ad
 k3-2 synth k3.oracle.txt 00a9c904948b380b5fe1b841bc885b6acbcca133428987e2a2eb09867a5bcc12
-k3-2 synth k3.synth.json eadd9d318b2e4cddbf7e0916ec3e64b96cce2c89423a1ff976d913ec69a52f37
-k3-2 synth stdout eadd9d318b2e4cddbf7e0916ec3e64b96cce2c89423a1ff976d913ec69a52f37
-k3-2 synth-cx k3.oracle.qasm b444a22c1bab745c7b893b096f09bed5e609407eb1dae94a64f65328f981e4fb
+k3-2 synth k3.synth.json 8a772f9aa491239b71c90da1b7ead0f2c82dd62cee04038232cd74389c42f443
+k3-2 synth stdout 8a772f9aa491239b71c90da1b7ead0f2c82dd62cee04038232cd74389c42f443
+k3-2 synth-cx k3.oracle.qasm d3970d15ce40cb315ca26ef90ea0f388e4fe770b98ffd731099031bedab57bfe
 k3-2 synth-cx k3.oracle.txt 00a9c904948b380b5fe1b841bc885b6acbcca133428987e2a2eb09867a5bcc12
-k3-2 synth-cx k3.synth.json 331e4ba0dd09790102df8b2c76f401aa831097cfa23ca5f7e05adfa4865ea4cf
-k3-2 synth-cx stdout 331e4ba0dd09790102df8b2c76f401aa831097cfa23ca5f7e05adfa4865ea4cf
+k3-2 synth-cx k3.synth.json 78080cbd4c3bdac81af3699af624bf534795c19e81cbff9a02dc619a7549d88b
+k3-2 synth-cx stdout 78080cbd4c3bdac81af3699af624bf534795c19e81cbff9a02dc619a7549d88b
 k3-2 grover stdout f3488c3ee8eed62f8e2f28944eb1ec793db9f7e13c5a05b2ef994934e211fe51
 k3-2 grover-cx stdout f3488c3ee8eed62f8e2f28944eb1ec793db9f7e13c5a05b2ef994934e211fe51
 k3-2 route-default stdout f3488c3ee8eed62f8e2f28944eb1ec793db9f7e13c5a05b2ef994934e211fe51
 k3-2 route-cx stdout f3488c3ee8eed62f8e2f28944eb1ec793db9f7e13c5a05b2ef994934e211fe51
 k3-2 run stdout c5a8e95dd0692c244f662bdb0cd368e62d020d8a81ee0379b7a25a7d943b7fb4
 k3-2 run-line13 stdout c5a8e95dd0692c244f662bdb0cd368e62d020d8a81ee0379b7a25a7d943b7fb4
-cost --k 3 stdout d0bcd9250e967ceab938743748821ead2c01d80c58f62233a1fd462b6ca9e063
+cost --k 3 stdout 186dd488c654d550ae4d5a545bd2f1d4ccb0e7cdc796bda6af12ab63581802a2
 """
 
 

@@ -1,21 +1,25 @@
+import cmath
 import hashlib
 import itertools
+import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import (all_graphs, complete_graph, cycle_graph, path_graph,
                       phase_aligned_distance, random_circuit, ref_gate_matrix,
                       ref_unitary, unitary_of)
+from qkcolor import lowering
 from qkcolor.circuit import (LOWERED_KINDS, MULTI_KINDS, Circuit, Control,
-                             Gate, GateKind, gCX, gMCT, gX)
+                             Gate, GateKind, gCX, gMCT, gMCZ, gX)
 from qkcolor.errors import UnloweredGate
 from qkcolor.graphs import Graph, make_instance
 from qkcolor.grover import assemble, make_job
-from qkcolor.lowering import lower_circuit
-from qkcolor.oracle import build_oracle, plan_layout
+from qkcolor.lowering import _phase_top, lower_circuit
+from qkcolor.oracle import build_comparator, build_oracle, plan_layout
 from qkcolor.qasm import emit_qasm
-from qkcolor.routing import line_coupling, sabre_route
+from qkcolor.routing import line_coupling, sabre_route, verify_constraints
 from qkcolor.simulator import _HELD_LIMIT, phase_pattern, probabilities, run
 
 # The lowered alphabet, written out once: what lower_circuit emits, and
@@ -47,11 +51,12 @@ def test_decompose_multi_controlled(q, kind):
 @pytest.mark.parametrize("polarities", list(itertools.product([True, False],
                                                               repeat=3)))
 def test_decompose_negative_controls(polarities):
-    circ = _multi(GateKind.MCT,
-                  [Control(i, p) for i, p in enumerate(polarities)], 3, 5)
-    got = unitary_of(lower_circuit(circ))
-    want = ref_gate_matrix(circ.gates[0], 5)
-    assert phase_aligned_distance(got, want) < 1e-9
+    for kind in (GateKind.MCT, GateKind.MCZ):
+        circ = _multi(kind, [Control(i, p) for i, p in enumerate(polarities)],
+                      3, 5)
+        got = unitary_of(lower_circuit(circ))
+        want = ref_gate_matrix(circ.gates[0], 5)
+        assert phase_aligned_distance(got, want) < 1e-9
 
 
 @pytest.mark.parametrize("kind", [GateKind.MCT, GateKind.MCZ])
@@ -79,9 +84,21 @@ def test_lower_circuit_random_equivalence():
 def test_lowering_is_idempotent():
     rng = random.Random(31)
     circ = random_circuit(4, 15, rng, max_controls=2)
-    once = lower_circuit(circ)
-    twice = lower_circuit(once)
-    assert twice.gates == once.gates
+    for basis in ("default", "cx"):
+        once = lower_circuit(circ, basis)
+        assert lower_circuit(once, basis).gates == once.gates
+
+
+def test_routed_circuits_pass_unchanged():
+    # With no MCT or MCZ there is no mirror window, so nothing is folded:
+    # a fold on a routed circuit could put a CX on an uncoupled pair.
+    ladder = Circuit(3).extend([gCX(0, 1), gX(1), gCX(1, 2), gCX(0, 1)])
+    assert lower_circuit(ladder).gates == ladder.gates
+    circ = assemble(make_job(make_instance(complete_graph(3), 3), "strict"))
+    coupling = line_coupling(13)
+    routed = sabre_route(lower_circuit(circ), coupling, seed=0).routed
+    assert lower_circuit(routed).gates == routed.gates
+    assert verify_constraints(lower_circuit(routed, "cx"), coupling)
 
 
 def test_lowering_preserves_register_metadata():
@@ -154,23 +171,29 @@ def _counts(circ):
     return stats.gate_count, stats.two_qubit_count
 
 
-def _expected_counts(n, free):
-    """Gates and 2-qubit gates of a positive-control C^nX with ``free``
-    idle qubits, 1 <= free.  A V-chain on m >= 3 controls has 2 exact
-    Toffolis (9 gates, 6 of them 2-qubit) and 4(m-2)-2 Margolus sweep
-    Toffolis (7 gates, 3 of them 2-qubit); on 2 controls it is one exact
-    Toffoli.  The split is two V-chains, on the first half of the
-    controls and on the rest plus the borrowed qubit, twice.  Both counts
-    are below what the ancilla-free recursion this lowering replaced
-    gave, the fallback of the test name."""
+def _expected_counts(n, free, kind):
+    """Gates and 2-qubit gates of a positive-control C^nX or C^nZ with
+    ``free`` idle qubits, 1 <= free.  A V-chain on m >= 3 controls has 2
+    exact Toffolis (9 gates, 6 of them 2-qubit) and 4(m-2)-2 Margolus
+    sweep Toffolis (7 gates, 3 of them 2-qubit); on 2 controls it is one
+    exact Toffoli.  The split is two V-chains, on the first half of the
+    controls and on the rest plus the borrowed qubit, twice.  A C^nZ is
+    the C^nX and 2 H on its target, but on the V-chain, where its tops
+    are two 8-gate phase tops, 4 of them CX: 28n-54 gates, 12n-22 of
+    them 2-qubit.  All counts are below what the ancilla-free recursion
+    this lowering replaced gave, the fallback of the test name."""
     def vchain(m):
         exact, margolus = (1, 0) if m == 2 else (2, 4 * (m - 2) - 2)
         return 9 * exact + 7 * margolus, 6 * exact + 3 * margolus
     if free >= n - 2:
+        if kind is GateKind.MCZ:
+            return 28 * n - 54, 12 * n - 22
         return vchain(n)
     half = (n + 1) // 2
     chains = (vchain(half), vchain(n - half + 1))
-    return 2 * sum(c[0] for c in chains), 2 * sum(c[1] for c in chains)
+    # a split MCZ adds the two H on its target
+    return (2 * sum(c[0] for c in chains) + 2 * (kind is GateKind.MCZ),
+            2 * sum(c[1] for c in chains))
 
 
 @pytest.mark.parametrize("n", range(3, 10))
@@ -183,15 +206,108 @@ def test_borrowed_count_never_exceeds_fallback(n, kind):
     for free in range(1, n):
         width = n + 1 + free
         got = _counts(lower_circuit(_multi(kind, controls, n, width)))
-        gates, two = _expected_counts(n, free)
-        # MCZ adds the two H on its target
-        assert got == (gates + 2 * (kind is GateKind.MCZ), two)
+        assert got == _expected_counts(n, free, kind)
         # the count depends on the sizes only, not on the qubit labels
         perm = list(range(width))
         rng.shuffle(perm)
         shuffled = _multi(kind, [Control(perm[c.qubit]) for c in controls],
                           perm[n], width)
         assert _counts(lower_circuit(shuffled)) == got
+
+
+def test_phase_top_is_ccz_times_a_phase_on_c_and_t():
+    # exactly exp(i(pi act - pi/2 ct)): CCZ(c, a, t) and a phase on c and t
+    # alone, which T^-1 cancels; no global phase, its RZ angles sum to 0
+    c, a, t = 2, 0, 1
+    got = unitary_of(Circuit(3).extend(_phase_top(c, a, t)))
+
+    def bit(i, q):
+        return (i >> (2 - q)) & 1
+
+    want = np.diag([cmath.exp(1j * math.pi * bit(i, c) * bit(i, t)
+                              * (bit(i, a) - 0.5)) for i in range(8)])
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_borrowed_mcz_is_exact(n):
+    # n-2 free qubits, so T S T^-1 S^-1 with no H on the target; random
+    # polarities and labels.  An MCZ is diagonal, so the lowered unitary
+    # must be the diagonal of signs up to one global phase.  (The dense
+    # unitary on 11 qubits, n = 6, takes about 5 s.)
+    rng = random.Random(f"mcz:{n}")
+    width = 2 * n - 1
+    qubits = rng.sample(range(width), n + 1)
+    controls = [Control(q, rng.random() < 0.5) for q in qubits[:-1]]
+    lowered = lower_circuit(_multi(GateKind.MCZ, controls, qubits[-1], width))
+    assert not any(g.kind is GateKind.H for g in lowered.gates)
+    got = unitary_of(lowered)
+    diagonal = np.diag(got).copy()
+    assert np.max(np.abs(got - np.diag(diagonal))) < 1e-9
+    index = np.arange(2 ** width)
+    marked = np.ones(2 ** width, dtype=bool)
+    for q, positive in [(c.qubit, c.positive) for c in controls] + [
+            (qubits[-1], True)]:
+        marked &= ((index >> (width - 1 - q)) & 1) == positive
+    want = np.where(marked, -1.0, 1.0) * diagonal[0]
+    assert np.max(np.abs(diagonal - want)) < 1e-9
+
+
+def _fold_window(rng, width, kind):
+    """W K W^-1 with W of comparator-like runs: a CX ladder onto the
+    controls of a 2-control MCT, the MCT, and the ladder again, with X
+    and CX gates strewn in; off K's target under an MCT."""
+    tau = rng.randrange(width)
+    others = [q for q in range(width) if kind is GateKind.MCZ or q != tau]
+    w = []
+    for _ in range(rng.randint(1, 3)):
+        qubits = rng.sample(others, 3)
+        sources = [q for q in others if q not in qubits]
+        ladder = [gCX(rng.choice(sources), q) for q in qubits[:2]
+                  if rng.random() < 0.8]
+        w += ladder + [gMCT([(q, rng.random() < 0.5) for q in qubits[:2]],
+                            qubits[2])] + ladder[::-1]
+        for _ in range(rng.randint(0, 2)):
+            at = rng.randrange(len(w) + 1)
+            w.insert(at, gX(rng.choice(others)) if rng.random() < 0.5
+                     else gCX(*rng.sample(others, 2)))
+    controls = rng.sample([q for q in range(width) if q != tau],
+                          rng.randint(0, width - 2))
+    k = Gate(kind, controls=tuple(Control(q, rng.random() < 0.7)
+                                  for q in controls), targets=(tau,))
+    return _window(w, k, width)
+
+
+@pytest.mark.parametrize("width", [5, 6, 7])
+@pytest.mark.parametrize("kind", [GateKind.MCT, GateKind.MCZ])
+def test_folded_windows_are_exact(width, kind, monkeypatch):
+    rng = random.Random(f"fold:{width}:{kind.value}")
+    circuits = [_fold_window(rng, width, kind) for _ in range(6)]
+    folded = [lower_circuit(circ) for circ in circuits]
+    for circ, lowered in zip(circuits, folded):
+        assert all(g.kind in LOWERED_ALPHABET for g in lowered.gates)
+        assert phase_aligned_distance(unitary_of(lowered),
+                                      ref_unitary(circ)) < 1e-9
+    # the same windows with the fold turned off have more 2-qubit gates
+    monkeypatch.setattr(lowering, "_folded", list)
+    unfolded = [lower_circuit(circ) for circ in circuits]
+    fewer = [_counts(b)[1] - _counts(a)[1] for a, b in zip(folded, unfolded)]
+    assert min(fewer) >= 0 and sum(fewer) > 0
+
+
+@pytest.mark.parametrize("c,cx", [(1, 2), (2, 6)])
+def test_comparator_folds_in_a_window(c, cx):
+    # c = 1: X CX(b, f) CX(a, f) X, not CX(a, b) X CX(b, f) X CX(a, b);
+    # c = 2: the ladder CX onto the Margolus control used once folds
+    f = 2 * c
+    comparator = build_comparator(range(c), range(c, 2 * c), f)
+    circ = _window(comparator, gMCZ([], f), 2 * c + 1)
+    lowered = lower_circuit(circ).gates
+    centre = lowered.index(Gate(GateKind.Z, targets=(f,)))
+    assert [sum(g.kind is GateKind.CX for g in side)
+            for side in (lowered[:centre], lowered[centre + 1:])] == [cx, cx]
+    got = unitary_of(Circuit(2 * c + 1).extend(lowered))
+    assert phase_aligned_distance(got, ref_unitary(circ)) < 1e-9
 
 
 LADDER = [("K3", complete_graph(3), 3), ("C6", cycle_graph(6), 2),
@@ -213,21 +329,21 @@ def test_ladder_lowers_linearly():
 # and the cx basis, so the lowered output is pinned byte for byte.  A
 # lowering change must re-pin them deliberately.
 LADDER_COUNTS = {
-    "K3": ((622, 252), 276,
-           ("ca35edb6fbb73e81decc07dffc232708bb52a5db11982f53eb119486de5ba682",
-            "4776e90f56223e20205173e8993c65c04e9c0ba6903dd02f09e0d0c7a6f765aa")),
-    "C6": ((944, 408), None,
-           ("ccafbf71bb2c36e949b2e3da57ad3e9504318c7fedee14b238302e3d7fe86209",
-            "157bcf4da7343ad3990aca2f4ec10d23da124af078e3e7ddb082b15fb54ad69e")),
-    "K4": ((978, 408), 432,
-           ("929b735c779155123fc5306f3de5861730c36fb0c34457683fc6578af125b0ed",
-            "22aded82704a1e1cd7f1bc7c304e11d41b131bb1d5d037d585b8504cd16b56d9")),
-    "C5": ((2360, 952), 1000,
-           ("a587ca8a0f0cb6122aa4bce3039c0a08793402d2d3d72aed57e0342feb9bf530",
-            "54351317680391cccde1c0e119ae9e281d74191180399a2baf199a395d305942")),
-    "C10": ((7925, 3366), 3570,
-            ("ac8235b64ab3413dbe1362fe154dd8452d86c6ee5681382de037f7a47f13aed8",
-             "1bdc37a117956597cb452db6b9345837e014561fdbe0a9886c8cddb140bde73a")),
+    "K3": ((602, 232), 240,
+           ("34b8e59a4186c6ebb7ea2b0f7644032ab4c3304d3f68b26228bf5b8075dd66e3",
+            "ad2f580fdf22e9bd565cef00ae1bf7acb3d6f1b75b97f2ba8e2d15921bb4cd06")),
+    "C6": ((880, 344), None,
+           ("a8fcec2eb1a3c09e1c1b19e46a1500e395090886e70eb9bb6f43042ead0759f2",
+            "7823c00ab1b2dc956308ea04ef641aef05a81c4ea655a47063b61334896a8c7e")),
+    "K4": ((918, 348), 356,
+           ("96b83771e024acb041a5955dc8ad5e90f901a4a258079ab474804e3efdcaa306",
+            "b7568a479ba107134f250e7a7d72848d9cf59cf7c7af7406a91793eeb74526fc")),
+    "C5": ((2304, 896), 912,
+           ("72b34d2963049297ad4b49cb90891edccf8b7c31eb4b8df4a31cef1a0824702c",
+            "3f6f0f9f16e909b6a61c6ef49f720e0a35d1a6f01ccd6f9cf5b19df3562cc705")),
+    "C10": ((7517, 2958), 3026,
+            ("f574dce21ca93b176c11c09fe78db24aacbbc25b4d8ddfef0b3d8a373e6ad0fc",
+             "f667b42338bdae5a6ca5afc0d86370fb57d362a641b883fbd3971bdebb329c8e")),
 }
 
 
@@ -422,7 +538,7 @@ def test_lowered_grover_keeps_the_data_distribution(label):
     data = circ.measured
     lowered, ir = run(lower_circuit(circ)), run(circ)
     # run drops only round-off residues (lowered C5/k=3 and C10/k=2: 20
-    # qubits, 2,360 and 7,925 gates)
+    # qubits, 2,304 and 7,517 gates)
     assert lowered.dropped <= 1e-20 and ir.dropped <= 1e-20
     # the whole state, ancillas included, up to the lowering's global phase
     assert phase_aligned_distance(lowered.amplitudes, ir.amplitudes) < 1e-9

@@ -388,7 +388,7 @@ def test_phase_pattern_rejects_a_leak_past_x0():
 
 def test_phase_pattern_refuses_a_batch_past_the_limit(monkeypatch):
     # lowered K4/k=4 strict: 13 qubits and 8 data bits, so 2**21 rows in
-    # all, but the batch never holds more than 7,576 amplitudes at once
+    # all, but the batch never holds more than 7,588 amplitudes at once
     inst = make_instance(complete_graph(4), 4)
     plan = plan_layout(inst, "strict")
     oracle = build_oracle(inst, "strict", plan)
@@ -400,7 +400,7 @@ def test_phase_pattern_refuses_a_batch_past_the_limit(monkeypatch):
     # so it runs under a limit of twice that; the prepared batch (256
     # amplitudes) fits a 2**13 limit, but a gate that could double the
     # batch past it is refused before it runs
-    monkeypatch.setattr(sim, "_HELD_LIMIT", 2 * 7576)
+    monkeypatch.setattr(sim, "_HELD_LIMIT", 2 * 7588)
     assert (phase_pattern(lowered, plan.layout, allow_global_phase=True)
             == phase_pattern(oracle, plan.layout, allow_global_phase=True))
     monkeypatch.setattr(sim, "_HELD_LIMIT", 2 ** 13)
@@ -771,26 +771,26 @@ def _kernel_platform():
 # NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR".
 KERNEL_PINS = {
     ("2.4", True): {
-        "K3/k=3 run": ("1ad944549eefdfa5bd8f81672d6f9136"
-                       "96437b44a1a5d71dc5267013a378655a",
-                       64, 9.096723841465464e-31),
-        "C6/k=2 run": ("f4935607ac217ad50879d6b93fabc63c"
-                       "d78f3948d879fa37d63b3d60bcc781a4",
-                       64, 5.7382962215027525e-31),
-        "K3/k=3 paper pattern batch": ("8a8e5a388105beaeb3f2427ed4e182c6"
-                                       "ae2306a94c022899fc5bc1a0d0570890",
-                                       948, 0.0),
+        "K3/k=3 run": ("53026832b9e36ebd556a0e8ac230d3a2"
+                       "5b658e45073432c5f9ce9dc7c048ee10",
+                       64, 3.434055740229792e-31),
+        "C6/k=2 run": ("5eed50ae95023ae360ed92aeb7f9bd11"
+                       "5a1f423aa99729eae707819e44f496bf",
+                       64, 4.754124159914955e-31),
+        "K3/k=3 paper pattern batch": ("f21fdce31c08dc1b435dd1ff0477b8a5"
+                                       "c027bc0547c7d41c6ac8c8cb51e6e53a",
+                                       1221, 0.0),
     },
     ("2.4", False): {
-        "K3/k=3 run": ("4079f5dfecee79397269a2725d7fccad"
-                       "9e8af7426a6143256152db66b4898016",
-                       64, 9.575452849594907e-31),
-        "C6/k=2 run": ("81d97acd5783f2f747decc1d05d69337"
-                       "3e380f7c11985f14867a1c9123eb48a7",
-                       64, 6.232550041280144e-31),
-        "K3/k=3 paper pattern batch": ("8e7550c7d5efdb183f87a79e573e5249"
-                                       "b5460ac24e934e1971c93fd0b0277d87",
-                                       982, 0.0),
+        "K3/k=3 run": ("5268f4e82309f7a5b61e75ef192ed510"
+                       "8778b7c7bd33b5652deea1434242edfa",
+                       64, 3.530109217440279e-31),
+        "C6/k=2 run": ("d34ece3933c5174eb3100f8e6c194a8d"
+                       "4d77e6f8d6a7291d76074e6568fe842d",
+                       64, 5.41521847480312e-31),
+        "K3/k=3 paper pattern batch": ("75c2a7f3df2d58ed2a8545ad888858cf"
+                                       "49991d8115e80b423bbdf25e3101b9e0",
+                                       1018, 0.0),
     },
 }
 
