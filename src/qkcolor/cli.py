@@ -229,8 +229,8 @@ def route(graph_file, k, mode, topology, iterations, seed, basis, out_dir):
 def _route_to_file(circ, coupling, seed, basis, out_dir, stem) -> dict:
     """Lower and route ``circ``, write ``<stem>.routed.qasm`` with the final
     layout as comments, and return the route report.  The router places
-    the default-basis lowering, whose crx and swap cost no extra swaps;
-    lowering the routed circuit to ``basis`` expands them afterwards."""
+    the default-basis lowering; lowering the routed circuit to ``basis``
+    expands its cz and swaps afterwards, on the pairs they occupy."""
     result = sabre_route(lower_circuit(circ), coupling, seed)
     routed = lower_circuit(result.routed, basis)
     comments = [f"final_layout: logical {l} -> physical {p}"
@@ -306,7 +306,7 @@ def cost(vertices_range, k, out_file):
                      "total_qubits", "oracle_gates", "oracle_gates_lowered"])
     for n in range(lo, hi + 1):
         complete = Graph(n, edges_from_pairs(
-            n, [(i, j) for i in range(n) for j in range(i + 1, n)]))
+            [(i, j) for i in range(n) for j in range(i + 1, n)]))
         instance = make_instance(complete, k)
         plan = plan_layout(instance, "paper")
         oracle = build_oracle(instance, "paper", plan)

@@ -67,8 +67,9 @@ def make_instance(graph: Graph, k: int) -> Instance:
     return Instance(graph, k)
 
 
-def edges_from_pairs(n: int, pairs) -> frozenset[tuple[int, int]]:
-    """Canonicalize (i, j) pairs: sort endpoints, drop duplicates."""
+def edges_from_pairs(pairs) -> frozenset[tuple[int, int]]:
+    """Canonicalize (i, j) pairs: sort endpoints, drop duplicates.  The
+    range check against a vertex count is ``Graph``'s."""
     canon = set()
     for i, j in pairs:
         if i == j:
@@ -133,7 +134,7 @@ def parse_edge_list(text: str) -> Graph:
         max((max(i, j) for i, j in pairs), default=-1) + 1)
     if n <= 0:
         raise MalformedMatrix("edge list declares no vertices")
-    return Graph(n, edges_from_pairs(n, pairs))
+    return Graph(n, edges_from_pairs(pairs))
 
 
 def parse_graph_file(path: str) -> Graph:

@@ -3,10 +3,10 @@
 
 A gate with 0 or 1 control becomes X/CX (MCT) or Z/CZ (MCZ).  An MCZ
 with 2 or more controls is the MCT conjugated by H on its target, but
-on a V-chain (below), and negative controls are conjugated by X.  A
-gate with n >= 3 controls is a network of Toffolis on the qubits it
-leaves free, borrowed dirty: they may hold any state and are restored
-(Barenco et al. 1995, quant-ph/9503016):
+where it is an exact CCZ or on a V-chain (below), and negative controls
+are conjugated by X.  A gate with n >= 3 controls is a network of
+Toffolis on the qubits it leaves free, borrowed dirty: they may hold
+any state and are restored (Barenco et al. 1995, quant-ph/9503016):
 
 * n-2 or more free qubits: the V-chain of Lemma 7.2, 4(n-2) Toffolis;
 * 1 to n-3 free qubits: the split of Lemma 7.3, which borrows one
@@ -21,11 +21,13 @@ mirror window W K W^-1, with K an MCT/MCZ on target t and W a run of
 X/CX/MCT gates (off t under an MCT), every Toffoli of W is a 7-gate
 relative-phase (Margolus) Toffoli, 3 of them CX, t is never borrowed,
 and the right side is the exact adjoint of the lowered W, so the phases
-cancel across the window.  Any other Toffoli is the 9-gate exact one
-below.  An oracle's compute, MCZ kickback and uncompute is such a
+cancel across the window.  Any other Toffoli is exact: ``_ccz``, the
+Clifford+T CCZ with each T as RZ(pi/4) (Nielsen & Chuang Fig. 4.9), 13
+gates, 6 of them CX, in H on its target; an exact 2-control MCZ is that
+CCZ alone.  An oracle's compute, MCZ kickback and uncompute is such a
 window, so is the diffusion's AND chain around its 2-control Z, and so
 is the sweep, top and mirrored sweep of every V-chain: a
-positive-control MCT with n-2 free qubits is 28n-52 gates, 12n-18 of
+positive-control MCT with n-2 free qubits is 28n-40 gates, 12n-18 of
 them 2-qubit, with only its two tops exact, and 28n-56 gates, 12n-24 of
 them 2-qubit, on the compute side of a window, where its tops are
 Margolus too.  An MCZ with n-2 free qubits has no exact Toffoli and no
@@ -46,19 +48,8 @@ from __future__ import annotations
 import math
 
 from .circuit import (MULTI_KINDS, PERMUTATION_KINDS, Circuit, Gate, GateKind,
-                      gCX, gCRX, gCZ, gH, gMCT, gRY, gRZ, gX, gZ)
+                      gCX, gCZ, gH, gMCT, gRY, gRZ, gX, gZ)
 from .errors import UnloweredGate
-
-
-def _toffoli(a: int, b: int, t: int) -> list[Gate]:
-    """Exact Toffoli, up to a global phase: 9 gates, 6 of them 2-qubit.
-
-    The first four gates put a phase +i on a = b = 1; the rest is the
-    doubly controlled Rx(pi), which applies -iX to the target there.
-    """
-    return [gH(b), gCRX(a, b, math.pi / 2), gH(b), gRZ(a, math.pi / 4),
-            gCRX(b, t, math.pi / 2), gCX(a, b), gCRX(b, t, -math.pi / 2),
-            gCX(a, b), gCRX(a, t, math.pi / 2)]
 
 
 def _flipped(gate: Gate, body: list[Gate]) -> list[Gate]:
@@ -98,7 +89,7 @@ def _vchain(controls: list[int], target: int,
     applied before and after it, and a second sweep undoes the first:
     top S top S^-1.  S is a palindrome of Toffolis, so S^-1 is S, and
     S top S^-1 is a mirror window: ``_lowered_gates`` makes its sweep
-    Toffolis Margolus, so the chain lowers to 28n-52 gates, 12n-18 of
+    Toffolis Margolus, so the chain lowers to 28n-40 gates, 12n-18 of
     them 2-qubit.  A C^nZ takes the same sweep with phase tops instead
     (``_phase_vchain``).
     """
@@ -119,6 +110,18 @@ def _phase_top(c: int, a: int, t: int) -> list[Gate]:
     quarter = math.pi / 4
     return [gRZ(a, quarter), gCX(c, a), gRZ(a, -quarter), gCX(t, a),
             gRZ(a, quarter), gCX(c, a), gRZ(a, -quarter), gCX(t, a)]
+
+
+def _ccz(a: int, b: int, t: int) -> list[Gate]:
+    """Exact CCZ, up to a global phase: 13 gates, 6 of them CX, no H.
+
+    ``_phase_top`` is CCZ(a, b, t) times a -pi/2 on a = t = 1; the
+    controlled-S that follows, pi/4 (a + t - a^t), puts it back.  An
+    exact Toffoli is this CCZ in H on its target.
+    """
+    quarter = math.pi / 4
+    return _phase_top(a, b, t) + [gRZ(a, quarter), gRZ(t, quarter), gCX(a, t),
+                                  gRZ(t, -quarter), gCX(a, t)]
 
 
 def _phase_vchain(controls: list[int], target: int, dirty: list[int],
@@ -154,13 +157,14 @@ def _lower_multi(gate: Gate, num_qubits: int,
     """One MCT/MCZ lowered by its number of controls; 3 or more borrow
     the qubits it leaves free, and none free raises ``UnloweredGate``.
 
-    A 2-control MCT is the exact Toffoli, or the Margolus one given
-    ``avoid``.  A wider one is a V-chain or split of 2-control MCTs,
-    lowered in turn by ``_lowered_gates``, so given ``avoid`` it is
-    lowered only up to a diagonal that does not act on ``avoid``, and
-    ``avoid`` is never borrowed.  Where ``avoid`` is the only free
-    qubit, the gate is lowered exactly instead.  An MCZ is the MCT in H
-    on its target, but with n-2 free qubits, where it is the exact
+    A 2-control gate is the exact ``_ccz`` (in H for an MCT), or the
+    Margolus Toffoli given ``avoid``.  A wider one is a V-chain or split
+    of 2-control MCTs, lowered in turn by ``_lowered_gates``, so given
+    ``avoid`` it is lowered only up to a diagonal that does not act on
+    ``avoid``, and ``avoid`` is never borrowed.  Where ``avoid`` is the
+    only free qubit, the gate is lowered exactly instead.  An MCZ is the
+    MCT in H on its target, but exact on 2 controls, where it is
+    ``_ccz``, and with n-2 free qubits, where it is the exact
     ``_phase_vchain``.
     """
     n = len(gate.controls)
@@ -172,7 +176,11 @@ def _lower_multi(gate: Gate, num_qubits: int,
     if n == 1:
         return _flipped(gate, [(gCZ if mcz else gCX)(controls[0], target)])
     if n == 2:
-        body = (_toffoli if avoid is None else _margolus)(*controls, target)
+        if avoid is None:
+            body = _ccz(*controls, target)
+            return _flipped(gate, body if mcz else
+                            [gH(target)] + body + [gH(target)])
+        body = _margolus(*controls, target)
     else:
         busy = set(gate.operands)
         free = [q for q in range(num_qubits) if q not in busy]
@@ -323,7 +331,7 @@ def lower_circuit(circuit: Circuit, basis: str = "default") -> Circuit:
     Toffolis, whose phases the mirror cancels, and folded (see
     ``_lowered_gates``); a circuit with no MCT or MCZ has no window.
 
-    basis="default" keeps crx, cz and swap; basis="cx" expands them so
+    basis="default" keeps cz and swap; basis="cx" expands them so
     cx is the only 2-qubit gate left.  Both are idempotent, so a routed
     circuit can pass again to expand the router's swaps.
     """
@@ -338,10 +346,8 @@ def lower_circuit(circuit: Circuit, basis: str = "default") -> Circuit:
 
 
 def _cx_basis(gate: Gate) -> list[Gate]:
-    """The gate with crx, swap and cz expanded so cx is its only 2-qubit
+    """The gate with swap and cz expanded so cx is its only 2-qubit
     gate."""
-    if gate.kind is GateKind.CRX:
-        return _crx_to_cx(gate)
     if gate.kind is GateKind.SWAP:
         a, b = gate.targets
         return [gCX(a, b), gCX(b, a), gCX(a, b)]
@@ -350,18 +356,3 @@ def _cx_basis(gate: Gate) -> list[Gate]:
         return [gH(t), gCX(c, t), gH(t)]
     return [gate]
 
-
-def _crx_to_cx(gate: Gate) -> list[Gate]:
-    """CRx(theta) by the standard ABC identity: Rx = Rz(-pi/2) Ry(theta) Rz(pi/2)
-    with the controlled Ry split across two CX."""
-    c = gate.controls[0].qubit
-    t = gate.targets[0]
-    theta = gate.angle
-    return [
-        gRZ(t, math.pi / 2),
-        gRY(t, theta / 2),
-        gCX(c, t),
-        gRY(t, -theta / 2),
-        gCX(c, t),
-        gRZ(t, -math.pi / 2),
-    ]

@@ -10,23 +10,23 @@ One kernel, ``_run_sparse``, runs every statevector: a sparse batch
 that holds only the amplitudes it has not dropped, each under an int64
 key (column index above the row bits).  Controls select entries by bit
 tests, permutation gates (X, CX, MCT, SWAP) XOR the keys, and diagonal
-gates (Z, RZ, CZ, MCZ) scale the held amplitudes.  H, RY and CRX pair
-the batch on their target qubit t: the keys with bit t clear, once each,
-and a (2, pairs) array of their bit-0 and bit-1 amplitudes, 0 where not
-held.  The batch stays paired through the gates after them with target
-t, which update the two rows in place (a permutation swaps them), and
-through X, CX, MCT and SWAP of other qubits with no control on t, which
-XOR the pair keys; so a run of gates on one target (a Margolus Toffoli
-is seven) sorts the keys once.  Any other gate first flattens the batch
-back to keys, dropping exact zeros.
+gates (Z, RZ, CZ, MCZ) scale the held amplitudes.  H and RY, which
+take no control, pair the batch on their target qubit t: the keys with
+bit t clear, once each, and a (2, pairs) array of their bit-0 and bit-1
+amplitudes, 0 where not held.  The batch stays paired through the
+gates after them with target t, which update the two rows in place (a
+permutation swaps them), and through X, CX, MCT and SWAP of other
+qubits with no control on t, which XOR the pair keys; so a run of gates
+on one target (a Margolus Toffoli is seven) sorts the keys once.  Any
+other gate first flattens the batch back to keys, dropping exact zeros.
 
-One rule bounds every batch: an H, RY or CRX, which at most doubles
-the amplitudes held, raises TooLarge before it runs if it could take
+One rule bounds every batch: an H or RY, which at most doubles the
+amplitudes held, raises TooLarge before it runs if it could take
 them past ``_HELD_LIMIT``.  The only width bound is ``_KEY_BITS``, the
 column and row bits an int64 key holds (TooManyQubits past it).
 
 ``run`` starts one column at the basis state a circuit's
-``initial_state`` declares.  After each H, RY or CRX it also drops held
+``initial_state`` declares.  After each H or RY it also drops held
 amplitudes of magnitude at most ``_DROP_TOL``: the round-off residues of
 gates that cancel, which would otherwise fill the register (a lowered
 circuit's Toffolis leave ~1e-17 behind).  The squared magnitudes it
@@ -39,7 +39,7 @@ MCT gates and Z, CZ and MCZ phases only (every IR oracle) maps basis
 states to basis states up to a sign: it is run on all prepared basis
 states at once, one Python int per qubit and one for the sign, with a
 bit per basis state, with no statevector and no width bound.  Any
-other oracle (a lowered one, with H/CRX/RZ/RY) is run as one sparse
+other oracle (a lowered one, with H/RZ/RY) is run as one sparse
 batch with a column per data string, which drops only exact zeros.
 """
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .errors import AncillaLeak, TooLarge, TooManyQubits, WidthMismatch
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 # How _run_sparse applies a gate: XOR of the keys, in-place scaling of
-# the held amplitudes, or (the rest: H, RY, CRX) the 2x2 update of the
+# the held amplitudes, or (the rest: H and RY) the 2x2 update of the
 # batch paired on its target, which stays paired for the next gate on it.
 _SWAPPED_KINDS = PERMUTATION_KINDS | {GateKind.SWAP}
 _SIGN_KINDS = frozenset({GateKind.Z, GateKind.CZ, GateKind.MCZ})
@@ -71,7 +71,7 @@ _H = (complex(_INV_SQRT2), complex(_INV_SQRT2), complex(_INV_SQRT2),
       complex(-_INV_SQRT2))
 _Z = (1 + 0j, 0j, 0j, -1 + 0j)
 
-# run drops held amplitudes of at most this magnitude after each H, RY or CRX
+# run drops held amplitudes of at most this magnitude after each H or RY
 _DROP_TOL = 1e-12
 # most amplitudes any batch may hold at once
 _HELD_LIMIT = 2 ** 20
@@ -91,8 +91,6 @@ def _matrix(gate: Gate) -> tuple[complex, complex, complex, complex]:
         return _Z  # Z, CZ and MCZ
     half = gate.angle / 2.0
     c, s = math.cos(half), math.sin(half)
-    if kind is GateKind.CRX:
-        return complex(c), -1j * s, -1j * s, complex(c)
     if kind is GateKind.RY:
         return complex(c), complex(-s), complex(s), complex(c)
     return complex(np.exp(-1j * half)), 0j, 0j, complex(np.exp(1j * half))
@@ -196,7 +194,7 @@ def _run_sparse(circuit: Circuit, keys: np.ndarray, amps: np.ndarray,
     holds the pair keys and ``rows`` their amplitudes (see ``_pair``),
     and a pair slot that is 0 is not held.
 
-    Each H, RY or CRX is first checked against ``_HELD_LIMIT``, and with
+    Each H or RY is first checked against ``_HELD_LIMIT``, and with
     ``drop_tol`` (``run``) followed by a drop of the held amplitudes of
     magnitude at most ``drop_tol``, their squared magnitudes summed into
     what is returned; without it only exact zeros are dropped.
@@ -311,12 +309,13 @@ def phase_pattern(oracle: Circuit, layout: QubitLayout,
     ancilla leak.
 
     Lowered circuits acquire a circuit-wide global phase, only from the
-    RZ in each exact lowered Toffoli: every Margolus Toffoli is on the
-    compute side of a mirrored window (an oracle's compute around its
-    kickback, or a V-chain's sweep around its top), and its relative
-    phase cancels across that window.  ``allow_global_phase=True``
-    divides it out, anchored so the all-zeros data string counts as
-    unflipped; use it only to compare two patterns relative to each other.
+    RZ in each exact lowered CCZ (an exact Toffoli is one in H): every
+    Margolus Toffoli is on the compute side of a mirrored window (an
+    oracle's compute around its kickback, or a V-chain's sweep around
+    its top), and its relative phase cancels across that window.
+    ``allow_global_phase=True`` divides it out, anchored so the all-zeros
+    data string counts as unflipped; use it only to compare two patterns
+    relative to each other.
 
     There are two paths, both exact:
 

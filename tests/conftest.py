@@ -48,8 +48,6 @@ def _ref_target_matrix(gate: Gate) -> np.ndarray:
         return np.array(_REF_1Q["z"], dtype=complex)
     half = gate.angle / 2.0
     c, s = math.cos(half), math.sin(half)
-    if name == "crx":
-        return np.array([[c, -1j * s], [-1j * s, c]])
     if name == "ry":
         return np.array([[c, -s], [s, c]], dtype=complex)
     if name == "rz":
@@ -174,11 +172,9 @@ def random_circuit(num_qubits: int, num_gates: int, rng: random.Random,
     for _ in range(num_gates):
         name = rng.choice(pool)
         kind = GateKind(name)
-        if name in ("cx", "cz", "crx"):
+        if name in ("cx", "cz"):
             c, t = rng.sample(range(num_qubits), 2)
-            angle = rng.uniform(-math.pi, math.pi) if name == "crx" else None
-            circ.append(Gate(kind, controls=(Control(c),), targets=(t,),
-                             angle=angle))
+            circ.append(Gate(kind, controls=(Control(c),), targets=(t,)))
         elif name == "swap":
             a, b = rng.sample(range(num_qubits), 2)
             circ.append(Gate(kind, targets=(a, b)))
@@ -389,16 +385,16 @@ def ref_route_pass(dag, coupling, mapping_seed, rng, gates=None):
 # Common graph fixtures
 
 def complete_graph(n: int) -> Graph:
-    return Graph(n, edges_from_pairs(
-        n, [(i, j) for i in range(n) for j in range(i + 1, n)]))
+    return Graph(n, edges_from_pairs([(i, j) for i in range(n)
+                                      for j in range(i + 1, n)]))
 
 
 def path_graph(n: int) -> Graph:
-    return Graph(n, edges_from_pairs(n, [(i, i + 1) for i in range(n - 1)]))
+    return Graph(n, edges_from_pairs([(i, i + 1) for i in range(n - 1)]))
 
 
 def cycle_graph(n: int) -> Graph:
-    return Graph(n, edges_from_pairs(n, [(i, (i + 1) % n) for i in range(n)]))
+    return Graph(n, edges_from_pairs([(i, (i + 1) % n) for i in range(n)]))
 
 
 def all_graphs(n: int):

@@ -219,8 +219,8 @@ def test_basis_cx_holds_after_routing(runner, p3_file, tmp_path, command):
 
 
 def test_basis_cx_routes_the_default_lowering(runner, k3_file, tmp_path):
-    # cx-expanded crx would cost swaps of its own: the router places the
-    # default-basis lowering, and --basis cx expands it afterwards
+    # the router places the default-basis lowering, and --basis cx
+    # expands its cz and swaps afterwards, on the pairs they occupy
     topo = tmp_path / "line13.cpl"
     topo.write_text("13\n" + "".join(f"{i} {i + 1}\n" for i in range(12)))
     swaps = {}
@@ -540,19 +540,19 @@ k3-3-strict synth-cx k3.oracle.qasm efb812efc6d73c9b02a4f6909d173e3a2a1d680e960c
 k3-3-strict synth-cx k3.oracle.txt 7abd032e90232657bdc55e0a5d1e3258004672bdaf4dceaea4b547cbc4099cfc
 k3-3-strict synth-cx k3.synth.json 4c92e3cab36eb73a596636739123226ae79a9915d70ac56a6dacf5ed688d7abe
 k3-3-strict synth-cx stdout 4c92e3cab36eb73a596636739123226ae79a9915d70ac56a6dacf5ed688d7abe
-k3-3-strict grover k3.grover.json b6f49bdffb2480bb6c5ada4dc2171434f35d9e87921b331662e53a48d6aaaa2d
-k3-3-strict grover k3.grover.qasm 34b8e59a4186c6ebb7ea2b0f7644032ab4c3304d3f68b26228bf5b8075dd66e3
-k3-3-strict grover stdout b6f49bdffb2480bb6c5ada4dc2171434f35d9e87921b331662e53a48d6aaaa2d
-k3-3-strict grover-cx k3.grover.json 88e5a1ac91e7f89a797db2d6357a16c06804a74ce0f5320b5433e70f0f7f9859
-k3-3-strict grover-cx k3.grover.qasm ad2f580fdf22e9bd565cef00ae1bf7acb3d6f1b75b97f2ba8e2d15921bb4cd06
-k3-3-strict grover-cx stdout 88e5a1ac91e7f89a797db2d6357a16c06804a74ce0f5320b5433e70f0f7f9859
-k3-3-strict route-default k3.routed.qasm fe84a582ed31d816d55a2ef86ebe90f78b134e2ab1c324694653559d0462503b
-k3-3-strict route-default stdout badb371a22dd91a050803c034a9247b686f8f5213930257af038433dec789ec0
-k3-3-strict route-cx k3.routed.qasm 6d39cb3b744a7b62fe9c1cc5291e54695ca993e35913db210411344966aa1300
-k3-3-strict route-cx stdout badb371a22dd91a050803c034a9247b686f8f5213930257af038433dec789ec0
+k3-3-strict grover k3.grover.json f7711fd503bea2c0f1bce04253a66fc6ef813db203c8fa21153a4d860f5f1874
+k3-3-strict grover k3.grover.qasm 29f98a725522716bc6082efed7cef07486b35e782507abc7da6bf2afaddbfbbd
+k3-3-strict grover stdout f7711fd503bea2c0f1bce04253a66fc6ef813db203c8fa21153a4d860f5f1874
+k3-3-strict grover-cx k3.grover.json f7711fd503bea2c0f1bce04253a66fc6ef813db203c8fa21153a4d860f5f1874
+k3-3-strict grover-cx k3.grover.qasm 29f98a725522716bc6082efed7cef07486b35e782507abc7da6bf2afaddbfbbd
+k3-3-strict grover-cx stdout f7711fd503bea2c0f1bce04253a66fc6ef813db203c8fa21153a4d860f5f1874
+k3-3-strict route-default k3.routed.qasm 65c406dfd851d6057ef4cada38c181650ad4ddd00b710166f2769611ee38cdf6
+k3-3-strict route-default stdout 8c33ea25b7e778ae315f092dce07b839a8e45d9af318ac07fe01f5bb1534c1e1
+k3-3-strict route-cx k3.routed.qasm ac1a2db3bb834fa3e3a79fa5a04df25cbb19f68b500948b88e29cf6059ef9d5e
+k3-3-strict route-cx stdout 8c33ea25b7e778ae315f092dce07b839a8e45d9af318ac07fe01f5bb1534c1e1
 k3-3-strict run stdout 42be0b5b17eac86479b30edc25e7be925f887417aed896f4a5e4d3ec955fa671
-k3-3-strict run-line13 k3.routed.qasm fe84a582ed31d816d55a2ef86ebe90f78b134e2ab1c324694653559d0462503b
-k3-3-strict run-line13 stdout 16e2821206f0d6d5ced85c751a7cc14faad5ad1ccd9f9b118bda0c706d023a4e
+k3-3-strict run-line13 k3.routed.qasm 65c406dfd851d6057ef4cada38c181650ad4ddd00b710166f2769611ee38cdf6
+k3-3-strict run-line13 stdout acffc44410e6f6e4663121283b0bdec299fc42c91006a8ab22bbb93eef936951
 k3-3-paper synth k3.oracle.qasm b6e318633a7f28b3b94e1cd6869bced17b16957e3b59985207ddfc1b5f856cae
 k3-3-paper synth k3.oracle.txt f7f9cda01ad92109d7a2a28a6543e0700dbd56cd024a47937445ed9a5207a840
 k3-3-paper synth k3.synth.json 973bbc81ffbc4681d5c27cf484f73b5a8e9ae07e14f0cdba5c582c54cd160957
@@ -561,12 +561,12 @@ k3-3-paper synth-cx k3.oracle.qasm b6e318633a7f28b3b94e1cd6869bced17b16957e3b599
 k3-3-paper synth-cx k3.oracle.txt f7f9cda01ad92109d7a2a28a6543e0700dbd56cd024a47937445ed9a5207a840
 k3-3-paper synth-cx k3.synth.json 973bbc81ffbc4681d5c27cf484f73b5a8e9ae07e14f0cdba5c582c54cd160957
 k3-3-paper synth-cx stdout 973bbc81ffbc4681d5c27cf484f73b5a8e9ae07e14f0cdba5c582c54cd160957
-k3-3-paper grover k3.grover.json a4914ab6a588ba1622e33f1ecb69f4cddfa5598051ac22e39cc8014191f67779
-k3-3-paper grover k3.grover.qasm b92d1cad809337d1500b31f7ceb76e6ff05a44bb550786cb68647e552959acef
-k3-3-paper grover stdout a4914ab6a588ba1622e33f1ecb69f4cddfa5598051ac22e39cc8014191f67779
-k3-3-paper grover-cx k3.grover.json d4cb3e5a90cea250ca8c7afed17a9c99172c455016558a97d0d5300d061231d4
-k3-3-paper grover-cx k3.grover.qasm 5cfb1ca2337b0d41d1af5af0b12b5682168782bca8a3f750be82ee3b75c698a4
-k3-3-paper grover-cx stdout d4cb3e5a90cea250ca8c7afed17a9c99172c455016558a97d0d5300d061231d4
+k3-3-paper grover k3.grover.json b5b1c48608acdc6d4d97a7bff01dd0e8097d5dfcb4b21ca557162600cb4e7640
+k3-3-paper grover k3.grover.qasm 6bc831da60a46f4690ecdd11868749a00af0b8faa923c239405e10c3e3909d7a
+k3-3-paper grover stdout b5b1c48608acdc6d4d97a7bff01dd0e8097d5dfcb4b21ca557162600cb4e7640
+k3-3-paper grover-cx k3.grover.json b5b1c48608acdc6d4d97a7bff01dd0e8097d5dfcb4b21ca557162600cb4e7640
+k3-3-paper grover-cx k3.grover.qasm 6bc831da60a46f4690ecdd11868749a00af0b8faa923c239405e10c3e3909d7a
+k3-3-paper grover-cx stdout b5b1c48608acdc6d4d97a7bff01dd0e8097d5dfcb4b21ca557162600cb4e7640
 k3-3-paper run stdout 67c5b9ab6b70fab0f2dbcb79d040a3bc9e9ff14a5d313ab2bb402d60f7a97df0
 p3-2 synth p3.oracle.qasm fb1a75a0adee2c50101b206d1dac75c837edfb6543ed02b07f88872f01ed4d5c
 p3-2 synth p3.oracle.txt 99f0276bec32ee3bcc88693cf6d14c5a815a0d9bc571b99d5622422c6b283967
@@ -576,27 +576,27 @@ p3-2 synth-cx p3.oracle.qasm 7f6d21ad86b57eba16775d986538ecb71f40c6b606564199401
 p3-2 synth-cx p3.oracle.txt 99f0276bec32ee3bcc88693cf6d14c5a815a0d9bc571b99d5622422c6b283967
 p3-2 synth-cx p3.synth.json 41cd597a5cf8974fe96ff8c255c129ba4f815def3b0019deddde800dfbeda419
 p3-2 synth-cx stdout 41cd597a5cf8974fe96ff8c255c129ba4f815def3b0019deddde800dfbeda419
-p3-2 grover p3.grover.json 7dd77effe4db5ede9e5e75da21d84d92a56c52ec757fc19233fc7f6790e13cc0
-p3-2 grover p3.grover.qasm 9ba4de4ff7e06b11284d2165c9f9d1ecc98fe5f0b19bb2b7e75250d44f1028b5
-p3-2 grover stdout 7dd77effe4db5ede9e5e75da21d84d92a56c52ec757fc19233fc7f6790e13cc0
-p3-2 grover-cx p3.grover.json 60e386f4adcadafe9bcd29f0009fc39544afad7e3e8d612d0293fa7fa061a2d4
-p3-2 grover-cx p3.grover.qasm a2a8c8f7d5ff86460dbf230b04574301d967654ec1f3a57c76e6bb9ed810d769
-p3-2 grover-cx stdout 60e386f4adcadafe9bcd29f0009fc39544afad7e3e8d612d0293fa7fa061a2d4
-p3-2 route-default p3.routed.qasm eed3a4c5937ea8ef227baf0ad3f8fc973805be680cf02c793d729ec7181d46b8
-p3-2 route-default stdout 212ec24bc06e18cf04aca893fc0ae21662cda8ff3e40a76d81f15b5053832ee5
-p3-2 route-cx p3.routed.qasm 41bbc7ca36f165d68ea3a8da9620dcedcd33433ac2797b9c2ea9af2c68710259
-p3-2 route-cx stdout 212ec24bc06e18cf04aca893fc0ae21662cda8ff3e40a76d81f15b5053832ee5
+p3-2 grover p3.grover.json 2390b912e2b247829d14e057c5ab72bf8f5507f03afccbe377a699de66199456
+p3-2 grover p3.grover.qasm 5d29e88c67e4504d1013e8759d5045a9b8a8bbbba4793a476d21f025736ecd0c
+p3-2 grover stdout 2390b912e2b247829d14e057c5ab72bf8f5507f03afccbe377a699de66199456
+p3-2 grover-cx p3.grover.json 938b3d7923a9ef280211cc46e29f64e1f46164fbc12134643fa91bd7ead4f40e
+p3-2 grover-cx p3.grover.qasm c05ce3733f86e16232003ce4d8d975270221b85189b64f7f3a3fcafd19fd8915
+p3-2 grover-cx stdout 938b3d7923a9ef280211cc46e29f64e1f46164fbc12134643fa91bd7ead4f40e
+p3-2 route-default p3.routed.qasm b8918620896405f17e8b2932717759a99695999843e2afb4a1a61b879e8b2e6a
+p3-2 route-default stdout fd39bd0b2125ccd7fa968e3709c9af1be12648587dc39a7acf297bcdf1c77e6b
+p3-2 route-cx p3.routed.qasm 2c704c9a4e854faf34c1349555f08170a7986735d53946772f3d74cd8ce3e9ef
+p3-2 route-cx stdout fd39bd0b2125ccd7fa968e3709c9af1be12648587dc39a7acf297bcdf1c77e6b
 p3-2 run stdout 8fc046293d3d6579e82cb799a1a7e218077afa20735dc8099e49790e8b07e661
-p3-2 run-line13 p3.routed.qasm eed3a4c5937ea8ef227baf0ad3f8fc973805be680cf02c793d729ec7181d46b8
-p3-2 run-line13 stdout 42fd085007525cfab12fcce0f73ef4bc7b1453b6a892e7eeada89e9f29bd99b9
-k3-2 synth k3.oracle.qasm f06f9b3035e7732c2f40301d53d14872343e07da35f94fa447b674bf1cfe63ad
+p3-2 run-line13 p3.routed.qasm b8918620896405f17e8b2932717759a99695999843e2afb4a1a61b879e8b2e6a
+p3-2 run-line13 stdout c3847be0c8922cba97a419436c3e3e1f00e7096b27deeb8072d9e640914f5272
+k3-2 synth k3.oracle.qasm 5432c4cd4205c33c077a4bde7039a7aeaab383d39d284b1ce09127e0bbf512ea
 k3-2 synth k3.oracle.txt 00a9c904948b380b5fe1b841bc885b6acbcca133428987e2a2eb09867a5bcc12
-k3-2 synth k3.synth.json 8a772f9aa491239b71c90da1b7ead0f2c82dd62cee04038232cd74389c42f443
-k3-2 synth stdout 8a772f9aa491239b71c90da1b7ead0f2c82dd62cee04038232cd74389c42f443
-k3-2 synth-cx k3.oracle.qasm d3970d15ce40cb315ca26ef90ea0f388e4fe770b98ffd731099031bedab57bfe
+k3-2 synth k3.synth.json 766f6a6b49c90a229d8272833c02fcdd34d34a00d400a5ae06d4de061362b8c5
+k3-2 synth stdout 766f6a6b49c90a229d8272833c02fcdd34d34a00d400a5ae06d4de061362b8c5
+k3-2 synth-cx k3.oracle.qasm 5432c4cd4205c33c077a4bde7039a7aeaab383d39d284b1ce09127e0bbf512ea
 k3-2 synth-cx k3.oracle.txt 00a9c904948b380b5fe1b841bc885b6acbcca133428987e2a2eb09867a5bcc12
-k3-2 synth-cx k3.synth.json 78080cbd4c3bdac81af3699af624bf534795c19e81cbff9a02dc619a7549d88b
-k3-2 synth-cx stdout 78080cbd4c3bdac81af3699af624bf534795c19e81cbff9a02dc619a7549d88b
+k3-2 synth-cx k3.synth.json 766f6a6b49c90a229d8272833c02fcdd34d34a00d400a5ae06d4de061362b8c5
+k3-2 synth-cx stdout 766f6a6b49c90a229d8272833c02fcdd34d34a00d400a5ae06d4de061362b8c5
 k3-2 grover stdout f3488c3ee8eed62f8e2f28944eb1ec793db9f7e13c5a05b2ef994934e211fe51
 k3-2 grover-cx stdout f3488c3ee8eed62f8e2f28944eb1ec793db9f7e13c5a05b2ef994934e211fe51
 k3-2 route-default stdout f3488c3ee8eed62f8e2f28944eb1ec793db9f7e13c5a05b2ef994934e211fe51

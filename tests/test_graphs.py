@@ -79,13 +79,13 @@ def test_graph_validation():
 
 
 def test_graph_helpers():
-    g = Graph(4, edges_from_pairs(4, [(2, 0), (1, 2)]))
+    g = Graph(4, edges_from_pairs([(2, 0), (1, 2)]))
     assert g.sorted_edges() == [(0, 2), (1, 2)]
 
 
 def test_edges_from_pairs_rejects_self_loop():
     with pytest.raises(SelfLoop):
-        edges_from_pairs(3, [(1, 1)])
+        edges_from_pairs([(1, 1)])
 
 
 @pytest.mark.parametrize("k,c,invalid", [

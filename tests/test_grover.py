@@ -67,9 +67,10 @@ def test_clean_ancilla_diffusion(m, first):
         assert phase_aligned_distance(out[rows], diffusion_matrix(m)) < 1e-12
         assert np.abs(np.delete(out, rows, axis=0)).max() < 1e-12
     two_qubit = sum(len(g.operands) == 2 for g in lowered.gates)
-    # 4m gates of the H and X layers around the chain
+    # 4m gates of the H and X layers around the chain, and the exact
+    # 13-gate CCZ, 6 of them CX, at its centre
     assert (len(lowered.gates), two_qubit) == (
-        4 * m + 14 * (m - 3) + 11 + 2 * ones, 6 * m - 12)
+        4 * m + 14 * (m - 3) + 13 + 2 * ones, 6 * m - 12)
 
 
 def test_too_few_clean_qubits_keep_the_mcz():

@@ -25,7 +25,7 @@ from qkcolor.simulator import _HELD_LIMIT, phase_pattern, probabilities, run
 # The lowered alphabet, written out once: what lower_circuit emits, and
 # all that LOWERED_KINDS admits (test_pipeline_emits_the_whole_alphabet).
 LOWERED_ALPHABET = {GateKind(name) for name in
-                    ("x", "h", "z", "ry", "rz", "cx", "cz", "crx", "swap")}
+                    ("x", "h", "z", "ry", "rz", "cx", "cz", "swap")}
 
 
 def _multi(kind, controls, target, width):
@@ -57,6 +57,29 @@ def test_decompose_negative_controls(polarities):
         got = unitary_of(lower_circuit(circ))
         want = ref_gate_matrix(circ.gates[0], 5)
         assert phase_aligned_distance(got, want) < 1e-9
+
+
+@pytest.mark.parametrize("kind,gates,hs", [(GateKind.MCZ, 13, 0),
+                                           (GateKind.MCT, 15, 2)])
+def test_exact_two_control_gate(kind, gates, hs):
+    # a lone 2-control gate has no mirror window, so it is exact: the CCZ
+    # is a phase top and a controlled S, of CX and RZ only, and the
+    # Toffoli is that CCZ in H on its target; each negative control adds
+    # an X pair
+    for polarities in itertools.product([True, False], repeat=2):
+        circ = _multi(kind, [Control(i, p) for i, p in enumerate(polarities)],
+                      2, 3)
+        lowered = lower_circuit(circ).gates
+        negatives = polarities.count(False)
+        assert len(lowered) == gates + 2 * negatives
+        assert [sum(g.kind is k for g in lowered)
+                for k in (GateKind.CX, GateKind.H, GateKind.X)] == [
+                    6, hs, 2 * negatives]
+        assert {g.kind for g in lowered} <= {GateKind.CX, GateKind.RZ,
+                                             GateKind.H, GateKind.X}
+        got = unitary_of(Circuit(3).extend(lowered))
+        assert phase_aligned_distance(got, ref_gate_matrix(circ.gates[0],
+                                                           3)) < 1e-9
 
 
 @pytest.mark.parametrize("kind", [GateKind.MCT, GateKind.MCZ])
@@ -174,7 +197,7 @@ def _counts(circ):
 def _expected_counts(n, free, kind):
     """Gates and 2-qubit gates of a positive-control C^nX or C^nZ with
     ``free`` idle qubits, 1 <= free.  A V-chain on m >= 3 controls has 2
-    exact Toffolis (9 gates, 6 of them 2-qubit) and 4(m-2)-2 Margolus
+    exact Toffolis (15 gates, 6 of them CX) and 4(m-2)-2 Margolus
     sweep Toffolis (7 gates, 3 of them 2-qubit); on 2 controls it is one
     exact Toffoli.  The split is two V-chains, on the first half of the
     controls and on the rest plus the borrowed qubit, twice.  A C^nZ is
@@ -184,7 +207,7 @@ def _expected_counts(n, free, kind):
     this lowering replaced gave, the fallback of the test name."""
     def vchain(m):
         exact, margolus = (1, 0) if m == 2 else (2, 4 * (m - 2) - 2)
-        return 9 * exact + 7 * margolus, 6 * exact + 3 * margolus
+        return 15 * exact + 7 * margolus, 6 * exact + 3 * margolus
     if free >= n - 2:
         if kind is GateKind.MCZ:
             return 28 * n - 54, 12 * n - 22
@@ -327,23 +350,24 @@ def test_ladder_lowers_linearly():
 # (gates, 2-qubit gates) lowered in the default basis, the CX count
 # under basis="cx", and the sha256 of the emitted QASM in the default
 # and the cx basis, so the lowered output is pinned byte for byte.  A
-# lowering change must re-pin them deliberately.
+# lowering change must re-pin them deliberately.  The strict ladder
+# lowers to no cz or swap, so its cx-basis QASM is the default one.
 LADDER_COUNTS = {
-    "K3": ((602, 232), 240,
-           ("34b8e59a4186c6ebb7ea2b0f7644032ab4c3304d3f68b26228bf5b8075dd66e3",
-            "ad2f580fdf22e9bd565cef00ae1bf7acb3d6f1b75b97f2ba8e2d15921bb4cd06")),
-    "C6": ((880, 344), None,
-           ("a8fcec2eb1a3c09e1c1b19e46a1500e395090886e70eb9bb6f43042ead0759f2",
-            "7823c00ab1b2dc956308ea04ef641aef05a81c4ea655a47063b61334896a8c7e")),
-    "K4": ((918, 348), 356,
-           ("96b83771e024acb041a5955dc8ad5e90f901a4a258079ab474804e3efdcaa306",
-            "b7568a479ba107134f250e7a7d72848d9cf59cf7c7af7406a91793eeb74526fc")),
-    "C5": ((2304, 896), 912,
-           ("72b34d2963049297ad4b49cb90891edccf8b7c31eb4b8df4a31cef1a0824702c",
-            "3f6f0f9f16e909b6a61c6ef49f720e0a35d1a6f01ccd6f9cf5b19df3562cc705")),
-    "C10": ((7517, 2958), 3026,
-            ("f574dce21ca93b176c11c09fe78db24aacbbc25b4d8ddfef0b3d8a373e6ad0fc",
-             "f667b42338bdae5a6ca5afc0d86370fb57d362a641b883fbd3971bdebb329c8e")),
+    "K3": ((606, 232), 232,
+           ("29f98a725522716bc6082efed7cef07486b35e782507abc7da6bf2afaddbfbbd",
+            "29f98a725522716bc6082efed7cef07486b35e782507abc7da6bf2afaddbfbbd")),
+    "C6": ((888, 344), 344,
+           ("50232e9c4af1255925216a4fcf169a3fa942adc777f3a5eb8aea761007325c27",
+            "50232e9c4af1255925216a4fcf169a3fa942adc777f3a5eb8aea761007325c27")),
+    "K4": ((922, 348), 348,
+           ("aba5fbc189ef8f00277aea213896b2a4b8507ccceee2af1557f0e769ce6b8e01",
+            "aba5fbc189ef8f00277aea213896b2a4b8507ccceee2af1557f0e769ce6b8e01")),
+    "C5": ((2312, 896), 896,
+           ("1b4dc7850a206007beb1319baaf450160cacc042eba05f2a7454e91a4a7bbbbd",
+            "1b4dc7850a206007beb1319baaf450160cacc042eba05f2a7454e91a4a7bbbbd")),
+    "C10": ((7551, 2958), 2958,
+            ("ca9b772673c78ac9bbdb19452f90b877d477189dc7ed8092fe9c34ffbfc3dc78",
+             "ca9b772673c78ac9bbdb19452f90b877d477189dc7ed8092fe9c34ffbfc3dc78")),
 }
 
 
@@ -353,9 +377,8 @@ def test_ladder_lowered_counts(label):
     circ = assemble(make_job(make_instance(graph, k), "strict"))
     counts, cx, digests = LADDER_COUNTS[label]
     assert _counts(lower_circuit(circ)) == counts
-    if cx is not None:
-        assert sum(g.kind is GateKind.CX
-                   for g in lower_circuit(circ, "cx").gates) == cx
+    assert sum(g.kind is GateKind.CX
+               for g in lower_circuit(circ, "cx").gates) == cx
     assert tuple(hashlib.sha256(emit_qasm(lower_circuit(circ, basis))
                                 .encode()).hexdigest()
                  for basis in ("default", "cx")) == digests
@@ -397,11 +420,12 @@ def test_every_wide_mct_leaves_a_qubit_idle():
 def test_edgeless_paper_detector_lowers_in_a_window():
     # with no edge the paper kickback is X Z X on the invalid ancilla; its
     # Z is an MCZ, so the detector is the W of a mirror window and its
-    # Toffolis are Margolus: no CRX, which only the exact Toffoli emits
+    # Toffolis are Margolus: no RZ, which only an exact CCZ or Toffoli
+    # and a phase top emit
     for n in range(1, 5):
         inst = make_instance(Graph(n, frozenset()), 3)
         lowered = lower_circuit(build_oracle(inst, "paper"))
-        assert not any(g.kind is GateKind.CRX for g in lowered.gates), n
+        assert not any(g.kind is GateKind.RZ for g in lowered.gates), n
         assert len(lowered.gates) == 3 + 14 * n
 
 
@@ -496,10 +520,10 @@ def test_window_gate_with_only_the_target_free():
 def test_relative_vchain_count(n):
     # W has n controls and n-2 free qubits besides K's target 2n-1, so
     # each side is a V-chain of Margolus Toffolis only, 28n-56 gates and
-    # 12n-24 of them 2-qubit; K is one exact Toffoli, 9 gates and 6
+    # 12n-24 of them 2-qubit; K is one exact Toffoli, 15 gates and 6
     w = gMCT(list(range(n)), n)
     circ = _window([w], gMCT([0, n], 2 * n - 1), 2 * n)
-    assert _counts(lower_circuit(circ)) == (2 * (28 * n - 56) + 9,
+    assert _counts(lower_circuit(circ)) == (2 * (28 * n - 56) + 15,
                                             2 * (12 * n - 24) + 6)
 
 

@@ -3,10 +3,10 @@ import math
 import pytest
 
 from conftest import complete_graph, path_graph
-from qasm_ref import check_qasm
+from qasm_ref import KNOWN_GATES, check_qasm
 from qkcolor.circuit import (CONTROLLED_KINDS, LOWERED_KINDS, ROTATION_KINDS,
-                             Circuit, Control, Gate, GateKind, gCRX, gCX, gH,
-                             gMCT, gMCZ, gRZ)
+                             Circuit, Control, Gate, GateKind, gCX, gH, gMCT,
+                             gMCZ, gRY, gRZ)
 from qkcolor.errors import UnloweredGate
 from qkcolor.graphs import make_instance
 from qkcolor.lowering import lower_circuit
@@ -32,7 +32,7 @@ def test_emit_angle_roundtrip():
     angle = math.pi / 7
     circ = Circuit(2)
     circ.append(gRZ(0, angle))
-    circ.append(gCRX(0, 1, -angle))
+    circ.append(gRY(1, -angle))
     parsed = check_qasm(emit_qasm(circ))
     assert parsed.gates[0][2][0] == pytest.approx(angle, abs=0)
     assert parsed.gates[1][2][0] == pytest.approx(-angle, abs=0)
@@ -64,6 +64,16 @@ def test_emit_rejects_negative_controls():
     circ.append(gMCT([(0, False)], 1))
     with pytest.raises(UnloweredGate):
         emit_qasm(circ)
+
+
+def test_checker_knows_only_the_lowered_alphabet():
+    # the independent parse takes each LOWERED_KINDS statement and no
+    # other, so a stray crx, which is no lowered kind, fails it
+    assert set(KNOWN_GATES) == {kind.value for kind in LOWERED_KINDS}
+    text = emit_qasm(Circuit(2)).replace(
+        "measure", "crx(0.5) q[0], q[1];\nmeasure", 1)
+    with pytest.raises(ValueError, match="unknown gate 'crx'"):
+        check_qasm(text)
 
 
 def test_comment_lines_are_ignored_by_the_checker():

@@ -13,7 +13,7 @@ from conftest import (ONE_QUBIT_POOL, all_graphs, complete_graph,
                       unitary_of)
 from qkcolor import classical
 from qkcolor.circuit import (MULTI_KINDS, ONE_QUBIT_KINDS, ROTATION_KINDS,
-                             Circuit, Control, Gate, GateKind, gCRX, gCX, gH,
+                             Circuit, Control, Gate, GateKind, gCX, gH,
                              gMCT, gRY, gRZ, gX)
 from qkcolor.errors import (AncillaLeak, IndexOutOfRange, TooLarge,
                             TooManyQubits)
@@ -220,7 +220,7 @@ def _placed_gates(q):
                            polarity)), (t,))
                 for t in edges
                 for polarity in ((True, False, True), (False, True, False))]
-        elif kind in (GateKind.CX, GateKind.CZ, GateKind.CRX):
+        elif kind in (GateKind.CX, GateKind.CZ):
             placements = [((Control(c),), (t,))
                           for c in edges for t in edges if c != t]
         else:
@@ -337,9 +337,9 @@ def _k2_oracle(k=2):
 
 
 def _k2_lowered():
-    # k = 3 lowers its Toffolis to H/CRX/RZ and, in V-chain sweeps, RY,
-    # which keep phase_pattern on its statevector paths (k = 2 lowers to
-    # X and CX only)
+    # k = 3 lowers its Toffolis to CX with RY (Margolus) or RZ (exact
+    # CCZ and phase tops), which keep phase_pattern on its statevector
+    # paths (k = 2 lowers to X and CX only)
     oracle, layout = _k2_oracle(3)
     lowered = lower_circuit(oracle)
     assert not all(g.kind in sim._TRACKED_KINDS for g in lowered.gates)
@@ -373,15 +373,18 @@ def test_phase_pattern_rejects_non_phase_action():
 def test_phase_pattern_rejects_a_leak_past_x0():
     # Both spoilers act only where data bit 0 is set (x >= 8), so the x=0
     # anchor passes.  The MCT moves those columns off their prepared rows;
-    # the small CRX keeps their signs within tolerance but puts some
-    # amplitude outside the prepared rows.
+    # the small controlled RY(-2 eps), CX RY(eps) CX RY(-eps), keeps their
+    # signs within tolerance but puts some amplitude outside the prepared
+    # rows.
     lowered, layout = _k2_lowered()
     data, ancilla = layout.data[0], layout.edge_ancilla[0]
+    eps = 5e-6
     for spoiler, message in (
-            (gMCT([data], ancilla), "not a \\+/-1 phase on data string x=8"),
-            (gCRX(data, ancilla, 1e-5),
+            ([gMCT([data], ancilla)], "not a \\+/-1 phase on data string x=8"),
+            ([gCX(data, ancilla), gRY(ancilla, eps), gCX(data, ancilla),
+              gRY(ancilla, -eps)],
              "leaves support outside the prepared subspace")):
-        spoiled = lowered.copy().append(spoiler)
+        spoiled = lowered.copy().extend(spoiler)
         with pytest.raises(AncillaLeak, match=message):
             phase_pattern(spoiled, layout, allow_global_phase=True)
 
@@ -423,17 +426,18 @@ def test_phase_pattern_refuses_a_batch_past_the_limit(monkeypatch):
     same = Circuit(1).append(gRY(0, 0.5)).append(gRY(0, 0.5))
     with pytest.raises(TooLarge, match="RY on 2 held amplitudes"):
         sim._run_sparse(same, keys.copy(), amps.copy())
-    # while paired, a pair slot that is 0 is not held: CRX on |00> + |01>
-    # holds 3 amplitudes in 4 slots, so the next CRX runs under a limit of
-    # 7 and is refused under one of 5
-    crx = Circuit(2).append(gCRX(1, 0, 0.5)).append(gCRX(1, 0, 0.5))
-    keys = np.array([0b00, 0b01], dtype=np.int64)
-    amps = np.ones(2, dtype=complex)
-    monkeypatch.setattr(sim, "_HELD_LIMIT", 7)
-    assert sim._run_sparse(crx, keys.copy(), amps.copy())[0].size == 3
-    monkeypatch.setattr(sim, "_HELD_LIMIT", 5)
-    with pytest.raises(TooLarge, match="CRX on 3 held amplitudes"):
-        sim._run_sparse(crx, keys, amps)
+    # while paired, a pair slot that is 0 is not held: H on qubit 0 of
+    # |000> + |001> + |010> + |110> cancels exactly on |110>, so it holds
+    # 5 amplitudes in 6 slots, and the next H (which cancels on |100> and
+    # |101>) runs under a limit of 11 and is refused under one of 9
+    twice = Circuit(3).append(gH(0)).append(gH(0))
+    keys = np.array([0b000, 0b001, 0b010, 0b110], dtype=np.int64)
+    amps = np.ones(4, dtype=complex)
+    monkeypatch.setattr(sim, "_HELD_LIMIT", 11)
+    assert sim._run_sparse(twice, keys.copy(), amps.copy())[0].size == 4
+    monkeypatch.setattr(sim, "_HELD_LIMIT", 9)
+    with pytest.raises(TooLarge, match="H on 5 held amplitudes"):
+        sim._run_sparse(twice, keys, amps)
 
 
 def _dense(keys, amps, num_qubits, num_columns):
@@ -487,12 +491,12 @@ def test_sparse_batch_is_bit_identical_to_run_batch():
                                             amps, 4)
 
 
-# How a gate after an H, RY or CRX on qubit t keeps the sparse batch
+# How a gate after an H or RY on qubit t keeps the sparse batch
 # paired on t, or flattens it
 _STAYS = ("swap rows", "update", "xor keys")
 _FLATTENS = ("control on t", "swap touching t", "diagonal elsewhere",
              "mixed elsewhere")
-_MIXED = (GateKind.H, GateKind.RY, GateKind.CRX)
+_MIXED = (GateKind.H, GateKind.RY)
 _DIAGONAL = (GateKind.Z, GateKind.RZ, GateKind.CZ, GateKind.MCZ)
 _MOVES = (GateKind.X, GateKind.CX, GateKind.MCT)
 
@@ -503,7 +507,7 @@ def _gate_on(kind, target, others, rng, control=None):
     if kind in MULTI_KINDS:
         count = rng.randint(control is not None, min(3, len(others)))
     else:
-        count = int(kind in (GateKind.CX, GateKind.CZ, GateKind.CRX))
+        count = int(kind in (GateKind.CX, GateKind.CZ))
     picked = [control] if control is not None else []
     picked += rng.sample([o for o in others if o != control],
                          count - len(picked))
@@ -514,12 +518,12 @@ def _gate_on(kind, target, others, rng, control=None):
 
 
 def _paired_runs(q, num_runs, rng):
-    """Random runs of gates on one qubit t.  An H, RY or CRX on t pairs
-    the batch, gates that keep it paired follow, and a gate that
-    flattens it ends the run; one that is an H, RY or CRX itself pairs
-    the batch on its own target and opens the next run.  Returns the
-    circuit, the ways each gate after the first of a run was drawn, and
-    how many times the kernel must pair the batch."""
+    """Random runs of gates on one qubit t.  An H or RY on t pairs the
+    batch, gates that keep it paired follow, and a gate that flattens
+    it ends the run; one that is an H or RY itself pairs the batch on
+    its own target and opens the next run.  Returns the circuit, the
+    ways each gate after the first of a run was drawn, and how many
+    times the kernel must pair the batch."""
     circ, ways, pairings, t = Circuit(q), [], 0, None
     for _ in range(num_runs):
         if t is None:
@@ -550,8 +554,8 @@ def _paired_runs(q, num_runs, rng):
         u = rng.choice(rest)
         others = [o for o in rest if o != u]
         if way == "control on t":
-            kind = rng.choice((GateKind.CX, GateKind.CZ, GateKind.CRX,
-                               GateKind.MCT, GateKind.MCZ))
+            kind = rng.choice((GateKind.CX, GateKind.CZ, GateKind.MCT,
+                               GateKind.MCZ))
             gate = _gate_on(kind, u, others + [t], rng, control=t)
         elif way == "swap touching t":
             gate = Gate(GateKind.SWAP, targets=rng.choice(((t, u), (u, t))))
@@ -771,23 +775,23 @@ def _kernel_platform():
 # NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR".
 KERNEL_PINS = {
     ("2.4", True): {
-        "K3/k=3 run": ("53026832b9e36ebd556a0e8ac230d3a2"
-                       "5b658e45073432c5f9ce9dc7c048ee10",
-                       64, 3.434055740229792e-31),
-        "C6/k=2 run": ("5eed50ae95023ae360ed92aeb7f9bd11"
-                       "5a1f423aa99729eae707819e44f496bf",
-                       64, 4.754124159914955e-31),
+        "K3/k=3 run": ("f0b2082837a4c13e1207ce3e13947d4a"
+                       "d30f2a4acac3f467357c4a82d015ff7c",
+                       64, 2.709274135377189e-31),
+        "C6/k=2 run": ("96f84e7e8adbbbcec98cb3ee1707b8ef"
+                       "f627592f128bf4c539aa357b96560351",
+                       64, 6.9942366951534415e-31),
         "K3/k=3 paper pattern batch": ("f21fdce31c08dc1b435dd1ff0477b8a5"
                                        "c027bc0547c7d41c6ac8c8cb51e6e53a",
                                        1221, 0.0),
     },
     ("2.4", False): {
-        "K3/k=3 run": ("5268f4e82309f7a5b61e75ef192ed510"
-                       "8778b7c7bd33b5652deea1434242edfa",
-                       64, 3.530109217440279e-31),
-        "C6/k=2 run": ("d34ece3933c5174eb3100f8e6c194a8d"
-                       "4d77e6f8d6a7291d76074e6568fe842d",
-                       64, 5.41521847480312e-31),
+        "K3/k=3 run": ("4a62d10948b298562939124f5db4ee81"
+                       "1da40fd33c0567df0cc423ca518c5ac5",
+                       64, 2.795487314278073e-31),
+        "C6/k=2 run": ("e0827a03db43982adaab5bdbd576a03a"
+                       "4795b956f75fc9dedfa9415887b8ee6c",
+                       64, 7.071721352399965e-31),
         "K3/k=3 paper pattern batch": ("75c2a7f3df2d58ed2a8545ad888858cf"
                                        "49991d8115e80b423bbdf25e3101b9e0",
                                        1018, 0.0),
