@@ -246,16 +246,17 @@ class QubitLayout:
 
     Data qubits come first: vertex v's color bits occupy
     ``[v*c, (v+1)*c)``, most significant bit first.  The edge ancillas,
-    then the invalid ancilla or the valid flags, follow; a qubit past
-    them (at most one) is idle, left in |0> for a lowering to borrow.
+    then the valid flags, follow: one per vertex in strict mode, the
+    paper's one shared ancilla in paper mode, none when every pattern is
+    a color.  A qubit past them (at most one) is idle, left in |0> for a
+    lowering to borrow.
     """
 
     n: int
     c: int
     data: range
     edge_ancilla: range
-    invalid_ancilla: int | None
-    valid_flags: range | None
+    valid_flags: range
     num_qubits: int
 
     @property
@@ -268,11 +269,8 @@ class QubitLayout:
     def initial_state(self) -> list[int]:
         """Edge ancillas and valid flags start in |1>."""
         init = [0] * self.num_qubits
-        for q in self.edge_ancilla:
+        for q in (*self.edge_ancilla, *self.valid_flags):
             init[q] = 1
-        if self.valid_flags is not None:
-            for q in self.valid_flags:
-                init[q] = 1
         return init
 
 

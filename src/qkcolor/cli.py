@@ -128,13 +128,15 @@ def _gate_text(gate: Gate) -> str:
     return " ".join(parts)
 
 
-def _layout_counts(layout) -> dict:
-    """Qubits by role; ``idle`` counts a qubit kept only to be borrowed."""
+def _layout_counts(plan) -> dict:
+    """Qubits by role; ``idle`` counts a qubit kept only to be borrowed.
+    Paper mode's one valid flag is reported as the paper's invalid
+    ancilla."""
+    layout = plan.layout
     counts = {"data": layout.num_data, "edge_ancilla": len(layout.edge_ancilla)}
-    if layout.invalid_ancilla is not None:
-        counts["invalid_ancilla"] = 1
-    if layout.valid_flags is not None:
-        counts["valid_flags"] = len(layout.valid_flags)
+    if layout.valid_flags:
+        name = "valid_flags" if plan.mode == "strict" else "invalid_ancilla"
+        counts[name] = len(layout.valid_flags)
     idle = layout.num_qubits - sum(counts.values())
     if idle:
         counts["idle"] = idle
@@ -183,7 +185,7 @@ def synth(graph_file, k, mode, basis, out_dir):
     report = _header(
         "synth", instance, mode,
         invalid_colors=sorted(instance.invalid_colors),
-        qubits=_layout_counts(plan.layout),
+        qubits=_layout_counts(plan),
         gate_counts={**counts, "mct_count_by_arity": {
             str(a): c for a, c in sorted(by_arity.items())}})
     _print_report(report, out_dir, f"{stem}.synth.json")

@@ -4,7 +4,7 @@ which marks by phase alone, and the diffusion A^-1 (X, MCZ, X) A.
 
 The oracle returns every non-data qubit to its declared state, so the
 diffusion's MCZ on m-1 controls runs as an AND chain on m-3 of them as
-clean ancillas where the layout has that many (m >= 4): 14(m-3)+11
+clean ancillas where the layout has that many (m >= 4): 14(m-3)+13
 gates lowered, 6m-12 of them 2-qubit, plus 2 X per ancilla that holds
 1, against 28m-82 and 12m-34 on borrowed qubits."""
 from __future__ import annotations
@@ -53,7 +53,7 @@ def build_diffusion(data_width: int, clean=()) -> Circuit:
     chain: X on those that hold 1, a0 = c0 AND c1, then
     ai = c(i+1) AND a(i-1), a Z on m-1 controlled by the last AND and
     c(m-2), and the chain and X gates mirrored.  That is a mirror window,
-    so it lowers to 14(m-3)+11 gates, 6m-12 of them 2-qubit, plus 2 X per
+    so it lowers to 14(m-3)+13 gates, 6m-12 of them 2-qubit, plus 2 X per
     ancilla that holds 1, and returns every ancilla.  Otherwise it is one
     MCZ on m-1 controls, which the lowering writes on borrowed qubits:
     28m-82 gates, 12m-34 of them 2-qubit, where m-3 are free.

@@ -8,18 +8,18 @@ proper colorings using valid colors.  Structure:
     final checks (Nielsen & Chuang 6.1, with no output qubit)  ->
     mirror of the comparators and the detection.
 
-Two invalid-color strategies are provided.  ``paper`` mode accumulates
-all invalid-vertex detections onto a single ancilla, which is parity
+Both invalid-color strategies write valid flags that start in |1> and
+are positive checks of the kickback.  ``paper`` mode keeps one shared
+flag that every invalid-vertex detection toggles, which is parity
 blind: an even number of invalidly colored, pairwise nonadjacent
 vertices cancels out and the state is falsely marked.  ``strict`` mode
-(the default) keeps one valid-flag qubit per vertex and is exact.
+(the default) keeps one valid flag per vertex and is exact.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import (Circuit, Control, Gate, GateKind, QubitLayout, gCX,
-                      gMCT, gMCZ, gX, gZ)
+from .circuit import Circuit, Gate, QubitLayout, gCX, gMCT, gMCZ, gX, gZ
 from .errors import NoInvalidColors, WidthMismatch
 from .graphs import Instance
 
@@ -66,29 +66,18 @@ def plan_layout(instance: Instance, mode: str = "strict") -> OraclePlan:
     """Assign qubit ranges and the edge-comparator schedule.  An idle
     qubit is kept where fewer than max(m - 3, 2) sit beside the m data
     qubits: the diffusion's AND chain takes m - 3 as clean ancillas,
-    14(m-3)+11 gates lowered, 6m-12 of them 2-qubit, plus 2 X per
+    14(m-3)+13 gates lowered, 6m-12 of them 2-qubit, plus 2 X per
     ancilla that holds 1; a one-vertex detector borrows 1."""
     _check_mode(mode)
     graph = instance.graph
     n, c, e = graph.n, instance.c, graph.num_edges
     m = n * c
     r = min(e, n)
-    has_invalid = bool(instance.invalid_colors)
-
-    cursor = m + r
-    invalid_ancilla = None
-    valid_flags = None
-    if has_invalid:
-        if mode == "paper":
-            invalid_ancilla = cursor
-            cursor += 1
-        else:
-            valid_flags = range(cursor, cursor + n)
-            cursor += n
+    flags = (n if mode == "strict" else 1) if instance.invalid_colors else 0
+    cursor = m + r + flags
     layout = QubitLayout(n=n, c=c, data=range(0, m),
                          edge_ancilla=range(m, m + r),
-                         invalid_ancilla=invalid_ancilla,
-                         valid_flags=valid_flags,
+                         valid_flags=range(m + r, cursor),
                          num_qubits=cursor + (cursor - m < max(m - 3, 2)))
 
     schedule = _schedule_edges(graph.sorted_edges(), list(layout.edge_ancilla))
@@ -136,33 +125,32 @@ def build_comparator(a_qubits, b_qubits, f: int) -> list[Gate]:
     return ladder + [mct] + [g for g in reversed(ladder)]
 
 
-def _pattern_controls(layout: QubitLayout, vertex: int, pattern: int) -> list[Control]:
+def _pattern_controls(layout: QubitLayout, vertex: int,
+                      pattern: int) -> list[tuple[int, bool]]:
     """Controls on a vertex's color bits matching an invalid bit pattern."""
     qubits = layout.vertex_qubits(vertex)
     c = layout.c
-    return [Control(q, bool((pattern >> (c - 1 - pos)) & 1))
+    return [(q, bool((pattern >> (c - 1 - pos)) & 1))
             for pos, q in enumerate(qubits)]
 
 
 def build_invalid_color_detector(plan: OraclePlan, instance: Instance) -> list[Gate]:
     """Detect vertices carrying a bit pattern >= k.
 
-    paper mode: every (vertex, invalid pattern) match toggles the shared
-    invalid ancilla.  strict mode: a match clears that vertex's valid
-    flag (flags start in |1>).
+    Every (vertex, invalid pattern) match toggles a valid flag, which
+    starts in |1>: vertex v's own in strict mode, so it reads 1 iff v's
+    color is valid, and the one shared flag in paper mode, so it reads 1
+    iff an even number of vertices match.
     """
     if not instance.invalid_colors:
         raise NoInvalidColors(f"k={instance.k} is a power of two")
     layout = plan.layout
+    flags = layout.valid_flags
     gates = []
     for v in range(instance.graph.n):
-        if plan.mode == "paper":
-            target = layout.invalid_ancilla
-        else:
-            target = layout.valid_flags[v]
+        target = flags[v if plan.mode == "strict" else 0]
         for pattern in sorted(instance.invalid_colors):
-            gates.append(Gate(GateKind.MCT, controls=tuple(
-                _pattern_controls(layout, v, pattern)), targets=(target,)))
+            gates.append(gMCT(_pattern_controls(layout, v, pattern), target))
     return gates
 
 
@@ -172,9 +160,10 @@ def build_oracle(instance: Instance, mode: str = "strict",
 
     With the ancillas in their declared states it acts diagonally on the
     data: a basis state gets phase -1 iff it encodes a proper, validly
-    colored assignment (in strict mode).  The kickback is an MCZ on the
-    last check that must read 1, controlled by the others; with none,
-    X Z X on the invalid ancilla or Z X Z X (a global -1) on qubit 0.
+    colored assignment (in strict mode).  The checks are the surviving
+    comparator slots, then the valid flags, and each reads 1 when it
+    passes: the kickback is an MCZ on the last, controlled by the others,
+    or with no check Z X Z X (a global -1) on qubit 0.
 
     A ``plan`` made for another instance or mode raises ValueError.
     """
@@ -191,16 +180,9 @@ def build_oracle(instance: Instance, mode: str = "strict",
         compute.extend(build_invalid_color_detector(plan, instance))
     compute.extend(_edge_phase_gates(plan, layout))
 
-    checks, zero = plan.surviving_slots(), []  # qubits that must read 1, 0
-    if instance.invalid_colors:
-        if plan.mode == "paper":
-            zero.append(layout.invalid_ancilla)
-        else:
-            checks.extend(layout.valid_flags)
+    checks = plan.surviving_slots() + list(layout.valid_flags)
     if checks:
-        kickback = [gMCZ(checks[:-1] + [(q, False) for q in zero], checks[-1])]
-    elif zero:  # no edges: X Z X, its Z an MCZ centring a mirror window
-        kickback = [gX(zero[0]), gMCZ([], zero[0]), gX(zero[0])]
+        kickback = [gMCZ(checks[:-1], checks[-1])]
     else:  # nothing to check: every string is marked
         kickback = [gZ(0), gX(0), gZ(0), gX(0)]
 
@@ -214,9 +196,8 @@ def _check_plan(plan: OraclePlan, instance: Instance, mode: str) -> None:
     mode.  plan_layout's plan follows from the mode, n, c, the edges and
     whether any color is invalid, so these are compared instead."""
     layout = plan.layout
-    invalid = layout.invalid_ancilla is not None or layout.valid_flags is not None
     edges = sorted(edge for rnd in plan.edge_schedule for edge, _ in rnd.edges)
-    if ((plan.mode, layout.n, layout.c, invalid, edges)
+    if ((plan.mode, layout.n, layout.c, bool(layout.valid_flags), edges)
             != (mode, instance.graph.n, instance.c,
                 bool(instance.invalid_colors), instance.graph.sorted_edges())):
         raise ValueError(f"the {plan.mode}-mode plan for {layout.n} vertices "

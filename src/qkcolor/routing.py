@@ -35,16 +35,11 @@ class CouplingGraph:
                 raise IndexOutOfRange(f"pair ({a}, {b}) is a self-loop")
             canon.add((min(a, b), max(a, b)))
         canon = frozenset(canon)
-        # neighbour order is the iteration order of ``canon``: set by the
-        # hashes of its int pairs, which PYTHONHASHSEED does not change,
-        # and where those collide by the order of ``pairs`` (reversing a
-        # 13-qubit line plus (0, 5) and (3, 9) turns qubit 3's (4, 2, 9)
-        # into (4, 9, 2)); the stall walk's tie-breaking depends on it
         adj = [[] for _ in range(num_physical)]
         for a, b in canon:
             adj[a].append(b)
             adj[b].append(a)
-        adjacency = tuple(tuple(nbs) for nbs in adj)
+        adjacency = tuple(tuple(sorted(nbs)) for nbs in adj)
         return cls(num_physical, canon, _all_pairs_bfs(adjacency), adjacency)
 
     def coupled(self, a: int, b: int) -> bool:

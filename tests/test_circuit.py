@@ -298,7 +298,7 @@ def test_stats():
 
 def test_layout_data_and_initials():
     layout = QubitLayout(n=2, c=2, data=range(0, 4), edge_ancilla=range(4, 5),
-                         invalid_ancilla=None, valid_flags=range(5, 7),
+                         valid_flags=range(5, 7),
                          num_qubits=8)
     init = layout.initial_state()
     assert init == [0, 0, 0, 0, 1, 1, 1, 0]

@@ -475,7 +475,7 @@ def test_cost_table(runner):
                                    oracle.plan_layout(instance, "paper"))
         assert row["oracle_gates_lowered"] != ""
         assert int(row["oracle_gates_lowered"]) == len(lower_circuit(circ).gates)
-    # triangle: 3 edge slots + 1 invalid ancilla
+    # triangle: 3 edge slots + the one shared valid flag
     assert int(rows[1]["ancilla_qubits"]) == 4
 
 
@@ -553,20 +553,20 @@ k3-3-strict route-cx stdout 8c33ea25b7e778ae315f092dce07b839a8e45d9af318ac07fe01
 k3-3-strict run stdout 42be0b5b17eac86479b30edc25e7be925f887417aed896f4a5e4d3ec955fa671
 k3-3-strict run-line13 k3.routed.qasm 65c406dfd851d6057ef4cada38c181650ad4ddd00b710166f2769611ee38cdf6
 k3-3-strict run-line13 stdout acffc44410e6f6e4663121283b0bdec299fc42c91006a8ab22bbb93eef936951
-k3-3-paper synth k3.oracle.qasm b6e318633a7f28b3b94e1cd6869bced17b16957e3b59985207ddfc1b5f856cae
-k3-3-paper synth k3.oracle.txt f7f9cda01ad92109d7a2a28a6543e0700dbd56cd024a47937445ed9a5207a840
-k3-3-paper synth k3.synth.json 973bbc81ffbc4681d5c27cf484f73b5a8e9ae07e14f0cdba5c582c54cd160957
-k3-3-paper synth stdout 973bbc81ffbc4681d5c27cf484f73b5a8e9ae07e14f0cdba5c582c54cd160957
-k3-3-paper synth-cx k3.oracle.qasm b6e318633a7f28b3b94e1cd6869bced17b16957e3b59985207ddfc1b5f856cae
-k3-3-paper synth-cx k3.oracle.txt f7f9cda01ad92109d7a2a28a6543e0700dbd56cd024a47937445ed9a5207a840
-k3-3-paper synth-cx k3.synth.json 973bbc81ffbc4681d5c27cf484f73b5a8e9ae07e14f0cdba5c582c54cd160957
-k3-3-paper synth-cx stdout 973bbc81ffbc4681d5c27cf484f73b5a8e9ae07e14f0cdba5c582c54cd160957
-k3-3-paper grover k3.grover.json b5b1c48608acdc6d4d97a7bff01dd0e8097d5dfcb4b21ca557162600cb4e7640
-k3-3-paper grover k3.grover.qasm 6bc831da60a46f4690ecdd11868749a00af0b8faa923c239405e10c3e3909d7a
-k3-3-paper grover stdout b5b1c48608acdc6d4d97a7bff01dd0e8097d5dfcb4b21ca557162600cb4e7640
-k3-3-paper grover-cx k3.grover.json b5b1c48608acdc6d4d97a7bff01dd0e8097d5dfcb4b21ca557162600cb4e7640
-k3-3-paper grover-cx k3.grover.qasm 6bc831da60a46f4690ecdd11868749a00af0b8faa923c239405e10c3e3909d7a
-k3-3-paper grover-cx stdout b5b1c48608acdc6d4d97a7bff01dd0e8097d5dfcb4b21ca557162600cb4e7640
+k3-3-paper synth k3.oracle.qasm 48f2386c9d438f296f691c33951381ddec0f0c67414a76e1934460560a044057
+k3-3-paper synth k3.oracle.txt 911ed58a2caaaa614879639754e2237be132896bac8e29d62b960e465c5e1c37
+k3-3-paper synth k3.synth.json d95fb71c721f56b3a9842d94ad0f99d866ba4fad974a659071c16275d1efdaa7
+k3-3-paper synth stdout d95fb71c721f56b3a9842d94ad0f99d866ba4fad974a659071c16275d1efdaa7
+k3-3-paper synth-cx k3.oracle.qasm 48f2386c9d438f296f691c33951381ddec0f0c67414a76e1934460560a044057
+k3-3-paper synth-cx k3.oracle.txt 911ed58a2caaaa614879639754e2237be132896bac8e29d62b960e465c5e1c37
+k3-3-paper synth-cx k3.synth.json d95fb71c721f56b3a9842d94ad0f99d866ba4fad974a659071c16275d1efdaa7
+k3-3-paper synth-cx stdout d95fb71c721f56b3a9842d94ad0f99d866ba4fad974a659071c16275d1efdaa7
+k3-3-paper grover k3.grover.json d1c7a008d2e61560b81eee6f1401a7d1e6f1bc29cf4ec06907b9c6b52955591a
+k3-3-paper grover k3.grover.qasm b70af6b619ce2f5beec438e756939feec48a1a48592b1f8591866ea7224eb89b
+k3-3-paper grover stdout d1c7a008d2e61560b81eee6f1401a7d1e6f1bc29cf4ec06907b9c6b52955591a
+k3-3-paper grover-cx k3.grover.json d1c7a008d2e61560b81eee6f1401a7d1e6f1bc29cf4ec06907b9c6b52955591a
+k3-3-paper grover-cx k3.grover.qasm b70af6b619ce2f5beec438e756939feec48a1a48592b1f8591866ea7224eb89b
+k3-3-paper grover-cx stdout d1c7a008d2e61560b81eee6f1401a7d1e6f1bc29cf4ec06907b9c6b52955591a
 k3-3-paper run stdout 67c5b9ab6b70fab0f2dbcb79d040a3bc9e9ff14a5d313ab2bb402d60f7a97df0
 p3-2 synth p3.oracle.qasm fb1a75a0adee2c50101b206d1dac75c837edfb6543ed02b07f88872f01ed4d5c
 p3-2 synth p3.oracle.txt 99f0276bec32ee3bcc88693cf6d14c5a815a0d9bc571b99d5622422c6b283967
@@ -603,7 +603,7 @@ k3-2 route-default stdout f3488c3ee8eed62f8e2f28944eb1ec793db9f7e13c5a05b2ef9949
 k3-2 route-cx stdout f3488c3ee8eed62f8e2f28944eb1ec793db9f7e13c5a05b2ef994934e211fe51
 k3-2 run stdout c5a8e95dd0692c244f662bdb0cd368e62d020d8a81ee0379b7a25a7d943b7fb4
 k3-2 run-line13 stdout c5a8e95dd0692c244f662bdb0cd368e62d020d8a81ee0379b7a25a7d943b7fb4
-cost --k 3 stdout 186dd488c654d550ae4d5a545bd2f1d4ccb0e7cdc796bda6af12ab63581802a2
+cost --k 3 stdout 755e266c85c9ce2289d22cf53db851bdb3eb3a3881165865b353ad93e4639e4c
 """
 
 

@@ -418,15 +418,15 @@ def test_every_wide_mct_leaves_a_qubit_idle():
 
 
 def test_edgeless_paper_detector_lowers_in_a_window():
-    # with no edge the paper kickback is X Z X on the invalid ancilla; its
-    # Z is an MCZ, so the detector is the W of a mirror window and its
+    # with no edge the paper kickback is a control-free MCZ on the shared
+    # valid flag, so the detector is the W of a mirror window and its
     # Toffolis are Margolus: no RZ, which only an exact CCZ or Toffoli
     # and a phase top emit
     for n in range(1, 5):
         inst = make_instance(Graph(n, frozenset()), 3)
         lowered = lower_circuit(build_oracle(inst, "paper"))
         assert not any(g.kind is GateKind.RZ for g in lowered.gates), n
-        assert len(lowered.gates) == 3 + 14 * n
+        assert len(lowered.gates) == 1 + 14 * n
 
 
 def _gate_by_gate(circ):

@@ -19,26 +19,23 @@ def test_strict_layout_triangle_k3():
     layout = plan.layout
     assert list(layout.data) == list(range(6))
     assert list(layout.edge_ancilla) == [6, 7, 8]
-    assert layout.invalid_ancilla is None
-    assert list(layout.valid_flags) == [9, 10, 11]
+    assert layout.valid_flags == range(9, 12)
     assert layout.num_qubits == 12
 
 
 def test_paper_layout_triangle_k3():
     plan = plan_layout(make_instance(complete_graph(3), 3), "paper")
     layout = plan.layout
-    assert layout.invalid_ancilla == 9
-    assert layout.valid_flags is None
+    assert layout.valid_flags == range(9, 10)
     assert layout.num_qubits == 10
-    # 3 comparator slots + 1 invalid-detection ancilla
+    # 3 comparator slots + the one shared valid flag
     assert layout.num_qubits - layout.num_data == 4
 
 
 def test_power_of_two_k_needs_no_invalid_tracking():
     for mode in MODES:
         layout = plan_layout(make_instance(complete_graph(3), 4), mode).layout
-        assert layout.invalid_ancilla is None
-        assert layout.valid_flags is None
+        assert not layout.valid_flags
 
 
 def test_bad_mode_rejected():
@@ -84,12 +81,12 @@ def test_strict_detector_clears_flags_of_invalid_vertices():
 
 
 def test_paper_detector_is_parity_blind():
-    # one invalid vertex toggles the shared ancilla ...
+    # one invalid vertex clears the shared flag ...
     bits, layout = _detector_output("paper", [3, 0, 1])
-    assert bits[layout.invalid_ancilla] == "1"
+    assert [bits[q] for q in layout.valid_flags] == ["0"]
     # ... two invalid vertices cancel out
     bits, layout = _detector_output("paper", [3, 3, 1])
-    assert bits[layout.invalid_ancilla] == "0"
+    assert [bits[q] for q in layout.valid_flags] == ["1"]
 
 
 def test_detector_rejects_power_of_two_k():
@@ -155,30 +152,21 @@ def test_small_graph_oracles_match_brute_force(k):
         assert phase_pattern(oracle, plan.layout) == classical.solutions(inst)
 
 
-def _kickback(plan, instance):
-    """The kickback build_oracle must write: an MCZ on the final checks
-    targeting the last that must read 1, else X Z X on the invalid
-    ancilla, its Z a control-free MCZ, else a global -1 as Z X Z X on
-    qubit 0."""
-    layout = plan.layout
-    positive = plan.surviving_slots()
-    negative = []
-    if instance.invalid_colors:
-        if plan.mode == "paper":
-            negative.append(layout.invalid_ancilla)
-        else:
-            positive.extend(layout.valid_flags)
-    if positive:
-        return [gMCZ(positive[:-1] + [(q, False) for q in negative],
-                     positive[-1])]
-    if negative:
-        return [gX(negative[0]), gMCZ([], negative[0]), gX(negative[0])]
+def _kickback(plan):
+    """The kickback build_oracle must write: an MCZ on the final checks,
+    the surviving slots then the valid flags, targeting the last, else a
+    global -1 as Z X Z X on qubit 0."""
+    checks = plan.surviving_slots() + list(plan.layout.valid_flags)
+    if checks:
+        return [gMCZ(checks[:-1], checks[-1])]
     return [gZ(0), gX(0), gZ(0), gX(0)]
 
 
 def test_every_oracle_is_permutations_around_one_kickback():
     # phase_pattern tracks oracles of X, CX, MCT, Z, CZ and MCZ as bits,
-    # and cli's oracle listing prints no angles
+    # and cli's oracle listing prints no angles.  Every check is a
+    # positive control, so each non-data qubit but the idle one starts
+    # in |1>.
     checked = {}
     for n in range(1, 5):
         for graph in all_graphs(n):
@@ -186,19 +174,28 @@ def test_every_oracle_is_permutations_around_one_kickback():
                 for mode in MODES:
                     inst = make_instance(graph, k)
                     plan = plan_layout(inst, mode)
-                    gates = build_oracle(inst, mode, plan).gates
-                    kickback = _kickback(plan, inst)
+                    oracle = build_oracle(inst, mode, plan)
+                    gates = oracle.gates
+                    kickback = _kickback(plan)
                     half = (len(gates) - len(kickback)) // 2
                     compute = gates[:half]
                     assert {g.kind for g in compute} <= PERMUTATION_KINDS
                     assert gates[half:len(gates) - half] == kickback
                     assert gates[len(gates) - half:] == \
                         [g.adjoint() for g in reversed(compute)]
+                    assert all(c.positive for g in kickback
+                               for c in g.controls)
+                    layout = plan.layout
+                    ancillas = (len(layout.edge_ancilla)
+                                + len(layout.valid_flags))
+                    idle = layout.num_qubits - layout.num_data - ancillas
+                    assert idle in (0, 1)
+                    assert oracle.initial_state[layout.num_data:] == \
+                        [1] * ancillas + [0] * idle
                     form = len(kickback)
                     checked[form] = checked.get(form, 0) + 1
-    # the X Z X form: paper mode on the 4 edgeless graphs at k = 3, 5;
     # the global -1: the edgeless graphs at k = 2, 4 in both modes
-    assert checked == {1: 600 - 8 - 16, 3: 8, 4: 16}
+    assert checked == {1: 600 - 16, 4: 16}
 
 
 def _parent_width(inst, mode):

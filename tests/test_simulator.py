@@ -781,9 +781,9 @@ KERNEL_PINS = {
         "C6/k=2 run": ("96f84e7e8adbbbcec98cb3ee1707b8ef"
                        "f627592f128bf4c539aa357b96560351",
                        64, 6.9942366951534415e-31),
-        "K3/k=3 paper pattern batch": ("f21fdce31c08dc1b435dd1ff0477b8a5"
-                                       "c027bc0547c7d41c6ac8c8cb51e6e53a",
-                                       1221, 0.0),
+        "K3/k=3 paper pattern batch": ("50d818d4447965795e4b8bf4ca29ea56"
+                                       "4a982cd5cb8b77cef13ef047a5a28d39",
+                                       1215, 0.0),
     },
     ("2.4", False): {
         "K3/k=3 run": ("4a62d10948b298562939124f5db4ee81"
@@ -792,9 +792,9 @@ KERNEL_PINS = {
         "C6/k=2 run": ("e0827a03db43982adaab5bdbd576a03a"
                        "4795b956f75fc9dedfa9415887b8ee6c",
                        64, 7.071721352399965e-31),
-        "K3/k=3 paper pattern batch": ("75c2a7f3df2d58ed2a8545ad888858cf"
-                                       "49991d8115e80b423bbdf25e3101b9e0",
-                                       1018, 0.0),
+        "K3/k=3 paper pattern batch": ("c3b506e0f80444d134e864caea138d04"
+                                       "230fafd1ca95e89916d66aa843bd25a1",
+                                       1027, 0.0),
     },
 }
 
