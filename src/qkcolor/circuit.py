@@ -25,7 +25,6 @@ class GateKind(Enum):
     RY = "ry"
     RZ = "rz"
     CX = "cx"
-    CZ = "cz"
     SWAP = "swap"
     MCT = "mct"
     MCZ = "mcz"
@@ -39,15 +38,16 @@ class GateKind(Enum):
 ONE_QUBIT_KINDS = frozenset({
     GateKind.X, GateKind.H, GateKind.Z, GateKind.RY, GateKind.RZ})
 ROTATION_KINDS = frozenset({GateKind.RY, GateKind.RZ})
-CONTROLLED_KINDS = frozenset({GateKind.CX, GateKind.CZ})
+CONTROLLED_KINDS = frozenset({GateKind.CX})
 MULTI_KINDS = frozenset({GateKind.MCT, GateKind.MCZ})
 # Gates that map basis states to basis states with no phase: what the W
-# of a mirror window may hold; phase_pattern tracks these and Z/CZ/MCZ.
+# of a mirror window may hold; phase_pattern tracks these and Z/MCZ.
 PERMUTATION_KINDS = frozenset({GateKind.X, GateKind.CX, GateKind.MCT})
 
 # The lowered alphabet, 1- and 2-qubit gates only: what lower_circuit
 # produces, and the only kinds emit_qasm and sabre_route accept.  Its
-# rotations take no control, and basis="cx" leaves x, h, z, ry, rz, cx.
+# rotations take no control, and cx is its one controlled gate; swap
+# comes only from the router, and basis="cx" expands it into cx.
 LOWERED_KINDS = ONE_QUBIT_KINDS | CONTROLLED_KINDS | {GateKind.SWAP}
 
 # Operand shape of each kind: (controls, targets, message), controls None
@@ -221,7 +221,6 @@ def gZ(t): return Gate(GateKind.Z, (), (t,))
 def gRY(t, angle): return Gate(GateKind.RY, (), (t,), angle)
 def gRZ(t, angle): return Gate(GateKind.RZ, (), (t,), angle)
 def gCX(c, t): return Gate(GateKind.CX, (_control(c, True),), (t,))
-def gCZ(c, t): return Gate(GateKind.CZ, (_control(c, True),), (t,))
 def gSWAP(a, b): return Gate(GateKind.SWAP, (), (a, b))
 
 

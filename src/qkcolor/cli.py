@@ -4,10 +4,10 @@ Subcommands: synth (the oracle), grover (the Grover circuit), route
 (the routed circuit), run (the simulated run, routed too with
 --topology) and cost.  Each is a selection over one chain of shared
 steps: load the instance, make the Grover job (refusing a device too
-small for it), lower to the default or the cx basis and write QASM,
-route, simulate, and validate, write and print the JSON report.
-N and t come from the job; for a graph with no coloring, grover and
-route write nothing, and run still writes its report.
+small for it), lower and write QASM, route (with --basis cx, whose
+swaps become cx), simulate, and validate, write and print the JSON
+report.  N and t come from the job; for a graph with no coloring,
+grover and route write nothing, and run still writes its report.
 
 Exit codes: 0 success (including "not k-colorable"), 2 input or usage
 error (an option the command would ignore is a usage error), 3 resource
@@ -89,10 +89,10 @@ def _write(out_dir: str, name: str, text: str) -> None:
         fh.write(text)
 
 
-def _lowered_qasm(out_dir: str, name: str, circ: Circuit, basis: str) -> dict:
-    """Lower ``circ`` to ``basis``, write it as QASM to ``out_dir/name``,
-    and return the report's pre- and post-lowering gate counts."""
-    lowered = lower_circuit(circ, basis)
+def _lowered_qasm(out_dir: str, name: str, circ: Circuit) -> dict:
+    """Lower ``circ``, write it as QASM to ``out_dir/name``, and return
+    the report's pre- and post-lowering gate counts."""
+    lowered = lower_circuit(circ)
     _write(out_dir, name, emit_qasm(lowered))
     return {"pre_lowering": len(circ.gates),
             "post_lowering": len(lowered.gates)}
@@ -170,9 +170,8 @@ def main():
 
 @main.command()
 @graph_args
-@basis_option
 @out_dir_option
-def synth(graph_file, k, mode, basis, out_dir):
+def synth(graph_file, k, mode, out_dir):
     """Synthesize the k-coloring oracle and emit lowered QASM."""
     instance = _load_instance(graph_file, k)
     plan = plan_layout(instance, mode)
@@ -180,7 +179,7 @@ def synth(graph_file, k, mode, basis, out_dir):
     stem = _stem(graph_file)
     _write(out_dir, f"{stem}.oracle.txt",
            "\n".join(_gate_text(g) for g in oracle.gates) + "\n")
-    counts = _lowered_qasm(out_dir, f"{stem}.oracle.qasm", oracle, basis)
+    counts = _lowered_qasm(out_dir, f"{stem}.oracle.qasm", oracle)
     by_arity = oracle.stats().mct_count_by_arity
     report = _header(
         "synth", instance, mode,
@@ -194,9 +193,8 @@ def synth(graph_file, k, mode, basis, out_dir):
 @main.command()
 @graph_args
 @iterations_option
-@basis_option
 @out_dir_option
-def grover(graph_file, k, mode, iterations, basis, out_dir):
+def grover(graph_file, k, mode, iterations, out_dir):
     """Assemble the full Grover circuit and emit lowered QASM."""
     instance = _load_instance(graph_file, k)
     job = _grover_job(instance, mode, iterations)
@@ -204,7 +202,7 @@ def grover(graph_file, k, mode, iterations, basis, out_dir):
         return
     circ = assemble(job)
     stem = _stem(graph_file)
-    counts = _lowered_qasm(out_dir, f"{stem}.grover.qasm", circ, basis)
+    counts = _lowered_qasm(out_dir, f"{stem}.grover.qasm", circ)
     report = _header("grover", instance, mode, N=job.search_size,
                      M=job.solution_count, iterations=job.iterations,
                      total_qubits=circ.num_qubits, gate_counts=counts)
@@ -232,7 +230,7 @@ def _route_to_file(circ, coupling, seed, basis, out_dir, stem) -> dict:
     """Lower and route ``circ``, write ``<stem>.routed.qasm`` with the final
     layout as comments, and return the route report.  The router places
     the default-basis lowering; lowering the routed circuit to ``basis``
-    expands its cz and swaps afterwards, on the pairs they occupy."""
+    expands its swaps afterwards, on the pairs they occupy."""
     result = sabre_route(lower_circuit(circ), coupling, seed)
     routed = lower_circuit(result.routed, basis)
     comments = [f"final_layout: logical {l} -> physical {p}"

@@ -125,17 +125,16 @@ def make_job(instance: Instance, mode: str = "strict",
 def assemble(job: GroverJob) -> Circuit:
     """State preparation followed by t repetitions of oracle + diffusion.
 
-    The register starts in |0...0>; ancillas declared |1> by the layout
-    are set with explicit X gates, so the circuit is self-contained.  A
-    job that counted no solutions raises NoSolutions.
+    The register starts in the layout's declared state, its edge ancillas
+    and valid flags in |1>; ``emit_qasm`` writes that start as X gates.
+    A job that counted no solutions raises NoSolutions.
     """
     if job.solution_count == 0:
         raise NoSolutions("no marked states: graph is unsatisfiable at this k")
     layout = job.plan.layout
-    circ = Circuit(layout.num_qubits, measured=layout.data,
-                   initial_state=[0] * layout.num_qubits)
     init = layout.initial_state()
-    circ.extend([gX(q) for q, bit in enumerate(init) if bit])
+    circ = Circuit(layout.num_qubits, measured=layout.data,
+                   initial_state=init)
     circ.extend(_prepare(layout.data))
 
     # between rounds every non-data qubit holds its declared bit

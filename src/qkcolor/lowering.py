@@ -1,12 +1,13 @@
 """Lowering pass: rewrite MCT/MCZ and negative controls into 1- and
 2-qubit gates, exactly (up to a global phase), without adding qubits.
 
-A gate with 0 or 1 control becomes X/CX (MCT) or Z/CZ (MCZ).  An MCZ
-with 2 or more controls is the MCT conjugated by H on its target, but
-where it is an exact CCZ or on a V-chain (below), and negative controls
-are conjugated by X.  A gate with n >= 3 controls is a network of
-Toffolis on the qubits it leaves free, borrowed dirty: they may hold
-any state and are restored (Barenco et al. 1995, quant-ph/9503016):
+A gate with no control becomes X (MCT) or Z (MCZ), and an MCT with
+one control a CX.  Any other MCZ is the MCT conjugated by H on its
+target, but where it is an exact CCZ or on a V-chain (below), and
+negative controls are conjugated by X.  So CX is the one 2-qubit gate
+written.  A gate with n >= 3 controls is a network of Toffolis on the
+qubits it leaves free, borrowed dirty: they may hold any state and are
+restored (Barenco et al. 1995, quant-ph/9503016):
 
 * n-2 or more free qubits: the V-chain of Lemma 7.2, 4(n-2) Toffolis;
 * 1 to n-3 free qubits: the split of Lemma 7.3, which borrows one
@@ -19,9 +20,10 @@ any state and are restored (Barenco et al. 1995, quant-ph/9503016):
 One rule then picks each Toffoli (Maslov 2016, arXiv:1508.03273).  In a
 mirror window W K W^-1, with K an MCT/MCZ on target t and W a run of
 X/CX/MCT gates (off t under an MCT), every Toffoli of W is a 7-gate
-relative-phase (Margolus) Toffoli, 3 of them CX, t is never borrowed,
-and the right side is the exact adjoint of the lowered W, so the phases
-cancel across the window.  Any other Toffoli is exact: ``_ccz``, the
+relative-phase (Margolus) Toffoli, 3 of them CX, t is never borrowed
+under an MCT (an MCZ is diagonal, so W may borrow any qubit), and the
+right side is the exact adjoint of the lowered W, so the phases cancel
+across the window.  Any other Toffoli is exact: ``_ccz``, the
 Clifford+T CCZ with each T as RZ(pi/4) (Nielsen & Chuang Fig. 4.9), 13
 gates, 6 of them CX, in H on its target; an exact 2-control MCZ is that
 CCZ alone.  An oracle's compute, MCZ kickback and uncompute is such a
@@ -48,7 +50,7 @@ from __future__ import annotations
 import math
 
 from .circuit import (MULTI_KINDS, PERMUTATION_KINDS, Circuit, Gate, GateKind,
-                      gCX, gCZ, gH, gMCT, gRY, gRZ, gX, gZ)
+                      gCX, gH, gMCT, gRY, gRZ, gX, gZ)
 from .errors import UnloweredGate
 
 
@@ -173,13 +175,13 @@ def _lower_multi(gate: Gate, num_qubits: int,
     controls = [c.qubit for c in gate.controls]
     if n == 0:
         return [gZ(target) if mcz else gX(target)]
+    if n == 2 and avoid is None:
+        body = _ccz(*controls, target)
+        return _flipped(gate, body if mcz else
+                        [gH(target)] + body + [gH(target)])
     if n == 1:
-        return _flipped(gate, [(gCZ if mcz else gCX)(controls[0], target)])
-    if n == 2:
-        if avoid is None:
-            body = _ccz(*controls, target)
-            return _flipped(gate, body if mcz else
-                            [gH(target)] + body + [gH(target)])
+        body = [gCX(controls[0], target)]
+    elif n == 2:
         body = _margolus(*controls, target)
     else:
         busy = set(gate.operands)
@@ -239,9 +241,10 @@ def _lowered_gates(gates: list[Gate], width: int, avoid: int | None = None):
     of its W.
 
     In a window W K W^-1 the W is lowered with ``avoid`` set to K's
-    target, so it is D P with P the exact W and D diagonal (off that
-    target under an MCT); W's gates only permute basis states, so their
-    relative-phase lowering is a diagonal times that permutation.
+    target under an MCT, and to -1, no qubit, under an MCZ, so it is D P
+    with P the exact W and D diagonal (off that target under an MCT);
+    W's gates only permute basis states, so their relative-phase
+    lowering is a diagonal times that permutation.
     ``_folded`` then rewrites it into fewer CX with the same unitary.  K is
     lowered as any other gate, and the right side is the exact adjoint
     of the lowered W.  D commutes with K, so the window is
@@ -259,9 +262,10 @@ def _lowered_gates(gates: list[Gate], width: int, avoid: int | None = None):
             yield from lowered(gates[i], avoid)
             i += 1
             continue
-        tau = gates[centre].targets[0]
+        k = gates[centre]
+        off = k.targets[0] if k.kind is GateKind.MCT else -1
         compute = _folded([low for g in gates[i:centre]
-                           for low in lowered(g, tau)])
+                           for low in lowered(g, off)])
         yield from compute
         yield from lowered(gates[centre], avoid)
         yield from (g.adjoint() for g in reversed(compute))
@@ -331,9 +335,10 @@ def lower_circuit(circuit: Circuit, basis: str = "default") -> Circuit:
     Toffolis, whose phases the mirror cancels, and folded (see
     ``_lowered_gates``); a circuit with no MCT or MCZ has no window.
 
-    basis="default" keeps cz and swap; basis="cx" expands them so
-    cx is the only 2-qubit gate left.  Both are idempotent, so a routed
-    circuit can pass again to expand the router's swaps.
+    Only the router writes swap: basis="default" keeps it, and
+    basis="cx" expands each into three cx, so cx is the only 2-qubit
+    gate left.  Both are idempotent, so a routed circuit can pass again
+    to expand the router's swaps.
     """
     if basis not in ("default", "cx"):
         raise ValueError(f"unknown basis {basis!r}")
@@ -346,13 +351,9 @@ def lower_circuit(circuit: Circuit, basis: str = "default") -> Circuit:
 
 
 def _cx_basis(gate: Gate) -> list[Gate]:
-    """The gate with swap and cz expanded so cx is its only 2-qubit
-    gate."""
+    """The gate, or a swap as three cx."""
     if gate.kind is GateKind.SWAP:
         a, b = gate.targets
         return [gCX(a, b), gCX(b, a), gCX(a, b)]
-    if gate.kind is GateKind.CZ:
-        c, t = gate.controls[0].qubit, gate.targets[0]
-        return [gH(t), gCX(c, t), gH(t)]
     return [gate]
 

@@ -190,25 +190,6 @@ class _Dag:
             last_on[a] = last_on[b] = i
         self.two_qubit = [len(g) == 2 for g in ops]  # the rest are 1q
 
-    def reverse(self) -> "_Dag":
-        """The DAG of ``ops[::-1]``, as ``_Dag`` would build it.
-
-        Two gates are joined iff they share a qubit that no gate between
-        them touches, in either direction, so the edges are these edges
-        turned round.  Walking the nodes from the last one fills each
-        successor list in ascending order, as ``_Dag`` fills it.
-        """
-        n = len(self.ops)
-        rev = object.__new__(_Dag)
-        rev.ops = self.ops[::-1]
-        rev.succ = [[] for _ in range(n)]
-        for r, succ in enumerate(reversed(self.succ)):
-            for i in succ:
-                rev.succ[n - 1 - i].append(r)
-        rev.indegree = [len(succ) for succ in reversed(self.succ)]
-        rev.two_qubit = self.two_qubit[::-1]
-        return rev
-
 
 def sabre_route(circuit: Circuit, coupling: CouplingGraph,
                 seed: int = 0) -> RoutingResult:
@@ -229,7 +210,7 @@ def sabre_route(circuit: Circuit, coupling: CouplingGraph,
     rng = random.Random(seed)
     forward = _Dag(ops)
     m1, _, _ = _route_pass(forward, coupling, range(coupling.num_physical), rng)
-    m2, _, _ = _route_pass(forward.reverse(), coupling, m1, rng)
+    m2, _, _ = _route_pass(_Dag(ops[::-1]), coupling, m1, rng)
     m_final, out_gates, stall_walks = _route_pass(forward, coupling, m2, rng,
                                                   circuit.gates)
 

@@ -10,7 +10,7 @@ One kernel, ``_run_sparse``, runs every statevector: a sparse batch
 that holds only the amplitudes it has not dropped, each under an int64
 key (column index above the row bits).  Controls select entries by bit
 tests, permutation gates (X, CX, MCT, SWAP) XOR the keys, and diagonal
-gates (Z, RZ, CZ, MCZ) scale the held amplitudes.  H and RY, which
+gates (Z, RZ, MCZ) scale the held amplitudes.  H and RY, which
 take no control, pair the batch on their target qubit t: the keys with
 bit t clear, once each, and a (2, pairs) array of their bit-0 and bit-1
 amplitudes, 0 where not held.  The batch stays paired through the
@@ -35,7 +35,7 @@ error of a run is stated, not assumed.  It returns the held batch;
 only ``Statevector.amplitudes`` writes out all 2**q amplitudes.
 
 ``phase_pattern`` has two paths, both exact.  An oracle of X, CX and
-MCT gates and Z, CZ and MCZ phases only (every IR oracle) maps basis
+MCT gates and Z and MCZ phases only (every IR oracle) maps basis
 states to basis states up to a sign: it is run on all prepared basis
 states at once, one Python int per qubit and one for the sign, with a
 bit per basis state, with no statevector and no width bound.  Any
@@ -60,13 +60,13 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # the held amplitudes, or (the rest: H and RY) the 2x2 update of the
 # batch paired on its target, which stays paired for the next gate on it.
 _SWAPPED_KINDS = PERMUTATION_KINDS | {GateKind.SWAP}
-_SIGN_KINDS = frozenset({GateKind.Z, GateKind.CZ, GateKind.MCZ})
+_SIGN_KINDS = frozenset({GateKind.Z, GateKind.MCZ})
 _DIAGONAL_KINDS = _SIGN_KINDS | {GateKind.RZ}
 _MIXED_KINDS = frozenset(GateKind) - _SWAPPED_KINDS - _DIAGONAL_KINDS
 # The oracles phase_pattern tracks as bit rows; any other is simulated.
 _TRACKED_KINDS = PERMUTATION_KINDS | _SIGN_KINDS
 
-# _matrix entries of H and of Z, CZ and MCZ
+# _matrix entries of H and of Z and MCZ
 _H = (complex(_INV_SQRT2), complex(_INV_SQRT2), complex(_INV_SQRT2),
       complex(-_INV_SQRT2))
 _Z = (1 + 0j, 0j, 0j, -1 + 0j)
@@ -88,7 +88,7 @@ def _matrix(gate: Gate) -> tuple[complex, complex, complex, complex]:
     if kind is GateKind.H:
         return _H
     if kind not in ROTATION_KINDS:
-        return _Z  # Z, CZ and MCZ
+        return _Z  # Z and MCZ
     half = gate.angle / 2.0
     c, s = math.cos(half), math.sin(half)
     if kind is GateKind.RY:
@@ -319,9 +319,9 @@ def phase_pattern(oracle: Circuit, layout: QubitLayout,
 
     There are two paths, both exact:
 
-    * An oracle of ``_TRACKED_KINDS`` gates only (X, CX, MCT, Z, CZ and
-      MCZ) maps basis states to signed basis states, so every data
-      string is tracked exactly as bits, with no statevector; more than
+    * An oracle of ``_TRACKED_KINDS`` gates only (X, CX, MCT, Z and MCZ)
+      maps basis states to signed basis states, so every data string
+      is tracked exactly as bits, with no statevector; more than
       ``classical.ENUMERATION_CEILING`` data bits raise TooLarge.
     * Any other oracle is simulated as one sparse batch, one basis
       column per data string, holding only the amplitudes that are not

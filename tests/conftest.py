@@ -44,7 +44,7 @@ def _ref_target_matrix(gate: Gate) -> np.ndarray:
         return np.array(_REF_1Q[name], dtype=complex)
     if name in ("cx", "mct"):
         return np.array(_REF_1Q["x"], dtype=complex)
-    if name in ("cz", "mcz"):
+    if name == "mcz":
         return np.array(_REF_1Q["z"], dtype=complex)
     half = gate.angle / 2.0
     c, s = math.cos(half), math.sin(half)
@@ -172,7 +172,7 @@ def random_circuit(num_qubits: int, num_gates: int, rng: random.Random,
     for _ in range(num_gates):
         name = rng.choice(pool)
         kind = GateKind(name)
-        if name in ("cx", "cz"):
+        if name == "cx":
             c, t = rng.sample(range(num_qubits), 2)
             circ.append(Gate(kind, controls=(Control(c),), targets=(t,)))
         elif name == "swap":

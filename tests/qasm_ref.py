@@ -23,7 +23,7 @@ _FLOAT = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 # name -> (operand count, parameter count)
 KNOWN_GATES = {
     "x": (1, 0), "h": (1, 0), "z": (1, 0), "ry": (1, 1), "rz": (1, 1),
-    "cx": (2, 0), "cz": (2, 0), "swap": (2, 0),
+    "cx": (2, 0), "swap": (2, 0),
 }
 
 

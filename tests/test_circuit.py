@@ -5,8 +5,8 @@ import pytest
 
 from qkcolor.circuit import (CONTROLLED_KINDS, MULTI_KINDS, ONE_QUBIT_KINDS,
                              ROTATION_KINDS, Circuit, Control, Gate, GateKind,
-                             QubitLayout, gCX, gCZ, gH, gMCT, gMCZ, gRY,
-                             gRZ, gSWAP, gX, gZ)
+                             QubitLayout, gCX, gH, gMCT, gMCZ, gRY, gRZ,
+                             gSWAP, gX, gZ)
 from qkcolor.errors import IndexOutOfRange, OverlappingOperands
 
 
@@ -118,7 +118,7 @@ def test_replace_is_checked():
 
 def test_operands_are_controls_then_targets():
     built = [gMCT([(2, False), 0, 4], 1), gMCZ([3], 0), gSWAP(3, 1),
-             gCZ(0, 2), gRY(1, -0.4)]
+             gCX(0, 2), gRY(1, -0.4)]
     perm = [5, 6, 7, 8, 9]
     gates = (built + [g.remapped(perm) for g in built]
              + [g.adjoint() for g in built]
@@ -143,7 +143,6 @@ REMAP_CASES = {
     GateKind.RY: ((), (2,), 0.25),
     GateKind.RZ: ((), (3,), -1.5),
     GateKind.CX: ((C2,), (0,), None),
-    GateKind.CZ: ((Control(4),), (1,), None),
     GateKind.SWAP: ((), (3, 1), None),
     GateKind.MCT: ((Control(2, positive=False), Control(0), Control(4)),
                    (1,), None),
@@ -194,7 +193,6 @@ HELPER_CASES = {
     GateKind.RY: lambda: gRY(2, 0.25),
     GateKind.RZ: lambda: gRZ(3, -1.5),
     GateKind.CX: lambda: gCX(2, 0),
-    GateKind.CZ: lambda: gCZ(4, 1),
     GateKind.SWAP: lambda: gSWAP(3, 1),
     GateKind.MCT: lambda: gMCT([(2, False), 0, 4], 1),
     GateKind.MCZ: lambda: gMCZ([3, (0, 0)], 2),

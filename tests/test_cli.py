@@ -125,16 +125,25 @@ def test_grover_report_requires_integer_gate_counts(runner, k3_file,
 
 
 def test_basis_cx_on_synth_and_grover(runner, p3_file, tmp_path):
+    # P3/k=2's kickback is a 1-control MCZ, written as cx in h: unrouted
+    # circuits are all x h z ry rz cx, so neither command takes --basis
     out = tmp_path / "out"
     for command in ("synth", "grover"):
         result = runner.invoke(main, [command, p3_file, "--k", "2",
-                                      "--basis", "cx", "--out-dir", str(out)])
+                                      "--out-dir", str(out)])
         assert result.exit_code == 0, result.output
-        assert "basis" not in _json_head(result.output)
+        result = runner.invoke(main, [command, p3_file, "--k", "2",
+                                      "--basis", "cx",
+                                      "--out-dir", str(tmp_path / "cx")])
+        assert result.exit_code == 2, result.output
+        assert "No such option" in result.output and "--basis" in result.output
+    assert not (tmp_path / "cx").exists()
     for qasm in ("p3.oracle.qasm", "p3.grover.qasm"):
         parsed = check_qasm((out / qasm).read_text())
-        two_qubit = [name for name, ops, _ in parsed.gates if len(ops) == 2]
-        assert set(two_qubit) == {"cx"}, qasm
+        names = {name for name, _, _ in parsed.gates}
+        assert "h" in names and names <= {"x", "h", "z", "ry", "rz", "cx"}
+        two_qubit = {name for name, ops, _ in parsed.gates if len(ops) == 2}
+        assert two_qubit == {"cx"}, qasm
 
 
 def test_route(runner, p3_file, tmp_path):
@@ -220,7 +229,7 @@ def test_basis_cx_holds_after_routing(runner, p3_file, tmp_path, command):
 
 def test_basis_cx_routes_the_default_lowering(runner, k3_file, tmp_path):
     # the router places the default-basis lowering, and --basis cx
-    # expands its cz and swaps afterwards, on the pairs they occupy
+    # expands its swaps afterwards, on the pairs they occupy
     topo = tmp_path / "line13.cpl"
     topo.write_text("13\n" + "".join(f"{i} {i + 1}\n" for i in range(12)))
     swaps = {}
@@ -510,9 +519,7 @@ GOLDEN_INPUTS = {
 }
 GOLDEN_COMMANDS = {
     "synth": ["synth"],
-    "synth-cx": ["synth", "--basis", "cx"],
     "grover": ["grover"],
-    "grover-cx": ["grover", "--basis", "cx"],
     "route-default": ["route", "--topology", "line13.cpl"],
     "route-cx": ["route", "--topology", "line13.cpl", "--basis", "cx"],
     "run": ["run"],
@@ -536,74 +543,48 @@ k3-3-strict synth k3.oracle.qasm efb812efc6d73c9b02a4f6909d173e3a2a1d680e960c64e
 k3-3-strict synth k3.oracle.txt 7abd032e90232657bdc55e0a5d1e3258004672bdaf4dceaea4b547cbc4099cfc
 k3-3-strict synth k3.synth.json 4c92e3cab36eb73a596636739123226ae79a9915d70ac56a6dacf5ed688d7abe
 k3-3-strict synth stdout 4c92e3cab36eb73a596636739123226ae79a9915d70ac56a6dacf5ed688d7abe
-k3-3-strict synth-cx k3.oracle.qasm efb812efc6d73c9b02a4f6909d173e3a2a1d680e960c64e33dea981540782d62
-k3-3-strict synth-cx k3.oracle.txt 7abd032e90232657bdc55e0a5d1e3258004672bdaf4dceaea4b547cbc4099cfc
-k3-3-strict synth-cx k3.synth.json 4c92e3cab36eb73a596636739123226ae79a9915d70ac56a6dacf5ed688d7abe
-k3-3-strict synth-cx stdout 4c92e3cab36eb73a596636739123226ae79a9915d70ac56a6dacf5ed688d7abe
-k3-3-strict grover k3.grover.json f7711fd503bea2c0f1bce04253a66fc6ef813db203c8fa21153a4d860f5f1874
+k3-3-strict grover k3.grover.json bc896ff012bfa8dc0d3e328dc11096a6c7035ab481af66b88631fe4996d93343
 k3-3-strict grover k3.grover.qasm 29f98a725522716bc6082efed7cef07486b35e782507abc7da6bf2afaddbfbbd
-k3-3-strict grover stdout f7711fd503bea2c0f1bce04253a66fc6ef813db203c8fa21153a4d860f5f1874
-k3-3-strict grover-cx k3.grover.json f7711fd503bea2c0f1bce04253a66fc6ef813db203c8fa21153a4d860f5f1874
-k3-3-strict grover-cx k3.grover.qasm 29f98a725522716bc6082efed7cef07486b35e782507abc7da6bf2afaddbfbbd
-k3-3-strict grover-cx stdout f7711fd503bea2c0f1bce04253a66fc6ef813db203c8fa21153a4d860f5f1874
-k3-3-strict route-default k3.routed.qasm 65c406dfd851d6057ef4cada38c181650ad4ddd00b710166f2769611ee38cdf6
+k3-3-strict grover stdout bc896ff012bfa8dc0d3e328dc11096a6c7035ab481af66b88631fe4996d93343
+k3-3-strict route-default k3.routed.qasm cad6b6a2e445779d5c88ac032cc863b52f4d28bd7d7524f50584600e8361008f
 k3-3-strict route-default stdout 8c33ea25b7e778ae315f092dce07b839a8e45d9af318ac07fe01f5bb1534c1e1
-k3-3-strict route-cx k3.routed.qasm ac1a2db3bb834fa3e3a79fa5a04df25cbb19f68b500948b88e29cf6059ef9d5e
+k3-3-strict route-cx k3.routed.qasm e9aa1cba390f89c09ab402b3a0b8e098cf0ffec03ed68c398896eb4a5a4d58b3
 k3-3-strict route-cx stdout 8c33ea25b7e778ae315f092dce07b839a8e45d9af318ac07fe01f5bb1534c1e1
 k3-3-strict run stdout 42be0b5b17eac86479b30edc25e7be925f887417aed896f4a5e4d3ec955fa671
-k3-3-strict run-line13 k3.routed.qasm 65c406dfd851d6057ef4cada38c181650ad4ddd00b710166f2769611ee38cdf6
+k3-3-strict run-line13 k3.routed.qasm cad6b6a2e445779d5c88ac032cc863b52f4d28bd7d7524f50584600e8361008f
 k3-3-strict run-line13 stdout acffc44410e6f6e4663121283b0bdec299fc42c91006a8ab22bbb93eef936951
 k3-3-paper synth k3.oracle.qasm 48f2386c9d438f296f691c33951381ddec0f0c67414a76e1934460560a044057
 k3-3-paper synth k3.oracle.txt 911ed58a2caaaa614879639754e2237be132896bac8e29d62b960e465c5e1c37
 k3-3-paper synth k3.synth.json d95fb71c721f56b3a9842d94ad0f99d866ba4fad974a659071c16275d1efdaa7
 k3-3-paper synth stdout d95fb71c721f56b3a9842d94ad0f99d866ba4fad974a659071c16275d1efdaa7
-k3-3-paper synth-cx k3.oracle.qasm 48f2386c9d438f296f691c33951381ddec0f0c67414a76e1934460560a044057
-k3-3-paper synth-cx k3.oracle.txt 911ed58a2caaaa614879639754e2237be132896bac8e29d62b960e465c5e1c37
-k3-3-paper synth-cx k3.synth.json d95fb71c721f56b3a9842d94ad0f99d866ba4fad974a659071c16275d1efdaa7
-k3-3-paper synth-cx stdout d95fb71c721f56b3a9842d94ad0f99d866ba4fad974a659071c16275d1efdaa7
-k3-3-paper grover k3.grover.json d1c7a008d2e61560b81eee6f1401a7d1e6f1bc29cf4ec06907b9c6b52955591a
+k3-3-paper grover k3.grover.json bbfe35c64e14a6927f1cce836213f0d418f381e5580ae1fb4a32219ab1b22da7
 k3-3-paper grover k3.grover.qasm b70af6b619ce2f5beec438e756939feec48a1a48592b1f8591866ea7224eb89b
-k3-3-paper grover stdout d1c7a008d2e61560b81eee6f1401a7d1e6f1bc29cf4ec06907b9c6b52955591a
-k3-3-paper grover-cx k3.grover.json d1c7a008d2e61560b81eee6f1401a7d1e6f1bc29cf4ec06907b9c6b52955591a
-k3-3-paper grover-cx k3.grover.qasm b70af6b619ce2f5beec438e756939feec48a1a48592b1f8591866ea7224eb89b
-k3-3-paper grover-cx stdout d1c7a008d2e61560b81eee6f1401a7d1e6f1bc29cf4ec06907b9c6b52955591a
+k3-3-paper grover stdout bbfe35c64e14a6927f1cce836213f0d418f381e5580ae1fb4a32219ab1b22da7
 k3-3-paper run stdout 67c5b9ab6b70fab0f2dbcb79d040a3bc9e9ff14a5d313ab2bb402d60f7a97df0
-p3-2 synth p3.oracle.qasm fb1a75a0adee2c50101b206d1dac75c837edfb6543ed02b07f88872f01ed4d5c
+p3-2 synth p3.oracle.qasm 7f6d21ad86b57eba16775d986538ecb71f40c6b606564199401bf43acb0f05d0
 p3-2 synth p3.oracle.txt 99f0276bec32ee3bcc88693cf6d14c5a815a0d9bc571b99d5622422c6b283967
-p3-2 synth p3.synth.json fe13d665b0db06b1b5577b397eb99beec26ceb828f003ab149ef3884e32f7aab
-p3-2 synth stdout fe13d665b0db06b1b5577b397eb99beec26ceb828f003ab149ef3884e32f7aab
-p3-2 synth-cx p3.oracle.qasm 7f6d21ad86b57eba16775d986538ecb71f40c6b606564199401bf43acb0f05d0
-p3-2 synth-cx p3.oracle.txt 99f0276bec32ee3bcc88693cf6d14c5a815a0d9bc571b99d5622422c6b283967
-p3-2 synth-cx p3.synth.json 41cd597a5cf8974fe96ff8c255c129ba4f815def3b0019deddde800dfbeda419
-p3-2 synth-cx stdout 41cd597a5cf8974fe96ff8c255c129ba4f815def3b0019deddde800dfbeda419
-p3-2 grover p3.grover.json 2390b912e2b247829d14e057c5ab72bf8f5507f03afccbe377a699de66199456
-p3-2 grover p3.grover.qasm 5d29e88c67e4504d1013e8759d5045a9b8a8bbbba4793a476d21f025736ecd0c
-p3-2 grover stdout 2390b912e2b247829d14e057c5ab72bf8f5507f03afccbe377a699de66199456
-p3-2 grover-cx p3.grover.json 938b3d7923a9ef280211cc46e29f64e1f46164fbc12134643fa91bd7ead4f40e
-p3-2 grover-cx p3.grover.qasm c05ce3733f86e16232003ce4d8d975270221b85189b64f7f3a3fcafd19fd8915
-p3-2 grover-cx stdout 938b3d7923a9ef280211cc46e29f64e1f46164fbc12134643fa91bd7ead4f40e
-p3-2 route-default p3.routed.qasm b8918620896405f17e8b2932717759a99695999843e2afb4a1a61b879e8b2e6a
+p3-2 synth p3.synth.json 41cd597a5cf8974fe96ff8c255c129ba4f815def3b0019deddde800dfbeda419
+p3-2 synth stdout 41cd597a5cf8974fe96ff8c255c129ba4f815def3b0019deddde800dfbeda419
+p3-2 grover p3.grover.json d87590bb8bd001d89911ddb7642b2a8255c773956d6157c612fac4d3ddf026b7
+p3-2 grover p3.grover.qasm c05ce3733f86e16232003ce4d8d975270221b85189b64f7f3a3fcafd19fd8915
+p3-2 grover stdout d87590bb8bd001d89911ddb7642b2a8255c773956d6157c612fac4d3ddf026b7
+p3-2 route-default p3.routed.qasm 3525b9417fbb6d6b7f70fb5ff9de86e594c3654b32d26c4b35e7d42a1ce4c83c
 p3-2 route-default stdout fd39bd0b2125ccd7fa968e3709c9af1be12648587dc39a7acf297bcdf1c77e6b
-p3-2 route-cx p3.routed.qasm 2c704c9a4e854faf34c1349555f08170a7986735d53946772f3d74cd8ce3e9ef
+p3-2 route-cx p3.routed.qasm 19ace4b24e932352bc635bbd0a6339ba72b247effb05c708c28edee1ceb19cc3
 p3-2 route-cx stdout fd39bd0b2125ccd7fa968e3709c9af1be12648587dc39a7acf297bcdf1c77e6b
 p3-2 run stdout 8fc046293d3d6579e82cb799a1a7e218077afa20735dc8099e49790e8b07e661
-p3-2 run-line13 p3.routed.qasm b8918620896405f17e8b2932717759a99695999843e2afb4a1a61b879e8b2e6a
+p3-2 run-line13 p3.routed.qasm 3525b9417fbb6d6b7f70fb5ff9de86e594c3654b32d26c4b35e7d42a1ce4c83c
 p3-2 run-line13 stdout c3847be0c8922cba97a419436c3e3e1f00e7096b27deeb8072d9e640914f5272
 k3-2 synth k3.oracle.qasm 5432c4cd4205c33c077a4bde7039a7aeaab383d39d284b1ce09127e0bbf512ea
 k3-2 synth k3.oracle.txt 00a9c904948b380b5fe1b841bc885b6acbcca133428987e2a2eb09867a5bcc12
 k3-2 synth k3.synth.json 766f6a6b49c90a229d8272833c02fcdd34d34a00d400a5ae06d4de061362b8c5
 k3-2 synth stdout 766f6a6b49c90a229d8272833c02fcdd34d34a00d400a5ae06d4de061362b8c5
-k3-2 synth-cx k3.oracle.qasm 5432c4cd4205c33c077a4bde7039a7aeaab383d39d284b1ce09127e0bbf512ea
-k3-2 synth-cx k3.oracle.txt 00a9c904948b380b5fe1b841bc885b6acbcca133428987e2a2eb09867a5bcc12
-k3-2 synth-cx k3.synth.json 766f6a6b49c90a229d8272833c02fcdd34d34a00d400a5ae06d4de061362b8c5
-k3-2 synth-cx stdout 766f6a6b49c90a229d8272833c02fcdd34d34a00d400a5ae06d4de061362b8c5
 k3-2 grover stdout f3488c3ee8eed62f8e2f28944eb1ec793db9f7e13c5a05b2ef994934e211fe51
-k3-2 grover-cx stdout f3488c3ee8eed62f8e2f28944eb1ec793db9f7e13c5a05b2ef994934e211fe51
 k3-2 route-default stdout f3488c3ee8eed62f8e2f28944eb1ec793db9f7e13c5a05b2ef994934e211fe51
 k3-2 route-cx stdout f3488c3ee8eed62f8e2f28944eb1ec793db9f7e13c5a05b2ef994934e211fe51
 k3-2 run stdout c5a8e95dd0692c244f662bdb0cd368e62d020d8a81ee0379b7a25a7d943b7fb4
 k3-2 run-line13 stdout c5a8e95dd0692c244f662bdb0cd368e62d020d8a81ee0379b7a25a7d943b7fb4
-cost --k 3 stdout 755e266c85c9ce2289d22cf53db851bdb3eb3a3881165865b353ad93e4639e4c
+cost --k 3 stdout 1374c06e74ad8d004196bbf5e9da423c1929e06f41d1899fd9ee73ef3b20b503
 """
 
 

@@ -173,8 +173,9 @@ def test_iteration_override_skips_counting():
     assert diffusion.num_qubits == 9
     one_round = len(job.oracle.gates) + len(diffusion.gates)
     prep = len(circ.gates) - job.iterations * one_round
-    # 6 X seeds (3 slots, 3 flags) + 6 H on the data
-    assert prep == 12
+    # 6 H on the data; the 3 slots and 3 flags are declared |1>
+    assert prep == 6
+    assert circ.initial_state == init and sum(init) == 6
     assert circ.gates[prep + len(job.oracle.gates):] == diffusion.gates
 
 

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import (all_graphs, complete_graph, cycle_graph, path_graph,
+from conftest import (all_graphs, complete_graph, cycle_graph,
                       phase_aligned_distance, random_circuit, ref_gate_matrix,
                       ref_unitary, unitary_of)
 from qkcolor import lowering
@@ -25,7 +25,7 @@ from qkcolor.simulator import _HELD_LIMIT, phase_pattern, probabilities, run
 # The lowered alphabet, written out once: what lower_circuit emits, and
 # all that LOWERED_KINDS admits (test_pipeline_emits_the_whole_alphabet).
 LOWERED_ALPHABET = {GateKind(name) for name in
-                    ("x", "h", "z", "ry", "rz", "cx", "cz", "swap")}
+                    ("x", "h", "z", "ry", "rz", "cx", "swap")}
 
 
 def _multi(kind, controls, target, width):
@@ -347,27 +347,21 @@ def test_ladder_lowers_linearly():
     assert sizes["C5"] <= 4000
 
 
-# (gates, 2-qubit gates) lowered in the default basis, the CX count
-# under basis="cx", and the sha256 of the emitted QASM in the default
-# and the cx basis, so the lowered output is pinned byte for byte.  A
-# lowering change must re-pin them deliberately.  The strict ladder
-# lowers to no cz or swap, so its cx-basis QASM is the default one.
+# (gates, 2-qubit gates) lowered, every 2-qubit gate a CX, and the
+# sha256 of the emitted QASM, so the lowered output is pinned byte for
+# byte.  A lowering change must re-pin them deliberately.  basis="cx"
+# rewrites only swaps, so it leaves these unrouted circuits as they are.
 LADDER_COUNTS = {
-    "K3": ((606, 232), 232,
-           ("29f98a725522716bc6082efed7cef07486b35e782507abc7da6bf2afaddbfbbd",
-            "29f98a725522716bc6082efed7cef07486b35e782507abc7da6bf2afaddbfbbd")),
-    "C6": ((888, 344), 344,
-           ("50232e9c4af1255925216a4fcf169a3fa942adc777f3a5eb8aea761007325c27",
-            "50232e9c4af1255925216a4fcf169a3fa942adc777f3a5eb8aea761007325c27")),
-    "K4": ((922, 348), 348,
-           ("aba5fbc189ef8f00277aea213896b2a4b8507ccceee2af1557f0e769ce6b8e01",
-            "aba5fbc189ef8f00277aea213896b2a4b8507ccceee2af1557f0e769ce6b8e01")),
-    "C5": ((2312, 896), 896,
-           ("1b4dc7850a206007beb1319baaf450160cacc042eba05f2a7454e91a4a7bbbbd",
-            "1b4dc7850a206007beb1319baaf450160cacc042eba05f2a7454e91a4a7bbbbd")),
-    "C10": ((7551, 2958), 2958,
-            ("ca9b772673c78ac9bbdb19452f90b877d477189dc7ed8092fe9c34ffbfc3dc78",
-             "ca9b772673c78ac9bbdb19452f90b877d477189dc7ed8092fe9c34ffbfc3dc78")),
+    "K3": ((600, 232),
+           "29f98a725522716bc6082efed7cef07486b35e782507abc7da6bf2afaddbfbbd"),
+    "C6": ((882, 344),
+           "50232e9c4af1255925216a4fcf169a3fa942adc777f3a5eb8aea761007325c27"),
+    "K4": ((918, 348),
+           "aba5fbc189ef8f00277aea213896b2a4b8507ccceee2af1557f0e769ce6b8e01"),
+    "C5": ((2302, 896),
+           "1b4dc7850a206007beb1319baaf450160cacc042eba05f2a7454e91a4a7bbbbd"),
+    "C10": ((7541, 2958),
+            "ca9b772673c78ac9bbdb19452f90b877d477189dc7ed8092fe9c34ffbfc3dc78"),
 }
 
 
@@ -375,28 +369,27 @@ LADDER_COUNTS = {
 def test_ladder_lowered_counts(label):
     graph, k = next((g, k) for name, g, k in LADDER if name == label)
     circ = assemble(make_job(make_instance(graph, k), "strict"))
-    counts, cx, digests = LADDER_COUNTS[label]
-    assert _counts(lower_circuit(circ)) == counts
-    assert sum(g.kind is GateKind.CX
-               for g in lower_circuit(circ, "cx").gates) == cx
-    assert tuple(hashlib.sha256(emit_qasm(lower_circuit(circ, basis))
-                                .encode()).hexdigest()
-                 for basis in ("default", "cx")) == digests
+    counts, digest = LADDER_COUNTS[label]
+    lowered = lower_circuit(circ)
+    assert _counts(lowered) == counts
+    assert {g.kind for g in lowered.gates if len(g.operands) == 2} == {
+        GateKind.CX}
+    assert lower_circuit(circ, "cx").gates == lowered.gates
+    assert hashlib.sha256(emit_qasm(lowered).encode()).hexdigest() == digest
 
 
 def test_pipeline_emits_the_whole_alphabet():
-    # The ladder in both modes, the routed K3/k=3 circuit for swap, a
-    # Grover circuit on 2 data qubits, whose diffusion MCZ has 1 control,
-    # for cz, and one on 1 data qubit, where it has none, for z.
+    # The ladder in both modes, the routed K3/k=3 circuit for swap, and a
+    # Grover circuit on 1 data qubit, whose diffusion MCZ has no control,
+    # for z.
     circuits = [assemble(make_job(make_instance(graph, k), mode))
                 for _, graph, k in LADDER for mode in ("strict", "paper")]
     circuits.append(sabre_route(lower_circuit(circuits[0]), line_coupling(13),
                                 seed=0).routed)
-    circuits.append(assemble(make_job(make_instance(path_graph(2), 2))))
     circuits.append(assemble(make_job(make_instance(Graph(1, frozenset()), 2),
                                       iterations=1)))
-    emitted = {gate.kind for circ in circuits for basis in ("default", "cx")
-               for gate in lower_circuit(circ, basis).gates}
+    emitted = {gate.kind for circ in circuits
+               for gate in lower_circuit(circ).gates}
     assert emitted == LOWERED_KINDS == LOWERED_ALPHABET
 
 
@@ -502,6 +495,19 @@ def test_near_mirrors_lower_gate_by_gate():
     # the same W with an exact mirror does take the rule
     assert len(lower_circuit(_window(w, k, 6)).gates) < len(
         _gate_by_gate(_window(w, k, 6)))
+
+
+def test_mcz_window_borrows_its_target():
+    # the compute side's relative phase is diagonal, so it commutes with
+    # an MCZ wherever it sits: W's MCT borrows K's target, qubit 4, and is
+    # a V-chain of Margolus Toffolis only, 28 gates and 12 of them 2-qubit
+    # on each side; K is one cx in h
+    circ = _window([gMCT([0, 1, 2], 3)], gMCZ([3], 4), 5)
+    lowered = lower_circuit(circ)
+    assert _counts(lowered) == (2 * 28 + 3, 2 * 12 + 1)
+    assert not any(g.kind is GateKind.RZ for g in lowered.gates)
+    assert phase_aligned_distance(unitary_of(lowered),
+                                  ref_unitary(circ)) < 1e-9
 
 
 def test_window_gate_with_only_the_target_free():

@@ -39,15 +39,15 @@ def test_emit_angle_roundtrip():
 
 
 def test_emit_degenerate_multi_controlled():
-    # 0- and 1-control MCT/MCZ lower to x/cx and z/cz; unlowered, they
-    # are refused like any other MCT/MCZ
+    # 0- and 1-control MCT/MCZ lower to x/cx and z/(cx in h); unlowered,
+    # they are refused like any other MCT/MCZ
     circ = Circuit(2)
     circ.append(gMCT([], 0))
     circ.append(gMCT([0], 1))
     circ.append(gMCZ([], 0))
     circ.append(gMCZ([0], 1))
     names = [g[0] for g in check_qasm(emit_qasm(lower_circuit(circ))).gates]
-    assert names == ["x", "cx", "z", "cz"]
+    assert names == ["x", "cx", "z", "h", "cx", "h"]
     with pytest.raises(UnloweredGate, match="gate 0 is mct with 0 controls"):
         emit_qasm(circ)
 

@@ -220,7 +220,7 @@ def _placed_gates(q):
                            polarity)), (t,))
                 for t in edges
                 for polarity in ((True, False, True), (False, True, False))]
-        elif kind in (GateKind.CX, GateKind.CZ):
+        elif kind is GateKind.CX:
             placements = [((Control(c),), (t,))
                           for c in edges for t in edges if c != t]
         else:
@@ -497,7 +497,7 @@ _STAYS = ("swap rows", "update", "xor keys")
 _FLATTENS = ("control on t", "swap touching t", "diagonal elsewhere",
              "mixed elsewhere")
 _MIXED = (GateKind.H, GateKind.RY)
-_DIAGONAL = (GateKind.Z, GateKind.RZ, GateKind.CZ, GateKind.MCZ)
+_DIAGONAL = (GateKind.Z, GateKind.RZ, GateKind.MCZ)
 _MOVES = (GateKind.X, GateKind.CX, GateKind.MCT)
 
 
@@ -507,7 +507,7 @@ def _gate_on(kind, target, others, rng, control=None):
     if kind in MULTI_KINDS:
         count = rng.randint(control is not None, min(3, len(others)))
     else:
-        count = int(kind in (GateKind.CX, GateKind.CZ))
+        count = int(kind is GateKind.CX)
     picked = [control] if control is not None else []
     picked += rng.sample([o for o in others if o != control],
                          count - len(picked))
@@ -554,8 +554,7 @@ def _paired_runs(q, num_runs, rng):
         u = rng.choice(rest)
         others = [o for o in rest if o != u]
         if way == "control on t":
-            kind = rng.choice((GateKind.CX, GateKind.CZ, GateKind.MCT,
-                               GateKind.MCZ))
+            kind = rng.choice((GateKind.CX, GateKind.MCT, GateKind.MCZ))
             gate = _gate_on(kind, u, others + [t], rng, control=t)
         elif way == "swap touching t":
             gate = Gate(GateKind.SWAP, targets=rng.choice(((t, u), (u, t))))
